@@ -36,7 +36,7 @@ torn live read is discarded.
 from __future__ import annotations
 
 import time
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -148,13 +148,21 @@ class RealExecutor(SubroutineExecutor):
         """The writer thread or shared-pool handle, or None in serial mode."""
         return self._writer
 
+    def writer_totals(self) -> Tuple[int, float]:
+        """``(checkpoint bytes written, writer busy seconds)`` so far, across
+        both writer modes, from one snapshot of the writer's counters."""
+        if self._writer is None:
+            return self._serial_bytes_written, 0.0
+        stats = self._writer.stats()
+        return (
+            self._serial_bytes_written + stats.bytes_written,
+            stats.busy_seconds,
+        )
+
     @property
     def bytes_written(self) -> int:
         """Checkpoint bytes written so far, across both writer modes."""
-        total = self._serial_bytes_written
-        if self._writer is not None:
-            total += self._writer.stats().bytes_written
-        return total
+        return self.writer_totals()[0]
 
     @property
     def checkpoints_committed(self) -> int:
@@ -163,13 +171,6 @@ class RealExecutor(SubroutineExecutor):
         if self._writer is not None:
             total += self._writer.stats().jobs_completed
         return total
-
-    @property
-    def writer_busy_seconds(self) -> float:
-        """Seconds the asynchronous writer thread spent inside checkpoints."""
-        if self._writer is None:
-            return 0.0
-        return self._writer.stats().busy_seconds
 
     @property
     def last_committed_tick(self) -> Optional[int]:

@@ -37,6 +37,7 @@ from repro.engine.app import TickApplication
 from repro.engine.executor import RealExecutor
 from repro.engine.writer import DEFAULT_CHUNK_OBJECTS
 from repro.errors import EngineError
+from repro.state.dirty import unique_ids
 from repro.state.table import GameStateTable
 from repro.storage.action_log import ActionLog, TickRecord
 from repro.storage.checkpoint_log import CheckpointLogStore
@@ -274,13 +275,20 @@ class DurableGameServer:
         plan = self._app.plan_tick_with_commands(
             self._table, self._rng, tick, command_blob
         )
-        cell_index = self._table.geometry.cell_index(plan.rows, plan.columns)
-        objects = self._table.geometry.object_of_cell(np.asarray(cell_index))
-        unique_objects = np.unique(objects)
+        # One pass over the plan: bounds-check it before anything is marked,
+        # then derive the flat cell index once -- the touched objects come
+        # from it here and the values land through it below.
+        geometry = self._table.geometry
+        self._table.check_updates(plan.rows, plan.columns)
+        cell_index = geometry.cell_index(plan.rows, plan.columns)
+        unique_objects = unique_ids(geometry.object_of_cell(cell_index))
 
         # Handle-Update runs before the updates land so old values survive.
         self._framework.process_updates(unique_objects, plan.update_count)
-        self._table.apply_updates(plan.rows, plan.columns, plan.values)
+        self._table.apply_updates(
+            plan.rows, plan.columns, plan.values,
+            validate=False, cell_index=cell_index,
+        )
 
         # The tick is durable once its logical-log record is on disk.
         self._action_log.append(
@@ -312,8 +320,8 @@ class DurableGameServer:
             )
         self.stats.sync_copy_seconds = self._executor.sync_copy_seconds
         self.stats.handle_update_seconds = self._executor.handle_update_seconds
-        self.stats.bytes_written = self._executor.bytes_written
-        self.stats.writer_busy_seconds = self._executor.writer_busy_seconds
+        (self.stats.bytes_written,
+         self.stats.writer_busy_seconds) = self._executor.writer_totals()
 
         self._next_tick += 1
         return plan.update_count

@@ -29,6 +29,7 @@ from repro.simulation.costmodel import CostModel
 from repro.simulation.disk import DiskWriteScheduler
 from repro.simulation.recovery import estimate_recovery
 from repro.simulation.results import CheckpointRecord, SimulationResult
+from repro.state.dirty import unique_ids
 from repro.workloads.base import UpdateTrace
 
 # The reduction lives with the workloads (it is a pure function of the trace
@@ -43,7 +44,7 @@ def _object_tick_stream(trace: TraceLike) -> Iterable[Tuple[np.ndarray, int]]:
         return trace.object_ticks()
     geometry = trace.geometry
     return (
-        (np.unique(geometry.object_of_cell(cells)), int(cells.size))
+        (unique_ids(geometry.object_of_cell(cells)), int(cells.size))
         for cells in trace.ticks()
     )
 

@@ -93,33 +93,41 @@ class GameStateTable:
     # Updates
     # ------------------------------------------------------------------
 
-    def apply_updates(self, rows, columns, values, validate: bool = True) -> np.ndarray:
-        """Write ``values`` into cells ``(rows, columns)`` (vectorized).
+    def check_updates(self, rows, columns) -> None:
+        """Raise :class:`GeometryError` unless every ``(rows, columns)`` pair
+        addresses a cell of the table.
 
-        Returns the atomic-object id touched by each update, in update order
-        and *with duplicates*, so the caller can feed them to a checkpointing
-        algorithm's update handler.  ``validate=False`` skips the bounds
-        check for trusted callers (recovery replays millions of updates that
-        already passed it once on the live path).
+        Each axis is checked against its own bound: a range check on the
+        flat index would let an out-of-range column alias into the next row.
         """
         rows = np.asarray(rows)
         columns = np.asarray(columns)
-        if validate and rows.size:
-            # One fused pass over both index arrays; the failure branch
-            # re-derives which bound broke, off the hot path.
-            bad = (
-                (rows < 0)
-                | (rows >= self._geometry.rows)
-                | (columns < 0)
-                | (columns >= self._geometry.columns)
+        if not rows.size:
+            return
+        if rows.min() < 0 or rows.max() >= self._geometry.rows:
+            raise GeometryError("row index out of range")
+        if columns.min() < 0 or columns.max() >= self._geometry.columns:
+            raise GeometryError("column index out of range")
+
+    def apply_updates(self, rows, columns, values, validate: bool = True,
+                      cell_index=None) -> None:
+        """Write ``values`` into cells ``(rows, columns)`` (vectorized).
+
+        ``validate=False`` skips the bounds check for trusted callers
+        (recovery replays millions of updates that already passed it once on
+        the live path).  ``cell_index`` is ``geometry.cell_index(rows,
+        columns)`` when the caller already holds it: the tick loop derives
+        the touched objects from it before the values may land.
+        """
+        if validate:
+            self.check_updates(rows, columns)
+        if cell_index is None:
+            cell_index = self._geometry.cell_index(
+                np.asarray(rows), np.asarray(columns)
             )
-            if bad.any():
-                if ((rows < 0) | (rows >= self._geometry.rows)).any():
-                    raise GeometryError("row index out of range")
-                raise GeometryError("column index out of range")
-        self._table[rows, columns] = values
-        cell_index = self._geometry.cell_index(rows, columns)
-        return self._geometry.object_of_cell(cell_index)
+        # One store through the 1-D view; the 2-D fancy store re-derives
+        # this index per element.
+        self._cells[cell_index] = values
 
     def apply_cell_updates(self, cell_indices, values, validate: bool = True) -> np.ndarray:
         """Write ``values`` into flat cell indices; returns touched object ids."""

@@ -31,6 +31,7 @@ import numpy as np
 from repro.config import StateGeometry
 from repro.errors import NoConsistentCheckpointError, StorageError
 from repro.obs.trace import get_tracer
+from repro.state.dirty import unique_ids
 from repro.storage.double_backup import (
     RESTORE_REGION_OBJECTS,
     StreamingRestore,
@@ -462,7 +463,7 @@ class CheckpointLogStore:
                 slot = object_ids[lo:hi] - start
                 run_sel = run_of[lo:hi]
                 pos_sel = pos_of[lo:hi]
-                for run_index in np.unique(run_sel):
+                for run_index in unique_ids(run_sel):
                     mask = run_sel == run_index
                     positions = pos_sel[mask]
                     first = int(positions.min())

@@ -42,7 +42,12 @@ import numpy as np
 from repro.config import StateGeometry
 from repro.engine.writer import AsyncCheckpointWriter, CheckpointJob
 from repro.errors import CheckpointWriterError, ValidationError
-from repro.state.dirty import DoubleBackupBits, EpochSet, StripeLockSet
+from repro.state.dirty import (
+    DoubleBackupBits,
+    EpochSet,
+    StripeLockSet,
+    unique_ids,
+)
 from repro.storage.double_backup import DoubleBackupStore
 from repro.workloads.zipf import ZipfTrace
 
@@ -296,7 +301,7 @@ class RealCheckpointServer:
         objects = None
         if self._algorithm == "copy-on-update":
             started = time.perf_counter()
-            objects = np.unique(self._geometry.object_of_cell(cells))
+            objects = unique_ids(self._geometry.object_of_cell(cells))
             self._bits.mark_updated(objects)
             fresh = self._touched.add_new(objects)
             copy_ids = fresh[self._write_mask[fresh]]

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.config import StateGeometry
 from repro.errors import TraceError
+from repro.state.dirty import unique_ids
 from repro.workloads.base import UpdateTrace
 
 #: Upper bound on the number of cell updates deduplicated per bulk pass.
@@ -60,7 +61,7 @@ def _reduce_trace(
         )
         tick_ids = np.repeat(np.arange(len(pending), dtype=np.int64), sizes)
         keys = tick_ids * num_objects + geometry.object_of_cell(cells)
-        unique_keys = np.unique(keys)
+        unique_keys = unique_ids(keys)
         # Sorted unique keys are tick-major, so each tick's segment is its
         # sorted unique object set; segment boundaries come from searchsorted.
         bounds = np.searchsorted(

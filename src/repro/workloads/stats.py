@@ -22,6 +22,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.config import StateGeometry
+from repro.state.dirty import unique_ids
 from repro.workloads.base import UpdateTrace
 
 
@@ -50,7 +51,7 @@ class TraceStatistics:
         column_counts = np.zeros(geometry.columns, dtype=np.int64)
         for cells in trace.ticks():
             per_tick_counts.append(cells.size)
-            objects = np.unique(geometry.object_of_cell(cells))
+            objects = unique_ids(geometry.object_of_cell(cells))
             per_tick_unique_objects.append(objects.size)
             cell_seen[cells] = True
             columns = cells % geometry.columns

@@ -1,10 +1,50 @@
 """Tests for the durable game server."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core.registry import ALGORITHM_KEYS
+from repro.engine.app import TickApplication, TickUpdatesPlan
 from repro.engine.server import DurableGameServer
-from repro.errors import EngineError
+from repro.errors import EngineError, GeometryError
+from repro.state.table import GameStateTable
+
+
+class FixedBufferApp(TickApplication):
+    """Hands out the *same* rows/columns/values arrays every tick.
+
+    The index arrays are unsorted with repeats and stay within the first
+    ``touched_rows`` rows; ``bad_tick``'s plan carries ``bad_row`` instead
+    of its first row.
+    """
+
+    def __init__(self, geometry, touched_rows=100, bad_tick=None,
+                 bad_row=None):
+        self._geometry = geometry
+        draw = np.random.default_rng(11)
+        self.rows = draw.integers(0, touched_rows, 24)
+        self.columns = draw.integers(0, geometry.columns, 24)
+        self.rows[5], self.columns[5] = self.rows[0], self.columns[0]
+        self._first_row = int(self.rows[0])
+        self._base = draw.random(24).astype(np.float32)
+        self.values = np.empty(24, dtype=np.float32)
+        self._bad_tick, self._bad_row = bad_tick, bad_row
+
+    @property
+    def geometry(self):
+        return self._geometry
+
+    def initialize(self, table, rng):
+        table.cells[:] = rng.random(table.cells.shape).astype(np.float32)
+
+    def plan_tick(self, table, rng, tick):
+        self.rows[0] = (
+            self._bad_row if tick == self._bad_tick else self._first_row
+        )
+        np.add(self._base, np.float32(tick), out=self.values)
+        return TickUpdatesPlan(self.rows, self.columns, self.values)
 
 
 class TestTickLoop:
@@ -103,6 +143,71 @@ class TestTickLoop:
         ).recover()
         assert report.table.equals(reference.table)
         reference.close()
+
+
+class TestPlanHandling:
+    @pytest.mark.parametrize("algorithm",
+                             ["copy-on-update", "cou-partial-redo"])
+    def test_reused_plan_buffers_survive_and_match_oracle(
+        self, tiny_geometry, tmp_path, algorithm
+    ):
+        app = FixedBufferApp(tiny_geometry)
+        rows, columns = app.rows.copy(), app.columns.copy()
+        oracle = GameStateTable(tiny_geometry, dtype=app.dtype)
+        oracle_rng = np.random.default_rng(3)
+        app.initialize(oracle, oracle_rng)
+        with DurableGameServer(
+            app, tmp_path, algorithm=algorithm, seed=3
+        ) as server:
+            for tick in range(40):
+                server.run_tick()
+                assert app.rows.tolist() == rows.tolist()
+                assert app.columns.tolist() == columns.tolist()
+                plan = app.plan_tick(oracle, oracle_rng, tick)
+                oracle.apply_updates(plan.rows, plan.columns, plan.values)
+            assert server.stats.checkpoints_completed >= 1
+            assert server.table.equals(oracle)
+
+    @pytest.mark.parametrize("algorithm",
+                             ["copy-on-update", "cou-partial-redo"])
+    @pytest.mark.parametrize("bad_row", [10**6, -1])
+    def test_invalid_plan_is_rejected_before_handle_update(
+        self, tiny_geometry, tmp_path, algorithm, bad_row
+    ):
+        """Row 10**6 used to die with a bare IndexError inside the dirty
+        bitmap; row -1 wrapped and marked the last object dirty before the
+        table refused the plan."""
+        bad_tick = 30
+        app = FixedBufferApp(tiny_geometry, bad_tick=bad_tick,
+                             bad_row=bad_row)
+        with DurableGameServer(
+            app, tmp_path, algorithm=algorithm, writer_bytes_per_tick=2_048
+        ) as server:
+            server.run_ticks(bad_tick)
+            # A checkpoint has begun, so the untouched last object is clean
+            # and a wrapped mark on it would show.
+            assert server.stats.checkpoints_started >= 1
+            bookkeeping = pickle.dumps(server._policy)
+            snapshot_mask = server._executor._snapshot_mask.copy()
+            table = server.table.copy()
+            with pytest.raises(GeometryError, match="row index"):
+                server.run_tick()
+            assert pickle.dumps(server._policy) == bookkeeping
+            assert np.array_equal(
+                server._executor._snapshot_mask, snapshot_mask
+            )
+            assert server.table.equals(table)
+            assert server._action_log.last_tick == bad_tick - 1
+            assert server.ticks_run == bad_tick
+
+    def test_invalid_first_plan_leaves_the_log_empty(self, tiny_geometry,
+                                                     tmp_path):
+        app = FixedBufferApp(tiny_geometry, bad_tick=0, bad_row=10**6)
+        with DurableGameServer(app, tmp_path) as server:
+            with pytest.raises(GeometryError):
+                server.run_tick()
+            assert server._action_log.last_tick is None
+            assert list(server._action_log.records()) == []
 
 
 class TestLifecycle:

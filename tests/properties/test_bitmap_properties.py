@@ -1,10 +1,11 @@
 """Property tests: dirty-tracking structures behave like their models."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.state.dirty import EpochSet, PolarityBitmap
+from repro.state.dirty import EpochSet, PolarityBitmap, unique_ids
 
 SIZE = 64
 
@@ -18,6 +19,44 @@ operations = st.lists(
     min_size=0,
     max_size=30,
 )
+
+
+@st.composite
+def raw_id_arrays(draw):
+    """An id array in one of the shapes callers hand over: fresh, a strided
+    view of a longer buffer, or read-only."""
+    dtype = draw(st.sampled_from([np.int32, np.int64, np.uint32]))
+    low = 0 if dtype is np.uint32 else -40
+    # A narrow range forces duplicates; the wide one reaches the dtype's top.
+    high = draw(st.sampled_from([3, 40, int(np.iinfo(dtype).max)]))
+    values = draw(st.lists(st.integers(low, high), max_size=48))
+    array = np.array(values, dtype=dtype)
+    shape = draw(st.sampled_from(["owned", "strided", "read-only"]))
+    if shape == "strided":
+        array = np.repeat(array, 3)[::3]
+    elif shape == "read-only":
+        array.setflags(write=False)
+    return array
+
+
+class TestUniqueIds:
+    @given(raw_id_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_np_unique_and_leaves_the_input_alone(self, ids):
+        before = ids.copy()
+        result = unique_ids(ids)
+        expected = np.unique(ids)
+        assert result.dtype == expected.dtype
+        assert result.tolist() == expected.tolist()
+        assert not np.shares_memory(result, ids)
+        assert ids.tolist() == before.tolist()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint32])
+    @pytest.mark.parametrize("length", [0, 1, 5])
+    def test_empty_single_and_all_equal(self, dtype, length):
+        result = unique_ids(np.full(length, 7, dtype=dtype))
+        assert result.dtype == dtype
+        assert result.tolist() == [7][:length]
 
 
 class TestPolarityBitmapModel:

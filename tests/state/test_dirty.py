@@ -1,16 +1,44 @@
 """Tests for the dirty-tracking structures."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
+from repro.state import dirty
 from repro.state.dirty import (
     DoubleBackupBits,
     EpochSet,
     PolarityBitmap,
     RegionResidency,
     StripeLockSet,
+    unique_ids,
 )
+
+
+class TestUniqueIds:
+    def test_sorted_distinct_flattened(self):
+        ids = np.array([[9, 2], [2, 0]], dtype=np.int32)
+        result = unique_ids(ids)
+        assert result.tolist() == [0, 2, 9]
+        assert result.dtype == np.int32
+        assert ids.tolist() == [[9, 2], [2, 0]]
+
+    def test_hash_unique_stays_off_the_tick_and_restore_paths(self):
+        """numpy >= 2.3's ``np.unique`` hashes before it sorts; on the
+        engine, state and storage paths every dedupe is ``unique_ids``."""
+        package = Path(repro.__file__).parent
+        offenders = [
+            f"{path.relative_to(package)}:{number}"
+            for layer in ("engine", "state", "storage")
+            for path in sorted((package / layer).rglob("*.py"))
+            if path != Path(dirty.__file__)
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if "np.unique(" in line
+        ]
+        assert offenders == []
 
 
 class TestPolarityBitmap:

@@ -38,22 +38,32 @@ class TestConstruction:
 
 
 class TestUpdates:
-    def test_apply_updates_returns_object_ids(self, table):
-        objects = table.apply_updates(
+    def test_apply_updates_lands_values(self, table):
+        assert table.apply_updates(
             rows=np.array([0, 9]), columns=np.array([0, 9]),
             values=np.array([1, 2], dtype=np.uint32),
-        )
-        # cell 0 -> object 0; cell 99 -> object 6
-        assert objects.tolist() == [0, 6]
+        ) is None
         assert table.cells[0, 0] == 1
         assert table.cells[9, 9] == 2
+        assert np.count_nonzero(table.cells) == 2
 
-    def test_apply_updates_duplicates_kept(self, table):
-        objects = table.apply_updates(
-            rows=np.array([0, 0]), columns=np.array([0, 1]),
+    def test_apply_updates_duplicate_cell_last_value_wins(self, table):
+        table.apply_updates(
+            rows=np.array([3, 3]), columns=np.array([4, 4]),
             values=np.array([5, 6], dtype=np.uint32),
         )
-        assert objects.tolist() == [0, 0]
+        assert table.cells[3, 4] == 6
+
+    def test_apply_updates_through_precomputed_cell_index(self, table):
+        rows, columns = np.array([0, 9, 3]), np.array([0, 9, 4])
+        values = np.array([1, 2, 3], dtype=np.uint32)
+        expected = table.copy()
+        expected.apply_updates(rows, columns, values)
+        table.apply_updates(
+            rows, columns, values, validate=False,
+            cell_index=table.geometry.cell_index(rows, columns),
+        )
+        assert table.equals(expected)
 
     def test_apply_cell_updates(self, table):
         objects = table.apply_cell_updates(
@@ -195,11 +205,20 @@ class TestValidateFastPath:
         rows = np.array([0, 9])
         columns = np.array([0, 9])
         values = np.array([7, 8], dtype=np.uint32)
-        touched = table.apply_updates(rows, columns, values, validate=False)
+        table.apply_updates(rows, columns, values, validate=False)
+        assert table.cells[0, 0] == 7
         assert table.cells[9, 9] == 8
-        assert touched.tolist() == table.apply_updates(
-            rows, columns, values
-        ).tolist()
+
+    def test_out_of_range_column_is_not_a_flat_range_check(self, table):
+        # (0, 10) on a 10-column table is flat cell 10 == (1, 0): in range
+        # as a flat index, out of range as a column.
+        with pytest.raises(GeometryError, match="column index"):
+            table.check_updates(np.array([0]), np.array([10]))
+        with pytest.raises(GeometryError, match="column index"):
+            table.apply_updates(
+                np.array([0]), np.array([10]), np.array([1], dtype=np.uint32)
+            )
+        assert not table.cells.any()
 
     def test_fused_check_still_names_the_bad_axis(self, table):
         with pytest.raises(GeometryError, match="row index"):

@@ -1,5 +1,6 @@
 """Tests for the real threaded implementation of NS and COU."""
 
+import numpy as np
 import pytest
 
 from repro.config import StateGeometry
@@ -101,7 +102,10 @@ class TestCopyOnUpdateSemantics:
             "copy-on-update", geometry=TEST_GEOMETRY, directory=large_dir
         ) as server:
             large = server.run(updates_per_tick=5_000, num_ticks=25)
-        assert large.avg_overhead > small.avg_overhead
+        # Medians: one cold or lock-stalled tick out of 25 can carry a mean
+        # past the other run's, and the dedupe is no longer slow enough to
+        # outweigh it.
+        assert np.median(large.tick_overhead) > np.median(small.tick_overhead)
 
     def test_tick_period_respected(self, tmp_path):
         import time
