@@ -87,6 +87,10 @@ class RecoveryReport:
     mode: str = "serial"
     #: Checkpoint image bytes installed into the table.
     bytes_restored: int = 0
+    #: Bytes read from the checkpoint files to produce them (headers, every
+    #: record the restore verified, re-read spans); ``bytes_read /
+    #: bytes_restored`` is the restore's read amplification.
+    bytes_read: int = 0
     #: Replay compute that ran while the restore read was still in flight --
     #: the time pipelining hid (0 under ``serial``).
     replay_overlap_seconds: float = 0.0
@@ -143,6 +147,7 @@ class RecoveryManager:
         row.counter("recoveries_completed").inc()
         row.counter("recovery_stalls").inc(report.stall_count)
         row.counter("recovery_bytes_restored").inc(report.bytes_restored)
+        row.counter("recovery_bytes_read").inc(report.bytes_read)
         row.counter("recovery_replay_ticks").inc(report.ticks_replayed)
 
     # ------------------------------------------------------------------
@@ -155,16 +160,18 @@ class RecoveryManager:
         tracer = get_tracer()
         restore_started = time.perf_counter()
         with tracer.span("restore"):
-            image, epoch, cut_tick = self._restore_checkpoint(geometry)
-            used_fallback = image is None
+            # The stores fill the table's own memory: no staging image.
+            image = table.image_buffer()
+            found, bytes_read = self._restore_checkpoint(geometry, image)
+            used_fallback = found is None
 
             rng = np.random.default_rng(self._seed)
             if used_fallback:
                 # No durable checkpoint: rebuild tick -1 state from the seed.
                 self._app.initialize(table, rng)
-                cut_tick, epoch = -1, 0
+                epoch, cut_tick = 0, -1
             else:
-                table.load_full_image(image)
+                epoch, cut_tick = found
         restore_seconds = time.perf_counter() - restore_started
 
         replay_started = time.perf_counter()
@@ -182,7 +189,8 @@ class RecoveryManager:
             restore_seconds=restore_seconds,
             replay_seconds=replay_seconds,
             mode="serial",
-            bytes_restored=0 if used_fallback else len(image),
+            bytes_restored=0 if used_fallback else image.nbytes,
+            bytes_read=bytes_read,
         )
 
     # ------------------------------------------------------------------
@@ -340,6 +348,7 @@ class RecoveryManager:
             replay_seconds=max(0.0, total - restore_seconds),
             mode="pipelined",
             bytes_restored=bytes_restored,
+            bytes_read=store.bytes_read,
             replay_overlap_seconds=overlap_seconds,
             stall_count=stall_count,
         )
@@ -399,27 +408,37 @@ class RecoveryManager:
     # ------------------------------------------------------------------
 
     def _restore_checkpoint(
-        self, geometry
-    ) -> Tuple[Optional[bytes], int, int]:
-        """Read the newest consistent image from whichever store exists."""
+        self, geometry, out
+    ) -> Tuple[Optional[Tuple[int, int]], int]:
+        """Fill ``out`` with the newest consistent image of whichever store
+        exists.
+
+        Returns ``((epoch, cut_tick), bytes_read)``; the pair is None when no
+        consistent checkpoint was found, and ``out`` is then all zero as the
+        caller allocated it.
+        """
         double_path = os.path.join(
             self._directory, DoubleBackupStore.FILE_NAMES[0]
         )
         log_path = os.path.join(self._directory, CheckpointLogStore.FILE_NAME)
+        found = None
         if os.path.exists(double_path):
             with DoubleBackupStore(self._directory, geometry) as store:
                 try:
-                    found = store.latest_consistent()
+                    backup = store.latest_consistent()
+                    store.read_image(backup.backup_index, out=out)
+                    found = backup.epoch, backup.tick
                 except NoConsistentCheckpointError:
-                    return None, 0, -1
-                return store.read_image(found.backup_index), found.epoch, found.tick
+                    pass
+                return found, store.bytes_read
         if os.path.exists(log_path):
             with CheckpointLogStore(self._directory, geometry) as store:
                 try:
-                    return store.restore_image()
+                    found = store.restore_image(out=out)[1:]
                 except NoConsistentCheckpointError:
-                    return None, 0, -1
-        return None, 0, -1
+                    pass
+                return found, store.bytes_read
+        return None, 0
 
     # ------------------------------------------------------------------
     # Replay

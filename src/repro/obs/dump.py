@@ -74,11 +74,18 @@ def render(snapshot: Dict) -> str:
         )
     recovery = snapshot.get("recovery") or {}
     if any(recovery.values()):
+        restored = recovery["recovery_bytes_restored"]
+        # A snapshot from a server older than the counter has no reads.
+        read = recovery.get("recovery_bytes_read", 0)
         lines.append(
             "rcvy  completed={recoveries_completed} "
             "stalls={recovery_stalls} "
-            "bytes={recovery_bytes_restored} "
-            "replay={recovery_replay_ticks}t".format(**recovery)
+            "bytes={recovery_bytes_restored} read={read}{amp} "
+            "replay={recovery_replay_ticks}t".format(
+                read=read,
+                amp=f" (amp {read / restored:.2f}x)" if restored else "",
+                **recovery,
+            )
         )
     gateway = snapshot.get("gateway")
     if gateway:

@@ -184,6 +184,17 @@ class GameStateTable:
         rows = self._object_matrix()[object_ids]
         return rows.reshape(-1).view(np.uint8).data
 
+    def image_buffer(self) -> memoryview:
+        """Writable byte view of the whole padded state, every object's
+        payload back to back (the layout :meth:`full_image` copies out).
+
+        The whole-table sibling of :meth:`object_bytes`, and no copy at all:
+        a restore handed this view fills the table in place, so no
+        image-sized staging buffer ever exists.  Writes through it bypass
+        dirty tracking, like :attr:`cells`.
+        """
+        return self._buffer.view(np.uint8).data
+
     def load_object_bytes(self, object_ids, raw) -> None:
         """Inverse of :meth:`object_bytes`: install raw payload bytes.
 

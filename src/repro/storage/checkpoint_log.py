@@ -11,33 +11,43 @@ The log is a sequence of framed records::
     OBJECTS           (epoch, first_object_id_count) + [ids][payloads]
     CHECKPOINT_COMMIT (epoch, cut_tick)
 
-Recovery finds the last committed epoch, then reconstructs the image from the
-latest committed version of every object at or before that epoch.  Because a
-full dump is appended every ``C`` checkpoints, the scan never needs to reach
-further back than ``C`` checkpoints -- the ``(k*C + n)`` restore cost the
-simulator charges.  :meth:`restore_scan_bytes` reports how many log bytes a
-backwards scan would touch, which the validation experiments compare against
-the model.
+Recovery finds the last committed checkpoint, then reconstructs the image
+from the latest committed version of every object at or before it, reading
+the log backwards from that checkpoint's commit record
+(:meth:`CheckpointLogStore.restore_image`).  Because a full dump is appended
+every ``C`` checkpoints, the scan never needs to reach further back than ``C``
+checkpoints -- the ``(k*C + n)`` restore cost the simulator charges.
+:meth:`restore_scan_bytes` reports how many log bytes a backwards scan would
+touch, which the validation experiments compare against the model.
+
+Checkpoints are appended one at a time with increasing epochs, so file order
+is history order: the newest committed checkpoint is the last one in the file.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.config import StateGeometry
-from repro.errors import NoConsistentCheckpointError, StorageError
+from repro.errors import (
+    CorruptCheckpointError,
+    NoConsistentCheckpointError,
+    StorageError,
+)
 from repro.obs.trace import get_tracer
 from repro.state.dirty import unique_ids
 from repro.storage.double_backup import (
     RESTORE_REGION_OBJECTS,
     StreamingRestore,
     resolve_fsync_policy,
+    restore_destination,
 )
 from repro.storage.layout import (
+    GEOMETRY_BYTES,
     RECORD_CHECKPOINT_BEGIN,
     RECORD_CHECKPOINT_COMMIT,
     RECORD_HEADER_BYTES,
@@ -54,6 +64,29 @@ from repro.storage.layout import (
 
 _GEOMETRY_RECORD = 0  # pseudo-epoch used by the leading geometry record
 
+#: Bytes skipped at the front of the record scratch buffer so the payload
+#: (and with it the int64 ids) starts 8-byte aligned behind the 29-byte header.
+_SCRATCH_PAD = -RECORD_HEADER_BYTES % 8
+
+_HAS_FADVISE = hasattr(os, "posix_fadvise")
+#: Window of each readahead hint the backwards scan gives the kernel.
+_READAHEAD_BYTES = 4 << 20
+
+
+class _Record(NamedTuple):
+    """One framed record as the header walk saw it (nothing verified)."""
+
+    offset: int  # of the header
+    type: int
+    a: int
+    b: int
+    length: int
+    checksum: int
+
+    @property
+    def end(self) -> int:
+        return self.offset + RECORD_HEADER_BYTES + self.length
+
 
 @dataclass
 class _LogCheckpoint:
@@ -63,10 +96,42 @@ class _LogCheckpoint:
     is_full_dump: bool
     committed: bool
     cut_tick: int
-    #: (file offset of ids, object count) for each OBJECTS record.
-    object_runs: List[Tuple[int, int]]
-    begin_offset: int
-    end_offset: int
+    #: Index (into the walked record list) of each OBJECTS record.
+    object_records: List[int]
+    #: Indices of the BEGIN record and of the last record (COMMIT once
+    #: committed) in the walked record list.
+    first_record: int
+    last_record: int
+
+
+def _scatter_unseen(
+    ids: np.ndarray, rows: np.ndarray, out_rows: np.ndarray, seen: np.ndarray
+) -> int:
+    """Copy the rows of not-yet-``seen`` objects into ``out_rows`` and mark
+    them seen; returns how many objects that was.
+
+    ``ids``/``rows`` are one OBJECTS record.  Within a record the last
+    occurrence of an id is its version; the writer's runs are strictly
+    ascending (no duplicates), which one comparison confirms, and only a run
+    that is not pays for a sort.
+    """
+    pick = None
+    if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        last = np.concatenate((ids[1:] != ids[:-1], [True]))
+        ids, pick = ids[last], order[last]
+    if ids[0] < 0 or ids[-1] >= seen.size:
+        raise StorageError("object id out of range in checkpoint log")
+    fresh = ~seen[ids]
+    if pick is None and fresh.all():
+        out_rows[ids] = rows
+    else:
+        ids = ids[fresh]
+        pick = np.flatnonzero(fresh) if pick is None else pick[fresh]
+        out_rows[ids] = rows[pick]
+    seen[ids] = True
+    return ids.size
 
 
 class CheckpointLogStore:
@@ -90,6 +155,7 @@ class CheckpointLogStore:
         #: Test hook: called before every object append; raising from it
         #: emulates a writer killed mid-flush (fault injection).
         self.write_fault_hook: Optional[Callable[[], None]] = None
+        self._bytes_read = 0
         os.makedirs(self._directory, exist_ok=True)
         self._path = os.path.join(self._directory, self.FILE_NAME)
         fresh = not os.path.exists(self._path) or os.path.getsize(self._path) == 0
@@ -154,13 +220,19 @@ class CheckpointLogStore:
             os.fsync(self._handle.fileno())
 
     def _verify_geometry(self) -> None:
-        self._handle.seek(0)
-        header = self._handle.read(RECORD_HEADER_BYTES)
-        record_type, a, _b, length, checksum = unpack_record_header(header)
-        payload = self._handle.read(length)
+        record = memoryview(bytearray(RECORD_HEADER_BYTES + GEOMETRY_BYTES))
+        header = record[:RECORD_HEADER_BYTES]
+        payload = record[RECORD_HEADER_BYTES:]
+        # A short read leaves zeros behind, which fail the magic check.
+        self._pread(self._read_fd(), record, 0)
+        try:
+            record_type, a, _b, length, checksum = unpack_record_header(header)
+        except CorruptCheckpointError:
+            record_type = None
         if (
             record_type != RECORD_CHECKPOINT_BEGIN
             or a != _GEOMETRY_RECORD
+            or length != GEOMETRY_BYTES
             or not verify_record(header, payload, checksum)
         ):
             raise StorageError(f"{self._path} does not start with a geometry record")
@@ -304,75 +376,289 @@ class CheckpointLogStore:
     # Scanning and recovery
     # ------------------------------------------------------------------
 
-    def _scan(self) -> List[_LogCheckpoint]:
-        """Parse the whole log, stopping cleanly at a torn tail."""
-        checkpoints: List[_LogCheckpoint] = []
-        by_epoch: Dict[int, _LogCheckpoint] = {}
-        handle = self._handle
-        handle.seek(0)
+    @property
+    def bytes_read(self) -> int:
+        """Bytes this store object has read from the log file so far."""
+        return self._bytes_read
+
+    def _read_fd(self) -> int:
+        """The raw fd for positioned reads, with buffered appends flushed."""
+        self._handle.flush()
+        return self._handle.fileno()
+
+    def _pread(self, fd: int, buffer, offset: int) -> int:
+        """Every read of the log goes through here: :func:`pread_into`,
+        counted into :attr:`bytes_read`."""
+        read = pread_into(fd, buffer, offset)
+        self._bytes_read += read
+        return read
+
+    def _walk(self, fd: int) -> List[_Record]:
+        """Header-only pass over the log: every framed record, in file order.
+
+        Hops from header to header and reads no payload.  A header with bad
+        magic, or whose ``length`` runs past the end of the file, is the torn
+        tail: the walk stops there having allocated nothing for it.  Nothing
+        is CRC-checked here -- callers verify the records they go on to trust
+        with :meth:`_read_verified`.
+        """
+        size = os.fstat(fd).st_size
+        header = bytearray(RECORD_HEADER_BYTES)
+        records: List[_Record] = []
         offset = 0
-        while True:
-            header = handle.read(RECORD_HEADER_BYTES)
-            if len(header) < RECORD_HEADER_BYTES:
+        while offset + RECORD_HEADER_BYTES <= size:
+            if self._pread(fd, header, offset) != RECORD_HEADER_BYTES:
                 break
             try:
-                record_type, a, b, length, checksum = unpack_record_header(header)
-            except Exception:
-                break  # torn tail
-            payload_offset = offset + RECORD_HEADER_BYTES
-            payload = handle.read(length)
-            if len(payload) < length or not verify_record(header, payload, checksum):
-                break  # torn tail
-            next_offset = payload_offset + length
-            if record_type == RECORD_CHECKPOINT_BEGIN and a != _GEOMETRY_RECORD:
-                checkpoint = _LogCheckpoint(
-                    epoch=a,
-                    is_full_dump=bool(b),
+                fields = unpack_record_header(header)
+            except CorruptCheckpointError:
+                break
+            record = _Record(offset, *fields)
+            if record.end > size:
+                break
+            records.append(record)
+            offset = record.end
+        return records
+
+    @staticmethod
+    def _checkpoints(records: List[_Record]) -> List[_LogCheckpoint]:
+        """Group walked records into checkpoints, in file order.
+
+        A checkpoint is a BEGIN record and the OBJECTS / COMMIT records of
+        the same epoch that follow it before the next BEGIN; the writer
+        appends one checkpoint at a time, so file order is history order.
+        """
+        checkpoints: List[_LogCheckpoint] = []
+        current: Optional[_LogCheckpoint] = None
+        for index, record in enumerate(records):
+            if record.type == RECORD_CHECKPOINT_BEGIN:
+                if record.a == _GEOMETRY_RECORD:
+                    continue
+                current = _LogCheckpoint(
+                    epoch=record.a,
+                    is_full_dump=bool(record.b),
                     committed=False,
                     cut_tick=-1,
-                    object_runs=[],
-                    begin_offset=offset,
-                    end_offset=next_offset,
+                    object_records=[],
+                    first_record=index,
+                    last_record=index,
                 )
-                checkpoints.append(checkpoint)
-                by_epoch[a] = checkpoint
-            elif record_type == RECORD_OBJECTS:
-                checkpoint = by_epoch.get(a)
-                if checkpoint is not None:
-                    checkpoint.object_runs.append((payload_offset, b))
-                    checkpoint.end_offset = next_offset
-            elif record_type == RECORD_CHECKPOINT_COMMIT:
-                checkpoint = by_epoch.get(a)
-                if checkpoint is not None:
-                    checkpoint.committed = True
-                    checkpoint.cut_tick = b
-                    checkpoint.end_offset = next_offset
-            offset = next_offset
-            handle.seek(offset)
+                checkpoints.append(current)
+            elif current is not None and record.a == current.epoch:
+                if record.type == RECORD_OBJECTS:
+                    current.object_records.append(index)
+                elif record.type == RECORD_CHECKPOINT_COMMIT:
+                    current.committed = True
+                    current.cut_tick = record.b
+                else:
+                    continue
+                current.last_record = index
+                if current.committed:
+                    current = None
         return checkpoints
 
-    def latest_committed(self) -> Tuple[int, int]:
-        """``(epoch, cut_tick)`` of the newest committed checkpoint."""
-        committed = [c for c in self._scan() if c.committed]
+    def _history(self, records: List[_Record]) -> List[_LogCheckpoint]:
+        """The committed checkpoints a restore applies, oldest first.
+
+        The last one is the target (the newest committed checkpoint); the
+        first is the newest committed full dump at or before it -- nothing
+        older can contribute a byte -- or the log's first committed
+        checkpoint when no full dump exists.
+        """
+        committed = [c for c in self._checkpoints(records) if c.committed]
         if not committed:
             raise NoConsistentCheckpointError(
                 f"no committed checkpoint in {self._path}"
             )
-        last = max(committed, key=lambda c: c.epoch)
-        return last.epoch, last.cut_tick
+        start = max(
+            (i for i, c in enumerate(committed) if c.is_full_dump), default=0
+        )
+        return committed[start:]
+
+    @staticmethod
+    def _trusted_range(history: List[_LogCheckpoint]) -> Tuple[int, int]:
+        """Record indices ``(first, last)`` a restore of ``history`` relies
+        on: the base full dump's BEGIN (record 0 without one) through the
+        target's COMMIT, aborted checkpoints in between included."""
+        first = history[0].first_record if history[0].is_full_dump else 0
+        return first, history[-1].last_record
+
+    @staticmethod
+    def _scratch_for(records: List[_Record], first: int, last: int):
+        """One reusable buffer that fits any record of ``[first, last]``."""
+        longest = max(record.length for record in records[first: last + 1])
+        return memoryview(
+            np.empty(_SCRATCH_PAD + RECORD_HEADER_BYTES + longest, np.uint8)
+        )
+
+    def _read_verified(
+        self, fd: int, record: _Record, scratch: memoryview
+    ) -> Optional[memoryview]:
+        """Read one whole record into ``scratch`` and CRC it in place.
+
+        Returns the payload view (8-byte aligned within ``scratch``), or
+        None when the record is short or fails its CRC -- the log ends at
+        such a record exactly as it does at a torn tail.
+        """
+        whole = scratch[
+            _SCRATCH_PAD: _SCRATCH_PAD + RECORD_HEADER_BYTES + record.length
+        ]
+        if self._pread(fd, whole, record.offset) != whole.nbytes:
+            return None
+        header = whole[:RECORD_HEADER_BYTES]
+        payload = whole[RECORD_HEADER_BYTES:]
+        if not verify_record(header, payload, record.checksum):
+            return None
+        return payload
+
+    def _verified_history(
+        self, fd: int
+    ) -> Tuple[List[_Record], List[_LogCheckpoint]]:
+        """:meth:`_history` with every record of its trusted range verified.
+
+        A record that fails ends the log there; the history is resolved again
+        over the shortened log until a fully verified one is found.
+        """
+        records = self._walk(fd)
+        while True:
+            history = self._history(records)
+            first, last = self._trusted_range(history)
+            scratch = self._scratch_for(records, first, last)
+            for index in range(first, last + 1):
+                if self._read_verified(fd, records[index], scratch) is None:
+                    del records[index:]
+                    break
+            else:
+                return records, history
+
+    def latest_committed(self) -> Tuple[int, int]:
+        """``(epoch, cut_tick)`` of the newest committed checkpoint."""
+        _records, history = self._verified_history(self._read_fd())
+        return history[-1].epoch, history[-1].cut_tick
+
+    def restore_image(self, out=None) -> Tuple[object, int, int]:
+        """Reconstruct the newest committed checkpoint image into ``out``.
+
+        ``out`` is any writable contiguous buffer of exactly
+        ``num_objects * object_bytes`` bytes (recovery passes
+        :meth:`GameStateTable.image_buffer`, so rows land in the table with
+        no staging image); without it the same code fills a fresh
+        ``bytearray``.  Returns ``(image, epoch, cut_tick)`` where ``image``
+        is ``out`` or that new buffer.
+
+        This is the paper's backwards scan.  A header-only walk finds the
+        committed checkpoints; records are then read newest first, each once
+        into one scratch buffer, CRC-verified there, and only objects not yet
+        seen are scattered into ``out`` -- the newest version wins without
+        ever sorting ids.  The scan stops at the newest full dump, or earlier
+        once every object has been seen.  *Verify what you trust*: every
+        record from the stop point through the target's COMMIT passes its CRC
+        before a byte of it reaches ``out``; one that fails ends the log
+        there, as a torn tail does, and the restore starts over against the
+        shortened log.  Records older than the stop point are never read.
+        Objects no checkpoint wrote (possible only without a full dump) come
+        out zero-filled.  When :class:`NoConsistentCheckpointError` is raised
+        after such a restart, ``out`` is left zero-filled.
+        """
+        geometry = self._geometry
+        image, view = restore_destination(
+            out, geometry.num_objects * geometry.object_bytes
+        )
+        out_rows = np.frombuffer(view, dtype=np.uint8).reshape(
+            geometry.num_objects, geometry.object_bytes
+        )
+        fd = self._read_fd()
+        records = self._walk(fd)
+        seen = np.zeros(geometry.num_objects, dtype=bool)
+        restarted = False
+        while True:
+            try:
+                history = self._history(records)
+            except NoConsistentCheckpointError:
+                if restarted:
+                    out_rows[:] = 0
+                raise
+            corrupt = self._fill_backwards(fd, records, history, out_rows, seen)
+            if corrupt is None:
+                target = history[-1]
+                return image, target.epoch, target.cut_tick
+            del records[corrupt:]
+            seen[:] = False
+            restarted = True
+
+    def _fill_backwards(
+        self, fd: int, records: List[_Record], history: List[_LogCheckpoint],
+        out_rows: np.ndarray, seen: np.ndarray,
+    ) -> Optional[int]:
+        """One backwards pass of :meth:`restore_image` over ``history``.
+
+        Returns the index of the first record found corrupt (the caller
+        shortens the log and retries), else None with ``out_rows`` complete:
+        rows of ``seen`` objects hold their newest committed version, all
+        others are zero.
+        """
+        object_bytes = self._geometry.object_bytes
+        first, last = self._trusted_range(history)
+        applies = {
+            index for checkpoint in history
+            for index in checkpoint.object_records
+        }
+        scratch = self._scratch_for(records, first, last)
+        floor = records[first].offset
+        advised = records[last].end
+        unseen = seen.size
+        for index in range(last, first - 1, -1):
+            record = records[index]
+            if (
+                _HAS_FADVISE
+                and floor < advised
+                and record.offset < advised + _READAHEAD_BYTES
+            ):
+                # Newest-first reads defeat the kernel's sequential
+                # readahead on a cold cache, so ask for the log below the
+                # scan one window at a time, staying a window ahead (the
+                # kernel caps a single WILLNEED at its readahead size).
+                below = max(floor, advised - _READAHEAD_BYTES)
+                os.posix_fadvise(
+                    fd, below, advised - below, os.POSIX_FADV_WILLNEED
+                )
+                advised = below
+            payload = self._read_verified(fd, record, scratch)
+            if payload is None:
+                return index
+            if index not in applies:
+                continue
+            count = record.b
+            if count < 0 or record.length != count * (8 + object_bytes):
+                raise StorageError(
+                    f"OBJECTS record at offset {record.offset} holds "
+                    f"{record.length} bytes, not {count} objects"
+                )
+            if count == 0:
+                continue
+            ids = np.frombuffer(payload, dtype=np.int64, count=count)
+            rows = np.frombuffer(
+                payload, dtype=np.uint8, offset=8 * count
+            ).reshape(count, object_bytes)
+            unseen -= _scatter_unseen(ids, rows, out_rows, seen)
+            if unseen == 0:
+                return None
+        out_rows[~seen] = 0
+        return None
 
     def restore_image_streaming(
         self, region_objects: Optional[int] = None
     ) -> StreamingRestore:
         """Newest committed checkpoint as a :class:`StreamingRestore`.
 
-        One metadata pass resolves, for every object, which OBJECTS record
-        holds its latest committed version at or before the recovered epoch
-        (the state a backwards scan would reconstruct), entirely with sorted
-        numpy id arrays -- no per-object Python loop.  The regions iterator
-        then reads only the winning payload spans via positioned reads, in
-        ascending object-id order; objects never written (possible only if
-        the log lacks a full dump) come out zero-filled.
+        The range a restore relies on (newest full dump through the target's
+        COMMIT) is verified in full first, by the same copy-free reader as
+        :meth:`restore_image`.  One metadata pass then resolves, for every
+        object, which OBJECTS record of that range holds its latest committed
+        version, entirely with sorted numpy id arrays -- no per-object Python
+        loop.  The regions iterator reads only the winning payload spans via
+        positioned reads, in ascending object-id order; objects never written
+        (possible only if the log lacks a full dump) come out zero-filled.
         """
         if region_objects is None:
             region_objects = RESTORE_REGION_OBJECTS
@@ -380,20 +666,16 @@ class CheckpointLogStore:
             raise StorageError(
                 f"region_objects must be positive, got {region_objects}"
             )
-        checkpoints = self._scan()
-        committed = [c for c in checkpoints if c.committed]
-        if not committed:
-            raise NoConsistentCheckpointError(
-                f"no committed checkpoint in {self._path}"
-            )
-        target = max(committed, key=lambda c: c.epoch)
-        # Runs in replay order: epoch ascending, submission order within a
-        # checkpoint.  Later runs beat earlier ones for duplicated ids.
-        runs: List[Tuple[int, int]] = []
-        for checkpoint in sorted(committed, key=lambda c: c.epoch):
-            if checkpoint.epoch > target.epoch:
-                continue
-            runs.extend(checkpoint.object_runs)
+        records, history = self._verified_history(self._read_fd())
+        target = history[-1]
+        # Runs in replay order: file order, which is epoch order and
+        # submission order within a checkpoint.  Later runs beat earlier
+        # ones for duplicated ids.
+        runs: List[Tuple[int, int]] = [
+            (records[index].offset + RECORD_HEADER_BYTES, records[index].b)
+            for checkpoint in history
+            for index in checkpoint.object_records
+        ]
         winners = self._resolve_winners(runs)
         return StreamingRestore(
             epoch=target.epoch,
@@ -409,12 +691,11 @@ class CheckpointLogStore:
         any committed version, and for each the index of the winning run and
         the row position within that run's payload.
         """
-        self._handle.flush()
-        fd = self._handle.fileno()
+        fd = self._read_fd()
         ids_parts = []
         for payload_offset, count in runs:
             ids = np.empty(count, dtype=np.int64)
-            read = pread_into(fd, ids, payload_offset)
+            read = self._pread(fd, ids, payload_offset)
             if read != ids.nbytes:
                 raise StorageError(
                     f"log truncated reading ids at offset {payload_offset}"
@@ -450,8 +731,7 @@ class CheckpointLogStore:
         geometry = self._geometry
         object_bytes = geometry.object_bytes
         num_objects = geometry.num_objects
-        self._handle.flush()
-        fd = self._handle.fileno()
+        fd = self._read_fd()
         for start in range(0, num_objects, region_objects):
             count = min(region_objects, num_objects - start)
             buffer = bytearray(count * object_bytes)
@@ -475,7 +755,7 @@ class CheckpointLogStore:
                     offset = (
                         payload_offset + run_count * 8 + first * object_bytes
                     )
-                    read = pread_into(fd, span, offset)
+                    read = self._pread(fd, span, offset)
                     if read != span.nbytes:
                         raise StorageError(
                             f"log truncated reading payloads at offset {offset}"
@@ -483,38 +763,13 @@ class CheckpointLogStore:
                     region_rows[slot[mask]] = span[positions - first]
             yield start, count, buffer
 
-    def restore_image(self) -> Tuple[bytes, int, int]:
-        """Reconstruct the newest committed checkpoint image.
-
-        Returns ``(image_bytes, epoch, cut_tick)``.  Built on
-        :meth:`restore_image_streaming`; the regions are concatenated into
-        one contiguous image for callers that want the whole state at once.
-        """
-        restore = self.restore_image_streaming()
-        object_bytes = self._geometry.object_bytes
-        image = bytearray(restore.num_objects * object_bytes)
-        for start, count, payload in restore.regions:
-            offset = start * object_bytes
-            image[offset: offset + count * object_bytes] = payload
-        return bytes(image), restore.epoch, restore.cut_tick
-
     def restore_scan_bytes(self) -> int:
         """Bytes a backwards restore scan reads: from the end of the log back
         to the beginning of the newest committed full dump (or the whole log
-        if none exists)."""
-        checkpoints = self._scan()
-        committed = [c for c in checkpoints if c.committed]
-        if not committed:
-            raise NoConsistentCheckpointError(
-                f"no committed checkpoint in {self._path}"
-            )
-        end = max(c.end_offset for c in checkpoints)
-        full_dumps = [c for c in committed if c.is_full_dump]
-        if full_dumps:
-            start = max(full_dumps, key=lambda c: c.epoch).begin_offset
-        else:
-            start = 0
-        return end - start
+        if none exists).  Read off the record headers alone."""
+        records = self._walk(self._read_fd())
+        first, _last = self._trusted_range(self._history(records))
+        return records[-1].end - records[first].offset
 
     def size_bytes(self) -> int:
         """Current size of the log file."""
@@ -546,13 +801,13 @@ class CheckpointLogStore:
             raise StorageError(
                 f"chunk_bytes must be positive, got {chunk_bytes}"
             )
-        checkpoints = self._scan()
-        full_dumps = [c for c in checkpoints if c.committed and c.is_full_dump]
-        if not full_dumps:
+        try:
+            records, history = self._verified_history(self._read_fd())
+        except NoConsistentCheckpointError:
             return 0
-        cut = max(full_dumps, key=lambda c: c.epoch).begin_offset
-        if cut <= 0:
+        if not history[0].is_full_dump:
             return 0
+        cut = records[history[0].first_record].offset
         # Rewrite: geometry record + everything from the cut onwards, via a
         # temp file swapped in atomically.
         temp_path = self._path + ".compact"

@@ -93,6 +93,32 @@ class StreamingRestore:
     regions: Iterator[Tuple[int, int, bytearray]]
 
 
+def restore_destination(out, nbytes: int):
+    """The buffer a whole-image restore fills: ``out`` checked, or a fresh
+    zeroed ``bytearray`` when ``out`` is None.
+
+    Returns ``(image, view)``: ``image`` is what the restore hands back
+    (``out`` itself when given) and ``view`` its flat writable byte view.
+    Raises :class:`StorageError` for anything but a writable contiguous
+    buffer of exactly ``nbytes`` bytes -- before the caller reads anything.
+    """
+    image = bytearray(nbytes) if out is None else out
+    try:
+        view = memoryview(image).cast("B")
+    except TypeError as error:
+        raise StorageError(
+            f"restore destination must be a contiguous buffer: {error}"
+        ) from None
+    if view.readonly:
+        raise StorageError("restore destination is read-only")
+    if view.nbytes != nbytes:
+        raise StorageError(
+            f"restore destination holds {view.nbytes} bytes, "
+            f"the image is {nbytes}"
+        )
+    return image, view
+
+
 class DoubleBackupStore:
     """Two alternating backup files with fixed per-object offsets."""
 
@@ -112,6 +138,7 @@ class DoubleBackupStore:
         #: emulates a writer killed mid-flush (fault injection).
         self.write_fault_hook: Optional[Callable[[], None]] = None
         self._data_bytes = geometry.num_objects * geometry.object_bytes
+        self._bytes_read = 0
         os.makedirs(self._directory, exist_ok=True)
         self._files = []
         for name in self.FILE_NAMES:
@@ -168,10 +195,25 @@ class DoubleBackupStore:
     # Header access
     # ------------------------------------------------------------------
 
-    def _read_header(self, backup_index: int) -> BackupHeader:
+    @property
+    def bytes_read(self) -> int:
+        """Bytes this store object has read from its backup files so far."""
+        return self._bytes_read
+
+    def _pread(self, backup_index: int, buffer, offset: int) -> int:
+        """Positioned read of one backup file (:func:`pread_into` on the raw
+        fd, buffered writes flushed first), counted into
+        :attr:`bytes_read`."""
         handle = self._files[backup_index]
-        handle.seek(0)
-        header = BackupHeader.unpack(handle.read(BACKUP_HEADER_BYTES))
+        handle.flush()
+        read = pread_into(handle.fileno(), buffer, offset)
+        self._bytes_read += read
+        return read
+
+    def _read_header(self, backup_index: int) -> BackupHeader:
+        raw = bytearray(BACKUP_HEADER_BYTES)
+        read = self._pread(backup_index, raw, 0)
+        header = BackupHeader.unpack(raw[:read])
         if header.geometry != self._geometry:
             raise StorageError(
                 f"backup {backup_index} was written with geometry "
@@ -404,17 +446,23 @@ class DoubleBackupStore:
             )
         return best
 
-    def read_image(self, backup_index: int) -> bytes:
-        """Read the full data region of one backup (a sequential restore)."""
-        handle = self._files[backup_index]
-        handle.seek(BACKUP_HEADER_BYTES)
-        data = handle.read(self._data_bytes)
-        if len(data) != self._data_bytes:
+    def read_image(self, backup_index: int, out=None):
+        """Read the full data region of one backup (a sequential restore).
+
+        One positioned read straight into ``out``: any writable contiguous
+        buffer of exactly ``num_objects * object_bytes`` bytes (recovery
+        passes :meth:`GameStateTable.image_buffer`, so the image lands in
+        the table with no staging copy).  Without ``out`` the same read fills
+        a fresh ``bytearray``.  Returns ``out`` or that new buffer.
+        """
+        image, view = restore_destination(out, self._data_bytes)
+        read = self._pread(backup_index, view, BACKUP_HEADER_BYTES)
+        if read != self._data_bytes:
             raise StorageError(
                 f"backup {backup_index} data region truncated "
-                f"({len(data)} of {self._data_bytes} bytes)"
+                f"({read} of {self._data_bytes} bytes)"
             )
-        return data
+        return image
 
     def read_image_regions(
         self, backup_index: int, region_objects: Optional[int] = None
@@ -435,14 +483,11 @@ class DoubleBackupStore:
             )
         object_bytes = self._geometry.object_bytes
         num_objects = self._geometry.num_objects
-        handle = self._files[backup_index]
-        handle.flush()
-        fd = handle.fileno()
         for start in range(0, num_objects, region_objects):
             count = min(region_objects, num_objects - start)
             buffer = bytearray(count * object_bytes)
             offset = BACKUP_HEADER_BYTES + start * object_bytes
-            read = pread_into(fd, buffer, offset)
+            read = self._pread(backup_index, buffer, offset)
             if read != len(buffer):
                 raise StorageError(
                     f"backup {backup_index} data region truncated "

@@ -149,9 +149,15 @@ def unpack_record_header(data: bytes):
     return record_type, a, b, length, checksum
 
 
-def verify_record(header_bytes: bytes, payload: bytes, checksum: int) -> bool:
-    """True if the payload matches the CRC recorded in the header."""
-    return crc32(header_bytes[:-4] + payload) == checksum
+def verify_record(header_bytes, payload, checksum: int) -> bool:
+    """True if the payload matches the CRC recorded in the header.
+
+    Both arguments are any bytes-like buffers; the CRC runs over the header
+    (minus its own CRC field) and then the payload in place, so verifying a
+    record never concatenates or copies it.
+    """
+    running = zlib.crc32(memoryview(header_bytes)[:-4])
+    return zlib.crc32(payload, running) & 0xFFFFFFFF == checksum
 
 
 def pack_record_parts(

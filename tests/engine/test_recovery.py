@@ -340,3 +340,98 @@ class TestCrashMidFlushPipelined:
         replica.run_ticks(serial.next_tick)
         assert serial.table.equals(replica.table)
         replica.close()
+
+
+class TestRestoreIntoTheTable:
+    """Serial recovery hands the stores the table's own memory: nothing
+    image-sized is staged on the way."""
+
+    #: 4 MiB of state in 512-byte objects (8192 of them).
+    GEOMETRY = StateGeometry(
+        rows=131_072, columns=8, cell_bytes=4, object_bytes=512
+    )
+
+    RECORD_OBJECTS = 512
+
+    def crashed_world(self, tmp_path, algorithm):
+        from tests.conftest import RandomWalkApp
+
+        app = RandomWalkApp(self.GEOMETRY, updates_per_tick=64)
+        # The writer lands RECORD_OBJECTS objects a tick, so the first (full)
+        # checkpoint commits after 16 ticks and a partial follows it.
+        server = DurableGameServer(
+            app, tmp_path / algorithm, algorithm=algorithm, seed=3,
+            writer_bytes_per_tick=self.RECORD_OBJECTS * 512,
+        )
+        server.run_ticks(40)
+        expected = server.table.copy()
+        server.crash()
+        return app, server.directory, expected
+
+    @pytest.mark.parametrize("algorithm", ["copy-on-update",
+                                           "cou-partial-redo"])
+    def test_recovery_stages_no_image(self, algorithm, tmp_path):
+        import tracemalloc
+
+        app, directory, expected = self.crashed_world(tmp_path, algorithm)
+        manager = RecoveryManager(app, directory, seed=3)
+        manager.recover()  # imports and lazy set-up happen untraced
+        tracemalloc.start()
+        try:
+            report = manager.recover()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not report.used_seed_fallback
+        assert report.table.equals(expected)
+        table_bytes = self.GEOMETRY.checkpoint_bytes
+        # The log's scratch holds one record: a chunk of objects, their
+        # ids and the header.
+        scratch = self.RECORD_OBJECTS * (512 + 8) + 64
+        assert peak <= table_bytes + scratch + (1 << 20)
+        assert report.checkpoint_epoch >= 2
+        assert report.bytes_restored == table_bytes
+        assert report.bytes_read >= table_bytes
+
+    @pytest.mark.parametrize("algorithm", ["copy-on-update",
+                                           "cou-partial-redo"])
+    def test_bytes_read_reaches_the_global_row(self, algorithm, tmp_path):
+        from repro.obs.metrics import global_registry, reset_global_registry
+
+        app, directory, _ = self.crashed_world(tmp_path, algorithm)
+        reset_global_registry()
+        try:
+            report = RecoveryManager(app, directory, seed=3).recover()
+            row = global_registry()
+            assert row.value("recovery_bytes_read") == report.bytes_read > 0
+            assert row.value("recovery_bytes_restored") == (
+                report.bytes_restored
+            )
+            piped = RecoveryManager(
+                app, directory, seed=3, mode="pipelined"
+            ).recover()
+            assert piped.bytes_read >= piped.bytes_restored
+        finally:
+            reset_global_registry()
+
+    def test_no_out_forms_equal_the_out_forms(self, tmp_path):
+        from repro.state.table import GameStateTable
+        from repro.storage.checkpoint_log import CheckpointLogStore
+
+        app, directory, _ = self.crashed_world(tmp_path, "copy-on-update")
+        table = GameStateTable(self.GEOMETRY, dtype=app.dtype)
+        with DoubleBackupStore(directory, self.GEOMETRY) as store:
+            index = store.latest_consistent().backup_index
+            store.read_image(index, out=table.image_buffer())
+            assert bytes(store.read_image(index)) == table.full_image()
+        app, directory, _ = self.crashed_world(tmp_path, "cou-partial-redo")
+        table = GameStateTable(self.GEOMETRY, dtype=app.dtype)
+        with CheckpointLogStore(directory, self.GEOMETRY) as store:
+            _, epoch, tick = store.restore_image(out=table.image_buffer())
+            image, same_epoch, same_tick = store.restore_image()
+            assert (epoch, tick) == (same_epoch, same_tick)
+            assert bytes(image) == table.full_image()
+            with pytest.raises(StorageError):
+                store.restore_image(out=memoryview(image).toreadonly())
+            with pytest.raises(StorageError):
+                store.restore_image(out=bytearray(len(image) // 2))

@@ -97,6 +97,20 @@ class TestAssembly:
         assert snapshot.recovery["recovery_replay_ticks"] == 40
         assert recovery_counters()["recovery_stalls"] == 0
 
+    def test_dump_shows_read_amplification(self):
+        from repro.obs.dump import render
+
+        reset_global_registry()
+        global_registry().counter("recoveries_completed").inc(1)
+        global_registry().counter("recovery_bytes_restored").inc(1000)
+        global_registry().counter("recovery_bytes_read").inc(4500)
+        snapshot = assemble_fleet_telemetry("thread", [], []).as_dict()
+        assert "bytes=1000 read=4500 (amp 4.50x)" in render(snapshot)
+        # A snapshot from a server that predates the counter still renders.
+        del snapshot["recovery"]["recovery_bytes_read"]
+        assert "bytes=1000 read=0 (amp 0.00x)" in render(snapshot)
+        reset_global_registry()
+
 
 class TestSerialization:
     def test_json_round_trip(self):

@@ -6,15 +6,25 @@ interrupts the write sequence; and the checkpoint log must reconstruct
 exactly the image a model dictionary predicts.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import StateGeometry
-from repro.errors import NoConsistentCheckpointError
+from repro.errors import CorruptCheckpointError, NoConsistentCheckpointError
 from repro.storage.checkpoint_log import CheckpointLogStore
 from repro.storage.double_backup import DoubleBackupStore
+from repro.storage.layout import (
+    GEOMETRY_BYTES,
+    RECORD_CHECKPOINT_BEGIN,
+    RECORD_CHECKPOINT_COMMIT,
+    RECORD_HEADER_BYTES,
+    RECORD_OBJECTS,
+    unpack_record_header,
+)
 
 GEOMETRY = StateGeometry(rows=4, columns=8, cell_bytes=4, object_bytes=32)
 NUM_OBJECTS = GEOMETRY.num_objects  # 4
@@ -164,3 +174,160 @@ class TestCheckpointLogModel:
             cells = image_cells(image)
             for object_id, value in committed_model.items():
                 assert cells[object_id, 0] == value
+
+
+# ----------------------------------------------------------------------
+# Backwards restore == forward oracle, on damaged logs too
+# ----------------------------------------------------------------------
+
+#: The geometry record every log starts with; damage is kept off it (a log
+#: without one cannot be opened at all).
+LOG_PREAMBLE = RECORD_HEADER_BYTES + GEOMETRY_BYTES
+
+
+def forward_oracle(data: bytes):
+    """Reference restore of a log's raw bytes, the way the paper's reader is
+    first described: the valid prefix by CRC, then every committed
+    checkpoint's runs applied oldest first into zeros."""
+    offset, current, committed = 0, None, []
+    while offset + RECORD_HEADER_BYTES <= len(data):
+        header = data[offset: offset + RECORD_HEADER_BYTES]
+        try:
+            kind, a, b, length, checksum = unpack_record_header(header)
+        except CorruptCheckpointError:
+            break
+        offset += RECORD_HEADER_BYTES
+        payload = data[offset: offset + length]
+        if len(payload) < length:
+            break
+        if zlib.crc32(header[:-4] + payload) & 0xFFFFFFFF != checksum:
+            break
+        offset += length
+        if kind == RECORD_CHECKPOINT_BEGIN and a != 0:
+            current = (a, [])
+        elif current is not None and a == current[0]:
+            if kind == RECORD_OBJECTS:
+                current[1].append((b, payload))
+            elif kind == RECORD_CHECKPOINT_COMMIT:
+                committed.append((a, b, current[1]))
+                current = None
+    if not committed:
+        raise NoConsistentCheckpointError("oracle: nothing committed")
+    rows = np.zeros((NUM_OBJECTS, GEOMETRY.object_bytes), dtype=np.uint8)
+    for _epoch, _tick, runs in committed:
+        for count, payload in runs:
+            ids = np.frombuffer(payload, dtype=np.int64, count=count)
+            values = np.frombuffer(payload, dtype=np.uint8, offset=8 * count)
+            for slot, object_id in enumerate(ids):
+                rows[object_id] = values.reshape(count, -1)[slot]
+    epoch, tick, _runs = committed[-1]
+    return rows.tobytes(), epoch, tick
+
+
+def outcome(restore):
+    """``(image bytes, epoch, tick)`` of a restore call, or None when it
+    finds no consistent checkpoint."""
+    try:
+        image, epoch, tick = restore()
+    except NoConsistentCheckpointError:
+        return None
+    return bytes(image), epoch, tick
+
+
+object_runs = st.lists(
+    # Ids in any order, duplicates within the run allowed.
+    st.lists(st.integers(0, NUM_OBJECTS - 1), min_size=1,
+             max_size=NUM_OBJECTS + 2),
+    min_size=0, max_size=3,
+)
+log_scripts = st.lists(
+    st.tuples(
+        st.booleans(),                       # full dump?
+        object_runs,                         # extra runs of this checkpoint
+        st.sampled_from(["commit", "commit", "commit", "abort"]),
+    ),
+    min_size=1, max_size=7,
+)
+damages = st.one_of(
+    st.none(),
+    st.tuples(st.just("flip"), st.floats(0, 1, exclude_max=True),
+              st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True),
+              st.just(0)),
+)
+
+
+class TestBackwardsRestoreMatchesForwardOracle:
+    @given(script=log_scripts, tail=object_runs, damage=damages)
+    @settings(max_examples=150, deadline=None)
+    def test_restore_equals_oracle(self, script, tail, damage,
+                                   tmp_path_factory):
+        directory = tmp_path_factory.mktemp("oracle")
+        fill = 0
+
+        def append_runs(store, runs):
+            nonlocal fill
+            for ids in runs:
+                fill += 1
+                # Payload bytes stay below 0x20: damage aside, nothing in a
+                # payload can pass for a record's magic.
+                payload = np.full(
+                    (len(ids), GEOMETRY.object_bytes), fill % 32, np.uint8
+                )
+                payload[:, 0] = np.arange(len(ids)) % 32
+                store.append_objects(
+                    np.array(ids, dtype=np.int64), payload.tobytes()
+                )
+
+        with CheckpointLogStore(directory, GEOMETRY) as store:
+            for epoch, (full, runs, ending) in enumerate(script, start=1):
+                store.begin_checkpoint(epoch, is_full_dump=full)
+                if full:
+                    append_runs(store, [list(range(NUM_OBJECTS))])
+                append_runs(store, runs)
+                if ending == "commit":
+                    store.commit_checkpoint(tick=epoch * 3)
+                else:
+                    store.abort_checkpoint()
+            if tail:
+                store.begin_checkpoint(len(script) + 1, is_full_dump=False)
+                append_runs(store, tail)  # the crash comes before COMMIT
+            path = store.path
+        with open(path, "rb") as handle:
+            clean = handle.read()
+        data = clean
+        if damage is not None:
+            kind, where, mask = damage
+            at = LOG_PREAMBLE + int(where * (len(clean) - LOG_PREAMBLE))
+            if kind == "flip":
+                data = clean[:at] + bytes([clean[at] ^ mask]) + clean[at + 1:]
+            else:
+                data = clean[:at]
+            with open(path, "wb") as handle:
+                handle.write(data)
+        expected = outcome(lambda: forward_oracle(data))
+
+        def drained(store):
+            restore = store.restore_image_streaming(3)
+            image = b"".join(bytes(p) for _, _, p in restore.regions)
+            return image, restore.epoch, restore.cut_tick
+
+        with CheckpointLogStore(directory, GEOMETRY) as store:
+            serial = outcome(store.restore_image)
+            streamed = outcome(lambda: drained(store))
+            dirty = bytearray(b"\xEE" * GEOMETRY.checkpoint_bytes)
+            into_dirty = outcome(lambda: store.restore_image(out=dirty))
+            try:
+                latest = store.latest_committed()
+            except NoConsistentCheckpointError:
+                latest = None
+        assert into_dirty == serial
+        # Both verify the same range in full, so they name one checkpoint.
+        assert latest == (streamed[1:] if streamed else None)
+        for got in (serial, streamed):
+            if got != expected:
+                # Only a flipped byte the reader never had to trust (older
+                # than its stop point) may be overlooked, and then the
+                # restore is the undamaged log's.
+                assert damage is not None and damage[0] == "flip"
+                assert got == forward_oracle(clean)

@@ -192,6 +192,17 @@ class TestObjectRangeLoads:
         table.flat[16] = 999
         assert bytes(raw) == before
 
+    def test_image_buffer_is_the_table_itself(self, table):
+        table.flat[:] = np.arange(100, dtype=np.uint32)
+        view = table.image_buffer()
+        assert isinstance(view, memoryview)
+        assert not view.readonly and view.format == "B"
+        assert view.nbytes == table.geometry.checkpoint_bytes
+        assert bytes(view) == table.full_image()
+        # No copy: a write through the view is a write to the table.
+        view[4 * 99: 4 * 100] = (1234).to_bytes(4, "little")
+        assert table.cells[9, 9] == 1234
+
     def test_load_full_image_accepts_memoryview(self, table):
         table.flat[:] = np.arange(100, dtype=np.uint32)
         image = bytearray(table.full_image())

@@ -433,3 +433,234 @@ class TestVectoredWrites:
                 image, epoch, tick = reopened.restore_image()
             assert (epoch, tick) == (1, 5)
             assert image_value(image, geometry, 7) == 1_007
+
+
+def counted_reads(monkeypatch):
+    """Route the log store's only read syscall through a byte counter."""
+    from repro.storage import checkpoint_log, layout
+
+    counts = {"bytes": 0, "calls": 0}
+
+    def counting_pread_into(fd, buffer, offset):
+        read = layout.pread_into(fd, buffer, offset)
+        counts["bytes"] += read
+        counts["calls"] += 1
+        return read
+
+    monkeypatch.setattr(checkpoint_log, "pread_into", counting_pread_into)
+    return counts
+
+
+class TestBackwardsRestore:
+    """``restore_image`` reads newest first, verifies what it trusts, and
+    never touches history a full dump superseded."""
+
+    def checkpoint(self, store, geometry, epoch, ids, full=False):
+        ids = np.asarray(ids, dtype=np.int64)
+        store.begin_checkpoint(epoch, is_full_dump=full)
+        # Two records per checkpoint so a scan has somewhere to stop early.
+        half = ids.size // 2
+        for part in (ids[:half], ids[half:]):
+            store.append_objects(part, payload_for(part, geometry, epoch))
+        store.commit_checkpoint(tick=epoch * 10)
+
+    def three_cycles(self, store, geometry):
+        """Three full-dump cycles: epochs 1, 5, 9 are full dumps."""
+        everything = np.arange(geometry.num_objects)
+        for epoch in range(1, 12):
+            if epoch % 4 == 1:
+                self.checkpoint(store, geometry, epoch, everything, full=True)
+            else:
+                self.checkpoint(store, geometry, epoch,
+                                [epoch % 8, (epoch + 3) % 8])
+
+    def record_offsets(self, store):
+        """(offset, end) of every framed record, from the store's own walk."""
+        return [(r.offset, r.end) for r in store._walk(store._read_fd())]
+
+    def test_restore_reads_only_the_last_cycle(
+        self, store, geometry, monkeypatch
+    ):
+        self.three_cycles(store, geometry)
+        headers = 29 * len(self.record_offsets(store))
+        scan = store.restore_scan_bytes()
+        assert scan < store.size_bytes() // 2
+        counts = counted_reads(monkeypatch)
+        before = store.bytes_read
+        image, epoch, tick = store.restore_image()
+        assert (epoch, tick) == (11, 110)
+        assert image_value(image, geometry, 3) == 11_003
+        assert image_value(image, geometry, 6) == 11_006
+        assert image_value(image, geometry, 1) == 9_001
+        assert image_value(image, geometry, 7) == 9_007
+        assert 0 < counts["bytes"] <= scan + headers
+        assert store.bytes_read - before == counts["bytes"]
+
+    def test_streaming_restore_is_bounded_by_the_last_full_dump(
+        self, store, geometry, monkeypatch
+    ):
+        self.three_cycles(store, geometry)
+        headers = 29 * len(self.record_offsets(store))
+        scan = store.restore_scan_bytes()
+        expected, _, _ = store.restore_image()
+        counts = counted_reads(monkeypatch)
+        restore = store.restore_image_streaming(3)
+        image = b"".join(bytes(payload) for _, _, payload in restore.regions)
+        assert image == expected
+        assert restore.epoch == 11
+        # One verifying pass over the range, then ids and winning spans of
+        # that range again: never the two superseded cycles.
+        assert counts["bytes"] <= 2 * scan + headers
+        assert counts["bytes"] < store.size_bytes()
+
+    def test_restore_stops_early_once_every_object_is_seen(
+        self, store, geometry, monkeypatch
+    ):
+        everything = np.arange(geometry.num_objects)
+        self.checkpoint(store, geometry, 1, everything, full=True)
+        self.checkpoint(store, geometry, 2, everything)
+        size_of_last = store.size_bytes() - self.record_offsets(store)[-4][0]
+        headers = 29 * len(self.record_offsets(store))
+        counts = counted_reads(monkeypatch)
+        image, epoch, _ = store.restore_image()
+        assert epoch == 2
+        assert image_value(image, geometry, 0) == 2_000
+        # BEGIN of checkpoint 2 is older than the stop point: not even read.
+        assert counts["bytes"] <= size_of_last - 29 + headers
+
+    def test_hostile_length_allocates_nothing(self, tmp_path, geometry):
+        """A header claiming 4 GiB is a torn tail, found without a read of
+        that size ever being set up."""
+        import tracemalloc
+        from repro.storage.layout import pack_record
+
+        everything = np.arange(geometry.num_objects)
+        with CheckpointLogStore(tmp_path, geometry) as store:
+            self.checkpoint(store, geometry, 1, everything, full=True)
+            path = store.path
+        hostile = bytearray(pack_record(2, 2, 1, b""))
+        hostile[21:25] = (0xFFFFFFFF).to_bytes(4, "little")
+        with open(path, "ab") as handle:
+            handle.write(hostile)
+        with CheckpointLogStore(tmp_path, geometry) as store:
+            tracemalloc.start()
+            try:
+                image, epoch, tick = store.restore_image()
+                assert store.latest_committed() == (1, 10)
+                assert store.restore_scan_bytes() > 0
+                drained = list(store.restore_image_streaming().regions)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert (epoch, tick) == (1, 10)
+        assert image_value(image, geometry, 5) == 1_005
+        assert len(drained) == 1
+        assert peak < 1 << 20
+
+    def flip(self, path, offset):
+        with open(path, "r+b") as handle:
+            handle.seek(offset)
+            byte = handle.read(1)[0]
+            handle.seek(offset)
+            handle.write(bytes([byte ^ 0x5A]))
+
+    def test_corruption_older_than_the_stop_point_is_not_read(
+        self, tmp_path, geometry
+    ):
+        with CheckpointLogStore(tmp_path, geometry) as store:
+            self.three_cycles(store, geometry)
+            expected = store.restore_image()
+            records = self.record_offsets(store)
+            path = store.path
+        # A payload byte of the very first full dump (record 2: geometry,
+        # BEGIN, then OBJECTS), two full dumps before the stop point.
+        self.flip(path, records[2][0] + 40)
+        with CheckpointLogStore(tmp_path, geometry) as store:
+            assert store.restore_image() == expected
+            assert store.latest_committed() == (11, 110)
+            restore = store.restore_image_streaming()
+            assert b"".join(
+                bytes(p) for _, _, p in restore.regions
+            ) == expected[0]
+            # Compaction drops the damaged prefix without ever trusting it.
+            assert store.compact() > 0
+            assert store.restore_image() == expected
+
+    @pytest.mark.parametrize("victim", ["objects", "begin", "commit"])
+    def test_corruption_inside_the_trusted_range_ends_the_log_there(
+        self, tmp_path, geometry, victim
+    ):
+        """Checkpoint 10's records lie between the full dump (9) and the
+        target (11): damage there falls back to checkpoint 9, and rows the
+        scan had already copied from checkpoint 11 do not survive."""
+        with CheckpointLogStore(tmp_path, geometry) as store:
+            self.three_cycles(store, geometry)
+            records = self.record_offsets(store)
+            path = store.path
+        # Records of checkpoint 10, counting back from the end: checkpoint
+        # 11 is the last four (BEGIN, 2 x OBJECTS, COMMIT).
+        begin, objects, _, commit = records[-8:-4]
+        offset = {"objects": objects[0] + 45, "begin": begin[0] + 6,
+                  "commit": commit[0] + 15}[victim]
+        self.flip(path, offset)
+        with CheckpointLogStore(tmp_path, geometry) as store:
+            out = bytearray(b"\xAA" * geometry.checkpoint_bytes)
+            image, epoch, tick = store.restore_image(out=out)
+            assert image is out
+            assert (epoch, tick) == (9, 90)
+            for object_id in range(geometry.num_objects):
+                assert image_value(image, geometry, object_id) == (
+                    9_000 + object_id
+                )
+            assert store.latest_committed() == (9, 90)
+            assert store.restore_image_streaming().epoch == 9
+
+    def test_unwritten_objects_come_out_zero_in_a_dirty_destination(
+        self, store, geometry
+    ):
+        self.checkpoint(store, geometry, 1, [1, 2])
+        out = bytearray(b"\xFF" * geometry.checkpoint_bytes)
+        image, epoch, _ = store.restore_image(out=out)
+        assert epoch == 1
+        assert image_value(image, geometry, 1) == 1_001
+        assert image_value(image, geometry, 0) == 0
+        assert bytes(out) == bytes(store.restore_image()[0])
+
+    def test_last_occurrence_wins_within_an_unsorted_run(
+        self, store, geometry
+    ):
+        everything = np.arange(geometry.num_objects)
+        self.checkpoint(store, geometry, 1, everything, full=True)
+        ids = np.array([5, 2, 5, 0], dtype=np.int64)
+        cells = geometry.cells_per_object
+        payload = np.zeros((4, cells), dtype=np.uint32)
+        payload[:, 0] = [111, 222, 333, 444]
+        store.begin_checkpoint(2, is_full_dump=False)
+        store.append_objects(ids, payload.tobytes())
+        store.commit_checkpoint(tick=20)
+        image, _, _ = store.restore_image()
+        assert image_value(image, geometry, 5) == 333
+        assert image_value(image, geometry, 2) == 222
+        assert image_value(image, geometry, 0) == 444
+        assert image_value(image, geometry, 1) == 1_001
+        streamed = b"".join(
+            bytes(p) for _, _, p in store.restore_image_streaming().regions
+        )
+        assert streamed == image
+
+    def test_destination_is_checked_before_any_read(
+        self, store, geometry, monkeypatch
+    ):
+        everything = np.arange(geometry.num_objects)
+        self.checkpoint(store, geometry, 1, everything, full=True)
+        counts = counted_reads(monkeypatch)
+        size = geometry.checkpoint_bytes
+        for bad in (bytearray(size - 1), bytearray(size + 1), bytes(size),
+                    np.zeros((size, 2), dtype=np.uint8)[:, 0]):
+            with pytest.raises(StorageError):
+                store.restore_image(out=bad)
+        assert counts["calls"] == 0
+        table_like = np.zeros(size // 4, dtype=np.uint32)
+        image, _, _ = store.restore_image(out=table_like)
+        assert image is table_like
+        assert table_like.tobytes() == bytes(store.restore_image()[0])

@@ -307,3 +307,36 @@ class TestVectoredWrites:
         assert calls["count"] == 2
         with pytest.raises(NoConsistentCheckpointError):
             store.latest_consistent()
+
+
+class TestReadImageDestination:
+    def full_checkpoint(self, store, geometry):
+        ids = np.arange(geometry.num_objects)
+        store.begin_checkpoint(0, epoch=1)
+        store.write_objects(ids, payload_for(ids, geometry, 1))
+        store.commit_checkpoint(tick=4)
+
+    def test_out_form_fills_the_callers_buffer(self, store, geometry):
+        self.full_checkpoint(store, geometry)
+        expected = store.read_image(0)
+        out = np.full(geometry.checkpoint_bytes // 4, 7, dtype=np.uint32)
+        before = store.bytes_read
+        assert store.read_image(0, out=out) is out
+        assert out.tobytes() == bytes(expected)
+        assert store.bytes_read - before == geometry.checkpoint_bytes
+
+    def test_destination_is_checked_before_any_read(
+        self, store, geometry, monkeypatch
+    ):
+        self.full_checkpoint(store, geometry)
+
+        def no_read(*args):
+            raise AssertionError("read before the destination was checked")
+
+        monkeypatch.setattr(
+            "repro.storage.double_backup.pread_into", no_read
+        )
+        size = geometry.checkpoint_bytes
+        for bad in (bytearray(size - 1), bytearray(size + 1), bytes(size)):
+            with pytest.raises(StorageError):
+                store.read_image(0, out=bad)
