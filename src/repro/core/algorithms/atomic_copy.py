@@ -52,8 +52,8 @@ class AtomicCopyDirtyObjects(CheckpointPolicy):
     def _finish(self) -> None:
         self._bits.finish_checkpoint()
 
-    def _handle(self, unique_objects: np.ndarray, update_count: int) -> UpdateEffects:
-        self._bits.mark_updated(unique_objects)
+    def _handle(self, object_ids: np.ndarray, update_count: int) -> UpdateEffects:
+        self._bits.mark_updated(object_ids)
         # Dirty-bit maintenance is charged per update; the eager copy at the
         # checkpoint boundary means no locks or per-update copies are needed.
         return UpdateEffects(

@@ -64,15 +64,15 @@ class CopyOnUpdate(CheckpointPolicy):
     def _finish(self) -> None:
         self._bits.finish_checkpoint()
 
-    def _handle(self, unique_objects: np.ndarray, update_count: int) -> UpdateEffects:
-        self._bits.mark_updated(unique_objects)
+    def _handle(self, object_ids: np.ndarray, update_count: int) -> UpdateEffects:
+        self._bits.mark_updated(object_ids)
         if not self.checkpoint_active:
             return UpdateEffects(
                 bit_tests=update_count,
                 first_touch_ids=empty_ids(),
                 copy_ids=empty_ids(),
             )
-        fresh = self._touched.add_new(unique_objects)
+        fresh = self._touched.add_new(object_ids)
         copies = fresh[self._write_mask[fresh]]
         return UpdateEffects(
             bit_tests=update_count, first_touch_ids=fresh, copy_ids=copies

@@ -66,15 +66,15 @@ class CopyOnUpdatePartialRedo(CheckpointPolicy):
             layout=self.layout,
         )
 
-    def _handle(self, unique_objects: np.ndarray, update_count: int) -> UpdateEffects:
-        self._dirty.set(unique_objects)
+    def _handle(self, object_ids: np.ndarray, update_count: int) -> UpdateEffects:
+        self._dirty.set(object_ids)
         if not self.checkpoint_active:
             return UpdateEffects(
                 bit_tests=update_count,
                 first_touch_ids=empty_ids(),
                 copy_ids=empty_ids(),
             )
-        fresh = self._touched.add_new(unique_objects)
+        fresh = self._touched.add_new(object_ids)
         if self._writing_everything:
             copies = fresh
         else:

@@ -52,12 +52,12 @@ class DribbleAndCopyOnUpdate(CheckpointPolicy):
             layout=self.layout,
         )
 
-    def _handle(self, unique_objects: np.ndarray, update_count: int) -> UpdateEffects:
+    def _handle(self, object_ids: np.ndarray, update_count: int) -> UpdateEffects:
         if not self.checkpoint_active:
             # No checkpoint in flight (only before the very first one): the
             # update handler is not registered, so updates cost nothing.
             return UpdateEffects.none()
-        fresh = self._touched.add_new(unique_objects)
+        fresh = self._touched.add_new(object_ids)
         # Every first-touched object is locked and its old value copied,
         # whether or not the dribbler already flushed it -- the paper charges
         # the handler "only ... the first time we update an item".

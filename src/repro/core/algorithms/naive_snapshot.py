@@ -48,5 +48,5 @@ class NaiveSnapshot(CheckpointPolicy):
             layout=self.layout,
         )
 
-    def _handle(self, unique_objects: np.ndarray, update_count: int) -> UpdateEffects:
+    def _handle(self, object_ids: np.ndarray, update_count: int) -> UpdateEffects:
         return UpdateEffects.none()

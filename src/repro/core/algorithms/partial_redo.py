@@ -68,11 +68,11 @@ class PartialRedo(CheckpointPolicy):
             layout=self.layout,
         )
 
-    def _handle(self, unique_objects: np.ndarray, update_count: int) -> UpdateEffects:
-        self._dirty.set(unique_objects)
+    def _handle(self, object_ids: np.ndarray, update_count: int) -> UpdateEffects:
+        self._dirty.set(object_ids)
         if self.checkpoint_active and self._in_full_dump:
             # Dribble semantics during the periodic full flush.
-            fresh = self._touched.add_new(unique_objects)
+            fresh = self._touched.add_new(object_ids)
             return UpdateEffects(
                 bit_tests=update_count, first_touch_ids=fresh, copy_ids=fresh
             )

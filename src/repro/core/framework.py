@@ -116,7 +116,7 @@ class CheckpointFramework:
         return self._active_plan
 
     def process_updates(
-        self, unique_objects: np.ndarray, update_count: int
+        self, object_ids: np.ndarray, update_count: int
     ) -> float:
         """Run ``Handle-Update`` for one tick's updates; returns overhead (s).
 
@@ -124,7 +124,7 @@ class CheckpointFramework:
         applied to the state table, because first-touched objects' old values
         have to be saved first.
         """
-        effects = self._policy.handle_updates(unique_objects, update_count)
+        effects = self._policy.handle_updates(object_ids, update_count)
         return self._executor.handle_updates(effects)
 
     def end_of_tick(self, allow_start: bool = True) -> TickBoundary:

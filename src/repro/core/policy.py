@@ -30,7 +30,7 @@ class CheckpointPolicy(ABC):
     """Decision logic of one checkpointing algorithm.
 
     Lifecycle: the driver calls :meth:`handle_updates` once per tick with the
-    unique updated objects, and at tick boundaries alternates
+    updated objects' ids (repeats allowed), and at tick boundaries alternates
     :meth:`begin_checkpoint` / :meth:`finish_checkpoint` (checkpoints are
     taken back-to-back, so after the first boundary there is always an active
     checkpoint).
@@ -108,24 +108,28 @@ class CheckpointPolicy(ABC):
         self._active = False
 
     def handle_updates(
-        self, unique_objects: np.ndarray, update_count: int
+        self, object_ids: np.ndarray, update_count: int
     ) -> UpdateEffects:
         """Record one tick's updates.
 
         Parameters
         ----------
-        unique_objects:
-            Deduplicated ids of the atomic objects updated this tick.
+        object_ids:
+            Object ids, may repeat: the atomic objects updated this tick, in
+            any order, e.g. one id per cell update.  The dirty bits are
+            idempotent and the first-touch test dedupes, so the returned
+            ``first_touch_ids`` / ``copy_ids`` are ascending and unique
+            either way.
         update_count:
             Total number of cell updates this tick (with duplicates) -- the
             number of dirty-bit tests the inner loop performs.
         """
-        if update_count < unique_objects.size:
+        if update_count < object_ids.size:
             raise ConfigurationError(
-                "update_count cannot be smaller than the number of unique "
-                f"objects ({update_count} < {unique_objects.size})"
+                "update_count cannot be smaller than the number of object "
+                f"ids ({update_count} < {object_ids.size})"
             )
-        return self._handle(np.asarray(unique_objects, dtype=np.int64),
+        return self._handle(np.asarray(object_ids, dtype=np.int64),
                             int(update_count))
 
     # ------------------------------------------------------------------
@@ -137,7 +141,7 @@ class CheckpointPolicy(ABC):
         """Build the plan for checkpoint ``checkpoint_index``."""
 
     @abstractmethod
-    def _handle(self, unique_objects: np.ndarray, update_count: int) -> UpdateEffects:
+    def _handle(self, object_ids: np.ndarray, update_count: int) -> UpdateEffects:
         """Maintain dirty state for one tick's updates and report effects."""
 
     def _finish(self) -> None:

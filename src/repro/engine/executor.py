@@ -94,12 +94,13 @@ class RealExecutor(SubroutineExecutor):
         self._snapshot_mask = np.zeros(num_objects, dtype=bool)
         self._all_ids = np.arange(num_objects, dtype=np.int64)
         if writer is not None:
-            # Pre-built writer-like object (submit/check/idle/stats/close/
-            # last_committed), e.g. the process-backend worker's checkpoint
-            # proxy.  A writer that declares ``concurrent_reader = False``
-            # never reads the table from another thread -- it captures the
-            # payloads synchronously inside ``submit`` -- so the stripe-lock
-            # protocol (and its per-update cost) is skipped entirely.
+            # Pre-built writer-like object (submit/check/idle/stats/totals/
+            # close/last_committed), e.g. the process-backend worker's
+            # checkpoint proxy.  A writer that declares
+            # ``concurrent_reader = False`` never reads the table from
+            # another thread -- it captures the payloads synchronously
+            # inside ``submit`` -- so the stripe-lock protocol (and its
+            # per-update cost) is skipped entirely.
             self._writer = writer
             self._locks = (
                 StripeLockSet(num_objects, num_stripes)
@@ -150,14 +151,11 @@ class RealExecutor(SubroutineExecutor):
 
     def writer_totals(self) -> Tuple[int, float]:
         """``(checkpoint bytes written, writer busy seconds)`` so far, across
-        both writer modes, from one snapshot of the writer's counters."""
+        both writer modes, from one read of the writer's two counters."""
         if self._writer is None:
             return self._serial_bytes_written, 0.0
-        stats = self._writer.stats()
-        return (
-            self._serial_bytes_written + stats.bytes_written,
-            stats.busy_seconds,
-        )
+        bytes_written, busy_seconds = self._writer.totals()
+        return self._serial_bytes_written + bytes_written, busy_seconds
 
     @property
     def bytes_written(self) -> int:

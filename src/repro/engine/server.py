@@ -37,7 +37,6 @@ from repro.engine.app import TickApplication
 from repro.engine.executor import RealExecutor
 from repro.engine.writer import DEFAULT_CHUNK_OBJECTS
 from repro.errors import EngineError
-from repro.state.dirty import unique_ids
 from repro.state.table import GameStateTable
 from repro.storage.action_log import ActionLog, TickRecord
 from repro.storage.checkpoint_log import CheckpointLogStore
@@ -281,10 +280,13 @@ class DurableGameServer:
         geometry = self._table.geometry
         self._table.check_updates(plan.rows, plan.columns)
         cell_index = geometry.cell_index(plan.rows, plan.columns)
-        unique_objects = unique_ids(geometry.object_of_cell(cell_index))
 
         # Handle-Update runs before the updates land so old values survive.
-        self._framework.process_updates(unique_objects, plan.update_count)
+        # It gets one object id per update: the policy's first-touch test is
+        # the dedupe.
+        self._framework.process_updates(
+            geometry.object_of_cell(cell_index), plan.update_count
+        )
         self._table.apply_updates(
             plan.rows, plan.columns, plan.values,
             validate=False, cell_index=cell_index,

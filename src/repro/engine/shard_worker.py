@@ -36,6 +36,7 @@ fleet hang.
 
 from __future__ import annotations
 
+import copy
 import os
 import queue
 import threading
@@ -259,6 +260,11 @@ class WorkerCheckpointProxy:
             last_committed=self.last_committed,
         )
 
+    def totals(self):
+        """``(bytes_written, busy_seconds)``; the flush runs in the parent,
+        so this side has no busy time to report."""
+        return int(self._control[F_BYTES_WRITTEN]), 0.0
+
     @property
     def last_committed(self):
         """``(epoch, cut_tick)`` of the newest durable checkpoint, or None."""
@@ -275,8 +281,6 @@ class WorkerCheckpointProxy:
 
 def _stats_snapshot(shard: MMOShard):
     """Picklable copy of the shard's lifetime stats for the ack channel."""
-    import copy
-
     return copy.deepcopy(shard.game.stats)
 
 

@@ -362,6 +362,11 @@ class AsyncCheckpointWriter:
         with self._lock:
             return self._stats.snapshot()
 
+    def totals(self) -> Tuple[int, float]:
+        """``(bytes_written, busy_seconds)``, read without a snapshot."""
+        with self._lock:
+            return self._stats.bytes_written, self._stats.busy_seconds
+
     @property
     def last_committed(self) -> Optional[Tuple[int, int]]:
         """``(epoch, cut_tick)`` of the newest committed checkpoint."""

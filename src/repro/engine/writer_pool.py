@@ -70,7 +70,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.engine.writer import (
     DEFAULT_CHUNK_OBJECTS,
@@ -216,6 +216,11 @@ class PoolWriter:
         """Consistent snapshot of this shard's counters (O(buckets))."""
         with self._pool._lock:
             return self._stats.snapshot()
+
+    def totals(self) -> Tuple[int, float]:
+        """``(bytes_written, busy_seconds)``, read without a snapshot."""
+        with self._pool._lock:
+            return self._stats.bytes_written, self._stats.busy_seconds
 
     # ------------------------------------------------------------------
     # Mutator-side interface

@@ -1,7 +1,7 @@
 """Dirty-tracking structures shared by all checkpointing algorithms.
 
-:func:`unique_ids` is the one id dedupe every per-tick touched-object set
-goes through.  Five structures live here:
+:func:`unique_ids` is the one id dedupe; the bit and stamp writes below take
+ids as they come, repeats included.  Five structures live here:
 
 * :class:`PolarityBitmap` -- one bit per atomic object with an O(1)
   "invert interpretation" operation.  Dribble-and-Copy-on-Update flips the
@@ -74,7 +74,8 @@ class PolarityBitmap:
         return self._size
 
     def set(self, ids) -> None:
-        """Set the logical bit for each id in ``ids`` (array-like of ints)."""
+        """Set the logical bit for each id in ``ids`` (array-like of ints;
+        repeats are harmless, every write stores the same value)."""
         self._raw[ids] = not self._inverted
 
     def clear(self, ids) -> None:
@@ -254,15 +255,16 @@ class EpochSet:
         self._stamps[ids] = self._epoch
 
     def add_new(self, ids) -> np.ndarray:
-        """Insert ``ids`` and return the subset that was newly inserted.
+        """Insert ``ids``; return the newly inserted ones, ascending, unique.
 
-        ``ids`` must not contain duplicates (callers pass the per-tick
-        :func:`unique_ids` of updated objects); with duplicates the "new"
-        report would double-count within the call.
+        ``ids`` may repeat and come in any order (one id per update, as the
+        tick produced them); it is never written.  The stamp test is the
+        dedupe: only the ids that are not yet members reach
+        :func:`unique_ids`, so the sort covers the first touches of this
+        checkpoint, not every update of the tick.
         """
         ids = np.asarray(ids)
-        fresh_mask = self._stamps[ids] != self._epoch
-        fresh = ids[fresh_mask]
+        fresh = unique_ids(ids[self._stamps[ids] != self._epoch])
         self._stamps[fresh] = self._epoch
         return fresh
 
@@ -380,7 +382,8 @@ class DoubleBackupBits:
         return self._current
 
     def mark_updated(self, ids) -> None:
-        """Record that the objects in ``ids`` changed (sets both bits)."""
+        """Record that the objects in ``ids`` changed (sets both bits;
+        ``ids`` may repeat)."""
         for bitmap in self._bitmaps:
             bitmap.set(ids)
 

@@ -139,6 +139,8 @@ class ActionLog:
         """
         handle = self._handle
         handle.seek(0)
+        size = os.fstat(handle.fileno()).st_size
+        offset = 0
         while True:
             header = handle.read(RECORD_HEADER_BYTES)
             if len(header) < RECORD_HEADER_BYTES:
@@ -146,6 +148,11 @@ class ActionLog:
             try:
                 record_type, tick, _b, length, checksum = unpack_record_header(header)
             except Exception:
+                return
+            # The length is unverified until the CRC: one that runs past end
+            # of file is a torn tail, and nothing is allocated for it.
+            offset += RECORD_HEADER_BYTES + length
+            if offset > size:
                 return
             payload = handle.read(length)
             if len(payload) < length or not verify_record(header, payload, checksum):

@@ -42,12 +42,7 @@ import numpy as np
 from repro.config import StateGeometry
 from repro.engine.writer import AsyncCheckpointWriter, CheckpointJob
 from repro.errors import CheckpointWriterError, ValidationError
-from repro.state.dirty import (
-    DoubleBackupBits,
-    EpochSet,
-    StripeLockSet,
-    unique_ids,
-)
+from repro.state.dirty import DoubleBackupBits, EpochSet, StripeLockSet
 from repro.storage.double_backup import DoubleBackupStore
 from repro.workloads.zipf import ZipfTrace
 
@@ -298,10 +293,9 @@ class RealCheckpointServer:
     def _apply_updates(self, cells: np.ndarray, value_source: np.ndarray) -> float:
         """Update phase; returns the measured checkpoint-related overhead."""
         overhead = 0.0
-        objects = None
         if self._algorithm == "copy-on-update":
             started = time.perf_counter()
-            objects = unique_ids(self._geometry.object_of_cell(cells))
+            objects = self._geometry.object_of_cell(cells)
             self._bits.mark_updated(objects)
             fresh = self._touched.add_new(objects)
             copy_ids = fresh[self._write_mask[fresh]]

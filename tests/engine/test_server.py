@@ -7,8 +7,10 @@ import pytest
 
 from repro.core.registry import ALGORITHM_KEYS
 from repro.engine.app import TickApplication, TickUpdatesPlan
+from repro.engine.recovery import RecoveryManager
 from repro.engine.server import DurableGameServer
 from repro.errors import EngineError, GeometryError
+from repro.state.dirty import EpochSet, unique_ids
 from repro.state.table import GameStateTable
 
 
@@ -45,6 +47,85 @@ class FixedBufferApp(TickApplication):
         )
         np.add(self._base, np.float32(tick), out=self.values)
         return TickUpdatesPlan(self.rows, self.columns, self.values)
+
+
+class HotObjectApp(TickApplication):
+    """Every tick lands 1,000 updates on one atomic object (a different one
+    each tick) plus 40 spread over the table; a cell's value depends only on
+    the cell and the tick, so repeated cells agree."""
+
+    def __init__(self, geometry):
+        self._geometry = geometry
+
+    @property
+    def geometry(self):
+        return self._geometry
+
+    def initialize(self, table, rng):
+        table.cells[:] = rng.random(table.cells.shape).astype(np.float32)
+
+    def plan_tick(self, table, rng, tick):
+        geometry = self._geometry
+        hot = geometry.cell_range_of_object(
+            int(rng.integers(geometry.num_objects))
+        )
+        cells = np.concatenate([
+            rng.integers(hot.start, hot.stop, 1_000),
+            rng.integers(0, geometry.num_cells, 40),
+        ])
+        rng.shuffle(cells)
+        values = (cells % 97 + 100 * tick).astype(np.float32)
+        return TickUpdatesPlan(
+            cells // geometry.columns, cells % geometry.columns, values
+        )
+
+
+def dedupe_then_stamp(self, ids):
+    """``EpochSet.add_new`` in the old order: dedupe every id of the tick,
+    then test the stamps."""
+    ids = unique_ids(np.asarray(ids))
+    fresh = ids[self._stamps[ids] != self._epoch]
+    self._stamps[fresh] = self._epoch
+    return fresh
+
+
+class TestRepeatedObjectIds:
+    @pytest.mark.parametrize("algorithm",
+                             ["copy-on-update", "cou-partial-redo"])
+    def test_hot_object_recovers_and_leaves_the_same_files(
+        self, tiny_geometry, tmp_path, algorithm, monkeypatch
+    ):
+        def run(directory):
+            server = DurableGameServer(
+                HotObjectApp(tiny_geometry), directory, algorithm=algorithm,
+                seed=9, writer_bytes_per_tick=2_048,
+            )
+            server.run_ticks(90)
+            assert server.stats.checkpoints_completed >= 3
+            server.crash()
+            return {
+                path.name: path.read_bytes()
+                for path in sorted(directory.iterdir())
+            }
+
+        files = run(tmp_path / "stamps-first")
+        monkeypatch.setattr(EpochSet, "add_new", dedupe_then_stamp)
+        assert run(tmp_path / "dedupe-first") == files
+        monkeypatch.undo()
+
+        app = HotObjectApp(tiny_geometry)
+        oracle = GameStateTable(tiny_geometry, dtype=app.dtype)
+        oracle_rng = np.random.default_rng(9)
+        app.initialize(oracle, oracle_rng)
+        for tick in range(90):
+            plan = app.plan_tick(oracle, oracle_rng, tick)
+            oracle.apply_updates(plan.rows, plan.columns, plan.values)
+        report = RecoveryManager(
+            app, tmp_path / "stamps-first", seed=9
+        ).recover()
+        assert report.next_tick == 90
+        assert not report.used_seed_fallback
+        assert report.table.equals(oracle)
 
 
 class TestTickLoop:

@@ -385,6 +385,25 @@ class TestEngineIntegration:
                 ).recover()
                 assert np.array_equal(report.table.cells, live[index])
 
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_tick_totals_match_the_stats_snapshot(
+        self, random_walk_app, tmp_path, pooled
+    ):
+        """``run_tick`` reads two counters, not a ``WriterStats`` copy."""
+        with CheckpointWriterPool(1) as pool:
+            server = DurableGameServer(
+                type(random_walk_app)(GEOMETRY), tmp_path,
+                writer_pool=pool if pooled else None, async_writer=True,
+            )
+            server.run_ticks(20)
+            server.wait_checkpoint_idle()   # counters are still from here on
+            snapshot = server._executor.writer.stats()
+            assert snapshot.bytes_written > 0
+            assert server._executor.writer_totals() == (
+                snapshot.bytes_written, snapshot.busy_seconds
+            )
+            server.close()
+
     def test_pooled_fleet_matches_per_shard_writer_fleet(
         self, app_factory, tmp_path
     ):

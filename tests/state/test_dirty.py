@@ -40,6 +40,14 @@ class TestUniqueIds:
         ]
         assert offenders == []
 
+    def test_no_dedupe_or_sort_on_the_server_tick_path(self):
+        """``run_tick`` hands one object id per update to Handle-Update;
+        the first-touch stamp test is the dedupe."""
+        text = (Path(repro.__file__).parent / "engine/server.py").read_text()
+        for call in ("unique_ids(", "np.unique(", "np.sort("):
+            assert call not in text
+        assert "import unique_ids" not in text
+
 
 class TestPolarityBitmap:
     def test_starts_clear(self):
@@ -119,6 +127,34 @@ class TestEpochSet:
         assert fresh.tolist() == [1, 2, 3]
         fresh = epoch_set.add_new(np.array([2, 3, 4]))
         assert fresh.tolist() == [4]
+
+    @pytest.mark.parametrize(
+        "ids, members, expected",
+        [
+            ([], [], []),                                    # empty
+            ([5, 1, 3], [], [1, 3, 5]),                      # all fresh
+            ([5, 1, 3, 1], [1, 3, 5], []),                   # none fresh
+            ([4, 4, 2, 2, 7, 7], [2], [4, 7]),               # all repeated
+            ([7, 0, 7, 3, 0, 6, 3, 7], [6], [0, 3, 7]),      # unsorted
+        ],
+    )
+    def test_add_new_with_repeats_is_ascending_and_unique(
+        self, ids, members, expected
+    ):
+        epoch_set = EpochSet(8)
+        epoch_set.add(np.array(members, dtype=np.int64))
+        ids = np.array(ids, dtype=np.int64)
+        ids.setflags(write=False)   # plan buffers are reused, never written
+        before = ids.copy()
+        fresh = epoch_set.add_new(ids)
+        assert fresh.tolist() == expected
+        assert fresh.dtype == np.int64
+        assert np.array_equal(ids, before)
+        assert epoch_set.members().tolist() == sorted(
+            set(members) | set(before.tolist())
+        )
+        # Second call in the same epoch: every id is a member now.
+        assert epoch_set.add_new(ids).size == 0
 
     def test_reset_is_o1_empty(self):
         epoch_set = EpochSet(8)

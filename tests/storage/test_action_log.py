@@ -108,6 +108,34 @@ class TestDurability:
             # Appending continues from the surviving prefix.
             log.append(TickRecord(tick=1, rng_state=rng_state(9)))
 
+    def test_hostile_length_is_a_torn_tail_and_allocates_nothing(
+        self, tmp_path
+    ):
+        """The header's length is unverified until the CRC: one claiming
+        4 GiB used to size a ``read`` before anything could reject it."""
+        import tracemalloc
+
+        from repro.storage.layout import RECORD_TICK, pack_record
+
+        with ActionLog(tmp_path) as log:
+            log.append(TickRecord(tick=0, rng_state=rng_state(0)))
+            log.append(TickRecord(tick=1, rng_state=rng_state(1)))
+            path = log.path
+        hostile = bytearray(pack_record(RECORD_TICK, 2, 0, b""))
+        hostile[21:25] = (0xFFFFFFFF).to_bytes(4, "little")
+        with open(path, "ab") as handle:
+            handle.write(hostile)
+        tracemalloc.start()
+        try:
+            with ActionLog(tmp_path) as log:
+                ticks = [record.tick for record in log.records()]
+                assert log.last_tick == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ticks == [0, 1]
+        assert peak < 1 << 20
+
     def test_truncate(self, tmp_path):
         with ActionLog(tmp_path) as log:
             log.append(TickRecord(tick=0, rng_state=rng_state(0)))

@@ -1,5 +1,7 @@
 """Tests for the real threaded implementation of NS and COU."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.config import StateGeometry
 from repro.errors import ValidationError
 from repro.storage.double_backup import DoubleBackupStore
 from repro.validation.realimpl import RealCheckpointServer
+from repro.workloads.zipf import ZipfTrace
 
 #: Tiny geometry so each test runs in well under a second.
 TEST_GEOMETRY = StateGeometry(rows=4_096, columns=8)
@@ -91,21 +94,45 @@ class TestCutConsistency:
 
 
 class TestCopyOnUpdateSemantics:
+    @staticmethod
+    def saved_in_one_tick(directory, updates_per_tick):
+        """Old values Handle-Update saves for one tick of updates landing
+        while the first checkpoint (write set: everything) is in flight."""
+        flush_may_proceed = threading.Event()
+        cells = next(ZipfTrace(
+            TEST_GEOMETRY, updates_per_tick=updates_per_tick, skew=0.8,
+            num_ticks=1, seed=3,
+        ).ticks())
+        values = np.arange(1 << 16, dtype=np.uint32)
+        with RealCheckpointServer(
+            "copy-on-update", geometry=TEST_GEOMETRY, directory=directory
+        ) as server:
+            # Hold the flush so the checkpoint stays in flight whatever the
+            # scheduler does: the count cannot depend on timing.
+            server._store.write_fault_hook = flush_may_proceed.wait
+            try:
+                server._begin_checkpoint(0, cut_tick=0)
+                server._apply_updates(cells, values)
+                saved = int(server._saved_mask.sum())
+                distinct = len(set(
+                    TEST_GEOMETRY.object_of_cell(cells).tolist()
+                ))
+                assert saved == distinct
+                # Same objects again: no first touch, nothing saved.
+                server._apply_updates(cells, values)
+                assert int(server._saved_mask.sum()) == saved
+            finally:
+                flush_may_proceed.set()
+        return saved
+
     def test_cou_overhead_scales_with_updates(self, tmp_path):
-        small_dir = tmp_path / "small"
-        large_dir = tmp_path / "large"
-        with RealCheckpointServer(
-            "copy-on-update", geometry=TEST_GEOMETRY, directory=small_dir
-        ) as server:
-            small = server.run(updates_per_tick=50, num_ticks=25)
-        with RealCheckpointServer(
-            "copy-on-update", geometry=TEST_GEOMETRY, directory=large_dir
-        ) as server:
-            large = server.run(updates_per_tick=5_000, num_ticks=25)
-        # Medians: one cold or lock-stalled tick out of 25 can carry a mean
-        # past the other run's, and the dedupe is no longer slow enough to
-        # outweigh it.
-        assert np.median(large.tick_overhead) > np.median(small.tick_overhead)
+        """A count, not a wall clock (timing medians of 25 ticks flip under
+        load): one old-value save per distinct object updated, so 5,000
+        updates a tick save more than 50 do."""
+        small = self.saved_in_one_tick(tmp_path / "small", 50)
+        large = self.saved_in_one_tick(tmp_path / "large", 5_000)
+        assert 0 < small <= 50
+        assert large > small
 
     def test_tick_period_respected(self, tmp_path):
         import time
