@@ -1,423 +1,12 @@
-"""Recovery-time scale-up: serial vs pipelined intra-shard recovery.
+"""Crash recovery on the real engine: restore + replay, all six algorithms."""
 
-Measures wall-clock crash recovery against shard size (64k to one million
-atomic objects) for both disk organizations, comparing the paper's serial
-``dT_restore + dT_replay`` model against the pipelined mode that overlaps
-the restore read with logical-log replay.  Run standalone::
+from conftest import run_once
 
-    PYTHONPATH=src python benchmarks/bench_recovery.py --smoke
-
-Results merge into ``BENCH_engine.json`` under the ``recovery_scale`` key
-(read-modify-write, so the engine benchmark's sections survive).
-
-Methodology notes:
-
-* Every timed recovery starts **cold**: each file in the shard directory is
-  fsynced and its page cache dropped (``posix_fadvise(POSIX_FADV_DONTNEED)``)
-  first, so the restore read pays real disk I/O instead of a page-cache
-  memcpy.  On a single-core host that I/O wait is exactly the slack the
-  pipelined mode can hide replay compute in.
-* The workload (:class:`RegionSweepApp`) processes the world in round-robin
-  region order, one block of objects per tick -- the sweep shape of MMO
-  AI/physics loops.  Its ``tick_object_scope`` derives the block from the
-  tick alone, so pipelined replay knows each tick's touch set exactly.
-* The checkpoint cut is placed so replay's first tick starts at block 0 --
-  replay then chases the ascending restore stream, the favourable-locality
-  case the pipeline is built for; ``stall_count`` in the output shows how
-  often it still blocked.
-
-The pytest wrapper at the bottom keeps the original whole-experiment
-recovery benchmark runnable under ``pytest benchmarks``.
-"""
-
-from __future__ import annotations
-
-import argparse
-import json
-import os
-import shutil
-import statistics
-import sys
-import tempfile
-import time
-
-import numpy as np
-
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
-
-from repro.config import StateGeometry  # noqa: E402
-from repro.engine.app import TickApplication, TickUpdatesPlan  # noqa: E402
-from repro.engine.recovery import RecoveryManager  # noqa: E402
-from repro.state.table import GameStateTable  # noqa: E402
-from repro.storage.action_log import ActionLog, TickRecord  # noqa: E402
-from repro.storage.checkpoint_log import CheckpointLogStore  # noqa: E402
-from repro.storage.double_backup import DoubleBackupStore  # noqa: E402
-
-#: Shard sizes (atomic objects) for the full sweep and the CI smoke run.
-FULL_SIZES = [65536, 262144, 1048576]
-SMOKE_SIZES = [16384, 65536]
-
-#: 128-byte objects, 8 float32 columns -> 4 rows per object; one million
-#: objects is a 128 MiB checkpoint image.
-OBJECT_BYTES = 128
-COLUMNS = 8
-CELL_BYTES = 4
-
-#: Objects per sweep block and sampled rows updated per tick.
-BLOCK_OBJECTS = 2048
-ROWS_PER_TICK = 1024
-
-#: Logged ticks replayed after the checkpoint cut.
-REPLAY_TICKS = 192
-SMOKE_REPLAY_TICKS = 48
-
-STORES = ("double_backup", "log")
-
-
-def geometry_for(num_objects: int) -> StateGeometry:
-    rows_per_object = OBJECT_BYTES // (COLUMNS * CELL_BYTES)
-    return StateGeometry(
-        rows=num_objects * rows_per_object,
-        columns=COLUMNS,
-        cell_bytes=CELL_BYTES,
-        object_bytes=OBJECT_BYTES,
-    )
-
-
-class RegionSweepApp(TickApplication):
-    """World processed in round-robin region order, one block per tick.
-
-    Tick ``t`` reads and updates a deterministic sample of rows inside
-    object block ``t % num_blocks``.  Because the touched block is a pure
-    function of the tick number, :meth:`tick_object_scope` needs no rng
-    draws at all -- it returns the block's object range as a (conservative,
-    exact-superset) touch set.
-    """
-
-    def __init__(self, geometry: StateGeometry,
-                 block_objects: int = BLOCK_OBJECTS,
-                 rows_per_tick: int = ROWS_PER_TICK):
-        self._geometry = geometry
-        self._block_objects = block_objects
-        self._rows_per_object = OBJECT_BYTES // (COLUMNS * CELL_BYTES)
-        self._num_blocks = -(-geometry.num_objects // block_objects)
-        self._rows_per_tick = rows_per_tick
-
-    @property
-    def geometry(self) -> StateGeometry:
-        return self._geometry
-
-    @property
-    def dtype(self):
-        return np.float32
-
-    @property
-    def num_blocks(self) -> int:
-        return self._num_blocks
-
-    def _block_span(self, tick: int):
-        """(first_object, object_count) of the block tick ``tick`` sweeps."""
-        block = tick % self._num_blocks
-        first = block * self._block_objects
-        count = min(self._block_objects, self._geometry.num_objects - first)
-        return first, count
-
-    def initialize(self, table, rng: np.random.Generator) -> None:
-        table.cells[:] = rng.random(table.cells.shape, dtype=np.float32)
-
-    def plan_tick(self, table, rng: np.random.Generator, tick: int):
-        first_object, object_count = self._block_span(tick)
-        first_row = first_object * self._rows_per_object
-        block_rows = object_count * self._rows_per_object
-        n = min(self._rows_per_tick, block_rows)
-        rows = first_row + (np.arange(n, dtype=np.int64) * block_rows) // n
-        columns = rng.integers(0, self._geometry.columns, n)
-        values = (
-            table.cells[rows, columns] * np.float32(0.5) + rng.random(n)
-        ).astype(np.float32)
-        return TickUpdatesPlan(rows=rows, columns=columns, values=values)
-
-    def tick_object_scope(self, geometry, rng, tick, commands):
-        first_object, object_count = self._block_span(tick)
-        return np.arange(
-            first_object, first_object + object_count, dtype=np.int64
-        )
-
-
-def evict_page_cache(directory: str) -> None:
-    """Drop the page cache for every file under ``directory``.
-
-    Dirty pages are flushed first (``POSIX_FADV_DONTNEED`` only discards
-    clean pages), so the next read of these files goes to the device.
-    """
-    for name in sorted(os.listdir(directory)):
-        path = os.path.join(directory, name)
-        if not os.path.isfile(path):
-            continue
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-            if hasattr(os, "posix_fadvise"):
-                os.posix_fadvise(fd, 0, 0, os.POSIX_FADV_DONTNEED)
-        finally:
-            os.close(fd)
-
-
-def build_crashed_shards(workdir: str, num_objects: int, replay_ticks: int,
-                         seed: int):
-    """Simulate one shard, checkpoint it on both stores, leave a log tail.
-
-    Runs one :class:`RegionSweepApp` history and materializes it twice:
-
-    * ``double_backup/`` -- full image checkpointed at the cut tick;
-    * ``log/`` -- a full dump half a sweep *before* the cut plus an
-      incremental checkpoint (the re-dirtied half) at the cut, so its
-      restore exercises the multi-run last-writer-wins path.
-
-    The cut is the last tick of a whole sweep, so replay (``replay_ticks``
-    logged ticks) starts at block 0 and ascends with the restore stream.
-    Returns ``(app, directories, live_table, next_tick)`` where
-    ``live_table`` is the crash-time reference state.
-    """
-    geometry = geometry_for(num_objects)
-    app = RegionSweepApp(geometry)
-    cut_tick = app.num_blocks - 1
-    dump_tick = max(0, cut_tick - app.num_blocks // 2)
-    total_ticks = cut_tick + 1 + replay_ticks
-
-    directories = {
-        store: os.path.join(workdir, f"n{num_objects}-{store}")
-        for store in STORES
-    }
-    for directory in directories.values():
-        os.makedirs(directory, exist_ok=True)
-
-    table = GameStateTable(geometry, dtype=app.dtype)
-    rng = np.random.default_rng(seed)
-    app.initialize(table, rng)
-
-    dump_image = None
-    cut_image = None
-    with ActionLog(directories["double_backup"]) as log:
-        for tick in range(total_ticks):
-            record = TickRecord(tick=tick, rng_state=rng.bit_generator.state)
-            plan = app.plan_tick(table, rng, tick)
-            table.apply_updates(plan.rows, plan.columns, plan.values)
-            log.append(record)
-            if tick == dump_tick:
-                dump_image = table.full_image()
-            if tick == cut_tick:
-                cut_image = table.full_image()
-    shutil.copy(
-        os.path.join(directories["double_backup"], ActionLog.FILE_NAME),
-        os.path.join(directories["log"], ActionLog.FILE_NAME),
-    )
-
-    all_ids = np.arange(num_objects, dtype=np.int64)
-    with DoubleBackupStore(directories["double_backup"], geometry) as store:
-        store.begin_checkpoint(0, epoch=1)
-        store.write_checkpoint_vectored([(all_ids, cut_image)], cut_tick)
-
-    # Objects re-dirtied between the dump and the cut: the contiguous block
-    # range (dump_tick, cut_tick], at their cut-time versions.
-    first_dirty = ((dump_tick + 1) % app.num_blocks) * BLOCK_OBJECTS
-    dirty_ids = np.arange(first_dirty, num_objects, dtype=np.int64)
-    with CheckpointLogStore(directories["log"], geometry) as store:
-        store.begin_checkpoint(1, is_full_dump=True)
-        store.write_checkpoint_vectored([(all_ids, dump_image)], dump_tick)
-        store.begin_checkpoint(2, is_full_dump=False)
-        store.write_checkpoint_vectored(
-            [(dirty_ids, cut_image[first_dirty * OBJECT_BYTES:])], cut_tick
-        )
-
-    return app, directories, table, total_ticks
-
-
-def timed_recovery(app, directory: str, mode: str, seed: int):
-    """One cold-cache recovery; returns the report."""
-    evict_page_cache(directory)
-    return RecoveryManager(app, directory, seed=seed, mode=mode).recover()
-
-
-def summarize(reports) -> dict:
-    """Median-of-runs summary of a list of same-mode RecoveryReports."""
-    last = reports[-1]
-    summary = {
-        "wall_seconds": statistics.median(
-            r.recovery_seconds for r in reports
-        ),
-        "restore_seconds": statistics.median(
-            r.restore_seconds for r in reports
-        ),
-        "replay_seconds": statistics.median(
-            r.replay_seconds for r in reports
-        ),
-        "ticks_replayed": last.ticks_replayed,
-        "bytes_restored": last.bytes_restored,
-    }
-    if last.mode == "pipelined":
-        summary["replay_overlap_seconds"] = statistics.median(
-            r.replay_overlap_seconds for r in reports
-        )
-        summary["stall_count"] = last.stall_count
-    return summary
-
-
-def run_point(workdir: str, num_objects: int, replay_ticks: int, seed: int,
-              repeats: int):
-    """Benchmark one shard size on both stores; yields one point per store."""
-    app, directories, live_table, next_tick = build_crashed_shards(
-        workdir, num_objects, replay_ticks, seed
-    )
-    for store in STORES:
-        directory = directories[store]
-        runs = {"serial": [], "pipelined": []}
-        for _ in range(repeats):
-            for mode in ("serial", "pipelined"):
-                runs[mode].append(
-                    timed_recovery(app, directory, mode, seed)
-                )
-        serial, pipelined = runs["serial"][-1], runs["pipelined"][-1]
-        bit_identical = (
-            serial.table.equals(live_table)
-            and pipelined.table.equals(serial.table)
-            and serial.next_tick == pipelined.next_tick == next_tick
-        )
-        point = {
-            "store": store,
-            "num_objects": num_objects,
-            "image_bytes": num_objects * OBJECT_BYTES,
-            "replay_ticks": replay_ticks,
-            "serial": summarize(runs["serial"]),
-            "pipelined": summarize(runs["pipelined"]),
-            "bit_identical": bool(bit_identical),
-        }
-        point["speedup"] = (
-            point["serial"]["wall_seconds"]
-            / point["pipelined"]["wall_seconds"]
-            if point["pipelined"]["wall_seconds"] > 0 else 0.0
-        )
-        yield point
-    # Free the 3 images before the next (possibly 4x larger) size.
-    del live_table
-
-
-def merge_results(out_path: str, section: dict) -> None:
-    """Insert the recovery_scale section into BENCH_engine.json in place."""
-    results = {}
-    if os.path.exists(out_path):
-        with open(out_path) as handle:
-            results = json.load(handle)
-    results["recovery_scale"] = section
-    with open(out_path, "w") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Recovery time vs shard size, serial vs pipelined"
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="small sizes for CI (16k/64k objects)")
-    parser.add_argument("--sizes", type=str, default=None,
-                        help="comma-separated object counts (overrides "
-                             "--smoke)")
-    parser.add_argument("--out", default="BENCH_engine.json",
-                        help="results JSON to merge into (default "
-                             "BENCH_engine.json)")
-    parser.add_argument("--workdir", default=None,
-                        help="scratch directory (default: a temp dir)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timed recoveries per (size, store, mode); "
-                             "the median is reported")
-    parser.add_argument("--replay-ticks", type=int, default=None,
-                        help="logged ticks replayed after the cut")
-    args = parser.parse_args(argv)
-
-    if args.sizes:
-        sizes = [int(part) for part in args.sizes.split(",")]
-    else:
-        sizes = SMOKE_SIZES if args.smoke else FULL_SIZES
-    replay_ticks = args.replay_ticks
-    if replay_ticks is None:
-        replay_ticks = SMOKE_REPLAY_TICKS if args.smoke else REPLAY_TICKS
-
-    section = {
-        "config": {
-            "sizes": sizes,
-            "object_bytes": OBJECT_BYTES,
-            "block_objects": BLOCK_OBJECTS,
-            "rows_per_tick": ROWS_PER_TICK,
-            "replay_ticks": replay_ticks,
-            "repeats": args.repeats,
-            "seed": args.seed,
-            "cold_cache": hasattr(os, "posix_fadvise"),
-            "smoke": bool(args.smoke),
-        },
-        "points": [],
-    }
-
-    def sweep(workdir: str) -> None:
-        for num_objects in sizes:
-            mib = num_objects * OBJECT_BYTES / 2 ** 20
-            print(f"[recovery-scale] {num_objects} objects "
-                  f"({mib:.0f} MiB image), replay={replay_ticks} ticks")
-            for point in run_point(workdir, num_objects, replay_ticks,
-                                   args.seed, args.repeats):
-                serial = point["serial"]["wall_seconds"]
-                pipelined = point["pipelined"]["wall_seconds"]
-                print(f"  {point['store']:>13}: serial {serial * 1e3:8.1f} ms"
-                      f"  pipelined {pipelined * 1e3:8.1f} ms"
-                      f"  speedup {point['speedup']:.2f}x"
-                      f"  stalls {point['pipelined'].get('stall_count', 0)}"
-                      f"  identical={point['bit_identical']}")
-                section["points"].append(point)
-
-    if args.workdir:
-        os.makedirs(args.workdir, exist_ok=True)
-        sweep(args.workdir)
-    else:
-        with tempfile.TemporaryDirectory(prefix="bench-recovery-") as workdir:
-            sweep(workdir)
-
-    largest = max(sizes)
-    section["pipelined_wins_at_max"] = {
-        store: any(
-            point["num_objects"] == largest and point["speedup"] > 1.0
-            for point in section["points"] if point["store"] == store
-        )
-        for store in STORES
-    }
-    merge_results(args.out, section)
-    print(f"wrote recovery_scale section to {args.out}")
-
-    failures = [p for p in section["points"] if not p["bit_identical"]]
-    if failures:
-        print("::error title=Recovery mismatch::pipelined recovery diverged "
-              f"from serial on {len(failures)} point(s)")
-        return 2
-    if not args.smoke and not any(section["pipelined_wins_at_max"].values()):
-        print("::warning title=Recovery benchmark::pipelined recovery did "
-              f"not beat serial at {largest} objects on either store")
-        return 1
-    return 0
-
-
-# ----------------------------------------------------------------------
-# pytest wrapper (the original whole-experiment recovery benchmark)
-# ----------------------------------------------------------------------
+from repro.experiments import engine_recovery
 
 
 def test_engine_recovery(benchmark, bench_scale, report_sink):
     """Crash + recover the real engine under all six algorithms."""
-    from conftest import run_once
-
-    from repro.experiments import engine_recovery
-
     result = run_once(benchmark, engine_recovery.run, bench_scale)
     report_sink("engine_recovery", result.render())
     raw = result.raw
@@ -427,7 +16,3 @@ def test_engine_recovery(benchmark, bench_scale, report_sink):
     # The log-organized methods really do scan their log at restore; the
     # double-backup pair of the paper's recommendation reads one image.
     assert raw["copy-on-update"]["restore_s"] > 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -192,20 +192,3 @@ class TestPersistenceThroughput:
         for server in (source, target):
             server.close()
         coordinator.close()
-
-
-class TestFrontendThroughput:
-    def test_command_routing_rate(self, benchmark, tmp_path):
-        """Commands per second through session lookup + rate limiting."""
-        from repro.engine.shard import MMOShard
-        from repro.frontend.connection import ConnectionServer
-        from repro.game.knights_archers import KnightsArchersGame
-        from repro.game.scenario import BattleScenario
-
-        shard = MMOShard(
-            KnightsArchersGame(BattleScenario(num_units=512)), tmp_path
-        )
-        connection = ConnectionServer(shard, commands_per_tick_limit=10**9)
-        session_id = connection.connect("bench")
-        benchmark(connection.send_command, session_id, b"heal:1")
-        shard.close()

@@ -85,18 +85,6 @@ def backend_scaling_metrics(results: dict):
                scaling["process_speedup_at_max_shards"], True)
 
 
-def recovery_scale_metrics(results: dict):
-    """Yield per-point recovery wall times and speedups keyed by shape."""
-    scale = results.get("recovery_scale", {})
-    for point in scale.get("points", []):
-        shape = f"{point['store']} {point['num_objects']} objects"
-        for mode in ("serial", "pipelined"):
-            yield (f"recovery ({shape}) {mode} wall time",
-                   point.get(mode, {}).get("wall_seconds"), False)
-        yield (f"recovery ({shape}) pipelined speedup",
-               point.get("speedup"), True)
-
-
 def frontdoor_metrics(results: dict):
     """Yield gateway serve-path throughput and latency keyed by shape."""
     frontdoor = results.get("frontdoor", {})
@@ -144,7 +132,7 @@ def telemetry_metrics(results: dict):
 #: Dynamic metric generators: labels are derived from the run's own points,
 #: and only labels present in both runs are compared.
 DYNAMIC_METRICS = [
-    fleet_metrics, backend_scaling_metrics, recovery_scale_metrics,
+    fleet_metrics, backend_scaling_metrics,
     frontdoor_metrics, telemetry_metrics,
 ]
 

@@ -19,13 +19,11 @@ from repro.engine.app import TickApplication, TickUpdatesPlan
 from repro.engine.executor import RealExecutor
 from repro.engine.fleet import (
     FLEET_BACKENDS,
-    FLEET_RECOVERY_MODES,
     FleetRunReport,
     ShardFleet,
 )
 from repro.engine.shard_worker import WorkerCheckpointProxy
 from repro.engine.recovery import (
-    RECOVERY_MODES,
     RecoveryManager,
     RecoveryReport,
 )
@@ -37,8 +35,6 @@ from repro.engine.writer_pool import CheckpointWriterPool, PoolStats, PoolWriter
 __all__ = [
     "AsyncCheckpointWriter",
     "FLEET_BACKENDS",
-    "FLEET_RECOVERY_MODES",
-    "RECOVERY_MODES",
     "CheckpointJob",
     "CheckpointWriterPool",
     "DurableGameServer",

@@ -87,21 +87,3 @@ class TickApplication(ABC):
         :meth:`plan_tick`; interactive games override this instead.
         """
         return self.plan_tick(table, rng, tick)
-
-    def tick_object_scope(
-        self, geometry, rng: np.random.Generator, tick: int, commands: bytes
-    ):
-        """Atomic objects this tick's plan may read or write, or None.
-
-        Pipelined recovery replays a tick as soon as the checkpoint regions
-        it touches are resident.  An application that can predict a tick's
-        object scope *without the table* (from the logged rng state and
-        commands alone -- ``rng`` here is a scratch generator seeded with
-        the tick's logged state, free to consume draws) returns an array of
-        atomic-object ids; replay then stalls only on a true
-        read-before-restore dependency.  The default returns None --
-        "unknown scope" -- which makes pipelined recovery wait for full
-        residency before each tick (still overlapping the restore read with
-        replay of earlier, already-satisfiable ticks).
-        """
-        return None

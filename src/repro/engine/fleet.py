@@ -52,7 +52,6 @@ from typing import Callable, List, Optional, Sequence, Union
 from repro.core.plan import DiskLayout
 from repro.core.registry import make_policy
 from repro.engine.app import TickApplication
-from repro.engine.recovery import RECOVERY_MODES
 from repro.engine.server import ServerStats
 from repro.engine.shard import GAME_SUBDIRECTORY, MMOShard, ShardRecovery
 from repro.engine.shard_worker import (
@@ -94,11 +93,6 @@ SHARD_DIRECTORY_FORMAT = "shard-{index:02d}"
 #: process, ``process`` runs each mutator in a worker process over shared
 #: memory (requires the ``fork`` start method, i.e. not Windows).
 FLEET_BACKENDS = ("thread", "process")
-
-#: Fleet-level recovery modes: ``serial`` recovers shards one after another,
-#: ``parallel`` recovers shards on a thread pool, ``pipelined`` additionally
-#: pipelines restore with replay *inside* each shard.
-FLEET_RECOVERY_MODES = ("serial", "parallel", "pipelined")
 
 #: Command-ingestion transports of the process backend: ``ring`` batches
 #: commands through the shard's shared-memory command ring (one drain per
@@ -1148,66 +1142,31 @@ class ShardFleet:
         seed: int = 0,
         parallel: bool = True,
         max_workers: Optional[int] = None,
-        mode=None,
     ) -> List[ShardRecovery]:
         """Recover every shard of a crashed fleet, results in index order.
 
-        ``mode`` selects the recovery strategy (``FLEET_RECOVERY_MODES``):
+        Each shard recovers by the paper's restore-then-replay.  With
+        ``parallel`` (the default) shards recover on a thread pool of
+        ``max_workers`` threads (default: one per shard); restore reads and
+        replays of independent shards overlap, which is where recovery time
+        goes at production shard counts.  Without it they recover one after
+        another.
 
-        * ``"serial"`` -- shards one after another, each with the paper's
-          sequential restore-then-replay;
-        * ``"parallel"`` -- shards on a thread pool of ``max_workers``
-          threads (default: one per shard), each internally sequential;
-          restore reads and replays of independent shards overlap, which is
-          where recovery time goes at production shard counts;
-        * ``"pipelined"`` -- shards on the thread pool *and* each shard
-          pipelines its restore read with its log replay;
-        * a sequence of per-shard entries (``"serial"``/``"pipelined"``,
-          one per shard) -- mixed intra-shard modes on the thread pool;
-        * ``None`` (default) -- derived from the legacy ``parallel`` flag.
-
-        Assembly is deterministic in every mode: the returned list is
-        indexed by shard, and each shard's recovery is a pure function of
-        its own directory, so thread scheduling cannot change any recovered
-        state.
+        Assembly is deterministic either way: the returned list is indexed
+        by shard, and each shard's recovery is a pure function of its own
+        directory, so thread scheduling cannot change any recovered state.
         """
         if num_shards <= 0:
             raise EngineError(f"num_shards must be positive, got {num_shards}")
-        if mode is None:
-            mode = "parallel" if parallel else "serial"
-        if isinstance(mode, str):
-            if mode not in FLEET_RECOVERY_MODES:
-                raise EngineError(
-                    f"mode must be one of {FLEET_RECOVERY_MODES}, got {mode!r}"
-                )
-            threaded = mode != "serial"
-            shard_modes = [
-                "pipelined" if mode == "pipelined" else "serial"
-            ] * num_shards
-        else:
-            shard_modes = list(mode)
-            if len(shard_modes) != num_shards:
-                raise EngineError(
-                    f"per-shard mode list has {len(shard_modes)} entries "
-                    f"for {num_shards} shards"
-                )
-            for entry in shard_modes:
-                if entry not in RECOVERY_MODES:
-                    raise EngineError(
-                        f"per-shard mode must be one of {RECOVERY_MODES}, "
-                        f"got {entry!r}"
-                    )
-            threaded = True
 
         def recover_shard(index: int) -> ShardRecovery:
             return MMOShard.recover(
                 app_factory(index),
                 shard_directory(directory, index),
                 seed=seed + index,
-                mode=shard_modes[index],
             )
 
-        if not threaded or num_shards == 1:
+        if not parallel or num_shards == 1:
             return [recover_shard(index) for index in range(num_shards)]
         workers = max_workers if max_workers is not None else num_shards
         workers = max(1, min(workers, num_shards))

@@ -153,21 +153,18 @@ class MMOShard:
         app: TickApplication,
         directory: Union[str, os.PathLike],
         seed: int = 0,
-        mode: str = "serial",
     ) -> ShardRecovery:
         """Recover both halves of a crashed shard.
 
         The game world comes back via checkpoint restore + logical-log
-        replay (``mode`` selects the :class:`RecoveryManager` strategy,
-        ``serial`` or ``pipelined``); the item economy via WAL snapshot +
-        redo.  Each path recovers exactly its own committed state -- the
-        game loses nothing (every tick is logged), the economy loses nothing
-        that was acknowledged.
+        replay; the item economy via WAL snapshot + redo.  Each path
+        recovers exactly its own committed state -- the game loses nothing
+        (every tick is logged), the economy loses nothing that was
+        acknowledged.
         """
         directory = os.fspath(directory)
         game_report = RecoveryManager(
-            app, os.path.join(directory, GAME_SUBDIRECTORY), seed=seed,
-            mode=mode,
+            app, os.path.join(directory, GAME_SUBDIRECTORY), seed=seed
         ).recover()
         persistence = PersistenceServer.recover(
             os.path.join(directory, PERSISTENCE_SUBDIRECTORY)

@@ -79,7 +79,6 @@ def render(snapshot: Dict) -> str:
         read = recovery.get("recovery_bytes_read", 0)
         lines.append(
             "rcvy  completed={recoveries_completed} "
-            "stalls={recovery_stalls} "
             "bytes={recovery_bytes_restored} read={read}{amp} "
             "replay={recovery_replay_ticks}t".format(
                 read=read,

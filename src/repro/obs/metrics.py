@@ -450,7 +450,6 @@ class MetricsRegistry:
 #: Process-wide counters with no better home (recovery runs, trace drops).
 GLOBAL_METRIC_SPECS: Tuple[MetricSpec, ...] = (
     MetricSpec("recoveries_completed", COUNTER),
-    MetricSpec("recovery_stalls", COUNTER),
     MetricSpec("recovery_bytes_restored", COUNTER),
     MetricSpec("recovery_bytes_read", COUNTER),
     MetricSpec("recovery_replay_ticks", COUNTER),

@@ -138,7 +138,7 @@ class FleetTelemetry:
     max_checkpoint_age_ticks: int
     ring_high_water_bytes: int
     pool: Optional[PoolTelemetry] = None
-    #: Process-global recovery counters (stalls, bytes restored, ...).
+    #: Process-global recovery counters (bytes restored, bytes read, ...).
     recovery: Dict[str, int] = field(default_factory=dict)
     #: Gateway serving counters, when served through a front door.
     gateway: Optional[Dict[str, int]] = None
@@ -177,7 +177,6 @@ def recovery_counters() -> Dict[str, int]:
     row = global_registry()
     return {
         "recoveries_completed": row.value("recoveries_completed"),
-        "recovery_stalls": row.value("recovery_stalls"),
         "recovery_bytes_restored": row.value("recovery_bytes_restored"),
         "recovery_bytes_read": row.value("recovery_bytes_read"),
         "recovery_replay_ticks": row.value("recovery_replay_ticks"),

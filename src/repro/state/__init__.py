@@ -26,7 +26,6 @@ from repro.state.dirty import (
     DoubleBackupBits,
     EpochSet,
     PolarityBitmap,
-    RegionResidency,
 )
 from repro.state.ring import SharedCommandRing, ring_slots
 from repro.state.shared import (
@@ -42,7 +41,6 @@ __all__ = [
     "EpochSet",
     "GameStateTable",
     "PolarityBitmap",
-    "RegionResidency",
     "SharedArena",
     "SharedCommandRing",
     "SharedGameStateTable",

@@ -1,7 +1,7 @@
 """Dirty-tracking structures shared by all checkpointing algorithms.
 
 :func:`unique_ids` is the one id dedupe; the bit and stamp writes below take
-ids as they come, repeats included.  Five structures live here:
+ids as they come, repeats included.  Four structures live here:
 
 * :class:`PolarityBitmap` -- one bit per atomic object with an O(1)
   "invert interpretation" operation.  Dribble-and-Copy-on-Update flips the
@@ -18,9 +18,6 @@ ids as they come, repeats included.  Five structures live here:
   made real).  The mutator and the asynchronous writer thread both acquire
   the stripes covering a batch of objects in sorted order, so old-value
   saves and checkpoint reads of the same objects never interleave.
-* :class:`RegionResidency` -- restore-side residency tracking for pipelined
-  recovery: a bitmap of installed atomic objects plus a watermark that the
-  replay thread compares against a tick's object scope before running it.
 """
 
 from __future__ import annotations
@@ -82,18 +79,6 @@ class PolarityBitmap:
         """Clear the logical bit for each id in ``ids``."""
         self._raw[ids] = self._inverted
 
-    def set_range(self, start: int, stop: int) -> None:
-        """Set the logical bits for the contiguous range ``[start, stop)``.
-
-        A slice store, so streaming consumers marking id-contiguous regions
-        pay one memset instead of a fancy-indexed scatter.
-        """
-        self._raw[start:stop] = not self._inverted
-
-    def clear_range(self, start: int, stop: int) -> None:
-        """Clear the logical bits for the contiguous range ``[start, stop)``."""
-        self._raw[start:stop] = self._inverted
-
     def set_all(self) -> None:
         """Set every logical bit (O(n): rewrites the raw array)."""
         self._raw.fill(not self._inverted)
@@ -135,94 +120,6 @@ class PolarityBitmap:
     def set_ids(self) -> np.ndarray:
         """Sorted array of ids whose logical bit is set."""
         return np.flatnonzero(self.values())
-
-
-class RegionResidency:
-    """Tracks which atomic objects of a restoring shard are resident.
-
-    The pipelined restorer installs checkpoint regions while log replay is
-    already running; replay may only touch objects whose image bytes have
-    landed.  Residency is a :class:`PolarityBitmap` plus a *watermark*: the
-    smallest object id not yet resident, i.e. objects ``[0, watermark)`` are
-    all installed.  Streams that arrive in ascending id order (both disk
-    organizations yield regions that way) advance the watermark in O(1) per
-    region; out-of-order marks are absorbed and the watermark jumps across
-    any contiguous stretch they completed.
-
-    Thread-safe: the installer thread calls :meth:`mark_resident`, the
-    replay thread calls :meth:`wait_for` / reads :attr:`watermark`.
-    """
-
-    def __init__(self, num_objects: int) -> None:
-        if num_objects <= 0:
-            raise ConfigurationError(
-                f"num_objects must be positive, got {num_objects}"
-            )
-        self._num_objects = num_objects
-        self._bitmap = PolarityBitmap(num_objects)
-        self._watermark = 0
-        self._condition = threading.Condition()
-
-    @property
-    def num_objects(self) -> int:
-        """Number of atomic objects tracked."""
-        return self._num_objects
-
-    @property
-    def watermark(self) -> int:
-        """Smallest object id not yet resident (``num_objects`` = all in)."""
-        return self._watermark
-
-    @property
-    def complete(self) -> bool:
-        """True once every object is resident."""
-        return self._watermark >= self._num_objects
-
-    def is_resident(self, ids) -> np.ndarray:
-        """Boolean array: residency of each id in ``ids``."""
-        return self._bitmap.test(ids)
-
-    def mark_resident(self, start: int, stop: int) -> int:
-        """Mark objects ``[start, stop)`` resident; returns the watermark.
-
-        Wakes any :meth:`wait_for` callers whose threshold the new watermark
-        satisfies.
-        """
-        if start < 0 or stop > self._num_objects:
-            raise ConfigurationError(
-                f"range [{start}, {stop}) outside [0, {self._num_objects})"
-            )
-        with self._condition:
-            self._bitmap.set_range(start, stop)
-            if start <= self._watermark < stop:
-                # In-order arrival: extend past the region, then absorb any
-                # out-of-order regions that were waiting just beyond it.
-                tail = self._bitmap.values()[stop:]
-                if tail.size == 0:
-                    mark = self._num_objects
-                else:
-                    first_clear = int(np.argmin(tail))
-                    # argmin returns 0 on an all-True tail, too.
-                    mark = (
-                        self._num_objects
-                        if tail[first_clear]
-                        else stop + first_clear
-                    )
-                self._watermark = mark
-                self._condition.notify_all()
-            return self._watermark
-
-    def wait_for(self, needed: int, timeout: float = None) -> bool:
-        """Block until objects ``[0, needed)`` are resident.
-
-        Returns True immediately (without blocking) if they already are;
-        otherwise waits and returns whether the threshold was reached before
-        ``timeout`` (None = wait forever).
-        """
-        with self._condition:
-            return self._condition.wait_for(
-                lambda: self._watermark >= needed, timeout
-            )
 
 
 class EpochSet:

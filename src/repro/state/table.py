@@ -204,44 +204,9 @@ class GameStateTable:
         payloads = np.frombuffer(raw, dtype=self._dtype)
         self.write_objects(object_ids, payloads)
 
-    def load_object_range(self, start: int, count: int, raw) -> None:
-        """Install payload bytes for the id-contiguous run ``[start, start+count)``.
-
-        The zero-copy fast path for streamed restore regions: one contiguous
-        slice assignment from a ``np.frombuffer`` view of ``raw``, with no
-        fancy-index scatter and no staging copy.
-        """
-        if start < 0 or count < 0 or start + count > self._geometry.num_objects:
-            raise GeometryError(
-                f"object range [{start}, {start + count}) outside "
-                f"[0, {self._geometry.num_objects})"
-            )
-        data = np.frombuffer(raw, dtype=self._dtype)
-        cells_per_object = self._geometry.cells_per_object
-        if data.size != count * cells_per_object:
-            raise GeometryError(
-                f"payload has {data.size} cells, range expects "
-                f"{count * cells_per_object}"
-            )
-        base = start * cells_per_object
-        self._buffer[base: base + data.size] = data
-
     def full_image(self) -> bytes:
         """Raw bytes of the entire padded state -- one full checkpoint image."""
         return self._buffer.tobytes()
-
-    def load_full_image(self, raw) -> None:
-        """Install a full checkpoint image produced by :meth:`full_image`.
-
-        Accepts any contiguous bytes-like buffer (``bytes``, ``bytearray``,
-        ``memoryview``) without a staging copy.
-        """
-        data = np.frombuffer(raw, dtype=self._dtype)
-        if data.size != self._buffer.size:
-            raise GeometryError(
-                f"image has {data.size} cells, table expects {self._buffer.size}"
-            )
-        self._buffer[:] = data
 
     # ------------------------------------------------------------------
     # Whole-table operations

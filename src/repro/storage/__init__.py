@@ -19,12 +19,11 @@ real:
 
 from repro.storage.action_log import ActionLog, TickRecord
 from repro.storage.checkpoint_log import CheckpointLogStore
-from repro.storage.double_backup import DoubleBackupStore, StreamingRestore
+from repro.storage.double_backup import DoubleBackupStore
 
 __all__ = [
     "ActionLog",
     "CheckpointLogStore",
     "DoubleBackupStore",
-    "StreamingRestore",
     "TickRecord",
 ]

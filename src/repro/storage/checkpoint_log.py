@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -39,10 +39,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.obs.trace import get_tracer
-from repro.state.dirty import unique_ids
 from repro.storage.double_backup import (
-    RESTORE_REGION_OBJECTS,
-    StreamingRestore,
     resolve_fsync_policy,
     restore_destination,
 )
@@ -645,123 +642,6 @@ class CheckpointLogStore:
                 return None
         out_rows[~seen] = 0
         return None
-
-    def restore_image_streaming(
-        self, region_objects: Optional[int] = None
-    ) -> StreamingRestore:
-        """Newest committed checkpoint as a :class:`StreamingRestore`.
-
-        The range a restore relies on (newest full dump through the target's
-        COMMIT) is verified in full first, by the same copy-free reader as
-        :meth:`restore_image`.  One metadata pass then resolves, for every
-        object, which OBJECTS record of that range holds its latest committed
-        version, entirely with sorted numpy id arrays -- no per-object Python
-        loop.  The regions iterator reads only the winning payload spans via
-        positioned reads, in ascending object-id order; objects never written
-        (possible only if the log lacks a full dump) come out zero-filled.
-        """
-        if region_objects is None:
-            region_objects = RESTORE_REGION_OBJECTS
-        if region_objects <= 0:
-            raise StorageError(
-                f"region_objects must be positive, got {region_objects}"
-            )
-        records, history = self._verified_history(self._read_fd())
-        target = history[-1]
-        # Runs in replay order: file order, which is epoch order and
-        # submission order within a checkpoint.  Later runs beat earlier
-        # ones for duplicated ids.
-        runs: List[Tuple[int, int]] = [
-            (records[index].offset + RECORD_HEADER_BYTES, records[index].b)
-            for checkpoint in history
-            for index in checkpoint.object_records
-        ]
-        winners = self._resolve_winners(runs)
-        return StreamingRestore(
-            epoch=target.epoch,
-            cut_tick=target.cut_tick,
-            num_objects=self._geometry.num_objects,
-            regions=self._stream_regions(runs, winners, region_objects),
-        )
-
-    def _resolve_winners(self, runs: List[Tuple[int, int]]):
-        """Last-writer-wins resolution over ``runs`` (in apply order).
-
-        Returns ``(object_ids, run_of, pos_of)``: the sorted unique ids with
-        any committed version, and for each the index of the winning run and
-        the row position within that run's payload.
-        """
-        fd = self._read_fd()
-        ids_parts = []
-        for payload_offset, count in runs:
-            ids = np.empty(count, dtype=np.int64)
-            read = self._pread(fd, ids, payload_offset)
-            if read != ids.nbytes:
-                raise StorageError(
-                    f"log truncated reading ids at offset {payload_offset}"
-                )
-            ids_parts.append(ids)
-        if not ids_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        counts = np.array([ids.size for ids in ids_parts], dtype=np.int64)
-        part_starts = np.concatenate(([0], np.cumsum(counts)))
-        all_ids = np.concatenate(ids_parts)
-        # Stable sort keeps apply order among duplicates; keeping the last
-        # occurrence of each id selects the winning (newest) version.
-        order = np.argsort(all_ids, kind="stable")
-        sorted_ids = all_ids[order]
-        keep = np.concatenate((np.diff(sorted_ids) != 0, [True]))
-        object_ids = sorted_ids[keep]
-        source = order[keep]
-        run_of = np.searchsorted(part_starts, source, side="right") - 1
-        pos_of = source - part_starts[run_of]
-        return object_ids, run_of, pos_of
-
-    def _stream_regions(
-        self, runs, winners, region_objects: int
-    ) -> Iterator[Tuple[int, int, bytearray]]:
-        """Yield winning payloads gathered into ascending id regions.
-
-        Per region, each contributing run is read once as the span covering
-        its winning rows (one positioned read) and the rows are scattered
-        into the region buffer with a single fancy-indexed assignment.
-        """
-        object_ids, run_of, pos_of = winners
-        geometry = self._geometry
-        object_bytes = geometry.object_bytes
-        num_objects = geometry.num_objects
-        fd = self._read_fd()
-        for start in range(0, num_objects, region_objects):
-            count = min(region_objects, num_objects - start)
-            buffer = bytearray(count * object_bytes)
-            lo, hi = np.searchsorted(object_ids, (start, start + count))
-            if lo != hi:
-                region_rows = np.frombuffer(buffer, dtype=np.uint8).reshape(
-                    count, object_bytes
-                )
-                slot = object_ids[lo:hi] - start
-                run_sel = run_of[lo:hi]
-                pos_sel = pos_of[lo:hi]
-                for run_index in unique_ids(run_sel):
-                    mask = run_sel == run_index
-                    positions = pos_sel[mask]
-                    first = int(positions.min())
-                    last = int(positions.max())
-                    payload_offset, run_count = runs[run_index]
-                    span = np.empty(
-                        (last - first + 1, object_bytes), dtype=np.uint8
-                    )
-                    offset = (
-                        payload_offset + run_count * 8 + first * object_bytes
-                    )
-                    read = self._pread(fd, span, offset)
-                    if read != span.nbytes:
-                        raise StorageError(
-                            f"log truncated reading payloads at offset {offset}"
-                        )
-                    region_rows[slot[mask]] = span[positions - first]
-            yield start, count, buffer
 
     def restore_scan_bytes(self) -> int:
         """Bytes a backwards restore scan reads: from the end of the log back

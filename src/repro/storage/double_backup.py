@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -43,11 +43,6 @@ from repro.storage.layout import (
     pwrite_all,
     pwritev_all,
 )
-
-#: Default atomic objects per streamed restore region (4096 objects of the
-#: paper's 512-byte size is a 2 MiB read -- large enough to amortize the
-#: syscall, small enough that replay starts after a few milliseconds).
-RESTORE_REGION_OBJECTS = 4096
 
 #: Durability policies: ``never`` trusts the OS page cache, ``commit`` forces
 #: the data region and the COMPLETE header down at each checkpoint commit,
@@ -73,24 +68,6 @@ class ConsistentImage:
     backup_index: int
     epoch: int
     tick: int
-
-
-@dataclass
-class StreamingRestore:
-    """A consistent checkpoint exposed as an ordered stream of regions.
-
-    ``regions`` yields ``(first_object_id, object_count, payload)`` tuples in
-    strictly ascending, gap-free object-id order covering all
-    ``num_objects`` objects, where ``payload`` is a writable bytes-like
-    buffer of ``object_count * object_bytes`` bytes owned by the consumer
-    once yielded.  Both disk organizations produce this shape, so a
-    pipelined restorer is store-agnostic.
-    """
-
-    epoch: int
-    cut_tick: int
-    num_objects: int
-    regions: Iterator[Tuple[int, int, bytearray]]
 
 
 def restore_destination(out, nbytes: int):
@@ -463,50 +440,6 @@ class DoubleBackupStore:
                 f"({read} of {self._data_bytes} bytes)"
             )
         return image
-
-    def read_image_regions(
-        self, backup_index: int, region_objects: Optional[int] = None
-    ) -> Iterator[Tuple[int, int, bytearray]]:
-        """Stream one backup's data region as fixed-size object regions.
-
-        Yields ``(first_object_id, object_count, payload)`` in ascending id
-        order.  Each region is one positioned read (``os.preadv`` into a
-        fresh buffer) against the raw fd, so a background restore thread
-        never touches the buffered handle's seek position and the consumer
-        owns each buffer outright -- no whole-image materialization.
-        """
-        if region_objects is None:
-            region_objects = RESTORE_REGION_OBJECTS
-        if region_objects <= 0:
-            raise StorageError(
-                f"region_objects must be positive, got {region_objects}"
-            )
-        object_bytes = self._geometry.object_bytes
-        num_objects = self._geometry.num_objects
-        for start in range(0, num_objects, region_objects):
-            count = min(region_objects, num_objects - start)
-            buffer = bytearray(count * object_bytes)
-            offset = BACKUP_HEADER_BYTES + start * object_bytes
-            read = self._pread(backup_index, buffer, offset)
-            if read != len(buffer):
-                raise StorageError(
-                    f"backup {backup_index} data region truncated "
-                    f"({offset + read} of "
-                    f"{BACKUP_HEADER_BYTES + self._data_bytes} bytes)"
-                )
-            yield start, count, buffer
-
-    def restore_image_streaming(
-        self, region_objects: Optional[int] = None
-    ) -> StreamingRestore:
-        """Latest consistent checkpoint as a :class:`StreamingRestore`."""
-        image = self.latest_consistent()
-        return StreamingRestore(
-            epoch=image.epoch,
-            cut_tick=image.tick,
-            num_objects=self._geometry.num_objects,
-            regions=self.read_image_regions(image.backup_index, region_objects),
-        )
 
     def read_objects(self, backup_index: int, object_ids: np.ndarray) -> bytes:
         """Read selected object payloads from one backup (for inspection)."""

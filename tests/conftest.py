@@ -53,14 +53,6 @@ class RandomWalkApp(TickApplication):
         values = (table.cells[rows, columns] + rng.random(n)).astype(np.float32)
         return TickUpdatesPlan(rows=rows, columns=columns, values=values)
 
-    def tick_object_scope(self, geometry, rng, tick, commands):
-        # The cell draws come before the value draw, so replaying just the
-        # index draws on the scratch generator predicts the exact touch set.
-        n = self._updates_per_tick
-        rows = rng.integers(0, geometry.rows, n)
-        columns = rng.integers(0, geometry.columns, n)
-        return geometry.object_of_cell(geometry.cell_index(rows, columns))
-
 
 @pytest.fixture
 def random_walk_app(tiny_geometry) -> RandomWalkApp:

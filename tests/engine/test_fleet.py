@@ -106,13 +106,14 @@ class TestRecovery:
     ):
         fleet = make_fleet(app_factory, tmp_path)
         fleet.run_ticks(10)
+        live = [shard.game.table.cells.copy() for shard in fleet.shards]
         fleet.crash()
         reports = ShardFleet.recover(
             app_factory, tmp_path, 3, seed=5, parallel=True, max_workers=2
         )
         assert len(reports) == 3
-        for report in reports:
-            assert report.game.table.cells.size == GEOMETRY.num_cells
+        for report, expected in zip(reports, live):
+            assert np.array_equal(report.game.table.cells, expected)
             report.persistence.close()
 
     def test_crash_twice_rejected(self, app_factory, tmp_path):
@@ -151,52 +152,4 @@ class TestCheckpointAge:
         with pytest.raises(CheckpointWriterError):
             make_fleet(
                 app_factory, tmp_path, pool_size=1, pool_admission="lifo"
-            )
-
-
-class TestRecoveryModes:
-    def run_and_crash(self, app_factory, tmp_path, num_shards=3):
-        fleet = make_fleet(app_factory, tmp_path, num_shards=num_shards)
-        fleet.run_ticks(25, parallel=True)
-        live = [shard.game.table.cells.copy() for shard in fleet.shards]
-        fleet.crash()
-        return live
-
-    def test_all_modes_recover_identically(self, app_factory, tmp_path):
-        live = self.run_and_crash(app_factory, tmp_path)
-        for mode in ("serial", "parallel", "pipelined"):
-            reports = ShardFleet.recover(
-                app_factory, tmp_path, 3, seed=5, mode=mode
-            )
-            expected_shard_mode = (
-                "pipelined" if mode == "pipelined" else "serial"
-            )
-            for report, expected in zip(reports, live):
-                assert report.game.mode == expected_shard_mode
-                assert np.array_equal(report.game.table.cells, expected)
-                report.persistence.close()
-
-    def test_per_shard_mode_list(self, app_factory, tmp_path):
-        live = self.run_and_crash(app_factory, tmp_path)
-        reports = ShardFleet.recover(
-            app_factory, tmp_path, 3, seed=5,
-            mode=["serial", "pipelined", "serial"],
-        )
-        assert [r.game.mode for r in reports] == [
-            "serial", "pipelined", "serial"
-        ]
-        for report, expected in zip(reports, live):
-            assert np.array_equal(report.game.table.cells, expected)
-            report.persistence.close()
-
-    def test_invalid_modes_rejected(self, app_factory, tmp_path):
-        with pytest.raises(EngineError):
-            ShardFleet.recover(app_factory, tmp_path, 2, mode="warp")
-        with pytest.raises(EngineError):
-            ShardFleet.recover(
-                app_factory, tmp_path, 2, mode=["serial"]
-            )
-        with pytest.raises(EngineError):
-            ShardFleet.recover(
-                app_factory, tmp_path, 2, mode=["serial", "parallel"]
             )

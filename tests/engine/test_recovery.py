@@ -46,6 +46,7 @@ class TestExactRecovery:
             random_walk_app, victim.directory, seed=7
         ).recover()
         assert report.used_seed_fallback
+        assert report.bytes_restored == 0
         assert report.ticks_replayed == 2
         assert report.table.equals(reference.table)
         reference.close()
@@ -132,126 +133,32 @@ import os
 import numpy as np
 
 from repro.config import StateGeometry
-from repro.engine.recovery import RECOVERY_MODES
-from repro.errors import (
-    CheckpointWriterError,
-    ConfigurationError,
-    RecoveryError,
-    StorageError,
-)
+from repro.errors import CheckpointWriterError, RecoveryError, StorageError
 from repro.storage.action_log import ActionLog, TickRecord
 from repro.storage.double_backup import DoubleBackupStore
 
 
-class TestPipelinedRecovery:
-    @pytest.mark.parametrize("algorithm", ALGORITHM_KEYS)
-    def test_pipelined_matches_serial_bit_exact(
-        self, algorithm, random_walk_app, tmp_path
-    ):
-        factory = lambda: random_walk_app
-        reference, victim = run_pair(factory, tmp_path, algorithm, ticks=60)
-        serial = RecoveryManager(
-            random_walk_app, victim.directory, seed=7
-        ).recover()
-        pipelined = RecoveryManager(
-            random_walk_app, victim.directory, seed=7,
-            mode="pipelined", region_objects=4,
-        ).recover()
-        assert pipelined.table.equals(serial.table)
-        assert pipelined.table.equals(reference.table)
-        assert pipelined.next_tick == serial.next_tick == 60
-        assert pipelined.checkpoint_tick == serial.checkpoint_tick
-        assert pipelined.checkpoint_epoch == serial.checkpoint_epoch
-        reference.close()
+class TestOneRecoveryPath:
+    def test_no_second_path_grows_back(self):
+        """Recovery is restore-then-replay and nothing else: no strategy
+        argument on the manager, no reader thread or queue in its module."""
+        import inspect
+        import re
 
-    def test_pipelined_report_accounting(self, random_walk_app, tmp_path):
-        factory = lambda: random_walk_app
-        reference, victim = run_pair(factory, tmp_path, "copy-on-update",
-                                     ticks=50)
-        report = RecoveryManager(
-            random_walk_app, victim.directory, seed=7,
-            mode="pipelined", region_objects=2,
-        ).recover()
-        geometry = random_walk_app.geometry
-        assert report.mode == "pipelined"
-        assert report.bytes_restored == (
-            geometry.num_objects * geometry.object_bytes
+        import repro.engine.recovery as recovery
+
+        parameters = inspect.signature(RecoveryManager.__init__).parameters
+        assert list(parameters) == ["self", "app", "directory", "seed"]
+        assert parameters["seed"].default == 0
+        assert not re.search(
+            r"^\s*(import|from)\s+(threading|queue)\b",
+            inspect.getsource(recovery), re.MULTILINE,
         )
-        assert report.stall_count >= 0
-        assert report.stall_count <= report.ticks_replayed
-        assert report.replay_overlap_seconds >= 0
-        assert report.recovery_seconds == pytest.approx(
-            report.restore_seconds + report.replay_seconds
-        )
-        reference.close()
-
-    def test_pipelined_rng_continues_identically(
-        self, random_walk_app, tmp_path
-    ):
-        factory = lambda: random_walk_app
-        reference, victim = run_pair(factory, tmp_path, "copy-on-update",
-                                     ticks=30)
-        report = RecoveryManager(
-            random_walk_app, victim.directory, seed=7, mode="pipelined",
-        ).recover()
-        table_ref, rng_ref = reference.table, reference._rng
-        table_rec, rng_rec = report.table, report.rng
-        for tick in range(30, 33):
-            for table, rng in ((table_ref, rng_ref), (table_rec, rng_rec)):
-                plan = random_walk_app.plan_tick(table, rng, tick)
-                table.apply_updates(plan.rows, plan.columns, plan.values)
-        assert table_rec.equals(table_ref)
-        reference.close()
-
-    def test_pipelined_seed_fallback(self, random_walk_app, tmp_path):
-        factory = lambda: random_walk_app
-        reference, victim = run_pair(
-            factory, tmp_path, "copy-on-update", ticks=2,
-            writer_bytes_per_tick=64,
-        )
-        report = RecoveryManager(
-            random_walk_app, victim.directory, seed=7, mode="pipelined",
-        ).recover()
-        assert report.used_seed_fallback
-        assert report.mode == "pipelined"
-        assert report.bytes_restored == 0
-        assert report.ticks_replayed == 2
-        assert report.table.equals(reference.table)
-        reference.close()
-
-    def test_unknown_scope_app_still_exact(self, random_walk_app, tmp_path):
-        """The default tick_object_scope (None) must stay correct: every
-        tick waits for full residency, stalling at most once each."""
-
-        class OpaqueApp(type(random_walk_app)):
-            def tick_object_scope(self, geometry, rng, tick, commands):
-                return None
-
-        app = OpaqueApp(random_walk_app.geometry)
-        factory = lambda: app
-        reference, victim = run_pair(factory, tmp_path, "naive-snapshot",
-                                     ticks=40)
-        report = RecoveryManager(
-            app, victim.directory, seed=7, mode="pipelined", region_objects=8,
-        ).recover()
-        assert report.table.equals(reference.table)
-        assert report.stall_count <= report.ticks_replayed
-        reference.close()
-
-    def test_invalid_mode_rejected(self, random_walk_app, tmp_path):
-        assert set(RECOVERY_MODES) == {"serial", "pipelined"}
-        with pytest.raises(ConfigurationError):
-            RecoveryManager(random_walk_app, tmp_path, mode="threaded")
-        with pytest.raises(ConfigurationError):
-            RecoveryManager(
-                random_walk_app, tmp_path, mode="pipelined", queue_regions=0
-            )
 
 
 class TestActionLogEdgeCases:
-    @pytest.mark.parametrize("mode", ["serial", "pipelined"])
     def test_torn_tail_record_truncates_cleanly(
-        self, mode, random_walk_app, tmp_path
+        self, random_walk_app, tmp_path
     ):
         """A crash mid-append loses exactly the torn tick, nothing else."""
         factory = lambda: random_walk_app
@@ -261,11 +168,11 @@ class TestActionLogEdgeCases:
         with open(log_path, "r+b") as handle:
             handle.truncate(os.path.getsize(log_path) - 5)
         report = RecoveryManager(
-            random_walk_app, victim.directory, seed=7, mode=mode
+            random_walk_app, victim.directory, seed=7
         ).recover()
         assert report.next_tick == 39
         replica = DurableGameServer(
-            random_walk_app, tmp_path / f"replica-{mode}",
+            random_walk_app, tmp_path / "replica",
             algorithm="copy-on-update", seed=7,
         )
         replica.run_ticks(39)
@@ -273,8 +180,7 @@ class TestActionLogEdgeCases:
         replica.close()
         reference.close()
 
-    @pytest.mark.parametrize("mode", ["serial", "pipelined"])
-    def test_log_starting_after_cut_raises(self, mode, tmp_path, random_walk_app):
+    def test_log_starting_after_cut_raises(self, tmp_path, random_walk_app):
         """A checkpoint whose follow-on ticks are missing cannot replay."""
         geometry = random_walk_app.geometry
         with DoubleBackupStore(tmp_path, geometry) as store:
@@ -290,20 +196,18 @@ class TestActionLogEdgeCases:
                 tick=12, rng_state=np.random.default_rng(0).bit_generator.state
             ))
         with pytest.raises(RecoveryError, match="skips"):
-            RecoveryManager(
-                random_walk_app, tmp_path, seed=7, mode=mode
-            ).recover()
+            RecoveryManager(random_walk_app, tmp_path, seed=7).recover()
 
 
-class TestCrashMidFlushPipelined:
+class TestCrashMidFlush:
     @pytest.mark.parametrize(
         "algorithm", ["copy-on-update", "partial-redo"]
     )
-    def test_fault_injected_store_recovers_identically(
+    def test_recovers_like_a_replica(
         self, algorithm, random_walk_app, tmp_path
     ):
-        """Kill the writer mid-flush; serial and pipelined recovery must
-        agree bit-for-bit on both disk organizations."""
+        """Kill the writer mid-flush; recovery must equal a crash-free
+        replica bit-for-bit on both disk organizations."""
         server = DurableGameServer(
             random_walk_app, tmp_path / "victim", algorithm=algorithm,
             seed=7, async_writer=False, writer_bytes_per_tick=2_048,
@@ -322,28 +226,20 @@ class TestCrashMidFlushPipelined:
         assert calls["count"] > 3, "fault hook never fired"
         server.crash()
 
-        serial = RecoveryManager(
+        report = RecoveryManager(
             random_walk_app, server.directory, seed=7
         ).recover()
-        pipelined = RecoveryManager(
-            random_walk_app, server.directory, seed=7,
-            mode="pipelined", region_objects=4,
-        ).recover()
-        assert pipelined.table.equals(serial.table)
-        assert pipelined.next_tick == serial.next_tick
-        assert pipelined.checkpoint_tick == serial.checkpoint_tick
-        # And both match a crash-free replica of the same tick count.
         replica = DurableGameServer(
             random_walk_app, tmp_path / "replica", algorithm=algorithm,
             seed=7,
         )
-        replica.run_ticks(serial.next_tick)
-        assert serial.table.equals(replica.table)
+        replica.run_ticks(report.next_tick)
+        assert report.table.equals(replica.table)
         replica.close()
 
 
 class TestRestoreIntoTheTable:
-    """Serial recovery hands the stores the table's own memory: nothing
+    """Recovery hands the stores the table's own memory: nothing
     image-sized is staged on the way."""
 
     #: 4 MiB of state in 512-byte objects (8192 of them).
@@ -407,10 +303,6 @@ class TestRestoreIntoTheTable:
             assert row.value("recovery_bytes_restored") == (
                 report.bytes_restored
             )
-            piped = RecoveryManager(
-                app, directory, seed=3, mode="pipelined"
-            ).recover()
-            assert piped.bytes_read >= piped.bytes_restored
         finally:
             reset_global_registry()
 

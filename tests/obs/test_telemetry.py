@@ -95,7 +95,7 @@ class TestAssembly:
         snapshot = assemble_fleet_telemetry("thread", [], [])
         assert snapshot.recovery["recoveries_completed"] == 2
         assert snapshot.recovery["recovery_replay_ticks"] == 40
-        assert recovery_counters()["recovery_stalls"] == 0
+        assert recovery_counters()["recovery_bytes_read"] == 0
 
     def test_dump_shows_read_amplification(self):
         from repro.obs.dump import render

@@ -48,39 +48,3 @@ def test_crash_recovery_is_bit_exact(
     assert report.next_tick == ticks
     assert report.table.equals(reference.table)
     reference.close()
-
-
-@given(
-    algorithm=st.sampled_from(ALGORITHM_KEYS),
-    ticks=st.integers(min_value=1, max_value=48),
-    updates_per_tick=st.integers(min_value=0, max_value=60),
-    writer_bytes=st.sampled_from([64, 512, 4_096, None]),
-    seed=st.integers(min_value=0, max_value=2**16),
-    region_objects=st.sampled_from([1, 3, 8, None]),
-)
-@settings(max_examples=40, deadline=None)
-def test_pipelined_recovery_matches_serial_bit_exact(
-    tmp_path_factory, algorithm, ticks, updates_per_tick, writer_bytes, seed,
-    region_objects,
-):
-    """For any algorithm, crash point, and region granularity, pipelined
-    recovery reconstructs the exact table serial recovery does."""
-    app = RandomWalkApp(GEOMETRY, updates_per_tick=updates_per_tick)
-    base = tmp_path_factory.mktemp("pipelined")
-
-    victim = DurableGameServer(
-        app, base / "victim", algorithm=algorithm, seed=seed,
-        writer_bytes_per_tick=writer_bytes,
-    )
-    victim.run_ticks(ticks)
-    victim.crash()
-
-    serial = RecoveryManager(app, victim.directory, seed=seed).recover()
-    pipelined = RecoveryManager(
-        app, victim.directory, seed=seed, mode="pipelined",
-        region_objects=region_objects,
-    ).recover()
-    assert pipelined.table.equals(serial.table)
-    assert pipelined.next_tick == serial.next_tick == ticks
-    assert pipelined.checkpoint_tick == serial.checkpoint_tick
-    assert pipelined.used_seed_fallback == serial.used_seed_fallback

@@ -12,7 +12,6 @@ from repro.state.dirty import (
     DoubleBackupBits,
     EpochSet,
     PolarityBitmap,
-    RegionResidency,
     StripeLockSet,
     unique_ids,
 )
@@ -283,75 +282,3 @@ class TestStripeLockSet:
             order.append("holder")
         thread.join(timeout=5.0)
         assert order == ["holder", "contender"]
-
-
-class TestPolarityBitmapRanges:
-    def test_set_and_clear_range(self):
-        bitmap = PolarityBitmap(10)
-        bitmap.set_range(2, 6)
-        assert bitmap.set_ids().tolist() == [2, 3, 4, 5]
-        bitmap.clear_range(3, 5)
-        assert bitmap.set_ids().tolist() == [2, 5]
-
-    def test_ranges_honor_inversion(self):
-        bitmap = PolarityBitmap(6, fill=True)
-        bitmap.clear_range(0, 3)
-        assert bitmap.set_ids().tolist() == [3, 4, 5]
-        bitmap.flip_all()
-        assert bitmap.set_ids().tolist() == [0, 1, 2]
-        bitmap.set_range(4, 6)
-        assert bitmap.set_ids().tolist() == [0, 1, 2, 4, 5]
-
-
-class TestRegionResidency:
-    def test_starts_empty(self):
-        residency = RegionResidency(8)
-        assert residency.watermark == 0
-        assert not residency.complete
-        assert not residency.is_resident([0, 7]).any()
-
-    def test_in_order_marks_advance_watermark(self):
-        residency = RegionResidency(10)
-        assert residency.mark_resident(0, 4) == 4
-        assert residency.mark_resident(4, 10) == 10
-        assert residency.complete
-
-    def test_out_of_order_marks_absorbed_at_the_gap(self):
-        residency = RegionResidency(12)
-        residency.mark_resident(8, 12)
-        assert residency.watermark == 0
-        residency.mark_resident(4, 8)
-        assert residency.watermark == 0
-        # Filling the front absorbs both waiting regions in one jump.
-        assert residency.mark_resident(0, 4) == 12
-        assert residency.complete
-
-    def test_wait_for_returns_immediately_when_satisfied(self):
-        residency = RegionResidency(4)
-        residency.mark_resident(0, 3)
-        assert residency.wait_for(3)
-        assert not residency.wait_for(4, timeout=0.01)
-
-    def test_wait_for_wakes_on_mark(self):
-        import threading
-
-        residency = RegionResidency(6)
-        done = []
-
-        def waiter():
-            done.append(residency.wait_for(6, timeout=10.0))
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        residency.mark_resident(0, 6)
-        thread.join(timeout=10.0)
-        assert done == [True]
-
-    def test_invalid_ranges_rejected(self):
-        residency = RegionResidency(4)
-        with pytest.raises(ConfigurationError):
-            residency.mark_resident(-1, 2)
-        with pytest.raises(ConfigurationError):
-            residency.mark_resident(0, 5)
-        with pytest.raises(ConfigurationError):
-            RegionResidency(0)

@@ -129,12 +129,8 @@ class TestFullImage:
         image = table.full_image()
         assert len(image) == table.geometry.checkpoint_bytes
         clone = GameStateTable(table.geometry, dtype=table.dtype)
-        clone.load_full_image(image)
+        clone.image_buffer()[:] = image
         assert clone.equals(table)
-
-    def test_load_rejects_wrong_size(self, table):
-        with pytest.raises(GeometryError):
-            table.load_full_image(b"\x00" * 4)
 
 
 class TestCopyAndEquality:
@@ -160,28 +156,6 @@ class TestCopyAndEquality:
 
 
 class TestObjectRangeLoads:
-    def test_load_object_range_round_trip(self, table):
-        table.flat[:] = np.arange(100, dtype=np.uint32)
-        raw = bytes(table.object_bytes(np.array([2, 3, 4])))
-        table.flat[:] = 0
-        table.load_object_range(2, 3, raw)
-        assert table.flat[32:80].tolist() == list(range(32, 80))
-        assert table.flat[0] == 0
-
-    def test_load_object_range_accepts_memoryview_and_bytearray(self, table):
-        payload = bytearray(2 * 64)
-        payload[:4] = (123).to_bytes(4, "little")
-        table.load_object_range(0, 2, memoryview(payload))
-        assert table.flat[0] == 123
-
-    def test_load_object_range_bounds_checked(self, table):
-        with pytest.raises(GeometryError):
-            table.load_object_range(6, 2, bytes(2 * 64))
-        with pytest.raises(GeometryError):
-            table.load_object_range(-1, 1, bytes(64))
-        with pytest.raises(GeometryError):
-            table.load_object_range(0, 2, bytes(64))
-
     def test_object_bytes_is_single_copy_view(self, table):
         table.flat[:] = np.arange(100, dtype=np.uint32)
         raw = table.object_bytes(np.array([1]))
@@ -202,13 +176,6 @@ class TestObjectRangeLoads:
         # No copy: a write through the view is a write to the table.
         view[4 * 99: 4 * 100] = (1234).to_bytes(4, "little")
         assert table.cells[9, 9] == 1234
-
-    def test_load_full_image_accepts_memoryview(self, table):
-        table.flat[:] = np.arange(100, dtype=np.uint32)
-        image = bytearray(table.full_image())
-        table.flat[:] = 0
-        table.load_full_image(memoryview(image))
-        assert table.flat[99] == 99
 
 
 class TestValidateFastPath:
