@@ -6,8 +6,8 @@ acks back out -- and reports what a player would measure.  Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_frontdoor.py --smoke
 
-Results merge into ``BENCH_engine.json`` under the ``frontdoor`` key
-(read-modify-write, so the other benchmarks' sections survive).
+Results merge into ``BENCH_frontdoor.json`` under the ``frontdoor`` key
+(read-modify-write, so anything else in the file survives).
 
 Three scenarios:
 
@@ -355,7 +355,7 @@ def run_crash_serve(workdir, seed: int, backend: str, num_clients: int,
 
 
 def merge_results(out_path: str, section: dict) -> None:
-    """Insert the frontdoor section into BENCH_engine.json in place."""
+    """Insert the frontdoor section into BENCH_frontdoor.json in place."""
     results = {}
     if os.path.exists(out_path):
         with open(out_path) as handle:
@@ -377,9 +377,9 @@ def main(argv=None) -> int:
                              "CPU-derived default)")
     parser.add_argument("--duration", type=float, default=None,
                         help="seconds of load per point")
-    parser.add_argument("--out", default="BENCH_engine.json",
+    parser.add_argument("--out", default="BENCH_frontdoor.json",
                         help="results JSON to merge into (default "
-                             "BENCH_engine.json)")
+                             "BENCH_frontdoor.json)")
     parser.add_argument("--workdir", default=None,
                         help="scratch directory (default: a temp dir)")
     parser.add_argument("--seed", type=int, default=0)

@@ -5,7 +5,7 @@ Unlike the analytic simulator, this package moves actual bytes: the
 :class:`~repro.engine.app.TickApplication` tick by tick, checkpointing its
 :class:`~repro.state.table.GameStateTable` to real files through any of the
 six algorithms -- serially on the game thread, or overlapped with ticks by
-the :class:`~repro.engine.writer.AsyncCheckpointWriter` thread -- logging
+a :class:`~repro.engine.writer_pool.CheckpointWriterPool` worker -- logging
 every tick to the logical :class:`~repro.storage.action_log.ActionLog`, and
 surviving crashes: :class:`~repro.engine.recovery.RecoveryManager` restores
 the newest consistent checkpoint and replays the log to the exact crash
@@ -29,11 +29,10 @@ from repro.engine.recovery import (
 )
 from repro.engine.server import DurableGameServer
 from repro.engine.shard import MMOShard, ShardRecovery
-from repro.engine.writer import AsyncCheckpointWriter, CheckpointJob, WriterStats
+from repro.engine.writer import CheckpointJob, WriterStats
 from repro.engine.writer_pool import CheckpointWriterPool, PoolStats, PoolWriter
 
 __all__ = [
-    "AsyncCheckpointWriter",
     "FLEET_BACKENDS",
     "CheckpointJob",
     "CheckpointWriterPool",

@@ -9,12 +9,13 @@ executor, but instead of charging model costs it
 * writes checkpoints to a real :class:`~repro.storage.DoubleBackupStore` or
   :class:`~repro.storage.CheckpointLogStore` -- either by draining a bounded
   number of bytes per tick on the game thread (the deterministic serial
-  emulation), or, with ``async_writer=True``, by handing each checkpoint to
-  an :class:`~repro.engine.writer.AsyncCheckpointWriter` thread that overlaps
-  the I/O with subsequent ticks, as in the paper's Figure 1 architecture, or
-  -- with ``writer_pool`` set -- by submitting through a shared
-  :class:`~repro.engine.writer_pool.CheckpointWriterPool` handle so a whole
-  fleet of executors is served by ``O(pool_size)`` writer threads.
+  emulation), or -- with ``writer_pool`` set -- by submitting each
+  checkpoint through a
+  :class:`~repro.engine.writer_pool.CheckpointWriterPool` handle, whose
+  worker overlaps the I/O with subsequent ticks as in the paper's Figure 1
+  architecture (a whole fleet of executors is served by ``O(pool_size)``
+  writer threads), or through a pre-built ``writer`` (the process backend's
+  checkpoint proxy).
 
 The consistency argument mirrors the paper's: every object in the write set
 is emitted either from the snapshot buffer (if it was updated after the cut;
@@ -42,11 +43,7 @@ import numpy as np
 
 from repro.core.framework import SubroutineExecutor
 from repro.core.plan import CheckpointPlan, UpdateEffects
-from repro.engine.writer import (
-    DEFAULT_CHUNK_OBJECTS,
-    AsyncCheckpointWriter,
-    CheckpointJob,
-)
+from repro.engine.writer import CheckpointJob
 from repro.engine.writer_pool import CheckpointWriterPool, PoolWriter
 from repro.errors import EngineError
 from repro.state.dirty import StripeLockSet
@@ -65,9 +62,7 @@ class RealExecutor(SubroutineExecutor):
         table: GameStateTable,
         store: StoreType,
         writer_bytes_per_tick: Optional[int] = None,
-        async_writer: bool = False,
         num_stripes: int = 64,
-        writer_chunk_objects: int = DEFAULT_CHUNK_OBJECTS,
         writer_pool: Optional[CheckpointWriterPool] = None,
         writer_name: Optional[str] = None,
         writer: Optional[object] = None,
@@ -108,20 +103,14 @@ class RealExecutor(SubroutineExecutor):
                 else None
             )
         elif writer_pool is not None:
-            # Shared-pool mode: register the store and submit through the
-            # handle; the same cut-consistency protocol applies, the flush
-            # just runs on one of the pool's workers instead of a dedicated
-            # thread.
+            # Pool mode: register the store and submit through the handle;
+            # the flush runs on one of the pool's workers under the
+            # stripe-lock cut-consistency protocol.
             self._locks: Optional[StripeLockSet] = StripeLockSet(
                 num_objects, num_stripes
             )
-            self._writer: Optional[Union[AsyncCheckpointWriter, PoolWriter]] = (
-                writer_pool.register(store, name=writer_name)
-            )
-        elif async_writer:
-            self._locks = StripeLockSet(num_objects, num_stripes)
-            self._writer = AsyncCheckpointWriter(
-                store, chunk_objects=writer_chunk_objects
+            self._writer: Optional[PoolWriter] = writer_pool.register(
+                store, name=writer_name
             )
         else:
             self._locks = None
@@ -145,8 +134,8 @@ class RealExecutor(SubroutineExecutor):
         return self._store
 
     @property
-    def writer(self) -> Optional[Union[AsyncCheckpointWriter, PoolWriter]]:
-        """The writer thread or shared-pool handle, or None in serial mode."""
+    def writer(self) -> Optional[PoolWriter]:
+        """The pool handle (or pre-built writer), or None in serial mode."""
         return self._writer
 
     def writer_totals(self) -> Tuple[int, float]:
@@ -370,7 +359,7 @@ class RealExecutor(SubroutineExecutor):
     # ------------------------------------------------------------------
 
     def shutdown(self, wait: bool = True, timeout: float = 30.0) -> None:
-        """Stop the asynchronous writer thread (no-op in serial mode).
+        """Retire the writer handle (no-op in serial mode).
 
         ``wait=True`` lets an in-flight checkpoint commit first; ``wait=False``
         abandons it at the next chunk boundary (crash semantics).

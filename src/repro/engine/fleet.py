@@ -4,21 +4,19 @@ The paper's deployment unit is the shard: "the game world is partitioned
 into mostly-independent areas" each served by its own game server (Section
 1).  :class:`ShardFleet` runs ``N`` :class:`~repro.engine.shard.MMOShard`
 instances against one root directory, each shard with its own durable state
-and deterministic seed.  Checkpoint I/O runs in one of two shapes:
+and deterministic seed.  Checkpoint I/O has one asynchronous shape:
+``pool_size=K`` gives the fleet one shared
+:class:`~repro.engine.writer_pool.CheckpointWriterPool` that serves every
+shard, so it runs ``N`` mutator threads plus ``K`` writer threads
+(``O(pool_size)``, not ``O(num_shards)``), with batched submission and
+oldest-cut-first service.  Without ``pool_size`` the thread backend drains
+each checkpoint on its shard's game thread (the deterministic serial
+emulation).
 
-* ``pool_size=K`` (the production shape) -- one shared
-  :class:`~repro.engine.writer_pool.CheckpointWriterPool` serves every
-  shard, so the fleet runs ``N`` mutator threads plus ``K`` writer threads
-  (``O(pool_size)``, not ``O(num_shards)``), with batched submission and
-  per-shard fairness;
-* ``pool_size=None, async_writer=True`` (the PR 2 fallback) -- every shard
-  keeps its own :class:`~repro.engine.writer.AsyncCheckpointWriter` thread,
-  up to ``2 N`` threads total.
-
-Both shapes run the mutators as *threads*, which caps aggregate throughput
-at roughly one core (the GIL serializes the tick loops however many shards
-run).  ``backend="process"`` breaks that ceiling: each shard's mutator loop
-runs in a **worker process** whose
+The thread backend runs the mutators as *threads*, which caps aggregate
+throughput at roughly one core (the GIL serializes the tick loops however
+many shards run).  ``backend="process"`` breaks that ceiling: each shard's
+mutator loop runs in a **worker process** whose
 :class:`~repro.state.table.GameStateTable` lives in a shared-memory
 :class:`~repro.state.shared.SharedArena`, while the parent keeps the shared
 writer pool and lands every checkpoint zero-copy from the worker's staged
@@ -29,11 +27,10 @@ failure (never a fleet hang), and the checkpoint files are byte-identical
 to the threaded backend's under a deterministic schedule
 (``checkpoint_barrier=True``).
 
-The fleet is the unit the throughput benchmark drives
-(``benchmarks/bench_engine.py``): :meth:`run_ticks` advances every shard by
-the same number of ticks, either on one thread (``parallel=False``, the
-deterministic baseline) or on a thread per shard, and reports aggregate
-ticks/second.  Crash operates fleet-wide; :meth:`recover` replays every
+:meth:`run_ticks` advances every shard by the same number of ticks, either
+on one thread (``parallel=False``, the deterministic baseline) or on a
+thread per shard, and reports aggregate ticks/second.  Crash operates
+fleet-wide; :meth:`recover` replays every
 shard either serially or on a recovery thread pool with deterministic,
 index-ordered result assembly.
 """
@@ -231,8 +228,6 @@ class ShardFleet:
         pool_size: Optional[int] = None,
         pool_max_pending: Optional[int] = None,
         pool_batch_jobs: int = 8,
-        pool_admission: str = "staleness",
-        pool_coalesce: bool = True,
         backend: str = "thread",
         command_ring_bytes: int = DEFAULT_RING_BYTES,
         metrics: bool = True,
@@ -269,18 +264,17 @@ class ShardFleet:
         self._ring_hwm_gauges = []
         #: Per-shard trace rings the workers serialize span events into.
         self._trace_rings: List[SharedCommandRing] = []
-        if backend == "process":
+        if backend == "process" and pool_size is None:
             # The parent always flushes through a shared pool; a fleet that
             # did not ask for one gets a small default crew.
-            if pool_size is None:
-                pool_size = 2
+            pool_size = 2
+        if pool_size is not None:
             self._pool = CheckpointWriterPool(
                 pool_size,
                 max_pending=pool_max_pending,
                 batch_jobs=pool_batch_jobs,
-                admission=pool_admission,
-                coalesce=pool_coalesce,
             )
+        if backend == "process":
             try:
                 self._start_workers(
                     app_factory, algorithm, seed, dict(shard_kwargs)
@@ -290,18 +284,9 @@ class ShardFleet:
                 raise
             self._crashed = False
             return
-        if pool_size is not None:
-            self._pool = CheckpointWriterPool(
-                pool_size,
-                max_pending=pool_max_pending,
-                batch_jobs=pool_batch_jobs,
-                admission=pool_admission,
-                coalesce=pool_coalesce,
-            )
+        if self._pool is not None:
             shard_kwargs = dict(shard_kwargs)
             shard_kwargs["writer_pool"] = self._pool
-            # The pool supersedes the one-thread-per-shard fallback.
-            shard_kwargs.pop("async_writer", None)
         try:
             for index in range(num_shards):
                 if self._pool is not None:
@@ -370,7 +355,6 @@ class ShardFleet:
         # behind; their owner pid is dead, so this reclaims them.
         reap_stale_segments()
         shard_kwargs.pop("writer_pool", None)
-        shard_kwargs.pop("async_writer", None)
         shard_kwargs.pop("writer_name", None)
         sync = shard_kwargs.get("sync", False)
         fsync_policy = shard_kwargs.get("fsync_policy")
@@ -557,21 +541,15 @@ class ShardFleet:
 
     @property
     def writer_pool(self) -> Optional[CheckpointWriterPool]:
-        """The shared checkpoint writer pool, or None in per-shard mode."""
+        """The shared checkpoint writer pool, or None when the shards drain
+        their checkpoints on their own game threads."""
         return self._pool
 
     @property
     def writer_threads(self) -> int:
-        """Total checkpoint writer threads the fleet runs.
-
-        ``pool_size`` with a pool, ``num_shards`` with per-shard async
-        writers -- the headline scaling difference the pool exists for.
-        """
-        if self._pool is not None:
-            return self._pool.num_workers
-        if self._crashed:
-            return 0
-        return sum(1 for shard in self._shards if shard.game.async_writer)
+        """Total checkpoint writer threads the fleet runs: the pool's worker
+        count, or 0 without a pool."""
+        return self._pool.num_workers if self._pool is not None else 0
 
     @property
     def alive_workers(self) -> List[bool]:

@@ -12,8 +12,8 @@ to :meth:`run_tick`:
 4. durably appends the tick's logical-log record;
 5. lets the checkpoint writer make progress -- either draining bytes on the
    game thread (serial mode) or just surfacing errors from the
-   :class:`~repro.engine.writer.AsyncCheckpointWriter` thread that overlaps
-   the I/O with game ticks (``async_writer=True``); and
+   :class:`~repro.engine.writer_pool.CheckpointWriterPool` worker that
+   overlaps the I/O with game ticks (``writer_pool=``); and
 6. runs the framework's end-of-tick boundary, finishing and starting
    checkpoints.
 
@@ -35,7 +35,6 @@ from repro.core.plan import DiskLayout
 from repro.core.registry import make_policy
 from repro.engine.app import TickApplication
 from repro.engine.executor import RealExecutor
-from repro.engine.writer import DEFAULT_CHUNK_OBJECTS
 from repro.errors import EngineError
 from repro.state.table import GameStateTable
 from repro.storage.action_log import ActionLog, TickRecord
@@ -76,9 +75,7 @@ class DurableGameServer:
         sync: bool = False,
         fsync_policy: Optional[str] = None,
         min_checkpoint_interval_ticks: int = 1,
-        async_writer: bool = False,
         num_stripes: int = 64,
-        writer_chunk_objects: int = DEFAULT_CHUNK_OBJECTS,
         writer_pool=None,
         writer_name: Optional[str] = None,
         table: Optional[GameStateTable] = None,
@@ -131,16 +128,11 @@ class DurableGameServer:
             writer_bytes_per_tick = max(
                 geometry.object_bytes, geometry.checkpoint_bytes // 16
             )
-        self._async_writer = (
-            bool(async_writer) or writer_pool is not None or writer is not None
-        )
         self._executor = RealExecutor(
             self._table,
             self._store,
             writer_bytes_per_tick=writer_bytes_per_tick,
-            async_writer=async_writer,
             num_stripes=num_stripes,
-            writer_chunk_objects=writer_chunk_objects,
             writer_pool=writer_pool,
             writer_name=writer_name,
             writer=writer,
@@ -188,9 +180,9 @@ class DurableGameServer:
 
     @property
     def async_writer(self) -> bool:
-        """True when checkpoints are flushed off the game thread (a
-        dedicated writer thread or a shared writer pool)."""
-        return self._async_writer
+        """True when checkpoints are flushed off the game thread (a writer
+        pool handle or a pre-built writer)."""
+        return self._executor.writer is not None
 
     @property
     def last_committed_checkpoint_tick(self) -> Optional[int]:
@@ -200,7 +192,7 @@ class DurableGameServer:
         so the executor's in-memory tracking is consulted instead of the
         files.
         """
-        if self._async_writer:
+        if self.async_writer:
             return self._executor.last_committed_tick
         try:
             if isinstance(self._store, DoubleBackupStore):

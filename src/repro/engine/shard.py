@@ -53,8 +53,8 @@ class MMOShard:
     ) -> None:
         """``writer_pool`` (a
         :class:`~repro.engine.writer_pool.CheckpointWriterPool`) makes the
-        game server submit its checkpoints through the shared pool instead
-        of a private writer thread; the pool is owned by the caller
+        game server submit its checkpoints through the pool instead of
+        draining them on the game thread; the pool is owned by the caller
         (typically :class:`~repro.engine.fleet.ShardFleet`) and survives
         this shard's crash/close."""
         self._directory = os.fspath(directory)

@@ -138,7 +138,7 @@ class WorkerCheckpointProxy:
     """The worker-side writer: stages payloads, then hands off to the parent.
 
     Duck-types the mutator surface of
-    :class:`~repro.engine.writer.AsyncCheckpointWriter` (``submit`` /
+    :class:`~repro.engine.writer_pool.PoolWriter` (``submit`` /
     ``check`` / ``idle`` / ``wait_idle`` / ``stats`` / ``last_committed`` /
     ``close``) so :class:`~repro.engine.executor.RealExecutor` plugs it in
     unchanged.  ``concurrent_reader = False`` tells the executor that nobody

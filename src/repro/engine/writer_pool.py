@@ -1,67 +1,52 @@
-"""A shared checkpoint writer pool: K worker threads for a whole fleet.
+"""The checkpoint writer pool: K worker threads, the only asynchronous writer.
 
-PR 2 gave every shard its own :class:`~repro.engine.writer.AsyncCheckpointWriter`
-thread.  That is the paper's Figure 1 shape for a single game server, but it
-does not scale to production shard counts: at ``num_shards=64`` the process
-runs 64 writer threads that mostly idle between checkpoint cadence points,
-and the kernel sees 64 uncoordinated I/O streams.  The pool replaces them
-with a fixed crew:
+"We write the state to stable storage asynchronously" (Section 3.2): every
+checkpoint that is flushed off the game thread is a job on this pool.  One
+game server registers on a pool of one worker; a fleet of ``N`` shards
+shares ``K`` workers, so the process runs ``O(pool_size)`` writer threads,
+not ``O(num_shards)`` threads that mostly idle between cadence points.
 
-* **K worker threads shared by all shards.**  Each shard registers its store
-  and receives a :class:`PoolWriter` handle whose mutator-side surface
-  (``submit`` / ``check`` / ``idle`` / ``wait_idle`` / ``stats`` / ``close``)
-  is interchangeable with :class:`~repro.engine.writer.AsyncCheckpointWriter`,
-  so :class:`~repro.engine.executor.RealExecutor` and the validation harness
-  plug in either without caring which.  Total writer thread count is
-  ``O(pool_size)``, not ``O(num_shards)``.
+* **Handles.**  Each shard registers its store and receives a
+  :class:`PoolWriter` whose mutator-side surface (``submit`` / ``check`` /
+  ``idle`` / ``wait_idle`` / ``stats`` / ``totals`` / ``close``) is what
+  :class:`~repro.engine.executor.RealExecutor` and the validation harness
+  program against.
 
-* **Bounded admission queue with per-shard fairness.**  Each handle may have
-  at most one job in flight (checkpoints are sequential per shard by
-  construction), so the ready queue holds at most one entry per shard and
-  draining it front-first is round-robin over shards -- no shard can starve
-  another's cut-consistent handoff.  ``max_pending`` bounds the queue; a
-  saturated pool pushes back on the submitting mutator (it blocks up to
-  ``admission_timeout`` seconds, then raises) instead of buffering without
-  limit.
+* **Bounded admission queue.**  Each handle may have at most one job in
+  flight (checkpoints are sequential per shard by construction), so the
+  ready queue holds at most one entry per shard.  ``max_pending`` bounds
+  the queue; a saturated pool pushes back on the submitting mutator (it
+  blocks up to ``admission_timeout`` seconds, then raises) instead of
+  buffering without limit.
 
-* **Staleness-weighted admission.**  Recovery time depends on the *age* of
-  the oldest checkpoint at crash time, not on mean throughput, so by
-  default the pool drains the queue oldest-cut-tick-first
-  (``admission="staleness"``): each queued job carries the tick its cut
-  happened at, and the worker always services the job whose cut is oldest
-  (submission order breaks ties, so equal-cadence shards still drain
-  round-robin).  Under overload this bounds the worst-case checkpoint age
-  at roughly one queue drain, where FIFO order lets a shard whose old cut
-  arrived behind a burst of fresh jobs wait arbitrarily long.
-  ``admission="fifo"`` keeps the PR 4 arrival-order behavior for
-  comparison.
+* **Oldest cut first.**  Recovery time depends on the *age* of the oldest
+  checkpoint at crash time, not on mean throughput, so each queued job
+  carries the tick its cut happened at and a worker always services the
+  job whose cut is oldest (submission order breaks ties, so equal-cadence
+  shards drain round-robin and no shard starves another).  Under overload
+  this bounds the worst-case checkpoint age at roughly one queue drain.
 
-* **Batched, coalesced flushes.**  A worker wakes up and takes a *batch*:
-  the stalest (or, under FIFO, front) job plus up to ``batch_jobs - 1``
-  more jobs whose store is the same type, flushed back-to-back
-  oldest-cut-first.  With ``coalesce=True`` (the default) each job lands
-  through the store's ``write_checkpoint_vectored`` entry point -- every
-  pending chunk of the job gathered into one iovec and written with a
-  single ``writev`` (log stores, commit marker included) or one
-  globally-sorted ``pwritev`` pass (double-backup stores), with at most
-  one data fsync per job instead of one write per chunk.  POSIX offers no
-  gathered write spanning file descriptors, so the batch lands as one
-  such gathered write per handle, back-to-back; jobs larger than
-  ``max_gather_bytes`` fall back to the chunked path rather than staging
-  huge checkpoints in memory.  The selection rule keeps the oldest
-  waiting shard in the very next batch either way.
+* **Batched, gathered flushes.**  A worker wakes up and takes a *batch*:
+  the stalest job plus up to ``batch_jobs - 1`` more jobs whose store is
+  the same type, flushed back-to-back oldest-cut-first through
+  :func:`~repro.engine.writer.flush_checkpoint_job` -- every chunk of a
+  job gathered into one iovec and written with a single ``writev`` (log
+  stores, commit marker included) or one globally-sorted ``pwritev`` pass
+  (double-backup stores), with at most one data fsync per job.  POSIX
+  offers no gathered write spanning file descriptors, so the batch lands
+  as one such gathered write per handle.  The selection rule keeps the
+  oldest waiting shard in the very next batch.
 
 * **Failure isolation.**  A store raising mid-flush poisons only its own
   handle: the error is recorded there and re-raised on *that shard's* next
-  ``check``/``submit``, the worker aborts that checkpoint (the store keeps
-  an uncommitted image, exactly the torn state recovery ignores) and moves
-  on to the other shards' jobs.
+  ``check``/``submit``, the store keeps an uncommitted image (exactly the
+  torn state recovery ignores) and the worker moves on to the other
+  shards' jobs.
 
-Shutdown mirrors the single writer: ``close(wait=True)`` drains every queued
-job to commit before the workers exit; ``close(wait=False)`` / ``kill``
-abandons queued and in-flight jobs at the next chunk boundary (crash
-semantics).  A pool that cannot join its workers within the timeout raises
-rather than silently leaking threads.
+``close(wait=True)`` drains every queued job to commit before the workers
+exit; ``close(wait=False)`` / ``kill`` abandons queued and in-flight jobs at
+the next chunk boundary (crash semantics).  A pool that cannot join its
+workers within the timeout raises rather than silently leaking threads.
 """
 
 from __future__ import annotations
@@ -74,19 +59,13 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.engine.writer import (
     DEFAULT_CHUNK_OBJECTS,
-    DEFAULT_MAX_GATHER_BYTES,
     CheckpointJob,
     StoreType,
     WriterStats,
     flush_checkpoint_job,
-    flush_checkpoint_job_vectored,
 )
 from repro.errors import CheckpointWriterError
 from repro.obs.trace import get_tracer
-
-#: Queue service orders: ``staleness`` drains oldest cut tick first (bounds
-#: worst-case checkpoint age under overload), ``fifo`` drains arrival order.
-ADMISSION_POLICIES = ("staleness", "fifo")
 
 
 @dataclass
@@ -111,13 +90,9 @@ class PoolStats:
     queue_depth: int = 0
     #: Largest number of jobs ever waiting in the admission queue.
     max_queue_depth: int = 0
-    #: Jobs landed as a single gathered write / via the chunked fallback.
-    coalesced_jobs: int = 0
-    chunked_jobs: int = 0
     #: Worst service-order inversion: the cut-tick gap between the job a
-    #: worker picked and the *oldest* job then queued.  Staleness admission
-    #: holds this at zero (it always picks the oldest); FIFO lets it grow
-    #: with however much older a queued cut can be than the queue head.
+    #: worker picked and the *oldest* job then queued.  Oldest-cut-first
+    #: service holds this at zero; the property tests assert it stays there.
     max_picked_staleness_ticks: int = 0
     #: Largest per-shard checkpoint age (newest cut handed to the pool minus
     #: newest durable cut) observed at this snapshot -- the fleet-facing
@@ -126,18 +101,17 @@ class PoolStats:
 
     @property
     def mean_batch_size(self) -> float:
-        """Average jobs coalesced per worker wakeup."""
+        """Average jobs flushed per worker wakeup."""
         if not self.batches_flushed:
             return 0.0
         return self.jobs_batched / self.batches_flushed
 
 
 class PoolWriter:
-    """One shard's submission handle onto a shared writer pool.
+    """One shard's submission handle onto a writer pool.
 
-    Duck-types the mutator-side surface of
-    :class:`~repro.engine.writer.AsyncCheckpointWriter`; obtained via
-    :meth:`CheckpointWriterPool.register`, never constructed directly.
+    Obtained via :meth:`CheckpointWriterPool.register`, never constructed
+    directly.
     """
 
     def __init__(
@@ -156,7 +130,7 @@ class PoolWriter:
         self._stats = WriterStats()  # guarded by the pool lock
         self._closed = False
         # Admission bookkeeping, guarded by the pool lock: submission
-        # sequence number (FIFO order and staleness tie-break) and the
+        # sequence number (the tie-break between equal cuts) and the
         # newest cut tick this shard has handed to the pool.
         self._arrival = 0
         self._newest_cut = -1
@@ -177,7 +151,7 @@ class PoolWriter:
 
     @property
     def index(self) -> int:
-        """Registration order; batches flush in this order."""
+        """Registration order on the pool."""
         return self._index
 
     @property
@@ -286,9 +260,6 @@ class CheckpointWriterPool:
         batch_jobs: int = 8,
         chunk_objects: int = DEFAULT_CHUNK_OBJECTS,
         admission_timeout: float = 60.0,
-        admission: str = "staleness",
-        coalesce: bool = True,
-        max_gather_bytes: int = DEFAULT_MAX_GATHER_BYTES,
         name: str = "repro-ckpt-pool",
     ) -> None:
         if num_workers <= 0:
@@ -307,23 +278,11 @@ class CheckpointWriterPool:
             raise CheckpointWriterError(
                 f"chunk_objects must be positive, got {chunk_objects}"
             )
-        if admission not in ADMISSION_POLICIES:
-            raise CheckpointWriterError(
-                f"admission must be one of {ADMISSION_POLICIES}, "
-                f"got {admission!r}"
-            )
-        if max_gather_bytes <= 0:
-            raise CheckpointWriterError(
-                f"max_gather_bytes must be positive, got {max_gather_bytes}"
-            )
         self._num_workers = num_workers
         self._max_pending = max_pending
         self._batch_jobs = batch_jobs
         self._chunk = chunk_objects
         self._admission_timeout = admission_timeout
-        self._admission = admission
-        self._coalesce = coalesce
-        self._max_gather_bytes = max_gather_bytes
         self._arrival_counter = 0
         self._name = name
         self._lock = threading.Lock()
@@ -345,16 +304,6 @@ class CheckpointWriterPool:
     def num_workers(self) -> int:
         """Size of the worker crew (the total writer thread count)."""
         return self._num_workers
-
-    @property
-    def admission(self) -> str:
-        """Queue service order: ``staleness`` (default) or ``fifo``."""
-        return self._admission
-
-    @property
-    def coalesce(self) -> bool:
-        """True when jobs land as single gathered vectored writes."""
-        return self._coalesce
 
     @property
     def handles(self) -> List[PoolWriter]:
@@ -379,8 +328,6 @@ class CheckpointWriterPool:
                 batch_size_histogram=dict(self._stats.batch_size_histogram),
                 queue_depth=len(self._ready),
                 max_queue_depth=self._stats.max_queue_depth,
-                coalesced_jobs=self._stats.coalesced_jobs,
-                chunked_jobs=self._stats.chunked_jobs,
                 max_picked_staleness_ticks=(
                     self._stats.max_picked_staleness_ticks
                 ),
@@ -493,41 +440,31 @@ class CheckpointWriterPool:
     def _take_batch_locked(self) -> List[PoolWriter]:
         """Pop the most urgent job plus same-store-type jobs behind it.
 
-        Under ``staleness`` admission the most urgent job is the queued job
-        with the oldest cut tick; under ``fifo`` it is the queue head.
-        Either rule keeps the longest-waiting shard in the very next batch,
-        so a differently-typed job can be passed over at most until the
-        next wakeup, never indefinitely.
+        The most urgent job is the queued job with the oldest cut tick, so
+        the longest-lagging shard is always in the very next batch and a
+        differently-typed job can be passed over at most until the next
+        wakeup, never indefinitely.
         """
         oldest_queued_cut = min(
             handle._job.cut_tick for handle in self._ready
         )
-        if self._admission == "fifo":
-            first = self._ready.popleft()
-            followers = list(self._ready)
-        else:
-            first = min(self._ready, key=self._staleness_key)
-            self._ready.remove(first)
-            followers = sorted(self._ready, key=self._staleness_key)
+        first = min(self._ready, key=self._staleness_key)
+        self._ready.remove(first)
         picked_staleness = first._job.cut_tick - oldest_queued_cut
         if picked_staleness > self._stats.max_picked_staleness_ticks:
             self._stats.max_picked_staleness_ticks = picked_staleness
+        # The batch is built oldest cut first, so the stalest shard's
+        # checkpoint lands first and even mid-batch the worst-case age keeps
+        # shrinking.
         batch = [first]
         if self._batch_jobs > 1:
             store_type = type(first._store)
-            for handle in followers:
+            for handle in sorted(self._ready, key=self._staleness_key):
                 if len(batch) >= self._batch_jobs:
                     break
                 if type(handle._store) is store_type:
                     self._ready.remove(handle)
                     batch.append(handle)
-        if self._admission == "fifo":
-            # PR 4 behavior: deterministic shard-index order within the batch.
-            batch.sort(key=lambda handle: handle._index)
-        else:
-            # The stalest shard's checkpoint always lands first, so even
-            # mid-batch the worst-case age keeps shrinking.
-            batch.sort(key=self._staleness_key)
         self._stats.batches_flushed += 1
         self._stats.jobs_batched += len(batch)
         histogram = self._stats.batch_size_histogram
@@ -558,15 +495,6 @@ class CheckpointWriterPool:
                 handle._stats.bytes_written += nbytes
                 self._stats.bytes_written += nbytes
 
-        # Coalesce into one gathered write unless the job would stage more
-        # than max_gather_bytes in memory, then chunk it like PR 4.
-        vectored = self._coalesce and (
-            job.object_ids.size * handle._store.geometry.object_bytes
-            <= self._max_gather_bytes
-        )
-        flush = flush_checkpoint_job_vectored if vectored else (
-            flush_checkpoint_job
-        )
         started = time.perf_counter()
         try:
             if should_abandon():
@@ -578,9 +506,8 @@ class CheckpointWriterPool:
                     shard=handle.name,
                     epoch=job.epoch,
                     cut=job.cut_tick,
-                    vectored=vectored,
                 ):
-                    completed = flush(
+                    completed = flush_checkpoint_job(
                         handle._store,
                         job,
                         self._chunk,
@@ -596,16 +523,13 @@ class CheckpointWriterPool:
                     handle._stats.last_committed = (job.epoch, job.cut_tick)
                     self._stats.jobs_completed += 1
                     self._stats.busy_seconds += elapsed
-                    if vectored:
-                        self._stats.coalesced_jobs += 1
-                    else:
-                        self._stats.chunked_jobs += 1
                 else:
                     handle._stats.jobs_abandoned += 1
                     self._stats.jobs_abandoned += 1
         except BaseException as error:  # surfaced on that shard's mutator
             handle._error = error
             with self._lock:
+                handle._stats.jobs_abandoned += 1
                 self._stats.jobs_abandoned += 1
         finally:
             handle._job = None

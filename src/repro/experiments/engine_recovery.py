@@ -31,22 +31,16 @@ from repro.game.scenario import BattleScenario
 
 
 def run(scale: ExperimentScale = FULL_SCALE, seed: int = 0,
-        directory=None, async_writer: bool = False) -> FigureResult:
-    """Crash and recover the real engine under all six algorithms.
-
-    With ``async_writer=True`` the victims flush checkpoints through the
-    background writer thread -- recovery must be bit-exact either way, since
-    replay from the logical log is deterministic.
-    """
+        directory=None) -> FigureResult:
+    """Crash and recover the real engine under all six algorithms."""
     import tempfile
 
     scenario = BattleScenario(num_units=min(scale.game_units, 8_192))
     ticks = max(60, scale.num_ticks // 2)
 
-    mode = "async writer" if async_writer else "serial writer"
     table = TextTable(
         f"Measured engine recovery ({scenario.num_units:,} units, "
-        f"{ticks} ticks, {mode}, crash at the end)",
+        f"{ticks} ticks, serial writer, crash at the end)",
         ["algorithm", "ckpt cut tick", "ticks replayed", "restore",
          "replay", "total recovery", "bit-exact"],
     )
@@ -60,8 +54,7 @@ def run(scale: ExperimentScale = FULL_SCALE, seed: int = 0,
             )
             reference.run_ticks(ticks)
             victim = DurableGameServer(
-                app, f"{root}/{key}-victim", algorithm=key, seed=seed,
-                async_writer=async_writer,
+                app, f"{root}/{key}-victim", algorithm=key, seed=seed
             )
             victim.run_ticks(ticks)
             victim.crash()

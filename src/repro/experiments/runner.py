@@ -59,14 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="workload seed (default 0)"
     )
     parser.add_argument(
-        "--async-writer",
-        action="store_true",
-        help=(
-            "run engine-backed experiments with the background checkpoint "
-            "writer thread instead of the serial per-tick drain"
-        ),
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=None,
@@ -146,8 +138,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             kwargs["seed"] = args.seed
         if "engine" in accepted:
             kwargs["engine"] = SweepEngine(jobs=args.jobs, cache=cache)
-        if "async_writer" in accepted:
-            kwargs["async_writer"] = args.async_writer
         started = time.perf_counter()
         result = run_experiment(experiment_id, scale=scale, **kwargs)
         elapsed = time.perf_counter() - started

@@ -94,8 +94,6 @@ class PoolTelemetry:
     bytes_written: int
     busy_seconds: float
     mean_batch_size: float
-    coalesced_jobs: int
-    chunked_jobs: int
     max_checkpoint_age_ticks: int
 
     @classmethod
@@ -111,8 +109,6 @@ class PoolTelemetry:
             bytes_written=stats.bytes_written,
             busy_seconds=stats.busy_seconds,
             mean_batch_size=stats.mean_batch_size,
-            coalesced_jobs=stats.coalesced_jobs,
-            chunked_jobs=stats.chunked_jobs,
             max_checkpoint_age_ticks=stats.max_checkpoint_age_ticks,
         )
 

@@ -6,15 +6,14 @@ This is the Python analogue of the paper's Section 6 C++ validation setup:
   standing in for game logic), *update* (applying the trace's cell updates
   with dirty-bit maintenance and copy-on-update old-value saves), and *sleep*
   (filling the remainder so the game ticks at the configured rate);
-* the shared :class:`~repro.engine.writer.AsyncCheckpointWriter` thread --
-  the same one the durable engine runs -- flushes consistent checkpoints to
+* a :class:`~repro.engine.writer_pool.CheckpointWriterPool` worker -- the
+  same writer the durable engine runs -- flushes consistent checkpoints to
   a real :class:`~repro.storage.DoubleBackupStore` on disk, reading shared
   state under striped locks for Copy-on-Update and reading the private
-  snapshot buffer for Naive-Snapshot.  Passing ``writer_pool`` swaps the
-  private thread for a handle on a shared
-  :class:`~repro.engine.writer_pool.CheckpointWriterPool`, so many
-  validation servers (one per measured algorithm/rate point) share K
-  workers exactly like a shard fleet does.
+  snapshot buffer for Naive-Snapshot.  The server registers on the
+  ``writer_pool`` it is given, so many validation servers (one per measured
+  algorithm/rate point) share K workers exactly like a shard fleet does, or
+  on a private one-worker pool it closes with itself.
 
 Thread-safety protocol (the paper's Write-Objects-To-Stable-Storage "must be
 thread-safe"): before the mutator writes any object's cells it saves the old
@@ -40,7 +39,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.config import StateGeometry
-from repro.engine.writer import AsyncCheckpointWriter, CheckpointJob
+from repro.engine.writer import CheckpointJob
+from repro.engine.writer_pool import CheckpointWriterPool
 from repro.errors import CheckpointWriterError, ValidationError
 from repro.state.dirty import DoubleBackupBits, EpochSet, StripeLockSet
 from repro.storage.double_backup import DoubleBackupStore
@@ -139,7 +139,6 @@ class RealCheckpointServer:
         tick_period: float = 0.0,
         query_reads: int = 1_000,
         num_stripes: int = 64,
-        writer_chunk_objects: int = 512,
         seed: int = 0,
         verify_consistency: bool = False,
         writer_pool=None,
@@ -167,17 +166,14 @@ class RealCheckpointServer:
         self._write_mask = np.zeros(num_objects, dtype=bool)
         self._locks = StripeLockSet(num_objects, num_stripes)
         self._store = DoubleBackupStore(self._directory, geometry)
-        if writer_pool is not None:
-            # A handle on the shared pool duck-types the private writer's
-            # whole mutator-side surface, so nothing below cares which.
-            self._writer = writer_pool.register(
-                self._store, name=f"validate-{algorithm}"
-            )
-        else:
-            self._writer = AsyncCheckpointWriter(
-                self._store, chunk_objects=writer_chunk_objects,
-                name="repro-writer",
-            )
+        self._own_pool = (
+            CheckpointWriterPool(1, name="repro-writer")
+            if writer_pool is None
+            else None
+        )
+        self._writer = (self._own_pool or writer_pool).register(
+            self._store, name=f"validate-{algorithm}"
+        )
         self._snapshot_source = _SnapshotSource(self)
         self._consistent_source = _ConsistentSource(self)
         # Optional cut-consistency auditing: CRC of the whole state at each
@@ -395,6 +391,8 @@ class RealCheckpointServer:
         """Stop the writer, close the store, and remove temp files."""
         try:
             self._writer.close(timeout=30.0, wait=False)
+            if self._own_pool is not None:
+                self._own_pool.close(timeout=30.0, wait=False)
         except CheckpointWriterError as error:
             raise ValidationError(str(error)) from error
         finally:

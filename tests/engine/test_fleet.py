@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import StateGeometry
 from repro.engine.fleet import ShardFleet, shard_directory
-from repro.errors import CheckpointWriterError, EngineError
+from repro.errors import EngineError
 
 GEOMETRY = StateGeometry(rows=400, columns=10)
 
@@ -21,7 +21,7 @@ def app_factory(random_walk_app):
 def make_fleet(app_factory, directory, num_shards=3, **kwargs):
     kwargs.setdefault("algorithm", "copy-on-update")
     kwargs.setdefault("seed", 5)
-    kwargs.setdefault("async_writer", True)
+    kwargs.setdefault("pool_size", 2)
     return ShardFleet(app_factory, directory, num_shards, **kwargs)
 
 
@@ -50,7 +50,7 @@ class TestRuns:
             assert all(s.ticks_run == 20 for s in report.shard_stats)
 
     def test_serial_run_matches_shape(self, app_factory, tmp_path):
-        with make_fleet(app_factory, tmp_path, async_writer=False) as fleet:
+        with make_fleet(app_factory, tmp_path, pool_size=None) as fleet:
             report = fleet.run_ticks(10, parallel=False)
             assert all(s.ticks_run == 10 for s in report.shard_stats)
 
@@ -147,9 +147,3 @@ class TestCheckpointAge:
             # is bounded by the ticks run, and usually far smaller.
             assert all(0 <= age < 12 for age in ages)
             assert fleet.max_checkpoint_age == max(ages)
-
-    def test_invalid_pool_admission_rejected(self, app_factory, tmp_path):
-        with pytest.raises(CheckpointWriterError):
-            make_fleet(
-                app_factory, tmp_path, pool_size=1, pool_admission="lifo"
-            )

@@ -210,7 +210,7 @@ class TestCrashMidFlush:
         replica bit-for-bit on both disk organizations."""
         server = DurableGameServer(
             random_walk_app, tmp_path / "victim", algorithm=algorithm,
-            seed=7, async_writer=False, writer_bytes_per_tick=2_048,
+            seed=7, writer_bytes_per_tick=2_048,
         )
         calls = {"count": 0}
 

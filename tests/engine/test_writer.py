@@ -1,6 +1,4 @@
-"""Tests for the asynchronous checkpoint writer and the async engine mode."""
-
-import threading
+"""Tests for the engine's off-thread flush mode (a writer pool handle)."""
 
 import numpy as np
 import pytest
@@ -9,35 +7,10 @@ from repro.config import StateGeometry
 from repro.core.registry import ALGORITHM_KEYS
 from repro.engine.recovery import RecoveryManager
 from repro.engine.server import DurableGameServer
-from repro.engine.writer import AsyncCheckpointWriter, CheckpointJob
+from repro.engine.writer_pool import CheckpointWriterPool
 from repro.errors import CheckpointWriterError, StorageError
-from repro.storage.double_backup import DoubleBackupStore
 
 GEOMETRY = StateGeometry(rows=400, columns=10)
-
-
-class ArraySource:
-    """Payload source backed by a fixed array (no mutator races)."""
-
-    def __init__(self, objects: np.ndarray) -> None:
-        self._objects = objects
-
-    def read_payloads(self, object_ids: np.ndarray) -> bytes:
-        return self._objects[object_ids].tobytes()
-
-
-class BlockingSource(ArraySource):
-    """Payload source that parks the writer thread until released."""
-
-    def __init__(self, objects: np.ndarray) -> None:
-        super().__init__(objects)
-        self.entered = threading.Event()
-        self.release = threading.Event()
-
-    def read_payloads(self, object_ids: np.ndarray) -> bytes:
-        self.entered.set()
-        self.release.wait(timeout=30.0)
-        return super().read_payloads(object_ids)
 
 
 @pytest.fixture
@@ -47,127 +20,21 @@ def app_class(random_walk_app):
 
 
 @pytest.fixture
-def store(tmp_path):
-    with DoubleBackupStore(tmp_path, GEOMETRY) as opened:
-        yield opened
-
-
-def make_objects(seed=0):
-    rng = np.random.default_rng(seed)
-    return rng.random(
-        (GEOMETRY.num_objects, GEOMETRY.cells_per_object)
-    ).astype(np.float32)
-
-
-def full_job(source, epoch=1, cut_tick=5, backup_index=0):
-    return CheckpointJob(
-        object_ids=np.arange(GEOMETRY.num_objects, dtype=np.int64),
-        epoch=epoch,
-        cut_tick=cut_tick,
-        source=source,
-        backup_index=backup_index,
-    )
-
-
-class TestWriterLifecycle:
-    def test_commit_round_trip(self, store):
-        objects = make_objects()
-        writer = AsyncCheckpointWriter(store, chunk_objects=4)
-        writer.submit(full_job(ArraySource(objects)))
-        assert writer.wait_idle(timeout=10.0)
-        writer.close()
-        found = store.latest_consistent()
-        assert (found.backup_index, found.epoch, found.tick) == (0, 1, 5)
-        assert store.read_image(0) == objects.tobytes()
-        assert writer.stats().jobs_completed == 1
-        assert writer.last_committed == (1, 5)
-
-    def test_chunking_covers_every_object(self, store):
-        objects = make_objects(3)
-        writer = AsyncCheckpointWriter(store, chunk_objects=5)  # 32 % 5 != 0
-        writer.submit(full_job(ArraySource(objects)))
-        writer.close()  # graceful close waits for the queued job
-        assert store.read_image(0) == objects.tobytes()
-
-    def test_invalid_chunk_size_rejected(self, store):
-        with pytest.raises(CheckpointWriterError):
-            AsyncCheckpointWriter(store, chunk_objects=0)
-
-    def test_submit_while_busy_rejected(self, store):
-        source = BlockingSource(make_objects())
-        writer = AsyncCheckpointWriter(store, chunk_objects=8)
-        writer.submit(full_job(source))
-        assert source.entered.wait(timeout=10.0)
-        with pytest.raises(CheckpointWriterError):
-            writer.submit(full_job(source, epoch=2, backup_index=1))
-        source.release.set()
-        writer.close()
-
-    def test_stats_accumulate(self, store):
-        objects = make_objects()
-        writer = AsyncCheckpointWriter(store, chunk_objects=8)
-        writer.submit(full_job(ArraySource(objects), epoch=1, backup_index=0))
-        assert writer.wait_idle(timeout=10.0)
-        writer.submit(
-            full_job(ArraySource(objects), epoch=2, cut_tick=9, backup_index=1)
-        )
-        assert writer.wait_idle(timeout=10.0)
-        stats = writer.stats()
-        assert stats.jobs_submitted == 2
-        assert stats.jobs_completed == 2
-        assert stats.bytes_written == 2 * GEOMETRY.checkpoint_bytes
-        assert len(stats.durations) == 2
-        assert stats.last_committed == (2, 9)
-        writer.close()
-
-
-class TestWriterFailure:
-    def test_store_error_surfaces_on_check(self, store):
-        def explode():
-            raise StorageError("injected fault")
-
-        store.write_fault_hook = explode
-        writer = AsyncCheckpointWriter(store, chunk_objects=8)
-        writer.submit(full_job(ArraySource(make_objects())))
-        writer.wait_idle(timeout=10.0, check=False)
-        assert isinstance(writer.error, StorageError)
-        with pytest.raises(CheckpointWriterError):
-            writer.check()
-        with pytest.raises(CheckpointWriterError):
-            writer.submit(full_job(ArraySource(make_objects()), epoch=2))
-        # Graceful close re-raises the pending error rather than hiding it.
-        with pytest.raises(CheckpointWriterError):
-            writer.close()
-
-    def test_close_timeout_raises_instead_of_silently_leaking(self, store):
-        source = BlockingSource(make_objects())
-        writer = AsyncCheckpointWriter(store, chunk_objects=8)
-        writer.submit(full_job(source))
-        assert source.entered.wait(timeout=10.0)
-        with pytest.raises(CheckpointWriterError, match="did not stop"):
-            writer.close(timeout=0.2)
-        source.release.set()
-
-    def test_kill_abandons_in_flight_job(self, store):
-        source = BlockingSource(make_objects())
-        writer = AsyncCheckpointWriter(store, chunk_objects=8)
-        writer.submit(full_job(source))
-        assert source.entered.wait(timeout=10.0)
-        source.release.set()
-        writer.kill(timeout=10.0)
-        # The abandoned checkpoint never committed: no consistent image, or
-        # only at most the chunks written before the stop flag was seen.
-        stats = writer.stats()
-        assert stats.jobs_completed + stats.jobs_abandoned == 1
+def pool():
+    """One worker gathering 4 objects a round: many stripe-lock handoffs."""
+    pool = CheckpointWriterPool(1, chunk_objects=4)
+    yield pool
+    pool.kill()
 
 
 class TestAsyncServerMode:
     @pytest.mark.parametrize("algorithm", ALGORITHM_KEYS)
-    def test_async_recovery_is_bit_exact(self, algorithm, app_class, tmp_path):
+    def test_async_recovery_is_bit_exact(
+        self, algorithm, app_class, pool, tmp_path
+    ):
         app = app_class(GEOMETRY)
         server = DurableGameServer(
-            app, tmp_path, algorithm=algorithm, seed=11,
-            async_writer=True, writer_chunk_objects=4,
+            app, tmp_path, algorithm=algorithm, seed=11, writer_pool=pool,
         )
         server.run_ticks(50)
         live = server.table.cells.copy()
@@ -176,15 +43,17 @@ class TestAsyncServerMode:
         assert np.array_equal(report.table.cells, live)
 
     @pytest.mark.parametrize("algorithm", ALGORITHM_KEYS)
-    def test_serial_and_async_recover_identically(self, algorithm, app_class, tmp_path):
+    def test_serial_and_async_recover_identically(
+        self, algorithm, app_class, pool, tmp_path
+    ):
         """Acceptance: both writer modes recover to bit-identical state."""
         recovered = []
-        for mode, async_writer in (("sync", False), ("async", True)):
+        for mode, writer_pool in (("sync", None), ("async", pool)):
             app = app_class(GEOMETRY)
             directory = tmp_path / mode
             server = DurableGameServer(
                 app, directory, algorithm=algorithm, seed=3,
-                async_writer=async_writer, writer_chunk_objects=4,
+                writer_pool=writer_pool,
             )
             server.run_ticks(40)
             server.crash()
@@ -193,7 +62,9 @@ class TestAsyncServerMode:
         assert np.array_equal(recovered[0], recovered[1])
 
     @pytest.mark.parametrize("algorithm", ALGORITHM_KEYS)
-    def test_crash_during_async_flush_recovers(self, algorithm, app_class, tmp_path):
+    def test_crash_during_async_flush_recovers(
+        self, algorithm, app_class, pool, tmp_path
+    ):
         """Kill the writer mid-flush; recovery must still be exact.
 
         Covers both disk organizations (four double-backup algorithms, two
@@ -202,8 +73,7 @@ class TestAsyncServerMode:
         """
         app = app_class(GEOMETRY)
         server = DurableGameServer(
-            app, tmp_path, algorithm=algorithm, seed=23,
-            async_writer=True, writer_chunk_objects=4,
+            app, tmp_path, algorithm=algorithm, seed=23, writer_pool=pool,
         )
         # Run until at least one checkpoint has committed (the commit moment
         # depends on writer-thread scheduling, so poll rather than assume).
@@ -247,11 +117,11 @@ class TestAsyncServerMode:
         )
         reference.close()
 
-    def test_writer_error_reaches_game_thread(self, app_class, tmp_path):
+    def test_writer_error_reaches_game_thread(self, app_class, pool, tmp_path):
         app = app_class(GEOMETRY)
         server = DurableGameServer(
             app, tmp_path, algorithm="naive-snapshot", seed=1,
-            async_writer=True, writer_chunk_objects=4,
+            writer_pool=pool,
         )
 
         def explode():
@@ -264,9 +134,10 @@ class TestAsyncServerMode:
 
     def test_overlap_ratio_tracked(self, app_class, tmp_path):
         app = app_class(GEOMETRY)
+        pool = CheckpointWriterPool(1, chunk_objects=1)
         server = DurableGameServer(
             app, tmp_path, algorithm="naive-snapshot", seed=2,
-            async_writer=True, writer_chunk_objects=1,
+            writer_pool=pool,
         )
         server.run_ticks(40)
         for _ in range(500):  # first flush depends on writer scheduling
@@ -276,3 +147,4 @@ class TestAsyncServerMode:
         assert server.stats.checkpoint_overlap_ticks >= 0
         assert server.stats.bytes_written > 0
         server.close()
+        pool.close()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.config import StateGeometry
+from repro.engine import writer as writer_module
 from repro.engine.fleet import ShardFleet
 from repro.engine.server import DurableGameServer
 from repro.engine.writer import CheckpointJob
@@ -61,6 +62,27 @@ def full_job(source, epoch=1, cut_tick=5, backup_index=0, is_full_dump=False):
     )
 
 
+def store_job(store, source, epoch, cut_tick):
+    """A full-state job shaped for whichever disk organization ``store`` is."""
+    if isinstance(store, DoubleBackupStore):
+        return full_job(source, epoch, cut_tick, backup_index=(epoch - 1) % 2)
+    return full_job(source, epoch, cut_tick, backup_index=None,
+                    is_full_dump=True)
+
+
+def restore(store):
+    """``(image bytes, epoch, tick)`` of the newest committed checkpoint."""
+    if isinstance(store, DoubleBackupStore):
+        found = store.latest_consistent()
+        return (
+            bytes(store.read_image(found.backup_index)),
+            found.epoch,
+            found.tick,
+        )
+    image, epoch, tick = store.restore_image()
+    return bytes(image), epoch, tick
+
+
 @pytest.fixture
 def app_factory(random_walk_app):
     app_class = type(random_walk_app)
@@ -89,6 +111,33 @@ class TestConstruction:
                 pool.register(store)
 
 
+class TestOneCheckpointWriter:
+    def test_no_second_writer_grows_back(self):
+        """The pool is the only asynchronous writer: no service-order,
+        flush-path or gather-cap argument on it, no thread or queue in the
+        flush routine's module, no per-server writer class exported."""
+        import inspect
+        import re
+
+        import repro.engine
+
+        parameters = inspect.signature(CheckpointWriterPool.__init__).parameters
+        assert list(parameters) == [
+            "self", "num_workers", "max_pending", "batch_jobs",
+            "chunk_objects", "admission_timeout", "name",
+        ]
+        assert parameters["max_pending"].default is None
+        assert parameters["batch_jobs"].default == 8
+        assert parameters["admission_timeout"].default == 60.0
+        assert not re.search(
+            r"^\s*(import|from)\s+(threading|queue)\b",
+            inspect.getsource(writer_module), re.MULTILINE,
+        )
+        retired = "Async" + "CheckpointWriter"  # spelled so a grep stays clean
+        assert not hasattr(repro.engine, retired)
+        assert not hasattr(writer_module, retired)
+
+
 class TestRoundTrip:
     def test_many_shards_few_workers(self, tmp_path):
         """5 stores of both types flushed correctly by 2 worker threads."""
@@ -114,14 +163,7 @@ class TestRoundTrip:
             for handle in handles:
                 assert handle.wait_idle(timeout=10.0)
             for index, store in enumerate(stores):
-                if index % 2 == 0:
-                    found = store.latest_consistent()
-                    assert (found.epoch, found.tick) == (1, 7)
-                    image = store.read_image(found.backup_index)
-                else:
-                    image, epoch, tick = store.restore_image()
-                    assert (epoch, tick) == (1, 7)
-                assert image == arrays[index].tobytes()
+                assert restore(store) == (arrays[index].tobytes(), 1, 7)
             stats = pool.stats()
             assert stats.jobs_completed == 5
             assert stats.jobs_submitted == 5
@@ -130,9 +172,18 @@ class TestRoundTrip:
                 size * count
                 for size, count in stats.batch_size_histogram.items()
             ) == 5
-            assert stats.coalesced_jobs == 5
             for store in stores:
                 store.close()
+
+    def test_chunking_covers_every_object(self, tmp_path):
+        objects = make_objects(3)
+        with CheckpointWriterPool(1, chunk_objects=5) as pool:  # 32 % 5 != 0
+            store = DoubleBackupStore(tmp_path, GEOMETRY)
+            handle = pool.register(store)
+            handle.submit(full_job(ArraySource(objects)))
+            handle.close()  # graceful close waits for the queued job
+            assert store.read_image(0) == objects.tobytes()
+            store.close()
 
     def test_thread_count_is_pool_sized(self, tmp_path):
         """10 registered shards never spawn more than num_workers threads."""
@@ -219,6 +270,12 @@ class TestFailureIsolation:
             ))
             assert good.wait_idle(timeout=10.0)
             assert good.last_committed == (2, 11)
+            # Every submitted job is accounted for on its own handle.
+            for handle in (bad, good):
+                stats = handle.stats()
+                assert stats.jobs_submitted == (
+                    stats.jobs_completed + stats.jobs_abandoned
+                )
             bad.kill()  # retire the failed shard before the orderly close
             bad_store.close()
             good_store.close()
@@ -336,6 +393,29 @@ class TestShutdown:
         store_a.close()
         store_b.close()
 
+    def test_kill_abandons_in_flight_job_at_the_next_chunk(self, tmp_path):
+        """Killed mid-gather: nothing but the begin marker reached the disk."""
+        pool = CheckpointWriterPool(1, chunk_objects=8)
+        store = DoubleBackupStore(tmp_path, GEOMETRY)
+        handle = pool.register(store)
+        source = BlockingSource(make_objects())
+        handle.submit(full_job(source))
+        assert source.entered.wait(timeout=10.0)  # parked in chunk one
+        killer = threading.Thread(target=handle.kill, kwargs={"timeout": 10.0})
+        killer.start()
+        while not handle._abandon.is_set():
+            time.sleep(0.001)
+        source.release.set()
+        killer.join(timeout=10.0)
+        assert handle.idle
+        stats = handle.stats()
+        assert (stats.jobs_completed, stats.jobs_abandoned) == (0, 1)
+        assert stats.bytes_written == 0
+        with pytest.raises(Exception):
+            store.latest_consistent()
+        pool.close()
+        store.close()
+
     def test_orderly_close_drains_queued_jobs(self, tmp_path):
         pool = CheckpointWriterPool(1, batch_jobs=1)
         stores, handles, arrays = [], [], []
@@ -357,6 +437,23 @@ class TestShutdown:
         pool.close()
         with pytest.raises(CheckpointWriterError):
             handle.submit(full_job(ArraySource(make_objects())))
+        store.close()
+
+    def test_close_timeouts_raise_instead_of_silently_leaking(self, tmp_path):
+        """A wedged worker fails both the handle's and the pool's close."""
+        pool = CheckpointWriterPool(1)
+        store = DoubleBackupStore(tmp_path, GEOMETRY)
+        handle = pool.register(store)
+        source = BlockingSource(make_objects())
+        handle.submit(full_job(source))
+        assert source.entered.wait(timeout=10.0)
+        with pytest.raises(CheckpointWriterError, match="did not release"):
+            handle.close(timeout=0.2)
+        with pytest.raises(CheckpointWriterError, match="did not stop"):
+            pool.close(timeout=0.2)
+        source.release.set()
+        assert handle.wait_idle(timeout=10.0)
+        pool.close()
         store.close()
 
 
@@ -385,15 +482,13 @@ class TestEngineIntegration:
                 ).recover()
                 assert np.array_equal(report.table.cells, live[index])
 
-    @pytest.mark.parametrize("pooled", [False, True])
     def test_tick_totals_match_the_stats_snapshot(
-        self, random_walk_app, tmp_path, pooled
+        self, random_walk_app, tmp_path
     ):
         """``run_tick`` reads two counters, not a ``WriterStats`` copy."""
         with CheckpointWriterPool(1) as pool:
             server = DurableGameServer(
-                type(random_walk_app)(GEOMETRY), tmp_path,
-                writer_pool=pool if pooled else None, async_writer=True,
+                type(random_walk_app)(GEOMETRY), tmp_path, writer_pool=pool,
             )
             server.run_ticks(20)
             server.wait_checkpoint_idle()   # counters are still from here on
@@ -404,25 +499,23 @@ class TestEngineIntegration:
             )
             server.close()
 
-    def test_pooled_fleet_matches_per_shard_writer_fleet(
+    def test_pooled_fleet_matches_serial_drain_fleet(
         self, app_factory, tmp_path
     ):
         """pool_size=K is a pure I/O-scheduling change: same game states."""
         cells = {}
-        for label, kwargs in (
-            ("pool", {"pool_size": 2}),
-            ("own", {"async_writer": True}),
-        ):
+        for label, pool_size in (("pool", 2), ("serial", None)):
             fleet = ShardFleet(
-                app_factory, tmp_path / label, num_shards=3, seed=5, **kwargs
+                app_factory, tmp_path / label, num_shards=3, seed=5,
+                pool_size=pool_size,
             )
             with fleet:
                 fleet.run_ticks(20, parallel=True)
                 cells[label] = [
                     shard.game.table.cells.copy() for shard in fleet.shards
                 ]
-        for pooled, own in zip(cells["pool"], cells["own"]):
-            assert np.array_equal(pooled, own)
+        for pooled, serial in zip(cells["pool"], cells["serial"]):
+            assert np.array_equal(pooled, serial)
 
     def test_pooled_fleet_crash_recovers_bit_exact(self, app_factory, tmp_path):
         fleet = ShardFleet(
@@ -469,7 +562,7 @@ class TestEngineIntegration:
 
 
 class TestStalenessAdmission:
-    def _flood(self, tmp_path, admission, cuts):
+    def _flood(self, tmp_path, cuts):
         """Park the worker, queue one job per cut, return the service order.
 
         Returns ``(service_order, stats)`` where ``service_order`` lists the
@@ -487,7 +580,7 @@ class TestStalenessAdmission:
                     service_order.append(self._index)
                 return super().read_payloads(object_ids)
 
-        pool = CheckpointWriterPool(1, batch_jobs=1, admission=admission)
+        pool = CheckpointWriterPool(1, batch_jobs=1)
         blocker = BlockingSource(make_objects())
         stores, handles = [], []
         try:
@@ -513,38 +606,10 @@ class TestStalenessAdmission:
                 store.close()
 
     def test_oldest_cut_serviced_first(self, tmp_path):
-        """Cuts submitted newest-first drain oldest-first under staleness."""
-        order, stats = self._flood(tmp_path, "staleness", cuts=[30, 20, 10])
+        """Cuts submitted newest-first drain oldest-first."""
+        order, stats = self._flood(tmp_path, cuts=[30, 20, 10])
         assert order == [3, 2, 1]
         assert stats.max_picked_staleness_ticks == 0
-
-    def test_fifo_services_arrival_order_and_records_inversion(
-        self, tmp_path
-    ):
-        order, stats = self._flood(tmp_path, "fifo", cuts=[30, 20, 10])
-        assert order == [1, 2, 3]
-        # The worker picked the cut-30 job while the cut-10 job was queued.
-        assert stats.max_picked_staleness_ticks == 20
-
-    def test_invalid_admission_rejected(self):
-        with pytest.raises(CheckpointWriterError):
-            CheckpointWriterPool(1, admission="lifo")
-        with pytest.raises(CheckpointWriterError):
-            CheckpointWriterPool(1, max_gather_bytes=0)
-
-    def test_oversize_job_falls_back_to_chunked_flush(self, tmp_path):
-        """Jobs past max_gather_bytes land chunked instead of staged."""
-        with CheckpointWriterPool(1, max_gather_bytes=1) as pool:
-            store = DoubleBackupStore(tmp_path, GEOMETRY)
-            handle = pool.register(store)
-            objects = make_objects()
-            handle.submit(full_job(ArraySource(objects)))
-            assert handle.wait_idle(timeout=10.0)
-            stats = pool.stats()
-            assert stats.chunked_jobs == 1
-            assert stats.coalesced_jobs == 0
-            assert store.read_image(0) == objects.tobytes()
-            store.close()
 
     def test_checkpoint_age_gauge_tracks_undurable_cut(self, tmp_path):
         with CheckpointWriterPool(1) as pool:
@@ -561,6 +626,76 @@ class TestStalenessAdmission:
             assert handle.wait_idle(timeout=10.0)
             assert handle.checkpoint_age == 0
             assert pool.stats().max_checkpoint_age_ticks == 0
+            store.close()
+
+
+class TestGatherCap:
+    """A job past ``MAX_GATHER_BYTES`` lands in slabs, committing on the last."""
+
+    CHUNK_OBJECTS = 4
+    #: Two chunks' worth: the 32-object write set spans four slabs.
+    CAP = 2 * CHUNK_OBJECTS * GEOMETRY.object_bytes
+
+    @pytest.fixture(params=[DoubleBackupStore, CheckpointLogStore])
+    def store_class(self, request):
+        return request.param
+
+    def test_oversize_job_matches_the_job_under_the_cap(
+        self, tmp_path, monkeypatch, store_class
+    ):
+        objects = make_objects(4)
+        results = {}
+        for label, cap in (("under", None), ("over", self.CAP)):
+            if cap is not None:
+                monkeypatch.setattr(writer_module, "MAX_GATHER_BYTES", cap)
+                assert GEOMETRY.checkpoint_bytes >= 3 * cap
+            with CheckpointWriterPool(
+                1, chunk_objects=self.CHUNK_OBJECTS
+            ) as pool:
+                store = store_class(tmp_path / label, GEOMETRY)
+                handle = pool.register(store)
+                handle.submit(store_job(store, ArraySource(objects), 1, 7))
+                assert handle.wait_idle(timeout=10.0)
+                assert handle.stats().bytes_written == (
+                    GEOMETRY.checkpoint_bytes
+                )
+                results[label] = restore(store)
+                store.close()
+        assert results["over"] == results["under"]
+        assert results["over"] == (objects.tobytes(), 1, 7)
+
+    def test_fault_in_second_slab_keeps_previous_checkpoint(
+        self, tmp_path, monkeypatch, store_class
+    ):
+        monkeypatch.setattr(writer_module, "MAX_GATHER_BYTES", self.CAP)
+        first, second = make_objects(5), make_objects(6)
+        with CheckpointWriterPool(1, chunk_objects=self.CHUNK_OBJECTS) as pool:
+            store = store_class(tmp_path, GEOMETRY)
+            handle = pool.register(store)
+            handle.submit(store_job(store, ArraySource(first), 1, 7))
+            assert handle.wait_idle(timeout=10.0)
+
+            calls = {"count": 0}
+
+            def explode():
+                calls["count"] += 1
+                if calls["count"] > 2:  # slab one is two runs; die in slab two
+                    raise StorageError("injected second-slab fault")
+
+            store.write_fault_hook = explode
+            handle.submit(store_job(store, ArraySource(second), 2, 12))
+            assert handle.wait_idle(timeout=10.0, check=False)
+            assert calls["count"] == 3
+            # Slab one reached the disk uncommitted; the handle is poisoned...
+            assert handle.stats().bytes_written == (
+                GEOMETRY.checkpoint_bytes + self.CAP
+            )
+            assert isinstance(handle.error, StorageError)
+            with pytest.raises(CheckpointWriterError):
+                handle.check()
+            # ...and the previous committed checkpoint is what restores.
+            assert restore(store) == (first.tobytes(), 1, 7)
+            handle.kill()
             store.close()
 
 

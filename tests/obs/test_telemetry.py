@@ -48,7 +48,7 @@ class TestPoolTelemetry:
             jobs_submitted=9, jobs_completed=8, jobs_abandoned=1,
             bytes_written=1 << 20, busy_seconds=0.25, batches_flushed=4,
             jobs_batched=8, queue_depth=2, max_queue_depth=5,
-            coalesced_jobs=7, chunked_jobs=1, max_checkpoint_age_ticks=6,
+            max_checkpoint_age_ticks=6,
         )
         pool = PoolTelemetry.from_stats(stats, num_workers=3)
         assert pool.num_workers == 3

@@ -173,3 +173,88 @@ def test_straggler_bounded_by_one_service_under_staleness(cuts, lag):
             pool.close()
             for store in stores:
                 store.close()
+
+
+class _ClockedSource:
+    """Zero payloads; every service advances a shared virtual tick clock.
+
+    One ``read_payloads`` call is one job's service (the geometry fits a
+    whole checkpoint in one chunk), so ages come out in deterministic
+    virtual ticks.  The gate parks the worker until a submission wave is
+    fully queued, which keeps the pool saturated for the whole wave.
+    """
+
+    def __init__(self, clock, clock_lock, gate) -> None:
+        self._clock = clock
+        self._clock_lock = clock_lock
+        self._gate = gate
+        #: Clock value right after each of this shard's jobs was serviced.
+        self.service_clocks = []
+
+    def read_payloads(self, object_ids: np.ndarray) -> bytes:
+        self._gate.wait(timeout=30.0)
+        with self._clock_lock:
+            self._clock[0] += 1
+            self.service_clocks.append(self._clock[0])
+        return b"\x00" * (object_ids.size * GEOMETRY.object_bytes)
+
+
+def _straggler_ages(root: str, num_shards: int, waves: int, lag: int):
+    """Shard 0's checkpoint age (service clock minus cut tick) per wave.
+
+    One worker, ``num_shards`` handles, every wave queues the whole fleet
+    before any job is serviced.  Shard 0 is the straggler: its cut happened
+    ``lag`` ticks before the wave's and its submission arrives *last*, the
+    adversarial race arrival-order service is blind to.
+    """
+    clock = [lag]  # so the straggler's first cut is tick 0
+    clock_lock = threading.Lock()
+    gate = threading.Event()
+    sources = [
+        _ClockedSource(clock, clock_lock, gate) for _ in range(num_shards)
+    ]
+    straggler_cuts = []
+    pool = CheckpointWriterPool(1, batch_jobs=1)
+    stores = []
+    try:
+        for shard in range(num_shards):
+            stores.append(CheckpointLogStore(f"{root}/{shard}", GEOMETRY))
+        handles = [pool.register(store) for store in stores]
+        for wave in range(waves):
+            gate.clear()
+            wave_clock = clock[0]  # every handle is idle: nobody ticks it
+            straggler_cuts.append(wave_clock - lag)
+            for shard in list(range(1, num_shards)) + [0]:
+                handles[shard].submit(CheckpointJob(
+                    object_ids=np.arange(GEOMETRY.num_objects, dtype=np.int64),
+                    epoch=wave + 1,
+                    cut_tick=wave_clock - lag if shard == 0 else wave_clock,
+                    source=sources[shard],
+                    is_full_dump=True,
+                ))
+            gate.set()
+            for handle in handles:
+                assert handle.wait_idle(timeout=30.0)
+        assert pool.stats().max_picked_staleness_ticks == 0
+    finally:
+        gate.set()  # never strand the worker mid-wave on an error path
+        pool.close(wait=False)
+        for store in stores:
+            store.close()
+    return [
+        serviced - cut
+        for serviced, cut in zip(sources[0].service_clocks, straggler_cuts)
+    ]
+
+
+def test_straggler_age_does_not_grow_with_the_backlog():
+    """The committed ``admission_overload`` result, as a test: at N and 2N
+    shards the straggler is serviced within ``lag`` plus its own service,
+    the one job in flight and one tick of slack -- arrival order would let
+    its age grow with the fleet (12 -> 20 ticks at 8 -> 16 shards)."""
+    lag, waves = 4, 12
+    for num_shards in (8, 16):
+        with tempfile.TemporaryDirectory() as root:
+            ages = _straggler_ages(root, num_shards, waves, lag)
+        assert len(ages) == waves
+        assert max(ages) <= lag + 3

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import StateGeometry
+from repro.engine.writer_pool import CheckpointWriterPool
 from repro.errors import ValidationError
 from repro.storage.double_backup import DoubleBackupStore
 from repro.validation.realimpl import RealCheckpointServer
@@ -71,16 +72,18 @@ class TestCutConsistency:
 
     @pytest.mark.parametrize("algorithm", ["naive-snapshot", "copy-on-update"])
     def test_disk_image_matches_cut(self, algorithm, tmp_path):
-        with RealCheckpointServer(
-            algorithm,
-            geometry=TEST_GEOMETRY,
-            directory=tmp_path,
-            verify_consistency=True,
-            num_stripes=4,          # coarse stripes stress lock contention
-            writer_chunk_objects=16,  # many small writer rounds
-        ) as server:
-            server.run(updates_per_tick=3_000, num_ticks=40)
-            assert server.verify_last_checkpoint()
+        # 16-object gather rounds: many small stripe-lock handoffs per flush.
+        with CheckpointWriterPool(1, chunk_objects=16) as pool:
+            with RealCheckpointServer(
+                algorithm,
+                geometry=TEST_GEOMETRY,
+                directory=tmp_path,
+                verify_consistency=True,
+                num_stripes=4,      # coarse stripes stress lock contention
+                writer_pool=pool,
+            ) as server:
+                server.run(updates_per_tick=3_000, num_ticks=40)
+                assert server.verify_last_checkpoint()
 
     def test_verify_requires_flag(self, tmp_path):
         with RealCheckpointServer(
