@@ -3,10 +3,11 @@
 
 1. micro-benchmarks the host (memory bandwidth/latency, lock and bit-op
    overheads, disk bandwidth) -- the Table 3 methodology;
-2. runs the real threaded implementation of Naive-Snapshot and
-   Copy-on-Update (mutator + asynchronous writer, real checkpoint files);
+2. replays a Zipf trace through the durable engine under all six
+   algorithms (game thread + pool writer, real checkpoint files), crashes
+   it and recovers it;
 3. runs the simulator calibrated with the measured parameters on the same
-   workload and prints both side by side.
+   trace and prints both side by side.
 
 Usage::
 
@@ -40,11 +41,11 @@ def main() -> None:
         hardware=hardware,
     )
     table = TextTable(
-        "Simulation vs real threaded implementation (this host)",
+        "Simulation vs the durable engine (this host)",
         ["algorithm", "updates/tick",
-         "overhead sim", "overhead real",
-         "checkpoint sim", "checkpoint real",
-         "recovery sim", "recovery real"],
+         "overhead sim", "overhead engine",
+         "checkpoint sim", "checkpoint engine",
+         "recovery sim", "recovery engine"],
     )
     for row in comparisons:
         table.add_row(
@@ -60,9 +61,10 @@ def main() -> None:
             ]
         )
     table.add_note(
-        "the paper found implementation overhead up to 3x the simulation "
-        "for Copy-on-Update (lock contention, writer interference) with "
-        "matching trends -- expect the same flavour of gap here"
+        "overhead sim is the model's pause + lock + copy time, what the "
+        "engine's stopwatch covers; the paper found implementation overhead "
+        "up to 3x the simulation for Copy-on-Update (lock contention, writer "
+        "interference) with matching trends"
     )
     print(table.render())
 

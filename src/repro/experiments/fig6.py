@@ -1,9 +1,10 @@
-"""Figure 6: validation of the simulation model against the real
-implementation of Naive-Snapshot and Copy-on-Update (Section 6).
+"""Figure 6: validation of the simulation model against the durable engine,
+for all six algorithms (Section 6).
 
-Runs the threaded real implementation and the simulator calibrated with this
-host's micro-benchmarked parameters over an updates-per-tick sweep, and
-reports overhead / checkpoint / recovery for both side by side.
+Replays one Zipf trace through the engine we ship and through the simulator
+calibrated with this host's micro-benchmarked parameters over an
+updates-per-tick sweep, and reports overhead / checkpoint / recovery for both
+side by side.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def run(
     hardware: Optional[HardwareParameters] = None,
     seed: int = 0,
 ) -> FigureResult:
-    """Reproduce Figure 6 (simulation vs implementation)."""
+    """Reproduce Figure 6 (simulation vs the engine)."""
     if hardware is None:
         hardware = measure_host_parameters(quick=(scale.name == "quick"))
     comparisons: List[ValidationComparison] = run_validation_sweep(
@@ -50,30 +51,37 @@ def run(
     )
     calibration.add_row(["disk bandwidth", format_rate(hardware.disk_bandwidth)])
 
-    def _panel(title: str, sim_attr: str, real_attr: str) -> TextTable:
-        table = TextTable(
-            title,
-            ["algorithm", "updates/tick", "simulation", "implementation",
-             "impl/sim"],
-        )
+    def _panel(title: str, metric: str, bit_pass: bool = False) -> TextTable:
+        columns = ["algorithm", "updates/tick", "simulation"]
+        if bit_pass:
+            columns.append("sim bit pass")
+        table = TextTable(title, columns + ["engine", "engine/sim"])
         for row in comparisons:
-            simulated = getattr(row, sim_attr)
-            measured = getattr(row, real_attr)
-            ratio = measured / simulated if simulated > 0 else float("inf")
-            table.add_row(
-                [
-                    row.algorithm_name,
-                    f"{row.updates_per_tick:,}",
-                    format_seconds(simulated),
-                    format_seconds(measured),
-                    f"{ratio:.2f}x",
-                ]
+            simulated = getattr(row, f"simulated_{metric}")
+            measured = getattr(row, f"measured_{metric}")
+            cells = [
+                row.algorithm_name,
+                f"{row.updates_per_tick:,}",
+                format_seconds(simulated),
+            ]
+            if bit_pass:
+                cells.append(format_seconds(row.simulated_bit_time))
+            cells.append(format_seconds(measured))
+            cells.append(
+                f"{measured / simulated:.2f}x" if simulated > 0 else "n/a"
             )
+            table.add_row(cells)
         return table
 
     overhead = _panel(
-        "Figure 6(a): overhead time, simulation vs implementation",
-        "simulated_overhead", "measured_overhead",
+        "Figure 6(a): overhead time, simulation vs engine",
+        "overhead", bit_pass=True,
+    )
+    overhead.add_note(
+        "like with like: the engine's stopwatch covers the Copy-To-Memory "
+        "pause and Handle-Update's locked old-value saves, so 'simulation' "
+        "is the model's pause + lock + copy time; the policy's dirty-bit "
+        "pass runs outside that stopwatch and is shown as simulated only"
     )
     overhead.add_note(
         "paper: trends closely matched; Copy-on-Update implementation "
@@ -81,19 +89,22 @@ def run(
         "interference are not modelled)"
     )
     checkpoint = _panel(
-        "Figure 6(b): time to checkpoint, simulation vs implementation",
-        "simulated_checkpoint", "measured_checkpoint",
+        "Figure 6(b): time to checkpoint, simulation vs engine", "checkpoint"
     )
     recovery = _panel(
-        "Figure 6(c): recovery time, simulation vs implementation",
-        "simulated_recovery", "measured_recovery",
+        "Figure 6(c): recovery time, simulation vs engine", "recovery"
+    )
+    recovery.add_note(
+        "engine: measured restore plus measured replay of the ticks since "
+        "the restored checkpoint's cut; simulation: restore plus one "
+        "checkpoint period of replay (the paper's worst case)"
     )
 
     figure = FigureResult(
         experiment_id="fig6",
         description=(
-            "Validation of the simulation model against a real threaded "
-            "implementation of Naive-Snapshot and Copy-on-Update"
+            "Validation of the simulation model against the durable engine, "
+            "all six algorithms"
         ),
         tables=[calibration, overhead, checkpoint, recovery],
         raw={
@@ -109,6 +120,7 @@ def run(
                     "algorithm": c.algorithm_key,
                     "updates_per_tick": c.updates_per_tick,
                     "simulated_overhead": c.simulated_overhead,
+                    "simulated_bit_time": c.simulated_bit_time,
                     "measured_overhead": c.measured_overhead,
                     "simulated_checkpoint": c.simulated_checkpoint,
                     "measured_checkpoint": c.measured_checkpoint,

@@ -1,20 +1,13 @@
-"""Validation of the simulation model against a real implementation.
+"""Validation of the simulation model against the engine we ship (Section 6).
 
-Section 6 of the paper validates the simulator by implementing the two most
-relevant methods -- Naive-Snapshot and Copy-on-Update -- for real, with "a
-mutator thread and an asynchronous writer thread", and comparing measured
-overhead/checkpoint/recovery times against the simulator calibrated with
-host micro-benchmarks.  This package does the same in Python:
-
-* :mod:`~repro.validation.microbench` measures this host's Table 3
-  parameters (memory bandwidth/latency, lock overhead, bit-op overhead, disk
-  bandwidth) the way Section 4.3 describes;
-* :class:`~repro.validation.realimpl.RealCheckpointServer` is the threaded
-  implementation: the mutator executes query/update/sleep phases at the tick
-  rate while the writer flushes consistent checkpoints to a real
-  double-backup file;
-* :mod:`~repro.validation.harness` sweeps updates-per-tick and reports
-  simulation vs implementation side by side (Figure 6).
+The paper compares its simulator, calibrated with host micro-benchmarks,
+against a real implementation with "a mutator thread and an asynchronous
+writer thread".  Here the real implementation is the durable engine itself,
+for all six algorithms: :mod:`~repro.validation.microbench` measures this
+host's Table 3 parameters the way Section 4.3 describes, and
+:mod:`~repro.validation.harness` replays an update trace through the engine,
+crashes and recovers it, and sets what the engine accounted beside the
+simulator over an updates-per-tick sweep (Figure 6).
 """
 
 from repro.validation.harness import (
@@ -23,12 +16,9 @@ from repro.validation.harness import (
     run_validation_sweep,
 )
 from repro.validation.microbench import measure_host_parameters
-from repro.validation.realimpl import RealCheckpointServer, ValidationRunResult
 
 __all__ = [
-    "RealCheckpointServer",
     "ValidationComparison",
-    "ValidationRunResult",
     "measure_host_parameters",
     "run_validation_point",
     "run_validation_sweep",

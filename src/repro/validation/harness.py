@@ -1,49 +1,142 @@
-"""Figure 6: simulation vs real implementation, side by side.
+"""Figure 6: the simulator against the engine we ship, side by side.
 
-For each updates-per-tick point the harness runs the threaded real
-implementation (Naive-Snapshot and Copy-on-Update) and the analytic simulator
-*calibrated with this host's measured parameters* -- exactly how the paper
-validates its model ("we calibrated the parameters in the simulation with the
-micro-benchmarks described in Section 4.3").
+One :class:`TraceReplayApp` replays an update trace through
+:class:`~repro.engine.DurableGameServer` on a one-worker
+:class:`~repro.engine.CheckpointWriterPool`, the server is crashed and
+:class:`~repro.engine.RecoveryManager` recovers it, for all six algorithms.
+Every measured number is one the engine accounts for itself.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.config import HardwareParameters, SimulationConfig, StateGeometry
+from repro.engine import (
+    CheckpointWriterPool,
+    DurableGameServer,
+    RecoveryManager,
+    TickApplication,
+    TickUpdatesPlan,
+)
+from repro.errors import ReproError, ValidationError
 from repro.simulation.simulator import CheckpointSimulator
 from repro.validation.microbench import measure_host_parameters
-from repro.validation.realimpl import (
-    VALIDATION_GEOMETRY,
-    RealCheckpointServer,
-    ValidationRunResult,
-)
+from repro.workloads.base import MaterializedTrace
 from repro.workloads.zipf import ZipfTrace
 
-#: The two algorithms Section 6 implements for real.
-VALIDATED_ALGORITHMS = ("naive-snapshot", "copy-on-update")
+#: Default validation scale: 2M cells = 8 MB of state, 16,384 atomic objects.
+#: Small enough for Python to tick at game rates, large enough that memory
+#: copies and disk writes dominate the measured costs (see DESIGN.md).
+VALIDATION_GEOMETRY = StateGeometry(rows=262_144, columns=8)
+
+
+class TraceReplayApp(TickApplication):
+    """Tick ``t`` writes the cells of tick ``t`` of a materialised trace.
+
+    The written values are a function of the cell and the tick alone, so
+    logical-log replay reproduces them whatever the table holds.
+    """
+
+    def __init__(self, trace: MaterializedTrace) -> None:
+        self._trace = trace
+
+    @property
+    def geometry(self) -> StateGeometry:
+        return self._trace.geometry
+
+    def initialize(self, table, rng: np.random.Generator) -> None:
+        table.fill_random(rng)
+
+    def plan_tick(self, table, rng: np.random.Generator, tick: int):
+        cells = self._trace.tick(tick)
+        rows, columns = np.divmod(cells, self.geometry.columns)
+        return TickUpdatesPlan(rows, columns, (cells + tick).astype(table.dtype))
+
+
+def measure_engine_run(
+    app: TickApplication,
+    algorithm: str,
+    num_ticks: int,
+    directory: Union[str, os.PathLike],
+    seed: int = 0,
+) -> Tuple[np.ndarray, List[float], object]:
+    """Run ``app`` on the engine, crash it, recover it, return the accounts.
+
+    Returns the per-tick overhead (Copy-To-Memory pause plus Handle-Update
+    old-value saves), the flush durations of the committed checkpoints, and
+    the engine's ``RecoveryReport``.  The server flushes through a private
+    one-worker pool and is crashed once the writer has gone idle, so the
+    newest checkpoint is committed and recovery replays the ticks since its
+    cut.  A run that cannot be measured -- the engine failed, no checkpoint
+    committed, recovery raised, or the recovered table is not the live table
+    at the crash -- raises :class:`~repro.errors.ValidationError`: a row of
+    zeros would read as a measurement.
+    """
+
+    def failed(cause: str) -> ValidationError:
+        return ValidationError(
+            f"{algorithm} could not be measured over {num_ticks} ticks: {cause}"
+        )
+
+    accounted = np.zeros(num_ticks)
+    with CheckpointWriterPool(1) as pool, DurableGameServer(
+        app, directory, algorithm=algorithm, seed=seed, writer_pool=pool
+    ) as server:
+        stats = server.stats
+        try:
+            for tick in range(num_ticks):
+                server.run_tick()
+                accounted[tick] = (
+                    stats.sync_copy_seconds + stats.handle_update_seconds
+                )
+            server.wait_checkpoint_idle()
+        except ReproError as error:
+            raise failed(f"the engine failed: {error!r}") from error
+        durations = pool.handles[0].stats().durations
+        if not durations:
+            raise failed("no checkpoint committed before the crash")
+        live = server.table.copy()
+        server.crash()
+    try:
+        report = RecoveryManager(app, directory, seed=seed).recover()
+    except ReproError as error:
+        raise failed(f"recovery raised {error!r}") from error
+    if not report.table.equals(live):
+        raise failed("recovered table differs from the live table at the crash")
+    return np.diff(accounted, prepend=0.0), durations, report
 
 
 @dataclass(frozen=True)
 class ValidationComparison:
-    """One (algorithm, updates-per-tick) cell of the Figure 6 panels."""
+    """One (algorithm, updates-per-tick) cell of the Figure 6 panels.
+
+    The engine's stopwatch covers the Copy-To-Memory pause and
+    Handle-Update's locked old-value saves but not the policy's dirty-bit
+    pass, so ``simulated_overhead`` is the model's pause + lock + copy time
+    and the model's bit time stands beside it, simulated only.
+    """
 
     algorithm_key: str
     algorithm_name: str
     updates_per_tick: int
     simulated_overhead: float
+    simulated_bit_time: float
     measured_overhead: float
     simulated_checkpoint: float
     measured_checkpoint: float
     simulated_recovery: float
     measured_recovery: float
 
-    def overhead_ratio(self) -> float:
-        """Implementation / simulation overhead (paper observes up to ~3x)."""
+    def overhead_ratio(self) -> Optional[float]:
+        """Engine / simulation overhead; None where the model charges nothing."""
         if self.simulated_overhead == 0.0:
-            return float("inf")
+            return None
         return self.measured_overhead / self.simulated_overhead
 
 
@@ -53,46 +146,47 @@ def run_validation_point(
     geometry: StateGeometry = VALIDATION_GEOMETRY,
     num_ticks: int = 90,
     skew: float = 0.8,
-    tick_period: float = 0.0,
     seed: int = 0,
-    directory: Optional[str] = None,
+    directory: Optional[Union[str, os.PathLike]] = None,
 ) -> List[ValidationComparison]:
-    """Run both validated algorithms, real and simulated, at one update rate."""
-    config = SimulationConfig(hardware=hardware, geometry=geometry)
-    simulator = CheckpointSimulator(config)
+    """Run all six algorithms, engine and simulator, at one update rate."""
     trace = ZipfTrace(
         geometry,
         updates_per_tick=updates_per_tick,
         skew=skew,
         num_ticks=num_ticks,
         seed=seed,
+    ).materialize()
+    simulator = CheckpointSimulator(
+        SimulationConfig(hardware=hardware, geometry=geometry)
     )
+    app = TraceReplayApp(trace)
     comparisons = []
-    for algorithm in VALIDATED_ALGORITHMS:
-        simulated = simulator.run(algorithm, trace)
-        with RealCheckpointServer(
-            algorithm,
-            geometry=geometry,
-            tick_period=tick_period,
-            seed=seed,
-            directory=directory,
-        ) as server:
-            measured: ValidationRunResult = server.run(
-                updates_per_tick, num_ticks, skew=skew
+    with tempfile.TemporaryDirectory(
+        prefix="repro-validate-", dir=directory
+    ) as root:
+        for simulated in simulator.run_all(trace):
+            key = simulated.algorithm_key
+            overhead, durations, report = measure_engine_run(
+                app, key, num_ticks, os.path.join(root, key), seed=seed
             )
-        comparisons.append(
-            ValidationComparison(
-                algorithm_key=algorithm,
-                algorithm_name=measured.algorithm_name,
-                updates_per_tick=updates_per_tick,
-                simulated_overhead=simulated.avg_overhead,
-                measured_overhead=measured.avg_overhead,
-                simulated_checkpoint=simulated.avg_checkpoint_time,
-                measured_checkpoint=measured.avg_checkpoint_time,
-                simulated_recovery=simulated.recovery_time,
-                measured_recovery=measured.recovery_time,
+            accounted = (
+                simulated.pause_time + simulated.lock_time + simulated.copy_time
             )
-        )
+            comparisons.append(
+                ValidationComparison(
+                    algorithm_key=key,
+                    algorithm_name=simulated.algorithm_name,
+                    updates_per_tick=updates_per_tick,
+                    simulated_overhead=float(accounted.mean()),
+                    simulated_bit_time=float(simulated.bit_time.mean()),
+                    measured_overhead=float(overhead.mean()),
+                    simulated_checkpoint=simulated.avg_checkpoint_time,
+                    measured_checkpoint=float(np.mean(durations)),
+                    simulated_recovery=simulated.recovery_time,
+                    measured_recovery=report.recovery_seconds,
+                )
+            )
     return comparisons
 
 
@@ -102,22 +196,15 @@ def run_validation_sweep(
     num_ticks: int = 90,
     hardware: Optional[HardwareParameters] = None,
     quick_calibration: bool = True,
-    tick_period: float = 0.0,
     seed: int = 0,
 ) -> List[ValidationComparison]:
     """The full Figure 6 sweep; measures host parameters once, reuses them."""
     if hardware is None:
         hardware = measure_host_parameters(quick=quick_calibration)
-    comparisons: List[ValidationComparison] = []
-    for updates_per_tick in updates_per_tick_values:
-        comparisons.extend(
-            run_validation_point(
-                updates_per_tick,
-                hardware=hardware,
-                geometry=geometry,
-                num_ticks=num_ticks,
-                tick_period=tick_period,
-                seed=seed,
-            )
+    return [
+        comparison
+        for updates_per_tick in updates_per_tick_values
+        for comparison in run_validation_point(
+            updates_per_tick, hardware, geometry, num_ticks, seed=seed
         )
-    return comparisons
+    ]

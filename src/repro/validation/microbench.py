@@ -21,11 +21,6 @@ import numpy as np
 from repro.config import HardwareParameters
 
 
-def _best_rate(trials) -> float:
-    """Maximum observed rate across trials (least-disturbed measurement)."""
-    return max(trials)
-
-
 def measure_memory_bandwidth(
     buffer_bytes: int = 32 * 1024 * 1024, repeats: int = 5
 ) -> float:
@@ -42,7 +37,7 @@ def measure_memory_bandwidth(
         np.copyto(destination, source)
         elapsed = time.perf_counter() - started
         rates.append(buffer_bytes / max(elapsed, 1e-9))
-    return _best_rate(rates)
+    return max(rates)  # the least-disturbed trial
 
 
 def measure_memory_latency(
@@ -132,7 +127,7 @@ def measure_disk_bandwidth(
             os.fsync(handle.fileno())
             elapsed = time.perf_counter() - started
         rates.append(chunks * len(payload) / max(elapsed, 1e-9))
-    return _best_rate(rates)
+    return max(rates)  # the least-disturbed trial
 
 
 def measure_host_parameters(

@@ -42,6 +42,33 @@ class TestAsyncServerMode:
         report = RecoveryManager(app, tmp_path, seed=11).recover()
         assert np.array_equal(report.table.cells, live)
 
+    @pytest.mark.parametrize("algorithm", ["naive-snapshot", "copy-on-update"])
+    def test_coarse_stripes_small_chunks(
+        self, algorithm, app_class, tmp_path
+    ):
+        """The only flush with 16-object gather rounds against 4 stripes:
+        many lock handoffs, each contended by 3,000 updates a tick."""
+        geometry = StateGeometry(rows=4_096, columns=8)
+        with CheckpointWriterPool(1, chunk_objects=16) as pool:
+            server = DurableGameServer(
+                app_class(geometry, updates_per_tick=3_000), tmp_path / "async",
+                algorithm=algorithm, seed=5, num_stripes=4, writer_pool=pool,
+            )
+            server.run_ticks(40)
+            server.wait_checkpoint_idle()
+            server.crash()
+        report = RecoveryManager(
+            app_class(geometry, updates_per_tick=3_000), tmp_path / "async",
+            seed=5,
+        ).recover()
+        assert not report.used_seed_fallback
+        with DurableGameServer(
+            app_class(geometry, updates_per_tick=3_000), tmp_path / "reference",
+            algorithm=algorithm, seed=5,
+        ) as reference:
+            reference.run_ticks(40)
+            assert np.array_equal(report.table.cells, reference.table.cells)
+
     @pytest.mark.parametrize("algorithm", ALGORITHM_KEYS)
     def test_serial_and_async_recover_identically(
         self, algorithm, app_class, pool, tmp_path

@@ -183,6 +183,25 @@ class TestFig6:
             disk_bandwidth=200e6,
         )
         result = fig6.run(TEST_SCALE, hardware=hardware)
-        assert len(result.raw["comparisons"]) == 2  # 1 rate x 2 algorithms
+        assert len(result.raw["comparisons"]) == 6  # 1 rate x 6 algorithms
         for comparison in result.raw["comparisons"]:
             assert comparison["measured_checkpoint"] > 0
+            assert comparison["measured_recovery"] > 0
+
+    def test_zero_denominator_prints_no_ratio(self, monkeypatch):
+        """Where the model charges nothing the ratio column says so; it
+        does not print ``infx``."""
+        from repro.validation.harness import ValidationComparison
+
+        free = ValidationComparison(
+            "naive-snapshot", "Naive-Snapshot", 100,
+            simulated_overhead=0.0, simulated_bit_time=0.0,
+            measured_overhead=1e-3,
+            simulated_checkpoint=1.0, measured_checkpoint=1.0,
+            simulated_recovery=1.0, measured_recovery=1.0,
+        )
+        monkeypatch.setattr(fig6, "run_validation_sweep", lambda **_: [free])
+        result = fig6.run(TEST_SCALE, hardware=HardwareParameters())
+        overhead = result.tables[1].render()
+        assert "n/a" in overhead
+        assert "inf" not in overhead

@@ -53,7 +53,7 @@ class TestExamples:
 
     def test_validate_on_this_host(self):
         out = run_example("validate_on_this_host.py", "25")
-        assert "Simulation vs real threaded implementation" in out
+        assert "Simulation vs the durable engine" in out
         assert "Copy-on-Update" in out
 
     def test_mmo_shard(self):
