@@ -1,10 +1,11 @@
 """Regenerate Figure 6: validation against the durable engine, six algorithms.
 
-These benchmarks run the engine's game thread, its pool writer and real file
-I/O, so absolute numbers are host-dependent; the assertions check the paper's
-validation *claims* -- the engine tracks the simulation's trends, with the
-Copy-on-Update overhead allowed to exceed the simulation (the paper saw up
-to 3x).
+These benchmarks run the engine's game thread (paced at the model's tick
+length), its pool writer and real file I/O, so absolute numbers are
+host-dependent; the assertions check the paper's validation *claims* for its
+two algorithms -- Copy-on-Update's overhead within an order of magnitude of
+the calibrated model (the paper saw up to 3x), time to checkpoint within
+0.05-20x -- and that every row of the other four was measured.
 """
 
 import pytest
@@ -43,14 +44,12 @@ def test_fig6a(benchmark, bench_scale, report_sink, host_hardware, shared):
     for row in result.raw["comparisons"]:
         assert row["measured_overhead"] > 0
         if row["algorithm"] == "copy-on-update":
-            # The paper saw up to 3x on 2009 hardware.  The engine's ticks
-            # are not paced to 30 Hz: one flush spans many of them, so the
-            # copy burst the model pays every tick is paid once per flush
-            # and the measured mean can sit an order of magnitude below.
+            # Measured within an order of magnitude of the calibrated model
+            # (the paper saw up to 3x on 2009 hardware).
             ratio = row["measured_overhead"] / max(
                 row["simulated_overhead"], 1e-9
             )
-            assert 0.01 < ratio < 10.0
+            assert 0.1 < ratio < 10.0
 
 
 def test_fig6b(benchmark, bench_scale, report_sink, host_hardware, shared):

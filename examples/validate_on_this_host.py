@@ -4,8 +4,9 @@
 1. micro-benchmarks the host (memory bandwidth/latency, lock and bit-op
    overheads, disk bandwidth) -- the Table 3 methodology;
 2. replays a Zipf trace through the durable engine under all six
-   algorithms (game thread + pool writer, real checkpoint files), crashes
-   it and recovers it;
+   algorithms (game thread ticking at the model's 30 Hz + pool writer, real
+   checkpoint files), crashes it and recovers it -- 24 runs of ``ticks``
+   ticks, about 70 s at the default 90;
 3. runs the simulator calibrated with the measured parameters on the same
    trace and prints both side by side.
 

@@ -8,8 +8,9 @@ paper predicts on genuine files: the partial-redo pair pays the largest
 restore, everything recovers bit-exactly, and replay scales with the ticks
 since the checkpoint cut.  It is the Figure 6 harness
 (:func:`repro.validation.harness.measure_engine_run`) at one operating point
-with the Knights-and-Archers game: the crash comes once the pool writer is
-idle, so the replayed tail is short.
+with the Knights-and-Archers game, ticks run flat out: the crash comes
+straight after the last tick, so the replayed tail is the ticks the pool
+writer's last flushes spanned.
 
 Runs at engine scale (a few MB of state, Python speed) -- absolute times are
 host numbers, the ordering is the result.

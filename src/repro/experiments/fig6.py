@@ -78,7 +78,8 @@ def run(
         "overhead", bit_pass=True,
     )
     overhead.add_note(
-        "like with like: the engine's stopwatch covers the Copy-To-Memory "
+        "like with like: the engine's ticks begin one model tick length "
+        "apart; its stopwatch covers the Copy-To-Memory "
         "pause and Handle-Update's locked old-value saves, so 'simulation' "
         "is the model's pause + lock + copy time; the policy's dirty-bit "
         "pass runs outside that stopwatch and is shown as simulated only"
@@ -95,9 +96,10 @@ def run(
         "Figure 6(c): recovery time, simulation vs engine", "recovery"
     )
     recovery.add_note(
-        "engine: measured restore plus measured replay of the ticks since "
-        "the restored checkpoint's cut; simulation: restore plus one "
-        "checkpoint period of replay (the paper's worst case)"
+        "engine: crashed straight after the last tick; measured restore "
+        "plus measured replay of the ticks since the newest committed cut; "
+        "simulation: restore plus one checkpoint period of replay (the "
+        "paper's worst case)"
     )
 
     figure = FigureResult(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -65,50 +66,50 @@ def measure_engine_run(
     num_ticks: int,
     directory: Union[str, os.PathLike],
     seed: int = 0,
+    tick_seconds: float = 0.0,
 ) -> Tuple[np.ndarray, List[float], object]:
     """Run ``app`` on the engine, crash it, recover it, return the accounts.
 
     Returns the per-tick overhead (Copy-To-Memory pause plus Handle-Update
     old-value saves), the flush durations of the committed checkpoints, and
-    the engine's ``RecoveryReport``.  The server flushes through a private
-    one-worker pool and is crashed once the writer has gone idle, so the
-    newest checkpoint is committed and recovery replays the ticks since its
+    the engine's ``RecoveryReport``.  Ticks begin ``tick_seconds`` apart (0:
+    flat out), so a flush spans the ticks it would at that tick rate.  The
+    server flushes through a private one-worker pool and is crashed straight
+    after the last tick -- the writer is waited for only while nothing has
+    committed -- so recovery replays the ticks since the newest committed
     cut.  A run that cannot be measured -- the engine failed, no checkpoint
     committed, recovery raised, or the recovered table is not the live table
     at the crash -- raises :class:`~repro.errors.ValidationError`: a row of
     zeros would read as a measurement.
     """
-
-    def failed(cause: str) -> ValidationError:
-        return ValidationError(
-            f"{algorithm} could not be measured over {num_ticks} ticks: {cause}"
-        )
-
     accounted = np.zeros(num_ticks)
-    with CheckpointWriterPool(1) as pool, DurableGameServer(
-        app, directory, algorithm=algorithm, seed=seed, writer_pool=pool
-    ) as server:
-        stats = server.stats
-        try:
+    try:
+        with CheckpointWriterPool(1) as pool, DurableGameServer(
+            app, directory, algorithm=algorithm, seed=seed, writer_pool=pool
+        ) as server:
+            stats, writer = server.stats, pool.handles[0]
+            started = time.perf_counter()
             for tick in range(num_ticks):
+                delay = started + tick * tick_seconds - time.perf_counter()
+                if delay > 0:
+                    time.sleep(delay)
                 server.run_tick()
                 accounted[tick] = (
                     stats.sync_copy_seconds + stats.handle_update_seconds
                 )
-            server.wait_checkpoint_idle()
-        except ReproError as error:
-            raise failed(f"the engine failed: {error!r}") from error
-        durations = pool.handles[0].stats().durations
-        if not durations:
-            raise failed("no checkpoint committed before the crash")
-        live = server.table.copy()
-        server.crash()
-    try:
+            if not writer.stats().durations:
+                server.wait_checkpoint_idle()
+            server.crash()
+            durations, live = writer.stats().durations, server.table
+            if not durations:
+                raise ValidationError("no checkpoint committed before the crash")
         report = RecoveryManager(app, directory, seed=seed).recover()
+        if not report.table.equals(live):
+            raise ValidationError("recovered table differs from the live one")
     except ReproError as error:
-        raise failed(f"recovery raised {error!r}") from error
-    if not report.table.equals(live):
-        raise failed("recovered table differs from the live table at the crash")
+        raise ValidationError(
+            f"{algorithm} could not be measured over {num_ticks} ticks: {error}"
+        ) from error
     return np.diff(accounted, prepend=0.0), durations, report
 
 
@@ -160,15 +161,13 @@ def run_validation_point(
     simulator = CheckpointSimulator(
         SimulationConfig(hardware=hardware, geometry=geometry)
     )
-    app = TraceReplayApp(trace)
-    comparisons = []
-    with tempfile.TemporaryDirectory(
-        prefix="repro-validate-", dir=directory
-    ) as root:
+    app, comparisons = TraceReplayApp(trace), []
+    with tempfile.TemporaryDirectory(dir=directory) as root:
         for simulated in simulator.run_all(trace):
             key = simulated.algorithm_key
             overhead, durations, report = measure_engine_run(
-                app, key, num_ticks, os.path.join(root, key), seed=seed
+                app, key, num_ticks, os.path.join(root, key), seed,
+                hardware.tick_duration,  # the model's tick length, on both sides
             )
             accounted = (
                 simulated.pause_time + simulated.lock_time + simulated.copy_time

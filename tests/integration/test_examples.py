@@ -52,7 +52,7 @@ class TestExamples:
         assert "legend" in out
 
     def test_validate_on_this_host(self):
-        out = run_example("validate_on_this_host.py", "25")
+        out = run_example("validate_on_this_host.py", "6")
         assert "Simulation vs the durable engine" in out
         assert "Copy-on-Update" in out
 

@@ -32,7 +32,10 @@ from repro.workloads.zipf import ZipfTrace
 TEST_GEOMETRY = StateGeometry(rows=4_096, columns=8)
 
 #: Deterministic stand-in for host measurement (keeps tests fast and stable).
+#: The harness paces the engine at the model's tick length; 100 Hz on both
+#: sides keeps a 20-tick point at 0.2 s an algorithm.
 FIXED_HARDWARE = HardwareParameters(
+    tick_frequency_hz=100.0,
     memory_bandwidth=8e9,
     memory_latency=200e-9,
     lock_overhead=100e-9,
@@ -94,6 +97,27 @@ class TestValidationPoint:
         assert free.overhead_ratio() is None
 
 
+    def test_engine_is_paced_at_the_models_tick_length(
+        self, monkeypatch, tmp_path
+    ):
+        paces = []
+
+        def spy(app, algorithm, num_ticks, directory, seed=0, tick_seconds=0.0):
+            paces.append(tick_seconds)
+            return measure_engine_run(
+                app, algorithm, num_ticks, directory, seed, tick_seconds
+            )
+
+        monkeypatch.setattr(harness, "measure_engine_run", spy)
+        started = time.perf_counter()
+        run_validation_point(
+            300, FIXED_HARDWARE, TEST_GEOMETRY, num_ticks=8, directory=tmp_path
+        )
+        assert paces == [FIXED_HARDWARE.tick_duration] * len(ALGORITHM_KEYS)
+        # Tick t begins t periods after tick 0, for each of the six runs.
+        assert time.perf_counter() - started >= 6 * 7 * 0.01
+
+
 class TestValidationSweep:
     def test_sweep_covers_all_points(self):
         comparisons = run_validation_sweep(
@@ -116,9 +140,33 @@ class TestEngineRun:
         assert (overhead >= 0).all() and overhead.sum() > 0
         assert durations and all(d > 0 for d in durations)
         assert report.restore_seconds > 0
-        # The writer was idle at the crash: the restored cut is the newest
-        # one started and the replay covers exactly the ticks after it.
+        # Replay covers exactly the ticks after the restored cut.
         assert report.checkpoint_tick + report.ticks_replayed == 19
+
+    def test_crash_comes_straight_after_the_last_tick(
+        self, monkeypatch, tmp_path
+    ):
+        """Once a checkpoint has committed the writer is not waited for:
+        flushes still in flight at the crash are lost, and recovery replays
+        the real tail since the newest committed cut."""
+        def make_hook(server):
+            def hold_from_tick_ten():
+                if server.ticks_run < 10:
+                    return
+                deadline = time.monotonic() + 10.0
+                while not server._crashed and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                raise StorageError("writer killed mid-flush")
+            return hold_from_tick_ten
+
+        install_store_hook(monkeypatch, make_hook)
+        _, durations, report = measure_engine_run(
+            replay_app(), "copy-on-update", 20, tmp_path, tick_seconds=0.005
+        )
+        assert durations
+        assert report.ticks_replayed >= 9
+        assert report.checkpoint_tick + report.ticks_replayed == 19
+        assert report.replay_seconds > 0
 
     @pytest.mark.parametrize("algorithm", ALGORITHM_KEYS)
     def test_model_and_engine_agree_on_counts(self, algorithm, tmp_path):
@@ -244,12 +292,12 @@ class TestUnmeasurableRuns:
 
     def test_recovery_raises(self, monkeypatch, tmp_path):
         install_store_hook(monkeypatch, hold_until_last_tick)
-        with pytest.raises(ValidationError, match="recovery raised") as excinfo:
+        with pytest.raises(ValidationError, match="replay refused") as excinfo:
             measure_engine_run(
                 CountingApp(zipf_trace(), fail_after=20),
                 "naive-snapshot", 20, tmp_path,
             )
-        assert "replay refused" in str(excinfo.value)
+        assert "naive-snapshot" in str(excinfo.value)
 
 
 def test_no_second_real_implementation_grows_back():
