@@ -196,7 +196,8 @@ class SimulationConfig:
         Copy-on-Update-Partial-Redo) flush the *whole* state to the log every
         ``C``-th checkpoint so recovery never reads back more than ``C``
         checkpoints of log.  Calibrated to 9 in DESIGN.md to match the
-        paper's ~7.2 s recovery time at 256,000 updates/tick.
+        paper's ~7.2 s recovery time at 256,000 updates/tick.  Unlike the
+        engine's, the model's ``C`` is never None: it prices the restore.
     warmup_ticks:
         Ticks excluded from aggregate statistics (the first checkpoint
         period is atypical because every dirty bit starts clear).
@@ -216,7 +217,7 @@ class SimulationConfig:
     min_checkpoint_interval_ticks: int = 1
 
     def __post_init__(self) -> None:
-        if self.full_dump_period < 1:
+        if self.full_dump_period is None or self.full_dump_period < 1:
             raise ConfigurationError(
                 f"full_dump_period must be >= 1, got {self.full_dump_period}"
             )

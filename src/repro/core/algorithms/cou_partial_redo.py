@@ -6,12 +6,16 @@ Partial-Redo, we periodically run Dribble-and-Copy-on-Update to limit the
 portion of the log that we must access during recovery." (Section 3.2.)
 
 Regular checkpoints append only the objects dirtied since the previous
-checkpoint; every ``full_dump_period``-th checkpoint flushes the whole state.
+checkpoint; a full dump (every ``full_dump_period``-th checkpoint, or with no
+period whenever the partials since the last one add up to the state) flushes
+the whole state.
 Old values are saved on the first update of any object in the active write
 set (all objects, during a full dump).
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -35,7 +39,9 @@ class CopyOnUpdatePartialRedo(CheckpointPolicy):
         "Write-Objects-To-Stable-Storage": "Dirty objects, log",
     }
 
-    def __init__(self, num_objects: int, full_dump_period: int = 9) -> None:
+    def __init__(
+        self, num_objects: int, full_dump_period: Optional[int] = 9
+    ) -> None:
         super().__init__(num_objects, full_dump_period)
         self._dirty = PolarityBitmap(num_objects, fill=True)
         self._touched = EpochSet(num_objects)
@@ -44,7 +50,8 @@ class CopyOnUpdatePartialRedo(CheckpointPolicy):
 
     def _begin(self, checkpoint_index: int) -> CheckpointPlan:
         self._touched.reset()
-        if self._is_full_dump(checkpoint_index):
+        write_set = self._dirty.set_ids()
+        if self._take_full_dump(checkpoint_index, write_set.size):
             self._writing_everything = True
             self._dirty.clear_all()
             return CheckpointPlan(
@@ -55,7 +62,6 @@ class CopyOnUpdatePartialRedo(CheckpointPolicy):
                 is_full_dump=True,
             )
         self._writing_everything = False
-        write_set = self._dirty.set_ids()
         self._dirty.clear(write_set)
         self._write_mask.fill(False)
         self._write_mask[write_set] = True

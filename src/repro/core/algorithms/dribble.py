@@ -10,7 +10,8 @@ after Rosenkrantz [28].)
 The per-object flushed/copied bit is modelled with an
 :class:`~repro.state.dirty.EpochSet` whose O(1) reset plays the role of the
 paper's bit-polarity inversion [24]: nothing is cleared between checkpoints.
-The whole state goes to a sequential log every checkpoint.
+The whole state goes to a sequential log every checkpoint, each one flagged
+as the full dump it is, so the log store keeps only the newest.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ class DribbleAndCopyOnUpdate(CheckpointPolicy):
             eager_copy_ids=empty_ids(),
             write_ids=None,
             layout=self.layout,
+            is_full_dump=True,
         )
 
     def _handle(self, object_ids: np.ndarray, update_count: int) -> UpdateEffects:

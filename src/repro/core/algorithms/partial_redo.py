@@ -7,13 +7,16 @@ full consistent checkpoint.  In order to avoid this overhead, we periodically
 create a full checkpoint of the state using Dribble-and-Copy-on-Update."
 (Section 3.2.)
 
-Every ``full_dump_period``-th checkpoint is therefore a Dribble-style full
-flush: no eager copy, old values saved on first update, the whole state
-appended to the log.  All other checkpoints eagerly copy the dirty set at the
-tick boundary and append only those objects.
+The full dumps (every ``full_dump_period``-th checkpoint, or with no period
+whenever the partials since the last one add up to the state) are therefore
+Dribble-style full flushes: no eager copy, old values saved on first update,
+the whole state written to the log.  All other checkpoints eagerly copy the
+dirty set at the tick boundary and append only those objects.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -37,7 +40,9 @@ class PartialRedo(CheckpointPolicy):
         "Write-Objects-To-Stable-Storage": "No-op",
     }
 
-    def __init__(self, num_objects: int, full_dump_period: int = 9) -> None:
+    def __init__(
+        self, num_objects: int, full_dump_period: Optional[int] = 9
+    ) -> None:
         super().__init__(num_objects, full_dump_period)
         # Dirty since the last checkpoint; starts all-set because nothing has
         # ever been written to the log.
@@ -47,7 +52,8 @@ class PartialRedo(CheckpointPolicy):
         self._in_full_dump = False
 
     def _begin(self, checkpoint_index: int) -> CheckpointPlan:
-        if self._is_full_dump(checkpoint_index):
+        write_set = self._dirty.set_ids()
+        if self._take_full_dump(checkpoint_index, write_set.size):
             self._in_full_dump = True
             self._touched.reset()
             self._dirty.clear_all()
@@ -59,7 +65,6 @@ class PartialRedo(CheckpointPolicy):
                 is_full_dump=True,
             )
         self._in_full_dump = False
-        write_set = self._dirty.set_ids()
         self._dirty.clear(write_set)
         return CheckpointPlan(
             checkpoint_index=checkpoint_index,

@@ -49,7 +49,9 @@ class CheckpointPlan:
     layout:
         Disk organization the write targets.
     is_full_dump:
-        True for the every-C-th full flush of the log-organized methods.
+        True when a log-organized method writes the whole state (the
+        partial-redo pair's full dumps, every Dribble checkpoint): the log
+        store starts a new log with it.
     """
 
     checkpoint_index: int

@@ -18,7 +18,7 @@ metadata (:attr:`eager_copy`, :attr:`copies_dirty_only`, :attr:`layout`,
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, Dict
+from typing import ClassVar, Dict, Optional
 
 import numpy as np
 
@@ -49,17 +49,21 @@ class CheckpointPolicy(ABC):
     #: Table 2 row: what each framework subroutine does for this algorithm.
     SUBROUTINES: ClassVar[Dict[str, str]]
 
-    def __init__(self, num_objects: int, full_dump_period: int = 9) -> None:
+    def __init__(
+        self, num_objects: int, full_dump_period: Optional[int] = 9
+    ) -> None:
         if num_objects <= 0:
             raise ConfigurationError(
                 f"num_objects must be positive, got {num_objects}"
             )
-        if full_dump_period < 1:
+        if full_dump_period is not None and full_dump_period < 1:
             raise ConfigurationError(
                 f"full_dump_period must be >= 1, got {full_dump_period}"
             )
         self._num_objects = num_objects
         self._full_dump_period = full_dump_period
+        #: Objects written by partial checkpoints since the last full dump.
+        self._written_since_full_dump = 0
         self._checkpoint_index = 0
         self._active = False
 
@@ -69,8 +73,9 @@ class CheckpointPolicy(ABC):
         return self._num_objects
 
     @property
-    def full_dump_period(self) -> int:
-        """``C``: full-state log flush every C-th checkpoint (log methods)."""
+    def full_dump_period(self) -> Optional[int]:
+        """``C``: full-state log flush every C-th checkpoint (log methods);
+        None for the bounded rule of :meth:`_take_full_dump`."""
         return self._full_dump_period
 
     @property
@@ -151,9 +156,19 @@ class CheckpointPolicy(ABC):
     # Conveniences
     # ------------------------------------------------------------------
 
-    def _is_full_dump(self, checkpoint_index: int) -> bool:
-        """True when ``checkpoint_index`` is an every-C-th full log flush."""
-        return (checkpoint_index + 1) % self._full_dump_period == 0
+    def _take_full_dump(self, checkpoint_index: int, write_count: int) -> bool:
+        """Whether checkpoint ``checkpoint_index``, whose partial write set
+        holds ``write_count`` objects, is a full log flush instead: every
+        C-th checkpoint (the paper's rule), or without ``C`` once the objects
+        partials wrote since the last full dump, plus these, reach the number
+        of objects, so the log past a full dump holds fewer than that."""
+        if self._full_dump_period is not None:
+            return (checkpoint_index + 1) % self._full_dump_period == 0
+        self._written_since_full_dump += write_count
+        if self._written_since_full_dump < self._num_objects:
+            return False
+        self._written_since_full_dump = 0
+        return True
 
     def __repr__(self) -> str:
         return (

@@ -6,7 +6,7 @@ the paper's figures (``"Copy-on-Update"``); both are case-insensitive.
 
 from __future__ import annotations
 
-from typing import Dict, List, Type
+from typing import Dict, List, Optional, Type
 
 from repro.core.algorithms import (
     AtomicCopyDirtyObjects,
@@ -55,7 +55,7 @@ def all_algorithm_classes() -> List[Type[CheckpointPolicy]]:
 
 
 def make_policy(
-    name: str, num_objects: int, full_dump_period: int = 9
+    name: str, num_objects: int, full_dump_period: Optional[int] = 9
 ) -> CheckpointPolicy:
     """Instantiate a fresh policy for one simulation or engine run."""
     return algorithm_class(name)(num_objects, full_dump_period=full_dump_period)

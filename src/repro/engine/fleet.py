@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.core.plan import DiskLayout
-from repro.core.registry import make_policy
+from repro.core.registry import algorithm_class
 from repro.engine.app import TickApplication
 from repro.engine.server import ServerStats
 from repro.engine.shard import GAME_SUBDIRECTORY, MMOShard, ShardRecovery
@@ -63,7 +63,7 @@ from repro.engine.shard_worker import (
     shard_arena_slots,
     shard_worker_main,
 )
-from repro.engine.writer_pool import CheckpointWriterPool
+from repro.engine.writer_pool import CheckpointWriterPool, release_freed_heap
 from repro.errors import BackpressureError, EngineError
 from repro.obs.metrics import MetricsRegistry, RowMetrics
 from repro.obs.telemetry import (
@@ -107,7 +107,6 @@ def _open_parent_store(
     game_directory: str,
     geometry,
     algorithm: str,
-    full_dump_period: int,
     sync: bool,
     fsync_policy: Optional[str],
 ):
@@ -118,10 +117,7 @@ def _open_parent_store(
     (the log store verifies the geometry record, the double backup attaches
     read-write), and only the parent ever writes checkpoint records.
     """
-    policy = make_policy(
-        algorithm, geometry.num_objects, full_dump_period=full_dump_period
-    )
-    if policy.layout is DiskLayout.DOUBLE_BACKUP:
+    if algorithm_class(algorithm).layout is DiskLayout.DOUBLE_BACKUP:
         return DoubleBackupStore(
             game_directory, geometry, sync=sync, fsync_policy=fsync_policy
         )
@@ -358,12 +354,13 @@ class ShardFleet:
         shard_kwargs.pop("writer_name", None)
         sync = shard_kwargs.get("sync", False)
         fsync_policy = shard_kwargs.get("fsync_policy")
-        full_dump_period = shard_kwargs.get("full_dump_period", 9)
         self._control = SharedArena.create(
             control_arena_slots(self._num_shards)
         )
         control = self._control.array(CONTROL_SLOT)
         forked = []  # (index, app, process, parent_conn, arena)
+        # Freed but resident heap would be copied into every worker.
+        release_freed_heap()
         for index in range(self._num_shards):
             app = app_factory(index)
             if self._geometry is None:
@@ -434,7 +431,6 @@ class ShardFleet:
                     ),
                     app.geometry,
                     algorithm,
-                    full_dump_period,
                     sync,
                     fsync_policy,
                 )

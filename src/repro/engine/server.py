@@ -70,7 +70,9 @@ class DurableGameServer:
         directory: Union[str, os.PathLike],
         algorithm: str = "copy-on-update",
         seed: int = 0,
-        full_dump_period: int = 9,
+        # None: a full dump once the partials since the last one add up to
+        # the state, bounding the checkpoint log below two images.
+        full_dump_period: Optional[int] = None,
         writer_bytes_per_tick: Optional[int] = None,
         sync: bool = False,
         fsync_policy: Optional[str] = None,

@@ -21,7 +21,7 @@ The threads that run the routine live in
 worker is the only asynchronous checkpoint writer, for the engine
 (:class:`~repro.engine.executor.RealExecutor`, all six algorithms), the
 process backend and the Section 6 validation harness
-(:class:`~repro.validation.realimpl.RealCheckpointServer`) alike.
+(:mod:`repro.validation.harness`, which drives the engine) alike.
 """
 
 from __future__ import annotations
@@ -145,7 +145,8 @@ class CheckpointJob:
     source: PayloadSource
     #: Target backup file (double-backup stores only).
     backup_index: Optional[int] = None
-    #: Whether this is an every-C-th full flush (log stores only).
+    #: Whether this checkpoint writes the whole state as a full dump, which
+    #: a log store writes into a new log (log stores only).
     is_full_dump: bool = False
 
 

@@ -51,6 +51,7 @@ workers within the timeout raises rather than silently leaking threads.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 import time
 from collections import deque
@@ -66,6 +67,21 @@ from repro.engine.writer import (
 )
 from repro.errors import CheckpointWriterError
 from repro.obs.trace import get_tracer
+
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+    _malloc_trim.restype = ctypes.c_int
+except (AttributeError, OSError, TypeError):  # not glibc
+    _malloc_trim = None
+
+
+def release_freed_heap() -> None:
+    """Return freed heap pages to the OS (glibc's ``malloc_trim(0)``, every
+    arena; a no-op elsewhere): a full dump's staged chunks, once freed, or
+    the freed heap a fork would copy into every child."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 @dataclass
@@ -532,6 +548,10 @@ class CheckpointWriterPool:
                 handle._stats.jobs_abandoned += 1
                 self._stats.jobs_abandoned += 1
         finally:
+            if job.is_full_dump:
+                # Before the handle goes idle, so the next tick does not
+                # run beside it.
+                release_freed_heap()
             handle._job = None
             handle._idle.set()
 

@@ -14,9 +14,14 @@ The log is a sequence of framed records::
 Recovery finds the last committed checkpoint, then reconstructs the image
 from the latest committed version of every object at or before it, reading
 the log backwards from that checkpoint's commit record
-(:meth:`CheckpointLogStore.restore_image`).  Because a full dump is appended
-every ``C`` checkpoints, the scan never needs to reach further back than ``C``
-checkpoints -- the ``(k*C + n)`` restore cost the simulator charges.
+(:meth:`CheckpointLogStore.restore_image`).  The scan never reaches past the
+newest full dump: the simulator charges it ``(k*C + n)`` objects when ``k``
+are appended per checkpoint and a full dump comes every ``C``-th.  A full
+dump is written into a fresh file (``checkpoints.log.next``) that atomically
+replaces the log once its commit is durable, so the log only ever holds the
+newest full dump and the partials after it; with the engine's default
+policy (a full dump once the partials since the last one add up to the
+state) a restore reads, and the disk holds, less than two images of log.
 :meth:`restore_scan_bytes` reports how many log bytes a backwards scan would
 touch, which the validation experiments compare against the model.
 
@@ -26,9 +31,10 @@ is history order: the newest committed checkpoint is the last one in the file.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple, Union
+from typing import BinaryIO, Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,6 +66,7 @@ from repro.storage.layout import (
 )
 
 _GEOMETRY_RECORD = 0  # pseudo-epoch used by the leading geometry record
+_GEOMETRY_RECORD_BYTES = RECORD_HEADER_BYTES + GEOMETRY_BYTES
 
 #: Bytes skipped at the front of the record scratch buffer so the payload
 #: (and with it the int64 ids) starts 8-byte aligned behind the 29-byte header.
@@ -136,9 +143,6 @@ class CheckpointLogStore:
 
     FILE_NAME = "checkpoints.log"
 
-    #: Default streaming granularity for :meth:`compact` rewrites.
-    COMPACT_CHUNK_BYTES = 1 << 20
-
     def __init__(
         self,
         directory: Union[str, os.PathLike],
@@ -155,23 +159,30 @@ class CheckpointLogStore:
         self._bytes_read = 0
         os.makedirs(self._directory, exist_ok=True)
         self._path = os.path.join(self._directory, self.FILE_NAME)
+        self._next_path = self._path + ".next"
+        # A full dump that never committed: the log it was to replace is
+        # still the committed one.
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(self._next_path)
         fresh = not os.path.exists(self._path) or os.path.getsize(self._path) == 0
         self._handle = open(self._path, "a+b")
-        if fresh:
-            self._append(
-                pack_record(
-                    RECORD_CHECKPOINT_BEGIN,
-                    _GEOMETRY_RECORD,
-                    0,
-                    pack_geometry(geometry),
-                )
-            )
-        else:
-            self._verify_geometry()
+        #: The full dump being written, while one is (see begin_checkpoint).
+        self._next: Optional[BinaryIO] = None
+        try:
+            if fresh:
+                self._append_parts([self._geometry_record()])
+            else:
+                self._verify_geometry()
+        except BaseException:
+            self._handle.close()
+            raise
         self._writing_epoch: Optional[int] = None
 
     def close(self) -> None:
-        """Close the log file."""
+        """Close the log file (an unfinished full dump's file stays on disk
+        until the next open removes it)."""
+        if self._next is not None:
+            self._next.close()
         self._handle.close()
 
     def __enter__(self) -> "CheckpointLogStore":
@@ -195,29 +206,44 @@ class CheckpointLogStore:
         """Active durability policy (``never`` / ``commit`` / ``always``)."""
         return self._fsync
 
-    def _append(self, data: bytes, committing: bool = False) -> None:
-        self._handle.seek(0, os.SEEK_END)
-        self._handle.write(data)
-        self._handle.flush()
-        if self._fsync == "always" or (committing and self._fsync == "commit"):
-            os.fsync(self._handle.fileno())
+    def _geometry_record(self) -> bytes:
+        return pack_record(
+            RECORD_CHECKPOINT_BEGIN, _GEOMETRY_RECORD, 0,
+            pack_geometry(self._geometry),
+        )
 
     def _append_parts(self, parts: List, committing: bool = False) -> None:
         """Gathered append of framed records without concatenating them.
 
-        The handle is opened in append mode, so after a flush the raw fd
-        lands all parts at the end of the file in one ``writev``.  A
-        ``committing`` append carries a commit marker, so it must reach
-        stable storage under the ``commit`` policy as well as ``always`` --
-        the same discipline as :meth:`_append`.
+        Records go to the full dump being written, if there is one, else to
+        the log.  Both handles are in append mode and never buffer a write,
+        so the raw fd lands all parts at the end of the file in one
+        ``writev``.  A ``committing`` append carries a commit marker, so it
+        must reach stable storage under the ``commit`` policy as well as
+        ``always``; a committed full dump then replaces the log.
         """
-        self._handle.flush()
-        write_all(self._handle.fileno(), parts)
+        target = self._next or self._handle
+        write_all(target.fileno(), parts)
         if self._fsync == "always" or (committing and self._fsync == "commit"):
-            os.fsync(self._handle.fileno())
+            os.fsync(target.fileno())
+        if committing and self._next is not None:
+            self._install_next()
+
+    def _install_next(self) -> None:
+        """Make the committed full dump the log: rename it over the log,
+        make the rename durable, then read and append through it."""
+        os.replace(self._next_path, self._path)
+        if self._fsync != "never":
+            directory = os.open(self._directory, os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
+        self._handle.close()
+        self._handle, self._next = self._next, None
 
     def _verify_geometry(self) -> None:
-        record = memoryview(bytearray(RECORD_HEADER_BYTES + GEOMETRY_BYTES))
+        record = memoryview(bytearray(_GEOMETRY_RECORD_BYTES))
         header = record[:RECORD_HEADER_BYTES]
         payload = record[RECORD_HEADER_BYTES:]
         # A short read leaves zeros behind, which fail the magic check.
@@ -245,16 +271,30 @@ class CheckpointLogStore:
     # ------------------------------------------------------------------
 
     def begin_checkpoint(self, epoch: int, is_full_dump: bool) -> None:
-        """Append the begin record of checkpoint ``epoch``."""
+        """Append the begin record of checkpoint ``epoch``.
+
+        A full dump supersedes everything in the log, so unless the log
+        holds nothing yet it starts a new one: a fresh ``.next`` file,
+        headed by the geometry record, takes this checkpoint's records and
+        replaces the log on commit.  Until then every read still sees the
+        committed log.
+        """
         if self._writing_epoch is not None:
             raise StorageError(
                 f"checkpoint {self._writing_epoch} already in progress"
             )
         if epoch <= 0:
             raise StorageError(f"epoch must be positive, got {epoch}")
-        self._append(
-            pack_record(RECORD_CHECKPOINT_BEGIN, epoch, int(is_full_dump), b"")
+        begin = pack_record(
+            RECORD_CHECKPOINT_BEGIN, epoch, int(is_full_dump), b""
         )
+        if is_full_dump and self.size_bytes() > _GEOMETRY_RECORD_BYTES:
+            self._next = open(self._next_path, "a+b")
+            # In progress from here: a failed write is aborted like any other.
+            self._writing_epoch = epoch
+            self._append_parts([self._geometry_record(), begin])
+        else:
+            self._append_parts([begin])
         self._writing_epoch = epoch
 
     def _validated_run(self, object_ids: np.ndarray, payloads):
@@ -357,16 +397,22 @@ class CheckpointLogStore:
         """Append the commit record; the checkpoint is now recoverable."""
         if self._writing_epoch is None:
             raise StorageError("commit_checkpoint without begin_checkpoint")
-        self._append(
-            pack_record(RECORD_CHECKPOINT_COMMIT, self._writing_epoch, tick, b""),
+        self._append_parts(
+            [pack_record(RECORD_CHECKPOINT_COMMIT, self._writing_epoch, tick,
+                         b"")],
             committing=True,
         )
         self._writing_epoch = None
 
     def abort_checkpoint(self) -> None:
-        """Abandon the in-progress checkpoint (its records stay uncommitted)."""
+        """Abandon the in-progress checkpoint: its records stay uncommitted
+        in the log, or the unfinished full dump's file is removed."""
         if self._writing_epoch is None:
             raise StorageError("abort_checkpoint without begin_checkpoint")
+        if self._next is not None:
+            self._next.close()
+            os.unlink(self._next_path)
+            self._next = None
         self._writing_epoch = None
 
     # ------------------------------------------------------------------
@@ -655,62 +701,3 @@ class CheckpointLogStore:
         """Current size of the log file."""
         self._handle.seek(0, os.SEEK_END)
         return self._handle.tell()
-
-    # ------------------------------------------------------------------
-    # Compaction
-    # ------------------------------------------------------------------
-
-    def compact(self, chunk_bytes: Optional[int] = None) -> int:
-        """Drop log prefix made redundant by the newest committed full dump.
-
-        Everything before that full dump's begin record can never be read by
-        recovery again (the backwards scan stops at the full dump), so it is
-        rewritten away.  The surviving tail is streamed into the replacement
-        file in bounded ``chunk_bytes`` pieces (default
-        :attr:`COMPACT_CHUNK_BYTES`), so compaction never materializes the
-        tail in memory no matter how large the log has grown.  Returns the
-        number of bytes reclaimed.  No-op (0) when there is no committed full
-        dump or no in-progress-free prefix to drop.  Must not be called while
-        a checkpoint is being written.
-        """
-        if self._writing_epoch is not None:
-            raise StorageError("cannot compact while a checkpoint is in progress")
-        if chunk_bytes is None:
-            chunk_bytes = self.COMPACT_CHUNK_BYTES
-        if chunk_bytes <= 0:
-            raise StorageError(
-                f"chunk_bytes must be positive, got {chunk_bytes}"
-            )
-        try:
-            records, history = self._verified_history(self._read_fd())
-        except NoConsistentCheckpointError:
-            return 0
-        if not history[0].is_full_dump:
-            return 0
-        cut = records[history[0].first_record].offset
-        # Rewrite: geometry record + everything from the cut onwards, via a
-        # temp file swapped in atomically.
-        temp_path = self._path + ".compact"
-        with open(temp_path, "wb") as temp:
-            temp.write(
-                pack_record(
-                    RECORD_CHECKPOINT_BEGIN,
-                    _GEOMETRY_RECORD,
-                    0,
-                    pack_geometry(self._geometry),
-                )
-            )
-            self._handle.seek(cut)
-            while True:
-                chunk = self._handle.read(chunk_bytes)
-                if not chunk:
-                    break
-                temp.write(chunk)
-            temp.flush()
-            if self._fsync != "never":
-                os.fsync(temp.fileno())
-        old_size = self.size_bytes()
-        self._handle.close()
-        os.replace(temp_path, self._path)
-        self._handle = open(self._path, "a+b")
-        return old_size - self.size_bytes()

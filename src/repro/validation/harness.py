@@ -85,7 +85,8 @@ def measure_engine_run(
     accounted = np.zeros(num_ticks)
     try:
         with CheckpointWriterPool(1) as pool, DurableGameServer(
-            app, directory, algorithm=algorithm, seed=seed, writer_pool=pool
+            app, directory, algorithm=algorithm, seed=seed, writer_pool=pool,
+            full_dump_period=SimulationConfig.full_dump_period,  # the model's C
         ) as server:
             stats, writer = server.stats, pool.handles[0]
             started = time.perf_counter()

@@ -17,6 +17,9 @@ class TestDribble:
         plan = policy.begin_checkpoint()
         assert plan.eager_copy_ids.size == 0
         assert plan.writes_everything()
+        # Every checkpoint is the full dump it is, so a log store keeps
+        # only the newest.
+        assert plan.is_full_dump
 
     def test_copy_exactly_once_per_checkpoint(self):
         """The paper's critical property: "each object is copied exactly once

@@ -1,8 +1,9 @@
 """Behavioural tests for Partial-Redo."""
 
 import numpy as np
+import pytest
 
-from repro.core.algorithms import PartialRedo
+from repro.core.algorithms import CopyOnUpdatePartialRedo, PartialRedo
 from repro.core.plan import DiskLayout
 
 
@@ -73,3 +74,38 @@ class TestPartialRedo:
         policy.finish_checkpoint()
         plan = policy.begin_checkpoint()
         assert plan.write_ids.size == 0
+
+
+@pytest.mark.parametrize("policy_class", [PartialRedo, CopyOnUpdatePartialRedo])
+class TestBoundedFullDumps:
+    """Without a period, a full dump comes once the objects the partials
+    wrote since the last one, plus the next write set, reach the state."""
+
+    def run(self, policy, updates):
+        plans = []
+        for ids in updates:
+            policy.handle_updates(np.array(ids, dtype=np.int64), len(ids))
+            plans.append(policy.begin_checkpoint())
+            policy.finish_checkpoint()
+        return plans
+
+    def test_first_checkpoint_is_a_flagged_full_dump(self, policy_class):
+        plan = policy_class(16, full_dump_period=None).begin_checkpoint()
+        assert plan.is_full_dump and plan.writes_everything()
+
+    def test_full_dump_when_the_partials_add_up_to_the_state(
+        self, policy_class
+    ):
+        policy = policy_class(16, full_dump_period=None)
+        assert policy.full_dump_period is None
+        # Write sets of 6, 6, 3 (15 < 16) stay partial; the next 6 would
+        # bring the partials to 21 >= 16, so it is a full dump, after which
+        # the count starts again.
+        six, three = list(range(6)), list(range(3))
+        plans = self.run(policy, [[], six, six, three, six, six, six, six])
+        assert [p.is_full_dump for p in plans] == [
+            True, False, False, False, True, False, False, True,
+        ]
+        assert [p.write_count(16) for p in plans] == [
+            16, 6, 6, 3, 16, 6, 6, 16,
+        ]

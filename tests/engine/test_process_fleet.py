@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.config import StateGeometry
+from repro.engine import writer_pool
 from repro.engine.fleet import ShardFleet, shard_directory
 from repro.engine.recovery import RecoveryManager
 from repro.engine.server import DurableGameServer
@@ -229,3 +230,31 @@ class TestRecoverParity:
             assert a.game.table.equals(b.game.table)
             a.persistence.close()
             b.persistence.close()
+
+
+def status_kib(pid, field):
+    """One ``VmRSS``/``VmHWM``-style field of ``/proc/<pid>/status``."""
+    with open(f"/proc/{pid}/status") as status:
+        for line in status:
+            if line.startswith(field + ":"):
+                return int(line.split()[1])
+    raise KeyError(field)
+
+
+@pytest.mark.skipif(
+    writer_pool._malloc_trim is None or not os.path.exists("/proc/self"),
+    reason="needs glibc's malloc_trim and /proc",
+)
+def test_workers_do_not_inherit_freed_heap(app_factory, tmp_path):
+    """Heap the parent freed before the fleet forks goes back to the OS
+    first, so no worker starts with a copy of it."""
+    # 64 MiB of heap blocks below one more that stays allocated: freeing
+    # them cannot shrink the heap, so they stay resident.
+    blocks = [b"\x01" * (64 << 10) for _ in range(1024)]
+    pin = b"\x02" * (64 << 10)
+    del blocks
+    rss_before_kib = status_kib("self", "VmRSS")
+    with make_fleet(app_factory, tmp_path, num_shards=1) as fleet:
+        worker_hwm_kib = status_kib(fleet.worker_pids[0], "VmHWM")
+    assert worker_hwm_kib <= rss_before_kib - (32 << 10)
+    del pin

@@ -12,6 +12,7 @@ from repro.engine.server import DurableGameServer
 from repro.errors import EngineError, GeometryError
 from repro.state.dirty import EpochSet, unique_ids
 from repro.state.table import GameStateTable
+from repro.storage.layout import GEOMETRY_BYTES, RECORD_HEADER_BYTES
 
 
 class FixedBufferApp(TickApplication):
@@ -158,6 +159,25 @@ class TestTickLoop:
             ) as server:
                 server.run_ticks(25)
                 assert server.stats.checkpoints_completed >= 1, algorithm
+
+    def test_dribble_log_holds_one_image(self, random_walk_app, tmp_path):
+        """Every Dribble checkpoint is a full dump, so each one replaces
+        the log instead of growing it by an image."""
+        geometry = random_walk_app.geometry
+        with DurableGameServer(
+            random_walk_app, tmp_path, algorithm="dribble",
+            writer_bytes_per_tick=geometry.checkpoint_bytes,
+        ) as server:
+            while server.stats.checkpoints_completed < 10:
+                server.run_tick()
+                server.wait_checkpoint_idle()
+            store = server._store
+            records = store._walk(store._read_fd())
+            framing = (
+                8 * geometry.num_objects
+                + RECORD_HEADER_BYTES * len(records) + GEOMETRY_BYTES
+            )
+            assert store.size_bytes() <= geometry.checkpoint_bytes + framing
 
     def test_algorithm_name_exposed(self, random_walk_app, tmp_path):
         with DurableGameServer(

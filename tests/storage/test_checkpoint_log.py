@@ -1,11 +1,15 @@
 """Tests for the append-only checkpoint log."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.config import StateGeometry
 from repro.errors import NoConsistentCheckpointError, StorageError
 from repro.storage.checkpoint_log import CheckpointLogStore
+from repro.storage.layout import RECORD_CHECKPOINT_BEGIN
 
 
 @pytest.fixture
@@ -173,6 +177,9 @@ class TestReopen:
 
 
 class TestCompaction:
+    """A full dump compacts the log: it is written into a new file that
+    replaces the log on commit, so nothing older survives it."""
+
     def _fill(self, store, geometry, epochs_with_dump):
         ids = np.arange(geometry.num_objects)
         for epoch, full in epochs_with_dump:
@@ -187,91 +194,64 @@ class TestCompaction:
                 )
             store.commit_checkpoint(tick=epoch)
 
+    def epochs_in_log(self, store):
+        return [r.a for r in store._walk(store._read_fd())
+                if r.type == RECORD_CHECKPOINT_BEGIN and r.a]
+
     def test_compaction_reclaims_and_preserves_restore(self, store, geometry):
-        self._fill(store, geometry, [(1, True), (2, False), (3, True),
-                                     (4, False)])
-        image_before, epoch_before, tick_before = store.restore_image()
-        reclaimed = store.compact()
-        assert reclaimed > 0
-        image_after, epoch_after, tick_after = store.restore_image()
-        assert image_after == image_before
-        assert (epoch_after, tick_after) == (epoch_before, tick_before)
+        self._fill(store, geometry, [(1, True), (2, False)])
+        size_of_first_cycle = store.size_bytes()
+        self._fill(store, geometry, [(3, True), (4, False)])
+        assert self.epochs_in_log(store) == [3, 4]
+        assert store.size_bytes() == size_of_first_cycle
+        image, epoch, tick = store.restore_image()
+        assert (epoch, tick) == (4, 4)
+        assert image_value(image, geometry, 4) == 4_004
+        assert image_value(image, geometry, 2) == 3_002
 
     def test_compaction_without_full_dump_is_noop(self, store, geometry):
-        store.begin_checkpoint(1, is_full_dump=False)
-        store.append_objects(np.array([0]), payload_for([0], geometry, 1))
-        store.commit_checkpoint(tick=0)
-        assert store.compact() == 0
+        self._fill(store, geometry, [(1, False), (2, False)])
+        assert self.epochs_in_log(store) == [1, 2]
+        assert not os.path.exists(store.path + ".next")
 
     def test_compaction_at_start_is_noop(self, store, geometry):
         self._fill(store, geometry, [(1, True)])
-        # The full dump already sits directly after the geometry record;
-        # nothing precedes it except that record.
-        first = store.compact()
-        second = store.compact()
-        assert second == 0
-        # Restore still works either way.
-        store.restore_image()
-        del first
+        size = store.size_bytes()
+        # Replacing a log that holds one full dump with the next one
+        # leaves a log of the same size.
+        self._fill(store, geometry, [(2, True)])
+        assert store.size_bytes() == size
+        assert self.epochs_in_log(store) == [2]
+        assert store.restore_image()[1:] == (2, 2)
 
     def test_compaction_then_append(self, store, geometry):
         self._fill(store, geometry, [(1, True), (2, False), (3, True)])
-        store.compact()
         self._fill(store, geometry, [(4, False)])
         image, epoch, _ = store.restore_image()
         assert epoch == 4
+        assert self.epochs_in_log(store) == [3, 4]
 
     def test_compaction_mid_checkpoint_rejected(self, store, geometry):
-        self._fill(store, geometry, [(1, True)])
-        store.begin_checkpoint(2, is_full_dump=False)
-        with pytest.raises(StorageError):
-            store.compact()
+        """An uncommitted full dump replaces nothing: the log and every
+        read of it stay as they were until the commit."""
+        self._fill(store, geometry, [(1, True), (2, False)])
+        committed = Path(store.path).read_bytes()
+        store.begin_checkpoint(3, is_full_dump=True)
+        store.append_objects(np.array([0]), payload_for([0], geometry, 3))
+        assert Path(store.path).read_bytes() == committed
+        assert store.latest_committed() == (2, 2)
+        assert store.restore_image()[1:] == (2, 2)
+        store.abort_checkpoint()
+        assert not os.path.exists(store.path + ".next")
+        assert Path(store.path).read_bytes() == committed
 
     def test_compaction_survives_reopen(self, tmp_path, geometry):
         with CheckpointLogStore(tmp_path, geometry) as store:
             self._fill(store, geometry, [(1, True), (2, False), (3, True)])
             expected = store.restore_image()
-            store.compact()
         with CheckpointLogStore(tmp_path, geometry) as store:
             assert store.restore_image() == expected
-
-    def test_streaming_compaction_with_tail_larger_than_chunk(
-        self, store, geometry
-    ):
-        """The surviving tail must be rewritten correctly in small chunks.
-
-        The tail here (a full dump plus a string of incremental
-        checkpoints) is far larger than ``chunk_bytes``, so the rewrite
-        loop has to stream it in many pieces without corrupting records.
-        """
-        epochs = [(1, True), (2, False), (3, True)]
-        epochs += [(epoch, False) for epoch in range(4, 20)]
-        self._fill(store, geometry, epochs)
-        expected = store.restore_image()
-        reclaimed = store.compact(chunk_bytes=64)
-        assert reclaimed > 0
-        assert store.restore_image() == expected
-        # The streamed rewrite must leave a log that still accepts appends.
-        self._fill(store, geometry, [(20, False)])
-        _, epoch, _ = store.restore_image()
-        assert epoch == 20
-
-    def test_streaming_compaction_survives_reopen(self, tmp_path, geometry):
-        with CheckpointLogStore(tmp_path, geometry) as store:
-            epochs = [(1, True), (2, True)]
-            epochs += [(epoch, False) for epoch in range(3, 12)]
-            self._fill(store, geometry, epochs)
-            expected = store.restore_image()
-            store.compact(chunk_bytes=16)
-        with CheckpointLogStore(tmp_path, geometry) as store:
-            assert store.restore_image() == expected
-
-    def test_compaction_rejects_invalid_chunk_size(self, store, geometry):
-        self._fill(store, geometry, [(1, True)])
-        with pytest.raises(StorageError):
-            store.compact(chunk_bytes=0)
-        with pytest.raises(StorageError):
-            store.compact(chunk_bytes=-8)
+            assert self.epochs_in_log(store) == [3]
 
 
 class TestVectoredWrites:
@@ -344,23 +324,15 @@ class TestVectoredWrites:
     def test_vectored_commit_fsync_policy(
         self, tmp_path, geometry, monkeypatch, policy, expected_fsyncs
     ):
-        """The gathered commit-marker write honors the fsync policy."""
-        import os as os_module
+        """The gathered commit-marker write of a partial checkpoint honors
+        the fsync policy (a full dump's rename adds one directory fsync:
+        ``TestRotation``)."""
         with CheckpointLogStore(
             tmp_path, geometry, fsync_policy=policy
         ) as store:
-            counts = {"fsyncs": 0}
-            real_fsync = os_module.fsync
-
-            def counting_fsync(fd):
-                counts["fsyncs"] += 1
-                real_fsync(fd)
-
-            monkeypatch.setattr(
-                "repro.storage.checkpoint_log.os.fsync", counting_fsync
-            )
+            counts = counted_fsyncs(monkeypatch)
             ids = np.arange(geometry.num_objects)
-            store.begin_checkpoint(1, is_full_dump=True)
+            store.begin_checkpoint(1, is_full_dump=False)
             counts["fsyncs"] = 0
             store.write_checkpoint_vectored(
                 [(ids, payload_for(ids, geometry, 1))], cut_tick=3
@@ -374,22 +346,12 @@ class TestVectoredWrites:
         self, tmp_path, geometry, monkeypatch, policy, expected_fsyncs
     ):
         """Chunked appends fsync only at the commit record under commit."""
-        import os as os_module
         with CheckpointLogStore(
             tmp_path, geometry, fsync_policy=policy
         ) as store:
-            counts = {"fsyncs": 0}
-            real_fsync = os_module.fsync
-
-            def counting_fsync(fd):
-                counts["fsyncs"] += 1
-                real_fsync(fd)
-
-            monkeypatch.setattr(
-                "repro.storage.checkpoint_log.os.fsync", counting_fsync
-            )
+            counts = counted_fsyncs(monkeypatch)
             ids = np.arange(geometry.num_objects)
-            store.begin_checkpoint(1, is_full_dump=True)
+            store.begin_checkpoint(1, is_full_dump=False)
             counts["fsyncs"] = 0
             store.append_objects(ids[:4], payload_for(ids[:4], geometry, 1))
             store.append_objects(ids[4:], payload_for(ids[4:], geometry, 1))
@@ -402,9 +364,9 @@ class TestVectoredWrites:
 
         The commit marker is the last iovec entry, so a crash that lands
         only part of the gathered write can lose checkpoint 2 but can never
-        produce a committed-but-torn image.
+        produce a committed-but-torn image.  (A full dump is written into
+        a file of its own; ``TestRotation`` tears that one.)
         """
-        import os as os_module
         ids = np.arange(geometry.num_objects)
         with CheckpointLogStore(tmp_path, geometry) as store:
             store.begin_checkpoint(1, is_full_dump=True)
@@ -412,14 +374,14 @@ class TestVectoredWrites:
                 [(ids, payload_for(ids, geometry, 1))], cut_tick=5
             )
             path = store._path
-            committed_size = os_module.path.getsize(path)
-            store.begin_checkpoint(2, is_full_dump=True)
-            begin_size = os_module.path.getsize(path)
+            committed_size = os.path.getsize(path)
+            store.begin_checkpoint(2, is_full_dump=False)
+            begin_size = os.path.getsize(path)
             store.write_checkpoint_vectored(
                 self.chunks_for(geometry, 2, [0, 1, 2, 3], [4, 5, 6, 7]),
                 cut_tick=9,
             )
-            full_size = os_module.path.getsize(path)
+            full_size = os.path.getsize(path)
         assert committed_size < begin_size < full_size
         for torn_size in (
             begin_size, (begin_size + full_size) // 2, full_size - 1
@@ -433,6 +395,212 @@ class TestVectoredWrites:
                 image, epoch, tick = reopened.restore_image()
             assert (epoch, tick) == (1, 5)
             assert image_value(image, geometry, 7) == 1_007
+
+
+class _ImageSource:
+    """PayloadSource of a flush job: object ``i`` holds ``fill * 1000 + i``."""
+
+    def __init__(self, geometry, fill):
+        self.geometry, self.fill = geometry, fill
+
+    def read_payloads(self, ids):
+        return payload_for(ids, self.geometry, self.fill)
+
+
+class TestRotation:
+    """A full dump goes into ``checkpoints.log.next``, which replaces the
+    log once its commit is durable -- on both flush paths of the writer:
+    the gathered write, and over-cap slabs (``MAX_GATHER_BYTES``)."""
+
+    FLUSH_PATHS = ["gathered", "slabs"]
+
+    def two_checkpoints(self, store, geometry):
+        ids = np.arange(geometry.num_objects)
+        store.begin_checkpoint(1, is_full_dump=True)
+        store.append_objects(ids, payload_for(ids, geometry, 1))
+        store.commit_checkpoint(tick=10)
+        store.begin_checkpoint(2, is_full_dump=False)
+        store.append_objects(np.array([3]), payload_for([3], geometry, 2))
+        store.commit_checkpoint(tick=20)
+
+    def flush_full_dump(self, store, geometry, monkeypatch, path, abandon=None):
+        from repro.engine import writer
+
+        if path == "slabs":
+            # Two objects a slab: all but the last chunk land uncommitted
+            # through append_objects before the gathered commit write.
+            monkeypatch.setattr(
+                writer, "MAX_GATHER_BYTES", 2 * geometry.object_bytes
+            )
+        job = writer.CheckpointJob(
+            object_ids=np.arange(geometry.num_objects, dtype=np.int64),
+            epoch=3, cut_tick=30, source=_ImageSource(geometry, 3),
+            is_full_dump=True,
+        )
+        return writer.flush_checkpoint_job(
+            store, job, 2, abandon or (lambda: False), lambda nbytes: None
+        )
+
+    def fault_on_call(self, store, call):
+        calls = {"n": 0}
+
+        def hook():
+            calls["n"] += 1
+            if calls["n"] == call:
+                raise StorageError("injected fault")
+        store.write_fault_hook = hook
+
+    def test_full_dump_into_an_empty_log_is_written_in_place(
+        self, store, geometry
+    ):
+        """Nothing to replace: no second file, no rename."""
+        store.begin_checkpoint(1, is_full_dump=True)
+        assert not os.path.exists(store.path + ".next")
+        store.abort_checkpoint()
+        # The aborted dump's records stay in the log, so the next one starts
+        # a new file.
+        store.begin_checkpoint(2, is_full_dump=True)
+        assert os.path.exists(store.path + ".next")
+
+    def test_failed_begin_of_a_full_dump_is_aborted_like_any_write(
+        self, store, geometry, monkeypatch
+    ):
+        """A write error while the new file gets its first records leaves
+        the dump in progress, so the abort removes the file and the next
+        checkpoint goes to the log, not to a half-written ``.next``."""
+        self.two_checkpoints(store, geometry)
+
+        def no_space(fd, parts):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(
+            "repro.storage.checkpoint_log.write_all", no_space
+        )
+        with pytest.raises(OSError, match="no space"):
+            store.begin_checkpoint(3, is_full_dump=True)
+        monkeypatch.undo()
+        store.abort_checkpoint()
+        assert not os.path.exists(store.path + ".next")
+        store.begin_checkpoint(3, is_full_dump=False)
+        store.append_objects(np.array([5]), payload_for([5], geometry, 3))
+        store.commit_checkpoint(tick=30)
+        image, epoch, tick = store.restore_image()
+        assert (epoch, tick) == (3, 30)
+        assert image_value(image, geometry, 5) == 3_005
+
+    @pytest.mark.parametrize("path", FLUSH_PATHS)
+    @pytest.mark.parametrize("call", [1, 3])
+    def test_fault_while_writing_keeps_the_previous_checkpoint(
+        self, tmp_path, geometry, monkeypatch, path, call
+    ):
+        with CheckpointLogStore(tmp_path, geometry) as store:
+            self.two_checkpoints(store, geometry)
+            committed = Path(store.path).read_bytes()
+            expected = store.restore_image()
+            self.fault_on_call(store, call)
+            with pytest.raises(StorageError, match="injected"):
+                self.flush_full_dump(store, geometry, monkeypatch, path)
+            assert os.path.exists(store.path + ".next")
+            assert Path(store.path).read_bytes() == committed
+            assert store.restore_image() == expected
+        with CheckpointLogStore(tmp_path, geometry) as store:
+            assert not os.path.exists(store.path + ".next")
+            assert store.restore_image() == expected
+            assert expected[1:] == (2, 20)
+
+    @pytest.mark.parametrize("path", FLUSH_PATHS)
+    def test_abandoned_full_dump_removes_its_file(
+        self, tmp_path, geometry, monkeypatch, path
+    ):
+        polls = {"n": 0}
+
+        def abandon_at_third_poll():
+            polls["n"] += 1
+            return polls["n"] >= 3
+
+        with CheckpointLogStore(tmp_path, geometry) as store:
+            self.two_checkpoints(store, geometry)
+            assert not self.flush_full_dump(
+                store, geometry, monkeypatch, path, abandon_at_third_poll
+            )
+            assert not os.path.exists(store.path + ".next")
+            assert store.restore_image()[1:] == (2, 20)
+
+    @pytest.mark.parametrize("path", FLUSH_PATHS)
+    def test_fault_after_the_rename_restores_the_new_full_dump(
+        self, tmp_path, geometry, monkeypatch, path
+    ):
+        real_replace = os.replace
+
+        def replace_then_fail(source, target):
+            real_replace(source, target)
+            raise OSError("crash after the rename")
+
+        with CheckpointLogStore(
+            tmp_path, geometry, fsync_policy="commit"
+        ) as store:
+            self.two_checkpoints(store, geometry)
+            monkeypatch.setattr(
+                "repro.storage.checkpoint_log.os.replace", replace_then_fail
+            )
+            with pytest.raises(OSError, match="after the rename"):
+                self.flush_full_dump(store, geometry, monkeypatch, path)
+        with CheckpointLogStore(tmp_path, geometry) as store:
+            image, epoch, tick = store.restore_image()
+            assert (epoch, tick) == (3, 30)
+            for object_id in range(geometry.num_objects):
+                assert image_value(image, geometry, object_id) == (
+                    3_000 + object_id
+                )
+            assert [r.a for r in store._walk(store._read_fd())
+                    if r.type == RECORD_CHECKPOINT_BEGIN] == [0, 3]
+
+    @pytest.mark.parametrize("path,policy,expected_fsyncs", [
+        ("gathered", "never", 0), ("gathered", "commit", 2),
+        ("gathered", "always", 2), ("slabs", "never", 0),
+        ("slabs", "commit", 2),
+    ])
+    def test_commit_fsyncs_the_data_then_the_directory(
+        self, tmp_path, geometry, monkeypatch, path, policy, expected_fsyncs
+    ):
+        """One data fsync, then one of the directory for the rename."""
+        with CheckpointLogStore(
+            tmp_path, geometry, fsync_policy=policy
+        ) as store:
+            self.two_checkpoints(store, geometry)
+            fsynced = []
+            real_fsync = os.fsync
+
+            def recording_fsync(fd):
+                fsynced.append(os.path.isdir(f"/proc/self/fd/{fd}"))
+                real_fsync(fd)
+
+            original_begin = store.begin_checkpoint
+
+            def begin_then_record(epoch, is_full_dump):
+                original_begin(epoch, is_full_dump)
+                monkeypatch.setattr(
+                    "repro.storage.checkpoint_log.os.fsync", recording_fsync
+                )
+            store.begin_checkpoint = begin_then_record
+            assert self.flush_full_dump(store, geometry, monkeypatch, path)
+            assert len(fsynced) == expected_fsyncs
+            if expected_fsyncs:
+                assert fsynced == [False, True]
+            assert store.restore_image()[1:] == (3, 30)
+
+
+def counted_fsyncs(monkeypatch):
+    """Count the log store's fsyncs (of files and of the directory)."""
+    counts = {"fsyncs": 0}
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        counts["fsyncs"] += 1
+        real_fsync(fd)
+
+    monkeypatch.setattr("repro.storage.checkpoint_log.os.fsync", counting_fsync)
+    return counts
 
 
 def counted_reads(monkeypatch):
@@ -466,25 +634,50 @@ class TestBackwardsRestore:
 
     def three_cycles(self, store, geometry):
         """Three full-dump cycles: epochs 1, 5, 9 are full dumps."""
-        everything = np.arange(geometry.num_objects)
         for epoch in range(1, 12):
-            if epoch % 4 == 1:
-                self.checkpoint(store, geometry, epoch, everything, full=True)
-            else:
-                self.checkpoint(store, geometry, epoch,
-                                [epoch % 8, (epoch + 3) % 8])
+            self.three_cycles_checkpoint(store, geometry, epoch)
+
+    def three_cycles_checkpoint(self, store, geometry, epoch):
+        if epoch % 4 == 1:
+            everything = np.arange(geometry.num_objects)
+            self.checkpoint(store, geometry, epoch, everything, full=True)
+        else:
+            self.checkpoint(store, geometry, epoch,
+                            [epoch % 8, (epoch + 3) % 8])
 
     def record_offsets(self, store):
         """(offset, end) of every framed record, from the store's own walk."""
         return [(r.offset, r.end) for r in store._walk(store._read_fd())]
 
+    def legacy_log(self, tmp_path, geometry):
+        """The three cycles in one file, as a store that appended its full
+        dumps to the log left it: each cycle is written by a store of its
+        own and the files are joined behind one geometry record."""
+        parts = []
+        for cycle in range(3):
+            directory = tmp_path / f"cycle-{cycle}"
+            with CheckpointLogStore(directory, geometry) as store:
+                for epoch in range(4 * cycle + 1, min(4 * cycle + 5, 12)):
+                    self.three_cycles_checkpoint(store, geometry, epoch)
+                records = self.record_offsets(store)
+                data = Path(store.path).read_bytes()
+            parts.append(data if cycle == 0 else data[records[1][0]:])
+        joined = tmp_path / "legacy"
+        joined.mkdir()
+        (joined / CheckpointLogStore.FILE_NAME).write_bytes(b"".join(parts))
+        return joined
+
     def test_restore_reads_only_the_last_cycle(
         self, store, geometry, monkeypatch
     ):
         self.three_cycles(store, geometry)
-        headers = 29 * len(self.record_offsets(store))
+        records = self.record_offsets(store)
+        headers = 29 * len(records)
         scan = store.restore_scan_bytes()
-        assert scan < store.size_bytes() // 2
+        # Each full dump started a new log: only the last cycle is left,
+        # and the scan covers all of it but the geometry record.
+        assert scan == store.size_bytes() - records[1][0]
+        assert len(records) == 1 + 3 * 4
         counts = counted_reads(monkeypatch)
         before = store.bytes_read
         image, epoch, tick = store.restore_image()
@@ -548,20 +741,26 @@ class TestBackwardsRestore:
     def test_corruption_older_than_the_stop_point_is_not_read(
         self, tmp_path, geometry
     ):
-        with CheckpointLogStore(tmp_path, geometry) as store:
+        with CheckpointLogStore(tmp_path / "rotated", geometry) as store:
             self.three_cycles(store, geometry)
             expected = store.restore_image()
+        legacy = self.legacy_log(tmp_path, geometry)
+        with CheckpointLogStore(legacy, geometry) as store:
+            assert store.restore_image() == expected
             records = self.record_offsets(store)
             path = store.path
         # A payload byte of the very first full dump (record 2: geometry,
         # BEGIN, then OBJECTS), two full dumps before the stop point.
         self.flip(path, records[2][0] + 40)
-        with CheckpointLogStore(tmp_path, geometry) as store:
+        with CheckpointLogStore(legacy, geometry) as store:
             assert store.restore_image() == expected
             assert store.latest_committed() == (11, 110)
-            # Compaction drops the damaged prefix without ever trusting it.
-            assert store.compact() > 0
-            assert store.restore_image() == expected
+            # The next full dump leaves the damaged prefix behind without
+            # ever trusting it.
+            self.checkpoint(store, geometry, 12,
+                            np.arange(geometry.num_objects), full=True)
+            assert len(self.record_offsets(store)) == 1 + 4
+            assert store.restore_image()[1:] == (12, 120)
 
     @pytest.mark.parametrize("victim", ["objects", "begin", "commit"])
     def test_corruption_inside_the_trusted_range_ends_the_log_there(
@@ -638,3 +837,9 @@ class TestBackwardsRestore:
         image, _, _ = store.restore_image(out=table_like)
         assert image is table_like
         assert table_like.tobytes() == bytes(store.restore_image()[0])
+
+
+def test_no_second_compaction_path_grows_back():
+    """Rotation on each full dump is the only way the log sheds history."""
+    for retired in ("compact", "COMPACT_CHUNK_BYTES"):
+        assert not hasattr(CheckpointLogStore, retired)

@@ -116,6 +116,16 @@ class TestSimulationConfig:
                 full_dump_period=0,
             )
 
+    def test_model_needs_a_full_dump_period(self):
+        """The engine may bound its log without one; the model prices the
+        log restore with ``C``."""
+        with pytest.raises(ConfigurationError):
+            SimulationConfig(
+                hardware=PAPER_HARDWARE,
+                geometry=PAPER_GEOMETRY,
+                full_dump_period=None,
+            )
+
     def test_rejects_negative_warmup(self):
         with pytest.raises(ConfigurationError):
             SimulationConfig(

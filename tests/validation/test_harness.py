@@ -187,6 +187,7 @@ class TestEngineRun:
         with CheckpointWriterPool(1) as pool, DurableGameServer(
             TraceReplayApp(trace), tmp_path, algorithm=algorithm, seed=3,
             min_checkpoint_interval_ticks=8, writer_pool=pool,
+            full_dump_period=9,
         ) as server:
             for _ in range(40):
                 server.run_tick()
