@@ -68,6 +68,10 @@ class RecoveryReport:
     #: record the restore verified, re-read spans); ``bytes_read /
     #: bytes_restored`` is the restore's read amplification.
     bytes_read: int = 0
+    #: Action-log record bytes read and CRC-checked: the records replayed
+    #: plus the newest one, which opening the log verifies.  The header
+    #: walk, which verifies nothing, is not counted.
+    log_bytes_read: int = 0
 
     @property
     def recovery_seconds(self) -> float:
@@ -112,7 +116,9 @@ class RecoveryManager:
 
             replay_started = time.perf_counter()
             with tracer.span("replay"):
-                replayed = self._replay(table, rng, start_tick=cut_tick + 1)
+                replayed, log_bytes_read = self._replay(
+                    table, rng, start_tick=cut_tick + 1
+                )
             replay_seconds = time.perf_counter() - replay_started
         report = RecoveryReport(
             table=table,
@@ -126,6 +132,7 @@ class RecoveryManager:
             replay_seconds=replay_seconds,
             bytes_restored=0 if used_fallback else image.nbytes,
             bytes_read=bytes_read,
+            log_bytes_read=log_bytes_read,
         )
         self._publish(report)
         return report
@@ -137,6 +144,7 @@ class RecoveryManager:
         row.counter("recoveries_completed").inc()
         row.counter("recovery_bytes_restored").inc(report.bytes_restored)
         row.counter("recovery_bytes_read").inc(report.bytes_read)
+        row.counter("recovery_log_bytes_read").inc(report.log_bytes_read)
         row.counter("recovery_replay_ticks").inc(report.ticks_replayed)
 
     # ------------------------------------------------------------------
@@ -180,16 +188,21 @@ class RecoveryManager:
     # Replay
     # ------------------------------------------------------------------
 
-    def _iter_replay_records(self, start_tick: int):
-        """Yield logged tick records from ``start_tick``, checking for gaps.
+    def _replay(
+        self, table: GameStateTable, rng: np.random.Generator, start_tick: int
+    ) -> Tuple[int, int]:
+        """Re-run every logged tick from ``start_tick`` through the log's
+        ``last_tick``; returns the count and the log bytes verified.
 
-        A log whose first replayable record is newer than ``start_tick`` (or
-        that skips a tick anywhere) cannot reproduce the lost state;
-        recovery must fail loudly rather than replay around the hole.
+        A log that cannot reproduce every tick up to its newest intact one
+        -- its first replayable record is newer than ``start_tick``, it skips
+        a tick, or a record before the newest fails its CRC -- cannot
+        reproduce the lost state; recovery fails loudly rather than replay
+        around the hole or stop short of it.
         """
         log_path = os.path.join(self._directory, ActionLog.FILE_NAME)
         if not os.path.exists(log_path):
-            return
+            return 0, 0
         expected = start_tick
         with ActionLog(self._directory) as log:
             for record in log.records(start_tick=start_tick):
@@ -198,23 +211,19 @@ class RecoveryManager:
                         f"logical log skips from tick {expected} to "
                         f"{record.tick}; cannot replay"
                     )
-                yield record
+                rng.bit_generator.state = record.rng_state
+                plan = self._app.plan_tick_with_commands(
+                    table, rng, record.tick, record.command_payload
+                )
+                # The updates were bounds-checked when first applied live;
+                # replay trusts the log.
+                table.apply_updates(
+                    plan.rows, plan.columns, plan.values, validate=False
+                )
                 expected += 1
-
-    def _replay(
-        self, table: GameStateTable, rng: np.random.Generator, start_tick: int
-    ) -> int:
-        """Re-run every logged tick from ``start_tick``; returns the count."""
-        replayed = 0
-        for record in self._iter_replay_records(start_tick):
-            rng.bit_generator.state = record.rng_state
-            plan = self._app.plan_tick_with_commands(
-                table, rng, record.tick, record.command_payload
-            )
-            # The updates were bounds-checked when first applied live;
-            # replay trusts the log.
-            table.apply_updates(
-                plan.rows, plan.columns, plan.values, validate=False
-            )
-            replayed += 1
-        return replayed
+            if log.last_tick is not None and expected <= log.last_tick:
+                raise RecoveryError(
+                    f"logical log record for tick {expected} is corrupt but "
+                    f"tick {log.last_tick} is intact; cannot replay"
+                )
+            return expected - start_tick, log.bytes_verified

@@ -116,6 +116,18 @@ class DurableGameServer:
         self._policy = make_policy(
             algorithm, geometry.num_objects, full_dump_period=full_dump_period
         )
+        # The logical log shares the checkpoint stores' durability policy so
+        # fsync sweeps compare the whole write path apples-to-apples.  It
+        # opens first, so refusing a used directory leaves nothing open.
+        self._action_log = ActionLog(
+            self._directory, sync=sync, fsync_policy=fsync_policy
+        )
+        if self._action_log.last_tick is not None:
+            self._action_log.close()
+            raise EngineError(
+                f"{self._directory} already contains a server's logs; "
+                "recover it instead of starting fresh"
+            )
         if self._policy.layout is DiskLayout.DOUBLE_BACKUP:
             self._store = DoubleBackupStore(
                 self._directory, geometry, sync=sync, fsync_policy=fsync_policy
@@ -140,16 +152,6 @@ class DurableGameServer:
             writer=writer,
         )
         self._framework = CheckpointFramework(self._policy, self._executor)
-        # The logical log shares the checkpoint stores' durability policy so
-        # fsync sweeps compare the whole write path apples-to-apples.
-        self._action_log = ActionLog(
-            self._directory, sync=sync, fsync_policy=fsync_policy
-        )
-        if self._action_log.last_tick is not None:
-            raise EngineError(
-                f"{self._directory} already contains a server's logs; "
-                "recover it instead of starting fresh"
-            )
         self._next_tick = 0
         self._crashed = False
         self._closed = False

@@ -452,6 +452,7 @@ GLOBAL_METRIC_SPECS: Tuple[MetricSpec, ...] = (
     MetricSpec("recoveries_completed", COUNTER),
     MetricSpec("recovery_bytes_restored", COUNTER),
     MetricSpec("recovery_bytes_read", COUNTER),
+    MetricSpec("recovery_log_bytes_read", COUNTER),
     MetricSpec("recovery_replay_ticks", COUNTER),
     MetricSpec("trace_events_dropped", COUNTER),
 )

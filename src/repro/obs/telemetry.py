@@ -175,6 +175,7 @@ def recovery_counters() -> Dict[str, int]:
         "recoveries_completed": row.value("recoveries_completed"),
         "recovery_bytes_restored": row.value("recovery_bytes_restored"),
         "recovery_bytes_read": row.value("recovery_bytes_read"),
+        "recovery_log_bytes_read": row.value("recovery_log_bytes_read"),
         "recovery_replay_ticks": row.value("recovery_replay_ticks"),
     }
 

@@ -11,27 +11,41 @@ optional application payload for games that take external commands).  Replay
 restores the generator and re-runs the simulation; the resulting updates are
 bit-identical to the pre-crash run.
 
-Records are CRC-framed; a torn tail (crash mid-append) truncates cleanly to
-the last complete record -- a tick is recoverable exactly when its record hit
-the log.
+Records are CRC-framed, and the log is read the way the checkpoint log is:
+*verify what you trust*.  Opening the log walks its headers only -- 29 bytes
+each, parsed out of bounded reads, nothing CRC-checked or unpickled -- and
+keeps every record's offset.  A header with bad magic, or a length that runs
+past end of file, is the torn tail (a crash mid-append) and ends the walk.
+:attr:`ActionLog.last_tick` is the newest record that passes its CRC, so a
+tick is recoverable exactly when its record hit the log; the first append
+after an open that found a torn tail cuts the file back to that record.
+:meth:`ActionLog.records` seeks straight to the first tick asked for and
+verifies only the records it yields: a replay from a checkpoint's cut reads
+the ticks after the cut, never the ones before it, and a bad byte in a
+record the cut made redundant cannot hide the newer ones.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+from array import array
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Tuple, Union
 
-from repro.errors import StorageError
+from repro.errors import CorruptCheckpointError, StorageError
 from repro.storage.double_backup import resolve_fsync_policy
 from repro.storage.layout import (
     RECORD_HEADER_BYTES,
     RECORD_TICK,
     pack_record,
+    pread_into,
     unpack_record_header,
     verify_record,
 )
+
+#: Size of each read the header walk parses headers out of.
+_WALK_BLOCK_BYTES = 64 << 10
 
 
 @dataclass(frozen=True)
@@ -70,7 +84,19 @@ class ActionLog:
         os.makedirs(self._directory, exist_ok=True)
         self._path = os.path.join(self._directory, self.FILE_NAME)
         self._handle = open(self._path, "a+b")
-        self._last_tick = self._find_last_tick()
+        self._bytes_verified = 0
+        #: Header offset and (unverified) tick of every indexed record, in
+        #: file order, 16 bytes a record.  The index covers the file up to
+        #: ``_end``; appends land past it, and :meth:`records` walks them in
+        #: when it runs, so a log that is only appended to holds no index.
+        self._offsets = array("q")
+        self._ticks = array("q")
+        self._end = 0
+        size = self._walk()
+        self._last_tick = self._drop_unverified_tail()
+        #: The file holds bytes past the index (a torn or corrupt tail) that
+        #: the next append must cut off first.
+        self._torn = size > self._end
 
     def close(self) -> None:
         """Close the log file."""
@@ -94,14 +120,93 @@ class ActionLog:
 
     @property
     def last_tick(self) -> Optional[int]:
-        """Highest tick recorded, or None if the log is empty."""
+        """Tick of the newest record that passes its CRC, or None if none
+        does."""
         return self._last_tick
 
-    def _find_last_tick(self) -> Optional[int]:
-        last = None
-        for record in self.records():
-            last = record.tick
-        return last
+    @property
+    def bytes_verified(self) -> int:
+        """Record bytes (header and payload) this object has read to
+        CRC-check: the newest records at open, then whatever
+        :meth:`records` yielded.  Header walks are not counted."""
+        return self._bytes_verified
+
+    def _walk(self) -> int:
+        """Index the headers from ``_end`` on; returns the file's size.
+
+        Headers are parsed out of bounded block reads, and no payload is
+        CRC-checked or unpickled.  A header with bad magic, or whose length
+        runs past end of file, is the torn tail and ends the walk, having
+        allocated nothing for it.
+        """
+        fd = self._handle.fileno()
+        size = os.fstat(fd).st_size
+        block = memoryview(
+            bytearray(min(_WALK_BLOCK_BYTES, size - self._end))
+        )
+        add_offset, add_tick = self._offsets.append, self._ticks.append
+        offset = base = self._end
+        filled = 0
+        while offset + RECORD_HEADER_BYTES <= size:
+            at = offset - base
+            if at + RECORD_HEADER_BYTES > filled:
+                base, at = offset, 0
+                filled = pread_into(fd, block, offset)
+                if filled < RECORD_HEADER_BYTES:
+                    break
+            try:
+                _type, tick, _b, length, _crc = unpack_record_header(block, at)
+            except CorruptCheckpointError:
+                break
+            end = offset + RECORD_HEADER_BYTES + length
+            if end > size:
+                break
+            add_offset(offset)
+            add_tick(tick)
+            offset = end
+        self._end = offset
+        return size
+
+    def _drop_unverified_tail(self) -> Optional[int]:
+        """Cut the index back to its newest record that passes its CRC;
+        returns that record's tick, or None when none does."""
+        for index in reversed(range(len(self._offsets))):
+            verified = self._read_verified(index)
+            if verified is not None:
+                break
+        else:
+            index, verified = -1, None
+        if index + 1 < len(self._offsets):
+            self._end = self._offsets[index + 1]
+            del self._offsets[index + 1:], self._ticks[index + 1:]
+        return None if verified is None else verified[0]
+
+    def _read_verified(
+        self, index: int
+    ) -> Optional[Tuple[int, memoryview]]:
+        """Read record ``index`` whole; ``(tick, payload)`` if it is a tick
+        record that passes its CRC, else None."""
+        start = self._offsets[index]
+        end = (self._offsets[index + 1] if index + 1 < len(self._offsets)
+               else self._end)
+        frame = memoryview(bytearray(end - start))
+        read = pread_into(self._handle.fileno(), frame, start)
+        self._bytes_verified += read
+        if read != len(frame):
+            return None
+        header = frame[:RECORD_HEADER_BYTES]
+        payload = frame[RECORD_HEADER_BYTES:]
+        try:
+            record_type, tick, _b, _length, checksum = unpack_record_header(
+                header
+            )
+        except CorruptCheckpointError:
+            return None
+        if record_type != RECORD_TICK or not verify_record(
+            header, payload, checksum
+        ):
+            return None
+        return tick, payload
 
     # ------------------------------------------------------------------
     # Appending
@@ -118,6 +223,11 @@ class ActionLog:
         payload = pickle.dumps(
             (record.rng_state, record.command_payload), protocol=4
         )
+        if self._torn:
+            # A record appended behind bytes the walk could not read would
+            # never be read back: cut the file to its last verified record.
+            self._handle.truncate(self._end)
+            self._torn = False
         self._handle.seek(0, os.SEEK_END)
         self._handle.write(pack_record(RECORD_TICK, record.tick, 0, payload))
         self._handle.flush()
@@ -132,35 +242,29 @@ class ActionLog:
     # ------------------------------------------------------------------
 
     def records(self, start_tick: int = 0) -> Iterator[TickRecord]:
-        """Yield complete records with ``tick >= start_tick``.
+        """Yield complete records with ``tick >= start_tick``, oldest first.
 
-        Stops silently at the first torn or corrupt record -- everything
-        beyond it was not durably logged.
+        Seeks straight to the first indexed record at or after
+        ``start_tick`` -- no record before it is read -- then reads, CRCs
+        and unpickles one record at a time, only the records it yields.
+        Stops at the first that fails its CRC: nothing from there on is
+        trusted.  When that record is older than :attr:`last_tick`, the log
+        has a hole, and it is the caller's to refuse a replay that stops
+        short of :attr:`last_tick`.
         """
-        handle = self._handle
-        handle.seek(0)
-        size = os.fstat(handle.fileno()).st_size
-        offset = 0
-        while True:
-            header = handle.read(RECORD_HEADER_BYTES)
-            if len(header) < RECORD_HEADER_BYTES:
+        if not self._torn:
+            # Torn, the file past the index is the tail open dropped;
+            # otherwise it is what was appended since the last walk.
+            self._walk()
+        ticks = self._ticks
+        first = len(ticks)
+        while first and ticks[first - 1] >= start_tick:
+            first -= 1
+        for index in range(first, len(ticks)):
+            verified = self._read_verified(index)
+            if verified is None:
                 return
-            try:
-                record_type, tick, _b, length, checksum = unpack_record_header(header)
-            except Exception:
-                return
-            # The length is unverified until the CRC: one that runs past end
-            # of file is a torn tail, and nothing is allocated for it.
-            offset += RECORD_HEADER_BYTES + length
-            if offset > size:
-                return
-            payload = handle.read(length)
-            if len(payload) < length or not verify_record(header, payload, checksum):
-                return
-            if record_type != RECORD_TICK:
-                continue
-            if tick < start_tick:
-                continue
+            tick, payload = verified
             rng_state, command_payload = pickle.loads(payload)
             yield TickRecord(
                 tick=tick, rng_state=rng_state, command_payload=command_payload
@@ -172,4 +276,7 @@ class ActionLog:
         self._handle.seek(0)
         self._handle.truncate(0)
         self._handle.flush()
+        del self._offsets[:], self._ticks[:]
+        self._end = 0
+        self._torn = False
         self._last_tick = None

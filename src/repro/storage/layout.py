@@ -137,13 +137,16 @@ def pack_record(record_type: int, a: int, b: int, payload: bytes) -> bytes:
     return header + payload
 
 
-def unpack_record_header(data: bytes):
-    """Parse a record header; returns ``(type, a, b, length, crc)``.
+def unpack_record_header(data, offset: int = 0):
+    """Parse the record header at ``offset`` of the bytes-like ``data``;
+    returns ``(type, a, b, length, crc)``.
 
     Raises :class:`CorruptCheckpointError` on bad magic; callers treat that
     (and short reads) as the torn tail of the log.
     """
-    magic, record_type, a, b, length, checksum = _RECORD_STRUCT.unpack(data)
+    magic, record_type, a, b, length, checksum = _RECORD_STRUCT.unpack_from(
+        data, offset
+    )
     if magic != MAGIC:
         raise CorruptCheckpointError(f"bad record magic {magic!r}")
     return record_type, a, b, length, checksum

@@ -136,6 +136,7 @@ from repro.config import StateGeometry
 from repro.errors import CheckpointWriterError, RecoveryError, StorageError
 from repro.storage.action_log import ActionLog, TickRecord
 from repro.storage.double_backup import DoubleBackupStore
+from repro.storage.layout import RECORD_HEADER_BYTES
 
 
 class TestOneRecoveryPath:
@@ -197,6 +198,91 @@ class TestActionLogEdgeCases:
             ))
         with pytest.raises(RecoveryError, match="skips"):
             RecoveryManager(random_walk_app, tmp_path, seed=7).recover()
+
+    def test_corrupt_record_inside_the_tail_raises(
+        self, random_walk_app, tmp_path
+    ):
+        """A record that fails its CRC with intact ticks after it is a hole,
+        not a torn tail: recovery refuses rather than stop short."""
+        from tests.storage.test_action_log import flip_byte, frames
+
+        factory = lambda: random_walk_app
+        reference, victim = run_pair(factory, tmp_path, "copy-on-update",
+                                     ticks=40)
+        reference.close()
+        clean = RecoveryManager(random_walk_app, victim.directory,
+                                seed=7).recover()
+        assert clean.ticks_replayed >= 2
+        log_path = os.path.join(victim.directory, ActionLog.FILE_NAME)
+        offset = frames(log_path)[-clean.ticks_replayed][0]
+        flip_byte(log_path, offset + RECORD_HEADER_BYTES + 3)
+        with pytest.raises(RecoveryError, match="corrupt"):
+            RecoveryManager(random_walk_app, victim.directory,
+                            seed=7).recover()
+
+
+class TestReplayReadsTheTailOnly:
+    """Replay reads the log from the checkpoint's cut on: what it verifies
+    and unpickles is the tail, however long the log is."""
+
+    TICKS = 300
+
+    def crashed(self, app, tmp_path):
+        server = DurableGameServer(app, tmp_path / "victim", seed=7)
+        server.run_ticks(self.TICKS)
+        expected = server.table.copy()
+        server.crash()
+        return server.directory, expected
+
+    def test_replay_verifies_and_unpickles_the_tail_alone(
+        self, random_walk_app, tmp_path, monkeypatch
+    ):
+        from repro.obs.metrics import global_registry, reset_global_registry
+        from tests.storage.test_action_log import count_unpickles, frames
+
+        directory, expected = self.crashed(random_walk_app, tmp_path)
+        calls = count_unpickles(monkeypatch)
+        reset_global_registry()
+        try:
+            report = RecoveryManager(
+                random_walk_app, directory, seed=7
+            ).recover()
+            published = global_registry().value("recovery_log_bytes_read")
+        finally:
+            reset_global_registry()
+        assert report.table.equals(expected)
+        assert report.next_tick == self.TICKS
+        tail = report.ticks_replayed
+        assert 0 < tail < self.TICKS // 8
+        assert len(calls) == tail
+        sizes = [size for _, size in frames(
+            os.path.join(directory, ActionLog.FILE_NAME)
+        )]
+        # The replayed records, plus the newest one that open verified.
+        assert report.log_bytes_read == sum(sizes[-tail:]) + sizes[-1]
+        assert published == report.log_bytes_read
+
+    def test_bad_byte_before_the_cut_changes_nothing(
+        self, random_walk_app, tmp_path
+    ):
+        """A flipped byte in tick 0's payload used to end the log there:
+        recovery replayed nothing and the server took the directory for an
+        empty one.  Records before the cut are never read now."""
+        from repro.errors import EngineError
+        from tests.storage.test_action_log import flip_byte
+
+        directory, expected = self.crashed(random_walk_app, tmp_path)
+        clean = RecoveryManager(random_walk_app, directory, seed=7).recover()
+        flip_byte(os.path.join(directory, ActionLog.FILE_NAME),
+                  RECORD_HEADER_BYTES + 10)
+        flipped = RecoveryManager(random_walk_app, directory, seed=7).recover()
+        assert flipped.table.equals(clean.table)
+        assert flipped.table.equals(expected)
+        assert (flipped.next_tick, flipped.ticks_replayed,
+                flipped.log_bytes_read) == (
+            clean.next_tick, clean.ticks_replayed, clean.log_bytes_read)
+        with pytest.raises(EngineError, match="already contains"):
+            DurableGameServer(random_walk_app, directory, seed=7)
 
 
 class TestCrashMidFlush:
