@@ -91,12 +91,6 @@ SHARD_DIRECTORY_FORMAT = "shard-{index:02d}"
 #: memory (requires the ``fork`` start method, i.e. not Windows).
 FLEET_BACKENDS = ("thread", "process")
 
-#: Command-ingestion transports of the process backend: ``ring`` batches
-#: commands through the shard's shared-memory command ring (one drain per
-#: tick), ``pipe`` sends one pickle per command over the control pipe (the
-#: per-command baseline the front-door benchmark A/Bs against).
-COMMAND_TRANSPORTS = ("ring", "pipe")
-
 
 def shard_directory(root: Union[str, os.PathLike], index: int) -> str:
     """Directory of shard ``index`` under the fleet root."""
@@ -192,14 +186,18 @@ class _ThreadCommandQueue:
     def pending_bytes(self) -> int:
         return self._bytes
 
-    def try_push(self, payload: bytes) -> bool:
-        need = SharedCommandRing.record_bytes(payload)
+    def push_batch(self, payloads: Sequence[bytes]) -> int:
+        """Append the prefix that fits; returns how many landed."""
         with self._lock:
-            if self._bytes + need > self._capacity:
-                return False
-            self._queue.append(payload)
-            self._bytes += need
-            return True
+            accepted = 0
+            for payload in payloads:
+                need = SharedCommandRing.record_bytes(payload)
+                if self._bytes + need > self._capacity:
+                    break
+                self._bytes += need
+                accepted += 1
+            self._queue.extend(payloads[:accepted])
+            return accepted
 
     def drain(self) -> List[bytes]:
         with self._lock:
@@ -691,25 +689,15 @@ class ShardFleet:
     # Command ingestion
     # ------------------------------------------------------------------
 
-    def submit_commands(
-        self,
-        index: int,
-        payloads: Sequence[bytes],
-        transport: Optional[str] = None,
-    ) -> int:
+    def submit_commands(self, index: int, payloads: Sequence[bytes]) -> int:
         """Queue client commands for shard ``index``'s next tick.
 
         Returns how many commands were accepted (a prefix of ``payloads``;
         the bounded ingress sheds the rest instead of growing).  On the
-        thread backend the batch lands in the shard's bounded in-process
-        queue, drained on the mutator thread at its next tick boundary.  On
-        the process backend ``transport`` selects the path:
-
-        * ``"ring"`` (default) -- push the batch into the shard's shared
-          command ring; the worker drains it as one batch per tick;
-        * ``"pipe"`` -- one pickled message per command over the control
-          pipe (the per-command baseline; effectively unbounded, so it
-          always accepts the whole batch).
+        process backend the batch goes into the shard's shared command ring
+        in one copy; on the thread backend into its bounded in-process
+        queue.  Either way the shard drains it as one batch at its next
+        tick boundary.
 
         A dead shard's failure is raised rather than silently buffering
         commands nobody will ever consume.
@@ -724,53 +712,29 @@ class ShardFleet:
                     f"commands are raw bytes, got {type(payload).__name__}"
                 )
         if self._backend == "thread":
-            if transport not in (None, "ring"):
-                raise EngineError(
-                    f"transport {transport!r} needs backend='process'"
-                )
             if self._crashed or self._shards[index].crashed:
                 raise EngineError(
                     f"shard {index} has crashed; recover it instead"
                 )
-            queue = self._command_queues[index]
-            accepted = 0
-            for payload in payloads:
-                if not queue.try_push(payload):
-                    break
-                accepted += 1
-            if self._metrics_enabled and accepted:
-                self._ring_hwm_gauges[index].max(queue.pending_bytes)
-            return accepted
-        transport = transport or "ring"
-        if transport not in COMMAND_TRANSPORTS:
-            raise EngineError(
-                f"transport must be one of {COMMAND_TRANSPORTS}, "
-                f"got {transport!r}"
-            )
-        handle = self._workers[index]
-        if handle.failed is not None:
-            raise handle.failed
-        if transport == "pipe":
-            for payload in payloads:
-                handle.send(("command", payload))
-            return len(payloads)
-        accepted = self._rings[index].push_batch(payloads)
+            ingress = self._command_queues[index]
+        else:
+            handle = self._workers[index]
+            if handle.failed is not None:
+                raise handle.failed
+            ingress = self._rings[index]
+        accepted = ingress.push_batch(payloads)
         if self._metrics_enabled and accepted:
-            self._ring_hwm_gauges[index].max(
-                self._rings[index].pending_bytes
-            )
+            self._ring_hwm_gauges[index].max(ingress.pending_bytes)
         return accepted
 
-    def submit_command(
-        self, index: int, payload: bytes, transport: Optional[str] = None
-    ) -> None:
+    def submit_command(self, index: int, payload: bytes) -> None:
         """Queue one command, raising a typed error instead of shedding.
 
         Raises :class:`~repro.errors.BackpressureError` when the shard's
         bounded ingress is full -- the explicit rejection the gateway turns
         into a client-visible REJECT frame.
         """
-        if self.submit_commands(index, [payload], transport=transport) != 1:
+        if self.submit_commands(index, [payload]) != 1:
             ring_or_queue = (
                 self._rings[index]
                 if self._backend == "process"

@@ -25,7 +25,7 @@ pre-crash table from the on-disk checkpoint plus log replay.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Union
 
 import numpy as np
@@ -57,8 +57,9 @@ class ServerStats:
     writer_busy_seconds: float = 0.0
     #: Ticks that ran while a checkpoint write was still in flight.
     checkpoint_overlap_ticks: int = 0
-    #: Objects written per completed checkpoint, in completion order.
-    checkpoint_write_counts: List[int] = field(default_factory=list)
+    #: Objects written by the newest completed checkpoint (a scalar, so
+    #: the stats a worker acks every tick stay the same size).
+    last_checkpoint_write_count: int = 0
 
 
 class DurableGameServer:
@@ -313,7 +314,7 @@ class DurableGameServer:
             self.stats.checkpoints_started += 1
         if boundary.finished is not None:
             self.stats.checkpoints_completed += 1
-            self.stats.checkpoint_write_counts.append(
+            self.stats.last_checkpoint_write_count = (
                 boundary.finished.write_count(self._table.geometry.num_objects)
             )
         self.stats.sync_copy_seconds = self._executor.sync_copy_seconds

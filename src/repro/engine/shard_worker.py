@@ -36,7 +36,6 @@ fleet hang.
 
 from __future__ import annotations
 
-import copy
 import os
 import queue
 import threading
@@ -279,11 +278,6 @@ class WorkerCheckpointProxy:
             self.wait_idle(timeout=timeout, check=False)
 
 
-def _stats_snapshot(shard: MMOShard):
-    """Picklable copy of the shard's lifetime stats for the ack channel."""
-    return copy.deepcopy(shard.game.stats)
-
-
 def shard_worker_main(
     index: int,
     app,
@@ -305,11 +299,9 @@ def shard_worker_main(
       checkpoint (if any) to become durable before the next (the
       deterministic-schedule mode backing byte-identity tests).  Before
       each tick the worker drains the shard's shared command ring *once*
-      and submits the whole batch to the game server -- the batched
-      ingestion path -- plus any per-command pipe messages that arrived.
-    * ``("command", payload)`` -- one client command over the pipe (the
-      per-command baseline the ring is benchmarked against); queued into
-      the game server for its next tick, no ack.
+      and submits the whole batch to the game server: the ring is the
+      only way commands reach a worker.  ``stats`` is the live
+      ``ServerStats``; the pipe's pickling is the copy.
     * ``("quiesce",)`` -> ``("quiesced", stats)`` -- wait out the in-flight
       checkpoint.
     * ``("crash", when)`` -- test-only fault injection, no ack: ``"now"``
@@ -417,12 +409,10 @@ def shard_worker_main(
                             shard.wait_checkpoint_idle()
                 except Exception:
                     error_text = traceback.format_exc()
-                conn.send(("done", _stats_snapshot(shard), error_text))
-            elif kind == "command":
-                shard.game.submit_command(message[1])
+                conn.send(("done", shard.game.stats, error_text))
             elif kind == "quiesce":
                 shard.wait_checkpoint_idle()
-                conn.send(("quiesced", _stats_snapshot(shard)))
+                conn.send(("quiesced", shard.game.stats))
             elif kind == "crash":
                 _worker_control(message, shard, proxy, conn)
             elif kind == "close":
@@ -443,9 +433,7 @@ def shard_worker_main(
 def _worker_control(message, shard, proxy, conn) -> None:
     """Handle a command that may arrive between ticks mid-run."""
     kind = message[0]
-    if kind == "command":
-        shard.game.submit_command(message[1])
-    elif kind == "crash":
+    if kind == "crash":
         when = message[1]
         if when == "now":
             os._exit(CRASH_EXIT_CODE)

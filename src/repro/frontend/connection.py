@@ -108,7 +108,7 @@ class ConnectionServer:
         -- the command is dropped, as a flooding client's would be.
         """
         try:
-            self._registry.admit(session_id)
+            self._registry.admit(self._registry.get(session_id))
         except CommandOverflowError:
             self.stats.commands_rejected += 1
             raise

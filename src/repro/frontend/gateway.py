@@ -7,15 +7,17 @@ two layers so the serving logic is testable without sockets:
 * :class:`FrontDoor` -- the synchronous core.  It owns the
   :class:`~repro.frontend.sessions.SessionRegistry`, a least-loaded
   :class:`ShardPlacement`, and one bounded :class:`ShardCommandQueue` per
-  shard.  ``submit`` admits a command (rate limit + backpressure, both
-  typed rejections); ``drive_tick`` drains every queue, hands each shard
+  shard.  ``submit_batch`` admits one session's commands under one lock
+  (rate limit + backpressure, both typed rejections; ``submit`` is its
+  one-command form); ``drive_tick`` drains every queue, hands each shard
   its batch through the fleet's shared-memory command rings, runs one tick
   on every live shard via
   :meth:`~repro.engine.fleet.ShardFleet.try_run_ticks`, and returns the
   per-session outcome events (APPLIED ranges, typed rejections,
   re-placements).
 * :class:`GatewayServer` -- the asyncio TCP skin.  Client sessions speak
-  the length-prefixed frames of :mod:`repro.frontend.protocol`; a driver
+  the length-prefixed frames of :mod:`repro.frontend.protocol`; each read
+  is parsed whole and its commands admitted as one batch; a driver
   thread calls ``drive_tick`` at a fixed cadence and posts the resulting
   frames back onto the event loop.
 
@@ -34,7 +36,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.fleet import FleetServeReport, ShardFleet
 from repro.errors import BackpressureError, EngineError, ReproError
@@ -52,14 +54,26 @@ from repro.frontend.sessions import (
     SessionError,
     SessionRegistry,
 )
-from repro.state.ring import SharedCommandRing
+from repro.state.ring import RECORD_HEADER_BYTES, SharedCommandRing
 
 #: Default seconds between gateway ticks (200 Hz serve loop).
 DEFAULT_TICK_INTERVAL = 0.005
 
+#: Bytes one read of a client connection asks for.  Every complete frame
+#: in it is parsed, and its commands admitted, as one batch.
+READ_BYTES = 1 << 16
+
 
 class GatewayError(ReproError):
     """The gateway cannot serve (e.g. every shard is down)."""
+
+
+#: The REJECT code of each error :meth:`FrontDoor.submit_batch` returns.
+_REJECT_CODES = {
+    CommandOverflowError: protocol.REJECT_RATE_LIMIT,
+    BackpressureError: protocol.REJECT_BACKPRESSURE,
+    GatewayError: protocol.REJECT_SHARD_DOWN,
+}
 
 
 # ----------------------------------------------------------------------
@@ -195,13 +209,12 @@ class ShardCommandQueue:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def try_push(self, session_id: int, seq: int, payload: bytes) -> bool:
-        need = SharedCommandRing.record_bytes(payload)
-        if self._bytes + need > self._capacity:
-            return False
-        self._entries.append((session_id, seq, payload))
-        self._bytes += need
-        return True
+    def extend(self, entries: List[Tuple[int, int, bytes]],
+               pending_bytes: int) -> None:
+        """Append admitted entries; ``pending_bytes`` is the queue's fill
+        with them, which the admitting caller checked against capacity."""
+        self._entries.extend(entries)
+        self._bytes = pending_bytes
 
     def drain(self) -> List[Tuple[int, int, bytes]]:
         batch = list(self._entries)
@@ -230,6 +243,9 @@ GATEWAY_METRIC_SPECS = tuple(
         "sessions_closed",
         "sessions_replaced",
         "commands_admitted",
+        # submit_batch calls: commands_admitted / admission_batches is the
+        # mean batch a read or an in-process caller hands the front door.
+        "admission_batches",
         "commands_applied",
         "rejected_rate_limit",
         "rejected_backpressure",
@@ -268,6 +284,12 @@ class GatewayStats:
         if name not in self._FIELDS:
             raise AttributeError(f"unknown gateway counter {name!r}")
         self._row.set_value(name, value)
+
+    def add(self, **amounts: int) -> None:
+        """Add to several counters at once (cheaper than ``+=`` each)."""
+        for name, amount in amounts.items():
+            if amount:
+                self._row.counter(name).inc(amount)
 
     def as_dict(self) -> Dict[str, int]:
         """Detached scalar snapshot of every counter."""
@@ -312,10 +334,8 @@ class FrontDoor:
         commands_per_tick_limit: int = 64,
         max_pending_commands: Optional[int] = 1024,
         queue_bytes: Optional[int] = None,
-        transport: Optional[str] = None,
     ) -> None:
         self._fleet = fleet
-        self._transport = transport
         self._registry = SessionRegistry(
             commands_per_tick_limit=commands_per_tick_limit,
             max_pending_commands=max_pending_commands,
@@ -386,63 +406,87 @@ class FrontDoor:
     # ------------------------------------------------------------------
 
     def submit(self, session_id: int, seq: Optional[int],
-               payload: bytes) -> int:
-        """Queue one command for the session's shard; returns that shard.
+               payload: bytes) -> None:
+        """Queue one command for the session's shard.
 
+        A one-command :meth:`submit_batch` that raises its rejection.
         ``seq`` is the client's per-session stamp; pass ``None`` to have
         the gateway stamp it (in-process callers like
         :class:`~repro.frontend.clients.BotSwarm` don't track seqs).
-
-        Typed rejections, none of which queue anything:
-
-        * :class:`~repro.frontend.sessions.CommandOverflowError` -- the
-          session is over its per-tick budget or pending bound;
-        * :class:`~repro.errors.BackpressureError` -- the shard's bounded
-          command queue is full;
-        * :class:`GatewayError` -- every shard is down;
-        * :class:`~repro.frontend.sessions.SessionError` -- no such session.
         """
-        if not isinstance(payload, bytes):
-            raise SessionError(
-                f"commands are raw bytes, got {type(payload).__name__}"
-            )
+        rejections = self.submit_batch(session_id, [(seq, payload)])
+        if rejections:
+            raise rejections[0][1]
+
+    def submit_batch(
+        self, session_id: int, commands: Sequence[Tuple[Optional[int], bytes]]
+    ) -> List[Tuple[Optional[int], ReproError]]:
+        """Queue one session's ``(seq, payload)`` commands, in order.
+
+        Equal to :meth:`submit` once per command, under one lock.  Returns
+        the refused commands' ``(seq, error)`` in order, each queueing
+        nothing: ``CommandOverflowError`` (budget or pending bound),
+        ``BackpressureError`` (queue full) or :class:`GatewayError` (every
+        shard down).  An unknown session or a non-bytes payload raises
+        ``SessionError`` and queues nothing.
+        """
+        for _, payload in commands:
+            if not isinstance(payload, bytes):
+                raise SessionError(
+                    f"commands are raw bytes, got {type(payload).__name__}"
+                )
         with self._lock:
             session = self._registry.get(session_id)
+            self.stats.add(admission_batches=1)
             if not self._placement.is_live(session.shard_index):
                 # The shard died and drive_tick has not re-placed us yet
                 # (or placement failed); try to re-place right now.
-                session.shard_index = self._placement.place()
+                try:
+                    session.shard_index = self._placement.place()
+                except GatewayError as error:
+                    return [(seq, error) for seq, _ in commands]
                 self.stats.sessions_replaced += 1
-            queue = self._queues[session.shard_index]
-            need = SharedCommandRing.record_bytes(payload)
-            if queue.pending_bytes + need > queue.capacity:
-                self.stats.rejected_backpressure += 1
-                raise BackpressureError(
-                    f"shard {session.shard_index} command queue is full "
-                    f"({queue.pending_bytes}/{queue.capacity} bytes)",
-                    queue=f"gateway-shard-{session.shard_index:02d}",
-                    depth=queue.pending_bytes,
-                    capacity=queue.capacity,
-                )
-            try:
-                self._registry.admit(session_id)
-            except CommandOverflowError:
-                self.stats.rejected_rate_limit += 1
-                raise
-            if seq is None:
-                seq = session.next_seq
-                session.next_seq += 1
-            queue.try_push(session_id, seq, payload)
-            self.stats.commands_admitted += 1
-            return session.shard_index
+            index = session.shard_index
+            queue = self._queues[index]
+            depth = queue.pending_bytes
+            admitted: List[Tuple[int, Optional[int], bytes]] = []
+            rejections: List[Tuple[Optional[int], ReproError]] = []
+            backpressured = rate_limited = 0
+            for seq, payload in commands:
+                need = RECORD_HEADER_BYTES + len(payload)
+                if depth + need > queue.capacity:
+                    backpressured += 1
+                    rejections.append((seq, BackpressureError(
+                        f"shard {index} command queue is full "
+                        f"({depth}/{queue.capacity} bytes)",
+                        queue=f"gateway-shard-{index:02d}",
+                        depth=depth, capacity=queue.capacity,
+                    )))
+                    continue
+                try:
+                    self._registry.admit(session)
+                except CommandOverflowError as error:
+                    rate_limited += 1
+                    rejections.append((seq, error))
+                    continue
+                if seq is None:
+                    seq = session.next_seq
+                    session.next_seq += 1
+                admitted.append((session_id, seq, payload))
+                depth += need
+            queue.extend(admitted, depth)
+            self.stats.add(commands_admitted=len(admitted),
+                           rejected_backpressure=backpressured,
+                           rejected_rate_limit=rate_limited)
+            return rejections
 
-    def send_command(self, session_id: int, command: bytes) -> int:
+    def send_command(self, session_id: int, command: bytes) -> None:
         """Single-command send with a server-stamped seq.
 
         The :class:`~repro.frontend.clients.BotSwarm`-facing surface shared
         with :class:`~repro.frontend.connection.ConnectionServer`.
         """
-        return self.submit(session_id, None, command)
+        self.submit(session_id, None, command)
 
     def run_tick(self) -> TickOutcome:
         """Drive one gateway tick (the in-process load-driver surface)."""
@@ -457,7 +501,7 @@ class FrontDoor:
 
         Single-tick pipeline: (1) under the lock, snapshot and clear each
         shard's queue; (2) unlocked, push each batch into its shard's
-        shared ring (or pipe) and run one fleet tick -- commands a ring
+        command ring and run one fleet tick -- commands a ring
         could not take this tick are re-queued in order; (3) under the
         lock, turn per-shard outcomes into events: contiguous APPLIED seq
         ranges per session for live shards, shard-down rejections and
@@ -478,9 +522,7 @@ class FrontDoor:
                 if batch:
                     try:
                         accepted = self._fleet.submit_commands(
-                            index,
-                            [payload for _, _, payload in batch],
-                            transport=self._transport,
+                            index, [payload for _, _, payload in batch]
                         )
                         sent, back = batch[:accepted], batch[accepted:]
                     except (EngineError, BackpressureError):
@@ -516,23 +558,22 @@ class FrontDoor:
     def _ack_locked(
         self, entries: List[Tuple[int, int, bytes]]
     ) -> List[Applied]:
-        """Coalesce one shard's applied entries into per-session seq runs."""
-        events: List[Applied] = []
-        run: Optional[Tuple[int, int, int]] = None  # (session, first, last)
+        """Coalesce one shard's applied entries into per-session seq runs,
+        crediting each run to its session in one call."""
+        runs: List[List[int]] = []  # [session, first, last]
         for session_id, seq, _ in entries:
-            self.stats.commands_applied += 1
+            if runs and runs[-1][0] == session_id and seq == runs[-1][2] + 1:
+                runs[-1][2] = seq
+            else:
+                runs.append([session_id, seq, seq])
+        self.stats.add(commands_applied=len(entries))
+        events: List[Applied] = []
+        for session_id, first, last in runs:
             try:
-                self._registry.mark_applied(session_id, 1)
+                self._registry.mark_applied(session_id, last - first + 1)
             except SessionError:
                 continue  # disconnected while queued; applied, nobody cares
-            if run is not None and run[0] == session_id and seq == run[2] + 1:
-                run = (run[0], run[1], seq)
-                continue
-            if run is not None:
-                events.append(Applied(run[0], run[1], run[2], self._tick))
-            run = (session_id, seq, seq)
-        if run is not None:
-            events.append(Applied(run[0], run[1], run[2], self._tick))
+            events.append(Applied(session_id, first, last, self._tick))
         return events
 
     def _shard_down_locked(
@@ -708,6 +749,18 @@ class GatewayServer:
             )
         return protocol.encode_stats_reply(payload)
 
+    def _admit(self, session_id: Optional[int],
+               commands: List[Tuple[int, bytes]],
+               writer: asyncio.StreamWriter) -> None:
+        """Submit commands parsed from one read as a batch; write a typed
+        REJECT for each one refused."""
+        if not commands:
+            return
+        for seq, error in self._frontdoor.submit_batch(session_id, commands):
+            writer.write(protocol.encode_reject(
+                _REJECT_CODES[type(error)], seq, str(error)
+            ))
+
     # ------------------------------------------------------------------
     # Per-connection protocol
     # ------------------------------------------------------------------
@@ -715,60 +768,50 @@ class GatewayServer:
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         session_id: Optional[int] = None
+        buffer = b""
         try:
-            # STATS is allowed before HELLO so scrapers (repro.obs.dump)
-            # never have to open a playing session just to look.
             while True:
-                hello = await protocol.read_frame(reader)
-                if hello is None:
-                    return
-                if hello[0] == "stats":
-                    writer.write(self._stats_reply())
-                    await writer.drain()
-                    continue
-                break
-            if hello[0] != "hello":
-                writer.write(protocol.encode_reject(
-                    protocol.REJECT_BAD_REQUEST, 0,
-                    f"expected HELLO, got {hello[0]}",
-                ))
-                await writer.drain()
-                return
-            placed = self._frontdoor.connect(hello[1])
-            session_id = placed.session_id
-            self._writers[session_id] = writer
-            writer.write(placed.encode())
-            await writer.drain()
-            while True:
-                message = await protocol.read_frame(reader)
-                if message is None:
-                    return
-                if message[0] == "stats":
-                    writer.write(self._stats_reply())
-                    await writer.drain()
-                    continue
-                if message[0] != "command":
-                    writer.write(protocol.encode_reject(
-                        protocol.REJECT_BAD_REQUEST, 0,
-                        f"unexpected {message[0]} frame",
-                    ))
-                    continue
-                _, seq, payload = message
+                chunk = await reader.read(READ_BYTES)
+                if not chunk:
+                    return  # EOF, maybe mid-frame: the session closes
+                buffer += chunk
+                commands: List[Tuple[int, bytes]] = []
+                used = 0
                 try:
-                    self._frontdoor.submit(session_id, seq, payload)
-                except CommandOverflowError as error:
-                    writer.write(protocol.encode_reject(
-                        protocol.REJECT_RATE_LIMIT, seq, str(error)
-                    ))
-                except BackpressureError as error:
-                    writer.write(protocol.encode_reject(
-                        protocol.REJECT_BACKPRESSURE, seq, str(error)
-                    ))
-                except GatewayError as error:
-                    writer.write(protocol.encode_reject(
-                        protocol.REJECT_SHARD_DOWN, seq, str(error)
-                    ))
+                    for message, used in protocol.decode_frames(buffer):
+                        if message[0] == "command" and session_id is not None:
+                            commands.append(message[1:])
+                            continue
+                        # Replies go out in frame order: admit first what
+                        # came before this frame.
+                        self._admit(session_id, commands, writer)
+                        commands = []
+                        # STATS is allowed before HELLO so scrapers
+                        # (repro.obs.dump) never have to open a playing
+                        # session just to look.
+                        if message[0] == "stats":
+                            writer.write(self._stats_reply())
+                        elif session_id is not None:
+                            writer.write(protocol.encode_reject(
+                                protocol.REJECT_BAD_REQUEST, 0,
+                                f"unexpected {message[0]} frame",
+                            ))
+                        elif message[0] == "hello":
+                            placed = self._frontdoor.connect(message[1])
+                            session_id = placed.session_id
+                            self._writers[session_id] = writer
+                            writer.write(placed.encode())
+                        else:
+                            # The reply still goes out: close() flushes.
+                            reason = f"expected HELLO, got {message[0]}"
+                            writer.write(protocol.encode_reject(
+                                protocol.REJECT_BAD_REQUEST, 0, reason
+                            ))
+                            raise protocol.ProtocolError(reason)
+                finally:
+                    self._admit(session_id, commands, writer)
                 await writer.drain()
+                buffer = buffer[used:]
         except (protocol.ProtocolError, ConnectionResetError, OSError):
             pass
         except asyncio.CancelledError:

@@ -33,7 +33,7 @@ session, exactly like a real game client dropping.
 from __future__ import annotations
 
 import struct
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.errors import ReproError
 
@@ -63,6 +63,7 @@ REJECT_RATE_LIMIT = 2     # session exceeded its per-tick command budget
 REJECT_SHARD_DOWN = 3     # the serving shard crashed; command was lost
 REJECT_BAD_REQUEST = 4    # malformed or out-of-order frame
 
+_LENGTH = struct.Struct("<I")        # the frame length prefix
 _WELCOME = struct.Struct("<BIH")     # type, session_id, shard_index
 _COMMAND = struct.Struct("<BI")      # type, seq (payload follows)
 _APPLIED = struct.Struct("<BIIQ")    # type, first_seq, last_seq, tick
@@ -168,6 +169,33 @@ def decode(body: bytes) -> Tuple:
             raise ProtocolError(f"bad STATS_REPLY body: {error}") from None
         return ("stats_reply", payload)
     raise ProtocolError(f"unknown frame type {kind}")
+
+
+def decode_frames(buffer: bytes) -> Iterator[Tuple[Tuple, int]]:
+    """Decode every complete frame at the front of ``buffer``.
+
+    Yields ``(message, end)`` per frame, ``end`` being the offset just past
+    it (what follows the last ``end`` is a frame still in flight).  A body
+    :func:`decode` refuses yields ``("bad", reason)``.  A length prefix
+    over :data:`MAX_FRAME_BYTES` raises :class:`ProtocolError` before
+    anything is allocated for it.
+    """
+    offset = 0
+    while len(buffer) - offset >= FRAME_HEADER_BYTES:
+        (length,) = _LENGTH.unpack_from(buffer, offset)
+        if length > MAX_FRAME_BYTES:
+            raise ProtocolError(
+                f"peer announced a {length}-byte frame (cap {MAX_FRAME_BYTES})"
+            )
+        end = offset + FRAME_HEADER_BYTES + length
+        if end > len(buffer):
+            return
+        try:
+            message = decode(buffer[offset + FRAME_HEADER_BYTES:end])
+        except ProtocolError as error:
+            message = ("bad", str(error))
+        yield message, end
+        offset = end
 
 
 async def read_frame(reader) -> Optional[Tuple]:

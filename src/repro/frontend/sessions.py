@@ -131,14 +131,15 @@ class SessionRegistry:
     # Admission control
     # ------------------------------------------------------------------
 
-    def admit(self, session_id: int) -> ClientSession:
-        """Charge one command against the session's budgets.
+    def admit(self, session: ClientSession) -> None:
+        """Charge one command against the budgets of ``session`` (from
+        :meth:`get`, so a batch looks its session up once).
 
         Raises :class:`CommandOverflowError` when the per-tick budget or
         the pending bound is exhausted; on success the session's counters
         are already updated (the caller must actually forward the command).
         """
-        session = self.get(session_id)
+        session_id = session.session_id
         if session.commands_this_tick >= self._limit:
             raise CommandOverflowError(
                 f"session {session_id} exceeded {self._limit} commands/tick",
@@ -154,7 +155,6 @@ class SessionRegistry:
         session.commands_this_tick += 1
         session.commands_pending += 1
         session.commands_sent += 1
-        return session
 
     def end_tick(self) -> None:
         """Reset every session's per-tick budget at a tick boundary.

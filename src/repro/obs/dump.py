@@ -95,13 +95,16 @@ def render(snapshot: Dict) -> str:
         )
         lines.append(
             "gw    sessions={sessions} applied={commands_applied} "
-            "rejected={rejected} ticks={ticks_driven}".format(
+            "rejected={rejected} ticks={ticks_driven} "
+            "cmds/batch={per_batch:.1f}".format(
                 sessions=gateway.get(
                     "sessions", gateway.get("sessions_opened", 0)
                 ),
                 commands_applied=gateway.get("commands_applied", 0),
                 rejected=rejected,
                 ticks_driven=gateway.get("ticks_driven", 0),
+                per_batch=gateway.get("commands_admitted", 0)
+                / max(1, gateway.get("admission_batches", 0)),
             )
         )
     for shard in snapshot.get("shards", []):

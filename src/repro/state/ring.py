@@ -35,7 +35,8 @@ the last durable cut and can never apply a command twice.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import struct
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +52,7 @@ NUM_RING_FIELDS = 4
 
 #: Bytes of framing per record (little-endian u32 length prefix).
 RECORD_HEADER_BYTES = 4
+_LENGTH = struct.Struct("<I")
 
 #: Default per-shard ring capacity: comfortably thousands of short commands.
 DEFAULT_RING_BYTES = 1 << 20
@@ -128,23 +130,7 @@ class SharedCommandRing:
 
     def try_push(self, payload: bytes) -> bool:
         """Append one record; False (nothing written) when it does not fit."""
-        need = self.record_bytes(payload)
-        if need > self._capacity:
-            raise StateError(
-                f"command of {len(payload)} bytes can never fit a "
-                f"{self._capacity}-byte ring"
-            )
-        tail = int(self._ctrl[R_TAIL])
-        free = self._capacity - (tail - int(self._ctrl[R_HEAD]))
-        if need > free:
-            return False
-        blob = len(payload).to_bytes(RECORD_HEADER_BYTES, "little") + payload
-        self._copy_in(tail % self._capacity, blob)
-        # Publish last: the consumer reads tail before the bytes, so it can
-        # never see a record whose bytes are not in place yet.
-        self._ctrl[R_PUSHED] += 1
-        self._ctrl[R_TAIL] = tail + need
-        return True
+        return self.push_batch([payload]) == 1
 
     def push(self, payload: bytes) -> None:
         """Append one record or raise a typed :class:`BackpressureError`."""
@@ -159,12 +145,36 @@ class SharedCommandRing:
             )
 
     def push_batch(self, payloads: Sequence[bytes]) -> int:
-        """Append records until one does not fit; returns how many landed."""
-        accepted = 0
+        """Append records until one does not fit; returns how many landed.
+
+        The prefix that fits is framed into one blob, copied in once and
+        published with one ``tail`` store.  A record that could never fit
+        raises :class:`StateError` with nothing written.
+        """
+        tail = int(self._ctrl[R_TAIL])
+        free = self._capacity - (tail - int(self._ctrl[R_HEAD]))
+        parts: List[bytes] = []
+        used = 0
         for payload in payloads:
-            if not self.try_push(payload):
+            need = RECORD_HEADER_BYTES + len(payload)
+            if need > self._capacity:
+                raise StateError(
+                    f"command of {len(payload)} bytes can never fit a "
+                    f"{self._capacity}-byte ring"
+                )
+            if used + need > free:
                 break
-            accepted += 1
+            parts.append(_LENGTH.pack(len(payload)))
+            parts.append(payload)
+            used += need
+        if not used:
+            return 0
+        accepted = len(parts) // 2
+        self._copy_in(tail % self._capacity, b"".join(parts))
+        # Publish last: the consumer reads tail before the bytes, so it can
+        # never see a record whose bytes are not in place yet.
+        self._ctrl[R_PUSHED] += accepted
+        self._ctrl[R_TAIL] = tail + used
         return accepted
 
     # ------------------------------------------------------------------
@@ -185,28 +195,30 @@ class SharedCommandRing:
         """Consume every record currently visible (the per-tick batch).
 
         Reads ``tail`` once -- records pushed after the snapshot wait for
-        the next drain, which is exactly the per-tick batch boundary.
+        the next drain, which is exactly the per-tick batch boundary.  The
+        pending span is copied out once and the records sliced from it.
         """
         tail = int(self._ctrl[R_TAIL])
         head = int(self._ctrl[R_HEAD])
+        if head == tail:
+            return []
+        span = self._copy_out(head % self._capacity, tail - head)
         drained: List[bytes] = []
-        while head < tail:
+        offset = 0
+        while offset < len(span):
             if max_records is not None and len(drained) >= max_records:
                 break
-            header = self._copy_out(head % self._capacity, RECORD_HEADER_BYTES)
-            length = int.from_bytes(header, "little")
-            if RECORD_HEADER_BYTES + length > tail - head:
+            start = offset + RECORD_HEADER_BYTES
+            if start > len(span):
+                raise StateError("torn ring record: header cut short")
+            (length,) = _LENGTH.unpack_from(span, offset)
+            if start + length > len(span):
                 raise StateError(
                     f"torn ring record: header claims {length} bytes but "
-                    f"only {tail - head - RECORD_HEADER_BYTES} are pending"
+                    f"only {len(span) - start} are pending"
                 )
-            drained.append(
-                self._copy_out(
-                    (head + RECORD_HEADER_BYTES) % self._capacity, length
-                )
-            )
-            head += RECORD_HEADER_BYTES + length
-        if drained:
-            self._ctrl[R_DRAINED] += len(drained)
-            self._ctrl[R_HEAD] = head
+            drained.append(span[start:start + length])
+            offset = start + length
+        self._ctrl[R_DRAINED] += len(drained)
+        self._ctrl[R_HEAD] = head + offset
         return drained

@@ -1,27 +1,31 @@
-"""Tests for fleet command ingestion: rings, pipes, queues, torn batches.
+"""Tests for fleet command ingestion: rings, queues, torn batches.
 
 The serving path hands each shard one command batch per tick.  These tests
 pin the contracts the gateway depends on:
 
 * batched ingestion is tick-equivalent to driving a server directly (the
   commands land in the same ticks, so state and logs match);
-* ``ring`` and ``pipe`` transports produce byte-identical durable state;
+* the command ring is the only way commands reach a worker;
 * a worker that dies *after* draining a batch but *before* the tick that
   would log it loses exactly that batch -- recovery replays the durable
   log only, applying nothing twice and nothing phantom;
 * ``try_run_ticks`` isolates one shard's failure while survivors serve.
 """
 
+import inspect
 import multiprocessing
-import os
 
 import pytest
 
+import repro.engine.fleet as fleet_module
+import repro.engine.shard_worker as shard_worker
 from repro.engine.fleet import ShardFleet
 from repro.engine.server import DurableGameServer
 from repro.errors import BackpressureError, EngineError
+from repro.frontend.gateway import FrontDoor
 from repro.game.knights_archers import KnightsArchersGame
 from repro.game.scenario import BattleScenario
+from repro.state.ring import SharedCommandRing
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -50,15 +54,13 @@ def make_fleet(app_factory, directory, num_shards=1, **kwargs):
     return ShardFleet(app_factory, directory, num_shards, **kwargs)
 
 
-def drive_scripted(fleet, ticks=SCRIPT_TICKS, transport=None):
+def drive_scripted(fleet, ticks=SCRIPT_TICKS):
     """Submit the script through the fleet's ingestion path, tick by tick."""
     for tick in range(ticks):
         commands = SCRIPT.get(tick, [])
         for index in range(fleet.num_shards):
             if commands:
-                accepted = fleet.submit_commands(
-                    index, commands, transport=transport
-                )
+                accepted = fleet.submit_commands(index, commands)
                 assert accepted == len(commands)
         fleet.run_ticks(1, checkpoint_barrier=True)
 
@@ -77,16 +79,6 @@ def reference_server(app_factory, directory, seed, ticks, extra=None):
             server.submit_command(command)
         server.run_tick()
     return server
-
-
-def directory_digest(root):
-    out = {}
-    for dirpath, _, files in os.walk(root):
-        for name in sorted(files):
-            path = os.path.join(dirpath, name)
-            with open(path, "rb") as handle:
-                out[os.path.relpath(path, root)] = handle.read()
-    return out
 
 
 class TestThreadBackend:
@@ -113,13 +105,6 @@ class TestThreadBackend:
         assert excinfo.value.capacity == 64
         fleet.run_ticks(1)
         assert fleet.pending_commands(0) == 0
-        fleet.close()
-
-    def test_pipe_transport_needs_process_backend(self, app_factory,
-                                                  tmp_path):
-        fleet = make_fleet(app_factory, tmp_path)
-        with pytest.raises(EngineError):
-            fleet.submit_commands(0, [b"c"], transport="pipe")
         fleet.close()
 
     def test_non_bytes_command_rejected(self, app_factory, tmp_path):
@@ -154,7 +139,7 @@ class TestProcessBackend:
         fleet = make_fleet(
             app_factory, tmp_path / "fleet", backend="process", seed=9
         )
-        drive_scripted(fleet, transport="ring")
+        drive_scripted(fleet)
         fleet.quiesce()
         fleet.close()
         reference = reference_server(
@@ -166,17 +151,6 @@ class TestProcessBackend:
         assert recovery.game.table.equals(reference.table)
         reference.close()
         recovery.persistence.close()
-
-    def test_ring_and_pipe_transports_identical(self, app_factory, tmp_path):
-        for transport in ("ring", "pipe"):
-            fleet = make_fleet(
-                app_factory, tmp_path / transport, backend="process", seed=4
-            )
-            drive_scripted(fleet, transport=transport)
-            fleet.quiesce()
-            fleet.close()
-        assert (directory_digest(tmp_path / "ring")
-                == directory_digest(tmp_path / "pipe"))
 
     def test_ring_commands_survive_crash_once_logged(self, app_factory,
                                                      tmp_path):
@@ -252,3 +226,23 @@ class TestProcessBackend:
         assert fleet.pending_commands(1) == 0
         assert fleet.dead_shards() == [0]
         fleet.close()
+
+
+def test_no_second_ingestion_path_grows_back():
+    """The command ring is the only way commands reach a worker: no
+    transport argument on the fleet or the front door, no per-command pipe
+    message in the worker, and one producer and one admission path."""
+    def parameters(function):
+        return list(inspect.signature(function).parameters)
+
+    assert parameters(ShardFleet.submit_commands) == [
+        "self", "index", "payloads",
+    ]
+    assert parameters(ShardFleet.submit_command) == [
+        "self", "index", "payload",
+    ]
+    assert "transport" not in parameters(FrontDoor.__init__)
+    assert not hasattr(fleet_module, "COMMAND_" + "TRANSPORTS")
+    assert '"command"' not in inspect.getsource(shard_worker)
+    assert "push_batch" in inspect.getsource(SharedCommandRing.try_push)
+    assert "submit_batch" in inspect.getsource(FrontDoor.submit)

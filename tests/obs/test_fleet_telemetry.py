@@ -89,6 +89,9 @@ class TestStatsFrame:
                 assert warm["gateway"]["commands_applied"] == 4
                 assert warm["gateway"]["ticks_driven"] > 0
                 assert warm["gateway"]["queue_capacity_bytes"] > 0
+                # Commands per batch: one batch per read of the connection.
+                assert 1 <= warm["gateway"]["admission_batches"] <= 4
+                assert "cmds/batch=" in render(warm)
                 assert len(warm["shards"]) == 2
                 # The frame is the plain FleetTelemetry wire format.
                 assert FleetTelemetry.from_dict(warm).num_shards == 2
