@@ -57,10 +57,7 @@ def main() -> None:
                     await asyncio.sleep(seconds / 3.0)
                     victim = frontdoor.live_shards[0]
                     print(f"\n*** killing shard {victim} under load ***\n")
-                    if backend == "process":
-                        fleet.crash_worker(victim, when="kill")
-                    else:
-                        fleet.shards[victim].crash()
+                    fleet.crash_worker(victim, when="kill")
 
                 generator = LoadGenerator(host, port, num_clients=clients,
                                           payload=b"heal:3")

@@ -172,6 +172,12 @@ class RealExecutor(SubroutineExecutor):
             return None if committed is None else committed[1]
         return self._last_committed_tick
 
+    @property
+    def last_cut_tick(self) -> Optional[int]:
+        """Cut tick of the newest checkpoint handed to the write path,
+        durable or not; None before the first."""
+        return None if self._task_ids is None else self._task_cut_tick
+
     def set_current_tick(self, tick: int) -> None:
         """Tell the executor which tick is ending (the checkpoint cut)."""
         self._current_tick = tick

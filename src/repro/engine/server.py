@@ -62,6 +62,27 @@ class ServerStats:
     last_checkpoint_write_count: int = 0
 
 
+def open_checkpoint_store(
+    directory: str,
+    geometry,
+    layout: DiskLayout,
+    sync: bool = False,
+    fsync_policy: Optional[str] = None,
+):
+    """The checkpoint store of disk organization ``layout`` in ``directory``.
+
+    Both store types open existing files as well as new ones (the log store
+    verifies the geometry record, the double backup attaches read-write),
+    so a process backend's parent can open the files its worker created.
+    """
+    store_type = (
+        DoubleBackupStore
+        if layout is DiskLayout.DOUBLE_BACKUP
+        else CheckpointLogStore
+    )
+    return store_type(directory, geometry, sync=sync, fsync_policy=fsync_policy)
+
+
 class DurableGameServer:
     """Runs a deterministic tick application with durable checkpointing."""
 
@@ -129,14 +150,9 @@ class DurableGameServer:
                 f"{self._directory} already contains a server's logs; "
                 "recover it instead of starting fresh"
             )
-        if self._policy.layout is DiskLayout.DOUBLE_BACKUP:
-            self._store = DoubleBackupStore(
-                self._directory, geometry, sync=sync, fsync_policy=fsync_policy
-            )
-        else:
-            self._store = CheckpointLogStore(
-                self._directory, geometry, sync=sync, fsync_policy=fsync_policy
-            )
+        self._store = open_checkpoint_store(
+            self._directory, geometry, self._policy.layout, sync, fsync_policy
+        )
         if writer_bytes_per_tick is None:
             # Default: spread a full-state write over ~16 ticks, echoing the
             # paper's regime where checkpoints span many ticks.
@@ -205,6 +221,11 @@ class DurableGameServer:
             return self._store.latest_committed()[1]
         except Exception:
             return None
+
+    @property
+    def last_cut_tick(self) -> Optional[int]:
+        """Cut tick of the newest checkpoint started, durable or not."""
+        return self._executor.last_cut_tick
 
     @property
     def bytes_written(self) -> int:

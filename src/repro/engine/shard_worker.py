@@ -1,4 +1,4 @@
-"""The process-backend shard worker and its parent-side counterpart.
+"""The process-backend shard worker and its parent-side handle.
 
 ``ShardFleet(backend="process")`` splits each shard across two processes:
 
@@ -6,7 +6,7 @@
   mutator loop -- :class:`~repro.engine.shard.MMOShard` over a
   :class:`~repro.state.shared.SharedGameStateTable` -- on its own core,
   free of the parent's GIL;
-* the **parent** keeps the shared
+* the **parent** (:class:`ProcessShardHandle`) keeps the shared
   :class:`~repro.engine.writer_pool.CheckpointWriterPool` and lands every
   checkpoint on disk, reading the payload bytes straight out of shared
   memory (zero-copy: the iovecs handed to ``writev``/``pwritev`` point into
@@ -25,28 +25,34 @@ path's snapshot-or-live gather produces for the same cut.  The framework
 never starts a checkpoint while one is in flight, so the staging slot is
 never overwritten before the parent is done with it.
 
-Control flows over a :func:`multiprocessing.Pipe` (commands down, acks up),
-while high-rate progress counters live in a shared int64 control row per
-shard (single writer per field: the worker owns the tick/submit counters,
-the parent owns the committed/bytes counters; aligned int64 stores are
-atomic on every platform the fork backend runs on).  Worker death is
-detected as EOF on the pipe and surfaced as that shard's failure -- never a
-fleet hang.
+Each shard has one shared segment: table, staging, metrics row, command
+and trace rings, and an int64 control row.  Control flows over a
+:func:`multiprocessing.Pipe` (commands down, acks up), while high-rate
+progress counters live in the control row (single writer per field: the
+worker owns the tick/submit counters, the parent owns the committed/bytes
+counters; aligned int64 stores are atomic on every platform the fork
+backend runs on).  Worker death is detected as EOF on the pipe and surfaced
+as that shard's failure -- never a fleet hang.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import queue
 import threading
 import time
 import traceback
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.shard import MMOShard
+from repro.core.registry import algorithm_class
+from repro.engine.server import ServerStats, open_checkpoint_store
+from repro.engine.shard import GAME_SUBDIRECTORY, MMOShard
+from repro.engine.shard_handle import ShardHandle, TickLoop
 from repro.engine.writer import CheckpointJob, WriterStats
+from repro.engine.writer_pool import release_freed_heap
 from repro.errors import CheckpointWriterError, EngineError
 from repro.obs.metrics import MetricsRegistry, RowMetrics
 from repro.obs.telemetry import (
@@ -56,14 +62,18 @@ from repro.obs.telemetry import (
 )
 from repro.obs.trace import SharedRingTraceSink, get_tracer
 from repro.state.ring import DEFAULT_RING_BYTES, SharedCommandRing, ring_slots
-from repro.state.shared import SharedArena, SharedGameStateTable
+from repro.state.shared import (
+    SharedArena,
+    SharedGameStateTable,
+    reap_stale_segments,
+)
 
 #: Exit code a worker dies with on an injected crash (tests assert on it).
 CRASH_EXIT_CODE = 42
 
 # ----------------------------------------------------------------------
-# The shared control row: int64 fields, one row per shard.  Each field has
-# exactly one writing side, so plain aligned stores are race-free.
+# The shared control row: int64 fields.  Each field has exactly one
+# writing side, so plain aligned stores are race-free.
 # ----------------------------------------------------------------------
 F_TICKS_RUN = 0        # worker: ticks completed
 F_JOB_STATE = 1        # worker sets IN_FLIGHT, parent sets IDLE / ERROR
@@ -97,8 +107,8 @@ TRACE_RING_BYTES = 1 << 18
 def shard_arena_slots(
     geometry, dtype, ring_bytes: int = DEFAULT_RING_BYTES
 ) -> list:
-    """Slot layout of one shard's shared segment: table, staging, commands,
-    metrics, trace.
+    """Slot layout of one shard's shared segment: table, staging, control,
+    commands, metrics, trace.
 
     The staging area is sized for the worst case (a full dump writes every
     object), so any checkpoint's write set fits without reallocation.  The
@@ -117,15 +127,11 @@ def shard_arena_slots(
             (geometry.num_objects, geometry.cells_per_object),
             np.dtype(dtype),
         ),
+        (CONTROL_SLOT, (NUM_CONTROL_FIELDS,), np.dtype(np.int64)),
         shard_metrics_slot_spec(),
         *ring_slots(ring_bytes, prefix=COMMAND_RING_PREFIX),
         *ring_slots(TRACE_RING_BYTES, prefix=TRACE_RING_PREFIX),
     ]
-
-
-def control_arena_slots(num_shards: int) -> list:
-    """Slot layout of the fleet-wide control segment."""
-    return [(CONTROL_SLOT, (num_shards, NUM_CONTROL_FIELDS), np.dtype(np.int64))]
 
 
 # ======================================================================
@@ -171,11 +177,6 @@ class WorkerCheckpointProxy:
         #: worker dies right after handing a checkpoint to the parent, so
         #: the parent's flush is in flight when the death is detected.
         self.crash_after_submit = False
-        #: Armed by ``("crash", "mid_drain")``: the worker dies right after
-        #: its next nonempty command-ring drain, before the tick that would
-        #: durably log the batch -- the torn-batch fault the recovery tests
-        #: exercise.
-        self.crash_after_drain = False
 
     @property
     def idle(self) -> bool:
@@ -279,14 +280,12 @@ class WorkerCheckpointProxy:
 
 
 def shard_worker_main(
-    index: int,
     app,
     directory: str,
     algorithm: str,
     seed: int,
     shard_kwargs: dict,
-    table_arena: SharedArena,
-    control_arena: SharedArena,
+    arena: SharedArena,
     conn,
     publish_metrics: bool = True,
 ) -> None:
@@ -295,13 +294,13 @@ def shard_worker_main(
     Protocol (parent -> worker / worker -> parent):
 
     * ``("run", count, barrier)`` -> ``("done", stats, error_text)`` --
-      run ``count`` ticks; with ``barrier`` each tick waits for its
+      run ``count`` ticks of the shard's :class:`TickLoop` (the same body
+      the thread backend runs); with ``barrier`` each tick waits for its
       checkpoint (if any) to become durable before the next (the
-      deterministic-schedule mode backing byte-identity tests).  Before
-      each tick the worker drains the shard's shared command ring *once*
-      and submits the whole batch to the game server: the ring is the
-      only way commands reach a worker.  ``stats`` is the live
-      ``ServerStats``; the pipe's pickling is the copy.
+      deterministic-schedule mode backing byte-identity tests).  The
+      shared command ring is the only way commands reach a worker.
+      ``stats`` is the live ``ServerStats``; the pipe's pickling is the
+      copy.
     * ``("quiesce",)`` -> ``("quiesced", stats)`` -- wait out the in-flight
       checkpoint.
     * ``("crash", when)`` -- test-only fault injection, no ack: ``"now"``
@@ -316,17 +315,15 @@ def shard_worker_main(
     the process exits; the parent turns EOF on this pipe into a per-shard
     failure.
     """
-    shard = None
     try:
-        table = SharedGameStateTable(app.geometry, table_arena, dtype=app.dtype)
-        control = control_arena.array(CONTROL_SLOT)[index]
+        table = SharedGameStateTable(app.geometry, arena, dtype=app.dtype)
+        control = arena.array(CONTROL_SLOT)
         # This worker is the single writer of the tick-loop fields of its
         # shared metrics row; the parent scrapes them without a syscall.
         metrics_row = None
         if publish_metrics:
             metrics_row = MetricsRegistry.from_array(
-                SHARD_METRICS_LAYOUT,
-                table_arena.array(SHARD_METRICS_SLOT),
+                SHARD_METRICS_LAYOUT, arena.array(SHARD_METRICS_SLOT)
             ).row(0)
         # The tracer singleton was inherited through fork: re-stamp the pid
         # and, when enabled, route spans through the shared trace ring so
@@ -335,16 +332,15 @@ def shard_worker_main(
         tracer.pid = os.getpid()
         if tracer.enabled:
             tracer.set_sink(SharedRingTraceSink(
-                SharedCommandRing(table_arena, prefix=TRACE_RING_PREFIX)
+                SharedCommandRing(arena, prefix=TRACE_RING_PREFIX)
             ))
         proxy = WorkerCheckpointProxy(
             conn,
             control,
-            table_arena.array(STAGED_IDS_SLOT),
-            table_arena.array(STAGING_SLOT),
+            arena.array(STAGED_IDS_SLOT),
+            arena.array(STAGING_SLOT),
             metrics_row=metrics_row,
         )
-        ring = SharedCommandRing(table_arena, prefix=COMMAND_RING_PREFIX)
         shard = MMOShard(
             app,
             directory,
@@ -354,71 +350,34 @@ def shard_worker_main(
             writer=proxy,
             **shard_kwargs,
         )
-        if metrics_row is not None:
-            tick_hist = metrics_row.histogram("tick_us")
-            drained_counter = metrics_row.counter("commands_drained")
-            lag_gauge = metrics_row.gauge("cut_lag_ticks")
-        else:
-            tick_hist = drained_counter = lag_gauge = None
+        loop = TickLoop(
+            shard,
+            SharedCommandRing(arena, prefix=COMMAND_RING_PREFIX),
+            metrics_row,
+        )
+
+        def after_tick() -> None:
+            control[F_TICKS_RUN] = shard.game.ticks_run
+            while conn.poll(0):
+                _worker_control(conn.recv(), shard, proxy, loop, conn)
+
+        loop.after_tick = after_tick
         conn.send(("ready", os.getpid()))
         while True:
             message = conn.recv()
             kind = message[0]
             if kind == "run":
-                count, barrier = message[1], message[2]
                 error_text = None
                 try:
-                    for _ in range(count):
-                        while conn.poll(0):
-                            _worker_control(conn.recv(), shard, proxy, conn)
-                        tick_started = (
-                            time.monotonic_ns()
-                            if tick_hist is not None
-                            else 0
-                        )
-                        with tracer.span("shard_tick"):
-                            # One drain per tick: everything the parent
-                            # pushed before this instant becomes this
-                            # tick's batch.
-                            with tracer.span("ring_drain"):
-                                batch = ring.drain()
-                                for payload in batch:
-                                    shard.game.submit_command(payload)
-                            if batch and proxy.crash_after_drain:
-                                os._exit(CRASH_EXIT_CODE)
-                            shard.run_tick()
-                        control[F_TICKS_RUN] = shard.game.ticks_run
-                        if tick_hist is not None:
-                            tick_hist.observe(
-                                (time.monotonic_ns() - tick_started) // 1000
-                            )
-                            if batch:
-                                drained_counter.inc(len(batch))
-                            # Ticks run beyond the newest cut handed to
-                            # the checkpoint path (its own F_JOB_CUT field
-                            # -- a self-read, still single-writer).
-                            if int(control[F_JOBS_SUBMITTED]):
-                                lag = (
-                                    shard.game.ticks_run - 1
-                                    - int(control[F_JOB_CUT])
-                                )
-                            else:
-                                lag = shard.game.ticks_run
-                            lag_gauge.set(max(0, lag))
-                        if barrier:
-                            shard.wait_checkpoint_idle()
+                    loop.run(message[1], message[2])
                 except Exception:
                     error_text = traceback.format_exc()
                 conn.send(("done", shard.game.stats, error_text))
             elif kind == "quiesce":
                 shard.wait_checkpoint_idle()
                 conn.send(("quiesced", shard.game.stats))
-            elif kind == "crash":
-                _worker_control(message, shard, proxy, conn)
-            elif kind == "close":
-                shard.close()
-                conn.send(("closed",))
-                return
+            elif kind in ("crash", "close"):
+                _worker_control(message, shard, proxy, loop, conn)
             else:
                 raise EngineError(f"unknown worker command {kind!r}")
     except EOFError:
@@ -430,17 +389,22 @@ def shard_worker_main(
             pass
 
 
-def _worker_control(message, shard, proxy, conn) -> None:
-    """Handle a command that may arrive between ticks mid-run."""
+def _crash_now() -> None:
+    os._exit(CRASH_EXIT_CODE)
+
+
+def _worker_control(message, shard, proxy, loop, conn) -> None:
+    """Handle a crash or close command, between runs or mid-run between
+    ticks."""
     kind = message[0]
     if kind == "crash":
         when = message[1]
         if when == "now":
-            os._exit(CRASH_EXIT_CODE)
+            _crash_now()
         elif when == "at_checkpoint":
             proxy.crash_after_submit = True
         elif when == "mid_drain":
-            proxy.crash_after_drain = True
+            loop.after_drain = _crash_now
         else:
             raise EngineError(f"unknown crash mode {when!r}")
     elif kind == "close":
@@ -479,8 +443,8 @@ class _StagedSource:
         return self._payloads[start:stop].reshape(-1).view(np.uint8).data
 
 
-class ProcessShardHandle:
-    """The parent's end of one worker: pipe, dispatcher, and flush duty.
+class ProcessShardHandle(ShardHandle):
+    """The parent's end of one worker: segment, pipe, dispatcher, flushes.
 
     A dispatcher thread owns the receiving end of the pipe.  ``checkpoint``
     messages are serviced inline -- build a :class:`CheckpointJob` over the
@@ -491,21 +455,30 @@ class ProcessShardHandle:
     waiters fail fast instead of hanging.
     """
 
+    #: The parent always flushes through a shared pool; a fleet that did
+    #: not ask for one gets a small default crew.
+    default_pool_size = 2
+
     def __init__(
-        self,
-        index: int,
-        process,
-        conn,
-        table_arena: SharedArena,
-        control_row: np.ndarray,
-        pool_handle,
+        self, index: int, geometry, process, conn, arena: SharedArena,
+        publish: bool,
     ) -> None:
-        self.index = index
+        super().__init__(
+            index,
+            geometry,
+            SharedCommandRing(arena, prefix=COMMAND_RING_PREFIX),
+            MetricsRegistry.from_array(
+                SHARD_METRICS_LAYOUT, arena.array(SHARD_METRICS_SLOT)
+            ).row(0),
+            publish,
+        )
+        self.trace_ring = SharedCommandRing(arena, prefix=TRACE_RING_PREFIX)
         self.process = process
         self.conn = conn
-        self.table_arena = table_arena
-        self.control = control_row
-        self.pool_handle = pool_handle
+        self.arena = arena
+        self.control = arena.array(CONTROL_SLOT)
+        self.store = None
+        self.pool_handle = None
         self.failed: Optional[EngineError] = None
         self.flush_error: Optional[BaseException] = None
         self._messages: "queue.Queue" = queue.Queue()
@@ -514,11 +487,208 @@ class ProcessShardHandle:
             name=f"repro-shard-{index:02d}-dispatch",
             daemon=True,
         )
-        self._staged_ids = table_arena.array(STAGED_IDS_SLOT)
-        self._staging = table_arena.array(STAGING_SLOT)
+        self._staged_ids = arena.array(STAGED_IDS_SLOT)
+        self._staging = arena.array(STAGING_SLOT)
 
-    def start_dispatcher(self) -> None:
-        self._dispatcher.start()
+    @classmethod
+    def open_all(
+        cls,
+        app_factory,
+        directories: Sequence[str],
+        algorithm: str,
+        seed: int,
+        shard_kwargs: dict,
+        pool,
+        ring_bytes: int,
+        publish: bool,
+    ) -> List["ProcessShardHandle"]:
+        """Fork one worker per directory, each over a fresh shared arena.
+
+        Phased for fork safety: every segment is created and every worker
+        forked *before* any parent-side thread starts (the pool's writer
+        threads spin up lazily on the first submit; the dispatchers start
+        last), so no child can inherit a locked thread.  The parent opens
+        its own store handles only after each worker's ``ready`` handshake
+        confirms the files exist.  All or nothing.
+        """
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:
+            raise EngineError(
+                "backend='process' needs the fork start method "
+                "(unavailable on this platform)"
+            ) from None
+        # A previous parent that was SIGKILLed may have left segments
+        # behind; their owner pid is dead, so this reclaims them.
+        reap_stale_segments()
+        shard_kwargs = dict(shard_kwargs)
+        shard_kwargs.pop("writer_pool", None)
+        shard_kwargs.pop("writer_name", None)
+        # Freed but resident heap would be copied into every worker.
+        release_freed_heap()
+        handles: List[ProcessShardHandle] = []
+        try:
+            for index, directory in enumerate(directories):
+                app = app_factory(index)
+                arena = SharedArena.create(
+                    shard_arena_slots(app.geometry, app.dtype, ring_bytes)
+                )
+                try:
+                    parent_conn, child_conn = context.Pipe()
+                    process = context.Process(
+                        target=shard_worker_main,
+                        args=(app, directory, algorithm, seed + index,
+                              shard_kwargs, arena, child_conn, publish),
+                        name=f"repro-shard-{index:02d}",
+                        daemon=True,
+                    )
+                    process.start()
+                except BaseException:
+                    arena.destroy()
+                    raise
+                child_conn.close()
+                handles.append(cls(
+                    index, app.geometry, process, parent_conn, arena, publish
+                ))
+            for handle, directory in zip(handles, directories):
+                handle._attach(directory, algorithm, shard_kwargs, pool)
+        except BaseException:
+            for handle in handles:
+                handle.crash()
+                handle.release()
+            raise
+        for handle in handles:
+            handle._dispatcher.start()
+        return handles
+
+    def _attach(self, directory: str, algorithm: str, shard_kwargs: dict,
+                pool) -> None:
+        """Wait for the worker's ``ready``, then open the parent's store
+        handle on the files it created and register it with the pool."""
+        try:
+            message = self.conn.recv()
+        except EOFError:
+            self.process.join(timeout=5.0)
+            raise EngineError(
+                f"shard {self.index} worker died during startup "
+                f"(exit code {self.process.exitcode})"
+            ) from None
+        if message[0] == "fatal":
+            raise EngineError(
+                f"shard {self.index} worker failed to start:\n{message[1]}"
+            )
+        if message[0] != "ready":
+            raise EngineError(
+                f"shard {self.index} worker sent {message[0]!r} before ready"
+            )
+        # Only the parent ever writes checkpoint records.
+        self.store = open_checkpoint_store(
+            os.path.join(directory, GAME_SUBDIRECTORY),
+            self.geometry,
+            algorithm_class(algorithm).layout,
+            shard_kwargs.get("sync", False),
+            shard_kwargs.get("fsync_policy"),
+        )
+        self.pool_handle = pool.register(
+            self.store, name=f"shard-{self.index:02d}"
+        )
+
+    # ------------------------------------------------------------------
+    # The ShardHandle surface
+    # ------------------------------------------------------------------
+
+    @property
+    def pid(self) -> Optional[int]:
+        return self.process.pid
+
+    @property
+    def alive(self) -> bool:
+        return self.failed is None and self.process.is_alive()
+
+    def check(self) -> None:
+        if self.failed is not None:
+            raise self.failed
+
+    @property
+    def ticks_run(self) -> int:
+        return int(self.control[F_TICKS_RUN])
+
+    @property
+    def bytes_written(self) -> int:
+        return int(self.control[F_BYTES_WRITTEN])
+
+    @property
+    def committed_cut(self) -> Optional[int]:
+        if int(self.control[F_COMMITTED_EPOCH]) == 0:
+            return None
+        return int(self.control[F_COMMITTED_CUT])
+
+    @property
+    def shard(self) -> MMOShard:
+        raise EngineError(
+            "the process backend's shards live in worker processes; "
+            "use checkpoint_ages()/run_ticks() or the on-disk state"
+        )
+
+    def start_run(self, count: int, barrier: bool, concurrent: bool) -> None:
+        self.check()
+        self.send(("run", count, barrier))
+
+    def finish_run(self) -> ServerStats:
+        _, stats, error_text = self.next_ack()
+        if error_text is not None:
+            raise EngineError(f"shard {self.index} failed:\n{error_text}")
+        return stats
+
+    def quiesce(self, timeout: float) -> None:
+        try:
+            self.send(("quiesce",))
+            self.next_ack(timeout=timeout)
+        except EngineError:
+            pass  # the run that meets the dead worker reports it
+
+    def inject_crash(self, when: str) -> None:
+        """``"kill"`` SIGKILLs the worker now; ``"now"``, ``"at_checkpoint"``
+        and ``"mid_drain"`` arm the worker's own exit points."""
+        if when == "kill":
+            self.crash()
+        elif when in ("now", "at_checkpoint", "mid_drain"):
+            self.send(("crash", when))
+        else:
+            raise EngineError(f"unknown crash mode {when!r}")
+
+    def crash(self) -> None:
+        """SIGKILL the worker (crash semantics)."""
+        if self.process.is_alive():
+            self.process.kill()
+        self.process.join(timeout=10.0)
+
+    def close(self) -> None:
+        """Ask a live worker to close its shard and exit; reap a dead one."""
+        if not self.alive:
+            self.crash()
+            return
+        try:
+            self.send(("close",))
+            self.next_ack(timeout=30.0)
+        except EngineError:
+            pass
+        self.process.join(timeout=10.0)
+
+    def release(self) -> None:
+        for resource in (self.store, self.conn):
+            try:
+                if resource is not None:
+                    resource.close()
+            except Exception:
+                pass
+        if self._dispatcher.is_alive():
+            self._dispatcher.join(timeout=10.0)
+        self.arena.destroy()
+
+    # ------------------------------------------------------------------
+    # The pipe
+    # ------------------------------------------------------------------
 
     def send(self, message) -> None:
         """Send a command; a dead worker surfaces as this shard's failure."""
@@ -619,17 +789,3 @@ class ProcessShardHandle:
         # field is already published (plain stores suffice -- each field has
         # a single writer and the worker only acts on the IDLE transition).
         row[F_JOB_STATE] = JOB_IDLE
-
-    # ------------------------------------------------------------------
-    # Teardown helpers
-    # ------------------------------------------------------------------
-
-    def kill(self) -> None:
-        """SIGKILL the worker (crash semantics)."""
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join(timeout=10.0)
-
-    def join_dispatcher(self, timeout: float = 10.0) -> None:
-        if self._dispatcher.is_alive():
-            self._dispatcher.join(timeout=timeout)

@@ -36,6 +36,7 @@ the last durable cut and can never apply a command twice.
 from __future__ import annotations
 
 import struct
+from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -81,6 +82,16 @@ class SharedCommandRing:
         self._ctrl = arena.array(f"{prefix}_ctrl")
         self._capacity = int(self._data.size)
         self._prefix = prefix
+
+    @classmethod
+    def private(cls, capacity: int) -> "SharedCommandRing":
+        """The same ring over process-private memory, for a producer and a
+        consumer that are threads of one process."""
+        slots = {
+            name: np.zeros(shape, dtype)
+            for name, shape, dtype in ring_slots(capacity)
+        }
+        return cls(SimpleNamespace(array=slots.__getitem__))
 
     # ------------------------------------------------------------------
     # Introspection

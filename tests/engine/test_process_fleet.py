@@ -61,7 +61,7 @@ class TestNormalOperation:
         before = our_segments()
         fleet = make_fleet(app_factory, tmp_path, num_shards=3)
         assert fleet.backend == "process"
-        assert len(our_segments() - before) == 4  # 3 shard arenas + control
+        assert len(our_segments() - before) == 3  # one segment per shard
         report = fleet.run_ticks(20, checkpoint_barrier=True)
         assert report.num_shards == 3
         assert all(stats.ticks_run == 20 for stats in report.shard_stats)
