@@ -89,8 +89,8 @@ class RealExecutor(SubroutineExecutor):
         self._snapshot_mask = np.zeros(num_objects, dtype=bool)
         self._all_ids = np.arange(num_objects, dtype=np.int64)
         if writer is not None:
-            # Pre-built writer-like object (submit/check/idle/stats/totals/
-            # close/last_committed), e.g. the process-backend worker's
+            # Pre-built writer-like object (submit/check/idle/totals/close/
+            # last_committed), e.g. the process-backend worker's
             # checkpoint proxy.  A writer that declares
             # ``concurrent_reader = False`` never reads the table from
             # another thread -- it captures the payloads synchronously
@@ -125,7 +125,6 @@ class RealExecutor(SubroutineExecutor):
         self.sync_copy_seconds = 0.0
         self.handle_update_seconds = 0.0
         self._serial_bytes_written = 0
-        self._serial_checkpoints_committed = 0
         self._last_committed_tick: Optional[int] = None
 
     @property
@@ -150,14 +149,6 @@ class RealExecutor(SubroutineExecutor):
     def bytes_written(self) -> int:
         """Checkpoint bytes written so far, across both writer modes."""
         return self.writer_totals()[0]
-
-    @property
-    def checkpoints_committed(self) -> int:
-        """Checkpoints committed so far, across both writer modes."""
-        total = self._serial_checkpoints_committed
-        if self._writer is not None:
-            total += self._writer.stats().jobs_completed
-        return total
 
     @property
     def last_committed_tick(self) -> Optional[int]:
@@ -357,7 +348,6 @@ class RealExecutor(SubroutineExecutor):
     def _commit(self) -> None:
         self._store.commit_checkpoint(self._task_cut_tick)
         self._task_committed = True
-        self._serial_checkpoints_committed += 1
         self._last_committed_tick = self._task_cut_tick
 
     # ------------------------------------------------------------------

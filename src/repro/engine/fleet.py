@@ -295,6 +295,7 @@ class ShardFleet:
                 tick_mean_us=hist.mean,
                 commands_drained=row.value("commands_drained"),
                 staging_us=row.value("staging_us"),
+                log_wait_us=row.value("log_wait_us"),
                 cut_lag_ticks=row.value("cut_lag_ticks"),
                 checkpoint_age_ticks=handle.checkpoint_age(),
                 bytes_written=handle.bytes_written,

@@ -6,16 +6,21 @@ to :meth:`run_tick`:
 
 1. captures the random generator state and asks the application to *plan*
    the tick's updates;
-2. routes the touched atomic objects through the checkpointing framework
+2. once the plan passes its bounds check, writes the tick's logical-log
+   record, whose fsync runs beside steps 3-5;
+3. routes the touched atomic objects through the checkpointing framework
    (saving old values where the algorithm requires it);
-3. applies the updates to the in-memory table;
-4. durably appends the tick's logical-log record;
+4. applies the updates to the in-memory table;
 5. lets the checkpoint writer make progress -- either draining bytes on the
    game thread (serial mode) or just surfacing errors from the
    :class:`~repro.engine.writer_pool.CheckpointWriterPool` worker that
-   overlaps the I/O with game ticks (``writer_pool=``); and
-6. runs the framework's end-of-tick boundary, finishing and starting
+   overlaps the I/O with game ticks (``writer_pool=``);
+6. waits until the record is durable; and
+7. runs the framework's end-of-tick boundary, finishing and starting
    checkpoints.
+
+A failure between the record's write and its fsync's return leaves the
+tick half-run, and the server must then be recovered.
 
 :meth:`crash` abandons all in-memory state, after which
 :class:`~repro.engine.recovery.RecoveryManager` can rebuild the exact
@@ -60,6 +65,8 @@ class ServerStats:
     #: Objects written by the newest completed checkpoint (a scalar, so
     #: the stats a worker acks every tick stay the same size).
     last_checkpoint_write_count: int = 0
+    #: Seconds ticks spent waiting for their log record's fsync.
+    log_wait_seconds: float = 0.0
 
 
 def open_checkpoint_store(
@@ -171,6 +178,7 @@ class DurableGameServer:
         self._framework = CheckpointFramework(self._policy, self._executor)
         self._next_tick = 0
         self._crashed = False
+        self._failed = False
         self._closed = False
         self._pending_commands: List[bytes] = []
         self.stats = ServerStats()
@@ -282,6 +290,8 @@ class DurableGameServer:
         """Execute one game tick; returns the number of cell updates."""
         if self._crashed:
             raise EngineError("server has crashed; recover it instead")
+        if self._failed:
+            raise EngineError("server failed mid-tick; recover it instead")
         if self._closed:
             raise EngineError("server is closed")
         tick = self._next_tick
@@ -297,6 +307,12 @@ class DurableGameServer:
         # from it here and the values land through it below.
         geometry = self._table.geometry
         self._table.check_updates(plan.rows, plan.columns)
+        # The record is fixed before the tick runs: write it now and fsync
+        # it beside the tick.  Until it is durable, a failure is fatal.
+        self._failed = True
+        self._action_log.append(TickRecord(
+            tick=tick, rng_state=rng_state, command_payload=command_blob
+        ))
         cell_index = geometry.cell_index(plan.rows, plan.columns)
 
         # Handle-Update runs before the updates land so old values survive.
@@ -310,16 +326,14 @@ class DurableGameServer:
             validate=False, cell_index=cell_index,
         )
 
-        # The tick is durable once its logical-log record is on disk.
-        self._action_log.append(
-            TickRecord(tick=tick, rng_state=rng_state,
-                       command_payload=command_blob)
-        )
-
         # Asynchronous writer's share of this tick, then the tick boundary.
         if not self._executor.stable_write_finished():
             self.stats.checkpoint_overlap_ticks += 1
         self._executor.drain()
+        # The tick is durable once its record is on disk; the boundary is
+        # the only place a cut starts.
+        self.stats.log_wait_seconds += self._action_log.wait_durable()
+        self._failed = False
         self._executor.set_current_tick(tick)
         allow_start = (
             tick - self._last_checkpoint_start_tick

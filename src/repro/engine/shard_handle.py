@@ -54,6 +54,7 @@ class TickLoop:
         if metrics is not None:
             self._tick_us = metrics.histogram("tick_us")
             self._drained = metrics.counter("commands_drained")
+            self._log_wait = metrics.counter("log_wait_us")
             self._cut_lag = metrics.gauge("cut_lag_ticks")
         self.after_drain: Optional[Callable[[], None]] = None
         self.after_tick: Optional[Callable[[], None]] = None
@@ -79,6 +80,7 @@ class TickLoop:
                 self._tick_us.observe((time.monotonic_ns() - started) // 1000)
                 if batch:
                     self._drained.inc(len(batch))
+                self._log_wait.set(int(game.stats.log_wait_seconds * 1e6))
                 # Ticks run beyond the newest cut handed to the checkpoint
                 # path, durable or not.
                 cut = game.last_cut_tick

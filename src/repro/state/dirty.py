@@ -257,21 +257,17 @@ class DoubleBackupBits:
 
     A freshly-created structure has every bit set: nothing has ever been
     written to either backup, so the first checkpoint to each must write the
-    whole state.
+    whole state.  One ``uint8`` word per object holds both bits.
     """
 
-    NUM_BACKUPS = 2
-
     def __init__(self, num_objects: int) -> None:
-        self._bitmaps = [
-            PolarityBitmap(num_objects, fill=True) for _ in range(self.NUM_BACKUPS)
-        ]
+        self._words = np.full(num_objects, 0b11, dtype=np.uint8)
         self._current = 0
 
     @property
     def num_objects(self) -> int:
         """Number of atomic objects tracked."""
-        return self._bitmaps[0].size
+        return self._words.size
 
     @property
     def current_backup(self) -> int:
@@ -281,16 +277,7 @@ class DoubleBackupBits:
     def mark_updated(self, ids) -> None:
         """Record that the objects in ``ids`` changed (sets both bits;
         ``ids`` may repeat)."""
-        for bitmap in self._bitmaps:
-            bitmap.set(ids)
-
-    def dirty_for_current(self) -> np.ndarray:
-        """Ids that must be written by the next checkpoint."""
-        return self._bitmaps[self._current].set_ids()
-
-    def dirty_mask_for_current(self) -> np.ndarray:
-        """Boolean mask over objects: must be written by the next checkpoint."""
-        return self._bitmaps[self._current].values()
+        self._words[ids] = 0b11
 
     def begin_checkpoint(self) -> np.ndarray:
         """Start a checkpoint to the current backup.
@@ -299,9 +286,9 @@ class DoubleBackupBits:
         bits; updates arriving while the checkpoint runs re-dirty both
         backups as usual.
         """
-        bitmap = self._bitmaps[self._current]
-        write_set = bitmap.set_ids()
-        bitmap.clear(write_set)
+        bit = np.uint8(1 << self._current)
+        write_set = np.flatnonzero(self._words & bit)
+        self._words[write_set] &= ~bit
         return write_set
 
     def finish_checkpoint(self) -> None:
@@ -310,4 +297,5 @@ class DoubleBackupBits:
 
     def dirty_counts(self) -> tuple:
         """``(count_for_backup_0, count_for_backup_1)`` -- mainly for tests."""
-        return tuple(bitmap.count_set() for bitmap in self._bitmaps)
+        return tuple(int(np.count_nonzero(self._words & bit))
+                     for bit in (0b01, 0b10))

@@ -99,15 +99,18 @@ class GameStateTable:
 
         Each axis is checked against its own bound: a range check on the
         flat index would let an out-of-range column alias into the next row.
+        One ``max`` per axis over an unsigned view covers both ends, since
+        a negative index wraps to a huge one.
         """
-        rows = np.asarray(rows)
-        columns = np.asarray(columns)
-        if not rows.size:
-            return
-        if rows.min() < 0 or rows.max() >= self._geometry.rows:
-            raise GeometryError("row index out of range")
-        if columns.min() < 0 or columns.max() >= self._geometry.columns:
-            raise GeometryError("column index out of range")
+        for name, index, bound in (("row", rows, self._geometry.rows),
+                                   ("column", columns, self._geometry.columns)):
+            index = np.asarray(index)
+            if not index.size:
+                return
+            if index.dtype.kind not in "iu":
+                raise GeometryError(f"{name} indices must be integers")
+            if index.view(index.dtype.str.replace("i", "u")).max() >= bound:
+                raise GeometryError(f"{name} index out of range")
 
     def apply_updates(self, rows, columns, values, validate: bool = True,
                       cell_index=None) -> None:

@@ -23,12 +23,18 @@ after an open that found a torn tail cuts the file back to that record.
 verifies only the records it yields: a replay from a checkpoint's cut reads
 the ticks after the cut, never the ones before it, and a bad byte in a
 record the cut made redundant cannot hide the newer ones.
+
+Appending is two-phase: :meth:`ActionLog.append` starts a record's fsync,
+:meth:`ActionLog.wait_durable` waits for it, and the tick runs in between.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
+import threading
+import time
 from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple, Union
@@ -42,6 +48,7 @@ from repro.storage.layout import (
     pread_into,
     unpack_record_header,
     verify_record,
+    write_all,
 )
 
 #: Size of each read the header walk parses headers out of.
@@ -68,7 +75,9 @@ class ActionLog:
     compare the whole write path under one policy.  Every append *is* this
     log's commit point (a tick is durable exactly when its record is down),
     so ``commit`` and ``always`` both fsync per append and ``never`` trusts
-    the OS page cache.
+    the OS page cache.  The fsyncs run on one ``repro-log-sync`` thread
+    per open log, started by the first append (so in the process that
+    appends).
     """
 
     FILE_NAME = "actions.log"
@@ -97,9 +106,17 @@ class ActionLog:
         #: The file holds bytes past the index (a torn or corrupt tail) that
         #: the next append must cut off first.
         self._torn = size > self._end
+        # The sync hand-off, both locks held at rest: append releases
+        # ``_sync_requested``, the sync thread ``_synced`` after its fsync.
+        self._sync_requested, self._synced = threading.Lock(), threading.Lock()
+        self._sync_requested.acquire()
+        self._synced.acquire()
+        self._sync_thread: Optional[threading.Thread] = None
+        self._syncing, self._sync_error = False, None
 
     def close(self) -> None:
-        """Close the log file."""
+        """Close the log file, once its pending sync has returned."""
+        self._stop_sync()
         self._handle.close()
 
     def __enter__(self) -> "ActionLog":
@@ -213,7 +230,10 @@ class ActionLog:
     # ------------------------------------------------------------------
 
     def append(self, record: TickRecord) -> None:
-        """Durably append one tick record (ticks must be consecutive)."""
+        """Write one tick record (ticks must be consecutive) and start its
+        fsync, once the previous one has returned.  A failed write raises
+        :class:`StorageError` and leaves :attr:`last_tick` alone."""
+        self.wait_durable()
         if self._last_tick is not None and record.tick != self._last_tick + 1:
             raise StorageError(
                 f"non-consecutive tick {record.tick} after {self._last_tick}"
@@ -223,19 +243,68 @@ class ActionLog:
         payload = pickle.dumps(
             (record.rng_state, record.command_payload), protocol=4
         )
-        if self._torn:
-            # A record appended behind bytes the walk could not read would
-            # never be read back: cut the file to its last verified record.
-            self._handle.truncate(self._end)
-            self._torn = False
-        self._handle.seek(0, os.SEEK_END)
-        self._handle.write(pack_record(RECORD_TICK, record.tick, 0, payload))
-        self._handle.flush()
+        try:
+            if self._torn:
+                # A record appended behind bytes the walk could not read
+                # would never be read back: cut the file to its last
+                # verified record.
+                self._handle.truncate(self._end)
+                self._torn = False
+            # Unbuffered: a failed write leaves nothing for close to flush.
+            write_all(self._handle.fileno(),
+                      (pack_record(RECORD_TICK, record.tick, 0, payload),))
+        except OSError as error:
+            raise StorageError(
+                f"action log write of tick {record.tick} failed: {error}"
+            ) from error
+        self._last_tick = record.tick
         if self._fsync != "never":
             # Each append is this log's commit point, so the "commit" and
             # "always" policies coincide here.
-            os.fsync(self._handle.fileno())
-        self._last_tick = record.tick
+            if self._sync_thread is None:
+                self._sync_thread = threading.Thread(
+                    target=self._sync_loop, args=(self._handle.fileno(),),
+                    name="repro-log-sync", daemon=True,
+                )
+                self._sync_thread.start()
+            self._syncing = True
+            self._sync_requested.release()
+
+    def wait_durable(self) -> float:
+        """Block until the newest record's fsync has returned; returns the
+        seconds blocked (0.0 with none pending, so always under
+        ``never``).  Raises :class:`StorageError` if that fsync failed."""
+        if not self._syncing:
+            return 0.0
+        started = time.perf_counter()
+        self._synced.acquire()
+        self._syncing = False
+        error, self._sync_error = self._sync_error, None
+        if error is not None:
+            raise StorageError(f"action log fsync failed: {error}") from error
+        return time.perf_counter() - started
+
+    def _sync_loop(self, fd: int) -> None:
+        while True:
+            self._sync_requested.acquire()
+            if self._sync_thread is None:
+                return
+            try:
+                os.fsync(fd)
+            except OSError as error:
+                self._sync_error = error
+            self._synced.release()
+
+    def _stop_sync(self) -> None:
+        """Wait out a pending sync (its error dropped), join the thread."""
+        thread = self._sync_thread
+        if thread is not None:
+            with contextlib.suppress(StorageError):
+                self.wait_durable()
+            # Cleared only now: the thread reads it after each request.
+            self._sync_thread = None
+            self._sync_requested.release()
+            thread.join()
 
     # ------------------------------------------------------------------
     # Reading / replay
@@ -273,6 +342,7 @@ class ActionLog:
     def truncate(self) -> None:
         """Erase the log (used after a checkpoint makes old ticks redundant in
         tests; production engines would archive instead)."""
+        self._stop_sync()
         self._handle.seek(0)
         self._handle.truncate(0)
         self._handle.flush()

@@ -40,7 +40,6 @@ from repro.storage.layout import (
     STATE_IN_PROGRESS,
     BackupHeader,
     pread_into,
-    pwrite_all,
     pwritev_all,
 )
 
@@ -243,9 +242,8 @@ class DoubleBackupStore:
         if self._writing_to is None:
             raise StorageError("write_objects outside begin/commit")
         run = self._validated_rows(object_ids, payloads)
-        if run is None:
-            return
-        self._write_sorted_runs(*run)
+        if run is not None:
+            self._pwritev_sorted_parts([run[0]], [run[1]])
 
     def _validated_rows(self, object_ids: np.ndarray, payloads):
         """Fault-hook, id-range, and length checks shared by both write
@@ -267,35 +265,6 @@ class DoubleBackupStore:
             object_ids.size, object_bytes
         )
         return object_ids, payload_rows
-
-    def _write_sorted_runs(
-        self, object_ids: np.ndarray, payload_rows: np.ndarray
-    ) -> None:
-        """Land validated rows at their fixed offsets, sorted and coalesced."""
-        object_bytes = self._geometry.object_bytes
-        # Sorted I/O (the paper's optimization), with contiguous id runs
-        # coalesced into single writes -- one seek+write per run instead of
-        # per 512-byte object.
-        order = np.argsort(object_ids, kind="stable")
-        sorted_ids = object_ids[order]
-        sorted_payloads = payload_rows[order]
-        # Duplicated ids: keep only the caller's last payload for each object
-        # (the stable sort keeps duplicates in submission order).
-        keep = np.concatenate((np.diff(sorted_ids) != 0, [True]))
-        sorted_ids = sorted_ids[keep]
-        sorted_payloads = sorted_payloads[keep]
-        run_starts = np.flatnonzero(
-            np.concatenate(([True], np.diff(sorted_ids) > 1))
-        )
-        run_stops = np.concatenate((run_starts[1:], [sorted_ids.size]))
-        # Each coalesced run is one positioned vectored write straight to the
-        # fd -- no seek, and no flattening .tobytes() copy of the payload.
-        handle = self._files[self._writing_to]
-        handle.flush()
-        fd = handle.fileno()
-        for start, stop in zip(run_starts, run_stops):
-            offset = BACKUP_HEADER_BYTES + int(sorted_ids[start]) * object_bytes
-            pwrite_all(fd, sorted_payloads[start:stop], offset)
 
     def write_checkpoint_vectored(self, chunks, cut_tick: int) -> int:
         """Land the whole in-progress checkpoint as one coalesced write pass.

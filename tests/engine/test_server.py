@@ -10,7 +10,7 @@ from repro.engine.app import TickApplication, TickUpdatesPlan
 from repro.engine.recovery import RecoveryManager
 from repro.engine.server import DurableGameServer
 from repro.errors import EngineError, GeometryError
-from repro.state.dirty import EpochSet, unique_ids
+from repro.state.dirty import EpochSet, PolarityBitmap, unique_ids
 from repro.state.table import GameStateTable
 from repro.storage.layout import GEOMETRY_BYTES, RECORD_HEADER_BYTES
 
@@ -127,6 +127,56 @@ class TestRepeatedObjectIds:
         assert report.next_tick == 90
         assert not report.used_seed_fallback
         assert report.table.equals(oracle)
+
+
+class TwoBitmapBits:
+    """``DoubleBackupBits`` as two ``PolarityBitmap``s, one per backup: the
+    layout before one word per object held both bits."""
+
+    def __init__(self, num_objects):
+        self._bitmaps = [PolarityBitmap(num_objects, fill=True)
+                         for _ in range(2)]
+        self._current = 0
+
+    def mark_updated(self, ids):
+        for bitmap in self._bitmaps:
+            bitmap.set(ids)
+
+    def begin_checkpoint(self):
+        bitmap = self._bitmaps[self._current]
+        write_set = bitmap.set_ids()
+        bitmap.clear(write_set)
+        return write_set
+
+    def finish_checkpoint(self):
+        self._current = 1 - self._current
+
+
+class TestDoubleBackupWords:
+    @pytest.mark.parametrize("algorithm", ["copy-on-update", "atomic-copy"])
+    def test_checkpoint_trees_match_two_bitmaps(
+        self, tiny_geometry, tmp_path, algorithm, monkeypatch
+    ):
+        import repro.core.algorithms.atomic_copy as atomic_copy
+        import repro.core.algorithms.copy_on_update as copy_on_update
+
+        def run(directory):
+            server = DurableGameServer(
+                HotObjectApp(tiny_geometry), directory, algorithm=algorithm,
+                seed=4, writer_bytes_per_tick=2_048,
+            )
+            server.run_ticks(90)
+            assert server.stats.checkpoints_completed >= 3
+            server.crash()
+            return {
+                path.name: path.read_bytes()
+                for path in sorted(directory.iterdir())
+            }
+
+        files = run(tmp_path / "words")
+        for module in (atomic_copy, copy_on_update):
+            monkeypatch.setattr(module, "DoubleBackupBits", TwoBitmapBits)
+        assert run(tmp_path / "bitmaps") == files
 
 
 class TestTickLoop:

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.state.dirty import EpochSet, PolarityBitmap, unique_ids
+from repro.state.dirty import (
+    DoubleBackupBits,
+    EpochSet,
+    PolarityBitmap,
+    unique_ids,
+)
 
 SIZE = 64
 
@@ -124,3 +129,36 @@ class TestEpochSetModel:
                 model = set()
         assert set(epoch_set.members().tolist()) == model
         assert epoch_set.count() == len(model)
+
+
+class TestDoubleBackupBitsModel:
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["mark", "begin", "finish"]),
+                      raw_id_arrays()),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_two_set_model(self, script):
+        """One word per object behaves like two sets of dirty ids, one per
+        backup: a mark adds to both, a checkpoint to backup ``b`` empties
+        set ``b`` and writes what it held."""
+        bits = DoubleBackupBits(SIZE)
+        dirty = [set(range(SIZE)), set(range(SIZE))]
+        current = 0
+        for op, ids in script:
+            if op == "mark":
+                ids = ids[(ids >= 0) & (ids < SIZE)]
+                bits.mark_updated(ids)
+                for backup in dirty:
+                    backup |= set(ids.tolist())
+            elif op == "begin":
+                write_set = bits.begin_checkpoint()
+                assert write_set.tolist() == sorted(dirty[current])
+                dirty[current] = set()
+            else:
+                bits.finish_checkpoint()
+                current = 1 - current
+            assert bits.current_backup == current
+            assert bits.dirty_counts() == (len(dirty[0]), len(dirty[1]))

@@ -217,3 +217,31 @@ class TestValidateFastPath:
             table.apply_cell_updates(
                 np.array([100]), np.array([1], dtype=np.uint32)
             )
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_negative_rows_wrap_out_of_range(self, table, dtype):
+        """One max over the unsigned view: a negative index is huge."""
+        for bad in (-1, -10, np.iinfo(dtype).min):
+            with pytest.raises(GeometryError, match="row index"):
+                table.check_updates(
+                    np.array([3, bad], dtype=dtype),
+                    np.array([0, 0], dtype=dtype),
+                )
+        table.check_updates(np.array([0, 9], dtype=dtype),
+                            np.array([0, 9], dtype=dtype))
+
+    def test_unsigned_and_narrow_indices(self, table):
+        table.check_updates(np.array([9], dtype=np.uint8),
+                            np.array([9], dtype=np.uint16))
+        with pytest.raises(GeometryError, match="column index"):
+            table.check_updates(np.array([0], dtype=np.int8),
+                                np.array([-128], dtype=np.int8))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.bool_])
+    def test_non_integer_indices_rejected(self, table, dtype):
+        with pytest.raises(GeometryError, match="integers"):
+            table.check_updates(np.array([1], dtype=dtype),
+                                np.array([1], dtype=np.int64))
+        with pytest.raises(GeometryError, match="integers"):
+            table.check_updates(np.array([1], dtype=np.int64),
+                                np.array([1], dtype=dtype))

@@ -10,6 +10,7 @@ import repro.storage.action_log as action_log_module
 from repro.errors import StorageError
 from repro.storage.action_log import ActionLog, TickRecord
 from repro.storage.layout import RECORD_HEADER_BYTES, unpack_record_header
+from tests.engine.test_log_overlap import no_sync_thread_leaks  # noqa: F401
 
 
 def rng_state(seed):

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
+import repro.storage.double_backup as double_backup_module
 from repro.config import StateGeometry
 from repro.errors import NoConsistentCheckpointError, StorageError
 from repro.storage.double_backup import DoubleBackupStore
-from repro.storage.layout import STATE_COMPLETE, STATE_IN_PROGRESS
+from repro.storage.layout import (
+    BACKUP_HEADER_BYTES,
+    STATE_COMPLETE,
+    STATE_IN_PROGRESS,
+)
 
 
 @pytest.fixture
@@ -307,6 +312,83 @@ class TestVectoredWrites:
         assert calls["count"] == 2
         with pytest.raises(NoConsistentCheckpointError):
             store.latest_consistent()
+
+
+def per_run_plan(ids_parts, object_bytes):
+    """``(offset, iovec lengths)`` of every ``pwritev`` the vectored flush
+    made when it planned each id run with its own numpy calls."""
+    counts = np.array([ids.size for ids in ids_parts], dtype=np.int64)
+    part_starts = np.concatenate(([0], np.cumsum(counts)))
+    all_ids = np.concatenate(ids_parts)
+    order = np.argsort(all_ids, kind="stable")
+    sorted_ids = all_ids[order]
+    keep = np.concatenate((np.diff(sorted_ids) != 0, [True]))
+    sorted_ids = sorted_ids[keep]
+    source = order[keep]
+    run_starts = np.flatnonzero(
+        np.concatenate(([True], np.diff(sorted_ids) > 1))
+    )
+    run_stops = np.concatenate((run_starts[1:], [sorted_ids.size]))
+    part_of = np.searchsorted(part_starts, source, side="right") - 1
+    adjacent = (np.diff(source) == 1) & (np.diff(part_of) == 0)
+    calls = []
+    for start, stop in zip(run_starts, run_stops):
+        offset = BACKUP_HEADER_BYTES + int(sorted_ids[start]) * object_bytes
+        breaks = np.flatnonzero(~adjacent[start: stop - 1]) + 1
+        bounds = np.concatenate(([0], breaks, [stop - start]))
+        calls.append((offset, [int(last - first) * object_bytes
+                               for first, last in zip(bounds[:-1],
+                                                      bounds[1:])]))
+    return calls
+
+
+class TestVectoredRunPlan:
+    """The flush makes one ``pwritev`` per id run, its iovecs split where
+    rows stop being consecutive in their chunk (the reference any faster
+    planner must match), and lands what chunk-at-a-time writes land."""
+
+    GEOMETRY = StateGeometry(rows=96, columns=8, cell_bytes=4,
+                             object_bytes=32)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_pwritev_sequence_and_bytes(
+        self, tmp_path, monkeypatch, seed
+    ):
+        geometry = self.GEOMETRY
+        draw = np.random.default_rng(seed)
+        chunks = []
+        for fill in range(int(draw.integers(1, 6))):
+            if draw.random() < 0.5:
+                # A contiguous stretch: runs that straddle chunk bounds.
+                start = int(draw.integers(0, geometry.num_objects - 8))
+                ids = np.arange(start, start + int(draw.integers(1, 9)))
+            else:
+                # Scattered, with duplicates inside the chunk.
+                ids = draw.integers(0, geometry.num_objects,
+                                    int(draw.integers(1, 40)))
+            chunks.append((ids.astype(np.int64),
+                           payload_for(ids, geometry, fill + 1)))
+        expected = per_run_plan([ids for ids, _ in chunks],
+                                geometry.object_bytes)
+        calls = []
+        real = double_backup_module.pwritev_all
+
+        def recording(fd, buffers, offset):
+            calls.append((offset, [memoryview(b).nbytes for b in buffers]))
+            return real(fd, buffers, offset)
+
+        monkeypatch.setattr(double_backup_module, "pwritev_all", recording)
+        with DoubleBackupStore(tmp_path / "vectored", geometry) as vectored:
+            vectored.begin_checkpoint(0, epoch=1)
+            vectored.write_checkpoint_vectored(chunks, cut_tick=5)
+            image = vectored.read_image(0)
+        assert calls == expected
+        with DoubleBackupStore(tmp_path / "chunked", geometry) as chunked:
+            chunked.begin_checkpoint(0, epoch=1)
+            for ids, payload in chunks:
+                chunked.write_objects(ids, payload)
+            chunked.commit_checkpoint(tick=5)
+            assert image == chunked.read_image(0)
 
 
 class TestReadImageDestination:
