@@ -62,8 +62,8 @@ class ServerStats:
     writer_busy_seconds: float = 0.0
     #: Ticks that ran while a checkpoint write was still in flight.
     checkpoint_overlap_ticks: int = 0
-    #: Objects written by the newest completed checkpoint (a scalar, so
-    #: the stats a worker acks every tick stay the same size).
+    #: Objects written by the newest completed checkpoint (a scalar, like
+    #: every field: a process shard returns them in its control row).
     last_checkpoint_write_count: int = 0
     #: Seconds ticks spent waiting for their log record's fsync.
     log_wait_seconds: float = 0.0

@@ -26,24 +26,25 @@ never starts a checkpoint while one is in flight, so the staging slot is
 never overwritten before the parent is done with it.
 
 Each shard has one shared segment: table, staging, metrics row, command
-and trace rings, and an int64 control row.  Control flows over a
-:func:`multiprocessing.Pipe` (commands down, acks up), while high-rate
-progress counters live in the control row (single writer per field: the
-worker owns the tick/submit counters, the parent owns the committed/bytes
-counters; aligned int64 stores are atomic on every platform the fork
-backend runs on).  Worker death is detected as EOF on the pipe and surfaced
-as that shard's failure -- never a fleet hang.
+and trace rings, and an int64 control row.  A run crosses the process
+boundary as the control row plus one-byte ``os.pipe`` doorbells (``go``
+down, ``done`` up); the rest goes over a :func:`multiprocessing.Pipe`.
+Each control-row field has a single writer (worker: tick, submit and
+stats fields; parent: run, commit and bytes fields; aligned int64 stores
+are atomic on every platform the fork backend runs on).  Worker death is
+EOF on ``done`` and on the pipe, that shard's failure -- never a hang.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import queue
 import threading
 import time
 import traceback
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,7 +85,21 @@ F_COMMITTED_CUT = 5    # parent: newest durable cut tick
 F_JOBS_SUBMITTED = 6   # worker
 F_JOBS_COMPLETED = 7   # parent
 F_BYTES_WRITTEN = 8    # parent
-NUM_CONTROL_FIELDS = 9
+F_RUN_COUNT = 9        # parent: ticks of the run it rings for
+F_RUN_BARRIER = 10     # parent: 1 if that run waits out each checkpoint
+F_PARENT_SENT = 11     # parent: messages sent on the pipe
+F_PARENT_TAKEN = 12    # worker: of those, messages taken off the pipe
+F_WORKER_SENT = 13     # worker: messages sent on the pipe
+F_STATS = 14           # worker: its ServerStats, one STATS_DTYPE record
+#: ServerStats as one record: its fields in order, float64 where the
+#: default is a float, else int64.
+STATS_DTYPE = np.dtype([
+    (field.name, float if isinstance(field.default, float) else np.int64)
+    for field in dataclasses.fields(ServerStats)
+])
+NUM_CONTROL_FIELDS = F_STATS + len(STATS_DTYPE)
+#: Doorbell bytes: why ``go`` woke the worker, how its run ended on ``done``.
+GO_RUN, GO_MESSAGE, DONE_OK, DONE_FAILED = b"r", b"m", b"k", b"f"
 
 JOB_IDLE = 0
 JOB_IN_FLIGHT = 1
@@ -134,6 +149,18 @@ def shard_arena_slots(
     ]
 
 
+def write_stats(row: np.ndarray, stats: ServerStats) -> None:
+    """Store ``stats`` as the control row's stats record."""
+    row[F_STATS:].view(STATS_DTYPE)[0] = tuple(
+        getattr(stats, name) for name in STATS_DTYPE.names
+    )
+
+
+def read_stats(row: np.ndarray) -> ServerStats:
+    """The ServerStats :func:`write_stats` stored in ``row``."""
+    return ServerStats(*row[F_STATS:].view(STATS_DTYPE)[0].tolist())
+
+
 # ======================================================================
 # Worker side
 # ======================================================================
@@ -157,13 +184,13 @@ class WorkerCheckpointProxy:
 
     def __init__(
         self,
-        conn,
+        send: Callable[[tuple], None],
         control_row: np.ndarray,
         staged_ids: np.ndarray,
         staging: np.ndarray,
         metrics_row: Optional[RowMetrics] = None,
     ) -> None:
-        self._conn = conn
+        self._send = send
         self._control = control_row
         self._staged_ids = staged_ids
         self._staging = staging
@@ -224,7 +251,7 @@ class WorkerCheckpointProxy:
         row[F_JOB_CUT] = int(job.cut_tick)
         row[F_JOBS_SUBMITTED] += 1
         row[F_JOB_STATE] = JOB_IN_FLIGHT
-        self._conn.send(
+        self._send(
             (
                 "checkpoint",
                 count,
@@ -287,35 +314,32 @@ def shard_worker_main(
     shard_kwargs: dict,
     arena: SharedArena,
     conn,
+    doorbells: Tuple[int, int],
+    parent_ends: Sequence[int],
     publish_metrics: bool = True,
 ) -> None:
     """Entry point of one shard's worker process (fork start method).
 
-    Protocol (parent -> worker / worker -> parent):
+    The worker sleeps in a one-byte read of ``go`` (``doorbells[0]``).
+    ``GO_RUN``: run ``F_RUN_COUNT`` ticks of the shard's :class:`TickLoop`
+    (``F_RUN_BARRIER``: each waits for its checkpoint to become durable,
+    the deterministic schedule of the byte-identity tests), store the
+    ``ServerStats`` at ``F_STATS`` and write ``DONE_OK`` to ``done``
+    (``doorbells[1]``) -- or send ``("failed", traceback)`` and write
+    ``DONE_FAILED``.  ``GO_MESSAGE``: take the pipe messages, as after
+    every tick while ``F_PARENT_TAKEN`` trails ``F_PARENT_SENT``:
+    ``("quiesce",)`` -> ``("quiesced",)``, ``("close",)`` -> ``("closed",)``
+    and ``("crash", when)`` (the exit points of
+    :meth:`~repro.engine.fleet.ShardFleet.crash_worker`, no ack).
 
-    * ``("run", count, barrier)`` -> ``("done", stats, error_text)`` --
-      run ``count`` ticks of the shard's :class:`TickLoop` (the same body
-      the thread backend runs); with ``barrier`` each tick waits for its
-      checkpoint (if any) to become durable before the next (the
-      deterministic-schedule mode backing byte-identity tests).  The
-      shared command ring is the only way commands reach a worker.
-      ``stats`` is the live ``ServerStats``; the pipe's pickling is the
-      copy.
-    * ``("quiesce",)`` -> ``("quiesced", stats)`` -- wait out the in-flight
-      checkpoint.
-    * ``("crash", when)`` -- test-only fault injection, no ack: ``"now"``
-      dies immediately (also honored between ticks mid-run),
-      ``"at_checkpoint"`` dies right after the next checkpoint handoff,
-      ``"mid_drain"`` dies right after the next nonempty ring drain and
-      *before* the tick that would log it (the torn-batch case: drained
-      commands are lost, recovery replays only the durable log).
-    * ``("close",)`` -> ``("closed",)`` -- orderly shutdown.
-
-    Any unexpected failure is reported as ``("fatal", traceback)`` before
-    the process exits; the parent turns EOF on this pipe into a per-shard
-    failure.
+    EOF on ``go`` means the parent died; closing ``parent_ends`` (every
+    parent-side doorbell end forked into this worker) lets it come.  Any
+    unexpected failure is reported as ``("fatal", traceback)``.
     """
+    go, done = doorbells
     try:
+        for fd in parent_ends:
+            os.close(fd)
         table = SharedGameStateTable(app.geometry, arena, dtype=app.dtype)
         control = arena.array(CONTROL_SLOT)
         # This worker is the single writer of the tick-loop fields of its
@@ -334,8 +358,13 @@ def shard_worker_main(
             tracer.set_sink(SharedRingTraceSink(
                 SharedCommandRing(arena, prefix=TRACE_RING_PREFIX)
             ))
+
+        def send(message: tuple) -> None:
+            control[F_WORKER_SENT] += 1
+            conn.send(message)
+
         proxy = WorkerCheckpointProxy(
-            conn,
+            send,
             control,
             arena.array(STAGED_IDS_SLOT),
             arena.array(STAGING_SLOT),
@@ -356,30 +385,31 @@ def shard_worker_main(
             metrics_row,
         )
 
-        def after_tick() -> None:
+        def between_ticks() -> None:
             control[F_TICKS_RUN] = shard.game.ticks_run
-            while conn.poll(0):
-                _worker_control(conn.recv(), shard, proxy, loop, conn)
+            while control[F_PARENT_TAKEN] < control[F_PARENT_SENT]:
+                control[F_PARENT_TAKEN] += 1
+                _worker_control(conn.recv(), shard, proxy, loop, send)
 
-        loop.after_tick = after_tick
-        conn.send(("ready", os.getpid()))
+        loop.after_tick = between_ticks
+        send(("ready", os.getpid()))
         while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "run":
-                error_text = None
-                try:
-                    loop.run(message[1], message[2])
-                except Exception:
-                    error_text = traceback.format_exc()
-                conn.send(("done", shard.game.stats, error_text))
-            elif kind == "quiesce":
-                shard.wait_checkpoint_idle()
-                conn.send(("quiesced", shard.game.stats))
-            elif kind in ("crash", "close"):
-                _worker_control(message, shard, proxy, loop, conn)
-            else:
-                raise EngineError(f"unknown worker command {kind!r}")
+            wake = os.read(go, 1)
+            if not wake:
+                return  # parent died; nothing to report to
+            if wake == GO_MESSAGE:
+                between_ticks()
+                continue
+            outcome = DONE_OK
+            try:
+                loop.run(
+                    int(control[F_RUN_COUNT]), bool(control[F_RUN_BARRIER])
+                )
+            except Exception:
+                send(("failed", traceback.format_exc()))
+                outcome = DONE_FAILED
+            write_stats(control, shard.game.stats)
+            os.write(done, outcome)
     except EOFError:
         return  # parent died; nothing to report to
     except BaseException:
@@ -393,11 +423,13 @@ def _crash_now() -> None:
     os._exit(CRASH_EXIT_CODE)
 
 
-def _worker_control(message, shard, proxy, loop, conn) -> None:
-    """Handle a crash or close command, between runs or mid-run between
-    ticks."""
+def _worker_control(message, shard, proxy, loop, send) -> None:
+    """Handle one parent message, between runs or mid-run between ticks."""
     kind = message[0]
-    if kind == "crash":
+    if kind == "quiesce":
+        shard.wait_checkpoint_idle()
+        send(("quiesced",))
+    elif kind == "crash":
         when = message[1]
         if when == "now":
             _crash_now()
@@ -409,10 +441,10 @@ def _worker_control(message, shard, proxy, loop, conn) -> None:
             raise EngineError(f"unknown crash mode {when!r}")
     elif kind == "close":
         shard.close()
-        conn.send(("closed",))
+        send(("closed",))
         os._exit(0)
     else:
-        raise EngineError(f"unexpected mid-run command {message[0]!r}")
+        raise EngineError(f"unknown worker command {kind!r}")
 
 
 # ======================================================================
@@ -444,15 +476,16 @@ class _StagedSource:
 
 
 class ProcessShardHandle(ShardHandle):
-    """The parent's end of one worker: segment, pipe, dispatcher, flushes.
+    """The parent's end of one worker: segment, doorbells, pipe, flushes.
 
-    A dispatcher thread owns the receiving end of the pipe.  ``checkpoint``
-    messages are serviced inline -- build a :class:`CheckpointJob` over the
-    staged shared-memory bytes, submit it through this shard's pool handle,
-    wait for durability, publish the committed epoch to the control row --
-    while every other ack is queued for whichever fleet call is waiting on
-    it.  EOF on the pipe (the worker died) is queued as ``("died",)`` so
-    waiters fail fast instead of hanging.
+    A run rings ``go`` and returns once ``done`` rings back and every
+    checkpoint it handed off has landed.  A dispatcher thread owns the
+    receiving end of the pipe.  ``checkpoint`` messages are serviced
+    inline -- build a :class:`CheckpointJob` over the staged shared-memory
+    bytes, submit it through this shard's pool handle, wait for
+    durability, publish the committed epoch to the control row, count it
+    landed -- while every other message is queued for whichever call waits
+    on it.  EOF on the pipe (the worker died) is queued as ``("died",)``.
     """
 
     #: The parent always flushes through a shared pool; a fleet that did
@@ -460,8 +493,8 @@ class ProcessShardHandle(ShardHandle):
     default_pool_size = 2
 
     def __init__(
-        self, index: int, geometry, process, conn, arena: SharedArena,
-        publish: bool,
+        self, index: int, geometry, process, conn, go: int, done: int,
+        arena: SharedArena, publish: bool,
     ) -> None:
         super().__init__(
             index,
@@ -475,6 +508,7 @@ class ProcessShardHandle(ShardHandle):
         self.trace_ring = SharedCommandRing(arena, prefix=TRACE_RING_PREFIX)
         self.process = process
         self.conn = conn
+        self.go, self.done = go, done  # parent ends: write go, read done
         self.arena = arena
         self.control = arena.array(CONTROL_SLOT)
         self.store = None
@@ -482,6 +516,9 @@ class ProcessShardHandle(ShardHandle):
         self.failed: Optional[EngineError] = None
         self.flush_error: Optional[BaseException] = None
         self._messages: "queue.Queue" = queue.Queue()
+        # Handoffs the dispatcher has landed, and whether it met EOF.
+        self._landing = threading.Condition()
+        self._landed, self._hung_up = 0, False
         self._dispatcher = threading.Thread(
             target=self._dispatch,
             name=f"repro-shard-{index:02d}-dispatch",
@@ -527,29 +564,38 @@ class ProcessShardHandle(ShardHandle):
         # Freed but resident heap would be copied into every worker.
         release_freed_heap()
         handles: List[ProcessShardHandle] = []
+        parent_ends: List[int] = []  # no worker may keep one of these
         try:
             for index, directory in enumerate(directories):
                 app = app_factory(index)
                 arena = SharedArena.create(
                     shard_arena_slots(app.geometry, app.dtype, ring_bytes)
                 )
+                fds = ()
                 try:
+                    fds = os.pipe() + os.pipe()
+                    go_r, go_w, done_r, done_w = fds
+                    parent_ends += (go_w, done_r)
                     parent_conn, child_conn = context.Pipe()
                     process = context.Process(
                         target=shard_worker_main,
                         args=(app, directory, algorithm, seed + index,
-                              shard_kwargs, arena, child_conn, publish),
+                              shard_kwargs, arena, child_conn,
+                              (go_r, done_w), parent_ends, publish),
                         name=f"repro-shard-{index:02d}",
                         daemon=True,
                     )
                     process.start()
                 except BaseException:
+                    for fd in fds:
+                        os.close(fd)
                     arena.destroy()
                     raise
                 child_conn.close()
-                handles.append(cls(
-                    index, app.geometry, process, parent_conn, arena, publish
-                ))
+                os.close(go_r)
+                os.close(done_w)
+                handles.append(cls(index, app.geometry, process, parent_conn,
+                                   go_w, done_r, arena, publish))
             for handle, directory in zip(handles, directories):
                 handle._attach(directory, algorithm, shard_kwargs, pool)
         except BaseException:
@@ -632,13 +678,21 @@ class ProcessShardHandle(ShardHandle):
 
     def start_run(self, count: int, barrier: bool, concurrent: bool) -> None:
         self.check()
-        self.send(("run", count, barrier))
+        self.control[F_RUN_COUNT] = count
+        self.control[F_RUN_BARRIER] = barrier
+        self.send()
 
     def finish_run(self) -> ServerStats:
-        _, stats, error_text = self.next_ack()
-        if error_text is not None:
-            raise EngineError(f"shard {self.index} failed:\n{error_text}")
-        return stats
+        outcome = os.read(self.done, 1)
+        submitted = int(self.control[F_JOBS_SUBMITTED])
+        with self._landing:
+            self._landing.wait_for(
+                lambda: self._landed >= submitted or self._hung_up
+            )
+        if outcome == DONE_OK and self._landed >= submitted:
+            return read_stats(self.control)
+        # A failed run's traceback, or the worker's death, is on the pipe.
+        raise EngineError(f"shard {self.index} failed:\n{self.next_ack()[1]}")
 
     def quiesce(self, timeout: float) -> None:
         try:
@@ -682,6 +736,8 @@ class ProcessShardHandle(ShardHandle):
                     resource.close()
             except Exception:
                 pass
+        os.close(self.go)
+        os.close(self.done)
         if self._dispatcher.is_alive():
             self._dispatcher.join(timeout=10.0)
         self.arena.destroy()
@@ -690,11 +746,15 @@ class ProcessShardHandle(ShardHandle):
     # The pipe
     # ------------------------------------------------------------------
 
-    def send(self, message) -> None:
-        """Send a command; a dead worker surfaces as this shard's failure."""
+    def send(self, message=None) -> None:
+        """Ring ``go`` for a run, or for ``message`` sent on the pipe; a
+        dead worker surfaces as this shard's failure."""
         try:
-            self.conn.send(message)
-        except (BrokenPipeError, OSError) as error:
+            if message is not None:
+                self.conn.send(message)
+                self.control[F_PARENT_SENT] += 1
+            os.write(self.go, GO_RUN if message is None else GO_MESSAGE)
+        except OSError as error:
             raise self._died(cause=error)
 
     def next_ack(self, timeout: Optional[float] = None):
@@ -739,10 +799,17 @@ class ProcessShardHandle(ShardHandle):
                 message = self.conn.recv()
                 if message[0] == "checkpoint":
                     self._flush(message)
+                    with self._landing:
+                        self._landed += 1
+                        self._landing.notify_all()
                 else:
                     self._messages.put(message)
         except (EOFError, OSError):
             self._messages.put(("died",))
+        finally:
+            with self._landing:
+                self._hung_up = True
+                self._landing.notify_all()
 
     def _flush(self, message) -> None:
         """Land one staged checkpoint through the shared pool."""

@@ -8,7 +8,6 @@ recovery of a dead shard from its last durable checkpoint.
 
 import multiprocessing
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -199,23 +198,6 @@ class TestBarrierDeterminism:
             fleet.quiesce()
             fleet.close()
         assert digest(tmp_path / "one") == digest(tmp_path / "two")
-
-
-def test_tick_ack_does_not_grow_with_checkpoints(random_walk_app, tmp_path):
-    """The stats a worker acks every tick with stay one size however many
-    checkpoints the shard has completed."""
-    app_class = type(random_walk_app)
-    fleet = make_fleet(lambda index: app_class(GEOMETRY, updates_per_tick=0),
-                       tmp_path, num_shards=1,
-                       min_checkpoint_interval_ticks=1)
-    with fleet:
-        sizes = []
-        for ticks in (11, 190):
-            stats = fleet.run_ticks(ticks, checkpoint_barrier=True
-                                    ).shard_stats[0]
-            sizes.append(len(pickle.dumps(("done", stats, None))))
-        assert stats.checkpoints_completed >= 200
-    assert sizes[0] == sizes[1]
 
 
 class TestRecoverParity:
