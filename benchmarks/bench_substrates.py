@@ -162,33 +162,3 @@ class TestPersistenceThroughput:
 
         benchmark(trade)
         server.close()
-
-    def test_cross_shard_transfer_rate(self, benchmark, tmp_path):
-        """Full 2PC round trips per second (two WALs + decision log)."""
-        from repro.persistence.server import PersistenceServer
-        from repro.persistence.twophase import CrossShardCoordinator
-
-        source = PersistenceServer(tmp_path / "a", snapshot_every=10_000)
-        target = PersistenceServer(tmp_path / "b", snapshot_every=10_000)
-        coordinator = CrossShardCoordinator(tmp_path / "c")
-        alice = source.create_character("alice", gold=0)
-        bob = target.create_character("bob", gold=0)
-        state = {
-            "item": source.grant_item(alice, "sword"),
-            "direction": (source, target, bob),
-        }
-
-        def transfer():
-            src, dst, owner = state["direction"]
-            coordinator.transfer_item(src, dst, state["item"], owner)
-            # The item got a fresh id on the destination; find it.
-            state["item"] = max(dst.store.items)
-            if dst is target:
-                state["direction"] = (target, source, alice)
-            else:
-                state["direction"] = (source, target, bob)
-
-        benchmark(transfer)
-        for server in (source, target):
-            server.close()
-        coordinator.close()

@@ -1,31 +1,24 @@
 """The connection-server tier of the paper's Figure 1 architecture.
 
 "Clients join the virtual world through a connection server that connects
-them to a single shard."  This package models that tier twice over:
+them to a single shard."  This package is that tier, one front door for
+the whole fleet:
 
-* :class:`~repro.frontend.connection.ConnectionServer` -- the in-process
-  single-shard front end: sessions, command routing into the shard's
-  durable command path, typed rate limiting, trade routing;
 * :class:`~repro.frontend.gateway.FrontDoor` /
-  :class:`~repro.frontend.gateway.GatewayServer` -- the fleet-wide front
-  door: least-loaded placement, bounded per-shard command queues feeding
-  the shared-memory command rings, and an asyncio TCP gateway speaking the
-  length-prefixed frames of :mod:`repro.frontend.protocol`;
+  :class:`~repro.frontend.gateway.GatewayServer` -- least-loaded
+  placement, bounded per-shard command queues feeding the shared-memory
+  command rings, and an asyncio TCP gateway speaking the length-prefixed
+  frames of :mod:`repro.frontend.protocol`;
 * :class:`~repro.frontend.client.GatewayClient` /
   :class:`~repro.frontend.client.LoadGenerator` -- latency-measuring TCP
-  clients for the front-door benchmark;
-* :class:`~repro.frontend.clients.BotClient` /
-  :class:`~repro.frontend.clients.BotSwarm` -- a deterministic client-load
-  driver running against either front end.
+  clients for the front-door benchmark.
 
-Session bookkeeping and admission control are shared: both front ends
-admit through :class:`~repro.frontend.sessions.SessionRegistry`, so there
-is exactly one command-admission path however a client arrives.
+Session bookkeeping and admission control live in
+:class:`~repro.frontend.sessions.SessionRegistry`, which the front door
+owns.
 """
 
-from repro.frontend.clients import BotClient, BotSwarm
 from repro.frontend.client import ClientError, GatewayClient, LoadGenerator
-from repro.frontend.connection import ConnectionServer
 from repro.frontend.gateway import (
     FrontDoor,
     GatewayError,
@@ -40,12 +33,9 @@ from repro.frontend.sessions import (
 )
 
 __all__ = [
-    "BotClient",
-    "BotSwarm",
     "ClientError",
     "ClientSession",
     "CommandOverflowError",
-    "ConnectionServer",
     "FrontDoor",
     "GatewayClient",
     "GatewayError",

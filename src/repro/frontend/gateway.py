@@ -368,11 +368,6 @@ class FrontDoor:
         with self._lock:
             return self._placement.live_shards
 
-    @property
-    def geometry(self):
-        """World geometry, for load drivers that target units."""
-        return self._fleet.geometry
-
     # ------------------------------------------------------------------
     # Session lifecycle
     # ------------------------------------------------------------------
@@ -411,8 +406,7 @@ class FrontDoor:
 
         A one-command :meth:`submit_batch` that raises its rejection.
         ``seq`` is the client's per-session stamp; pass ``None`` to have
-        the gateway stamp it (in-process callers like
-        :class:`~repro.frontend.clients.BotSwarm` don't track seqs).
+        the gateway stamp it (for in-process callers that track no seqs).
         """
         rejections = self.submit_batch(session_id, [(seq, payload)])
         if rejections:
@@ -479,18 +473,6 @@ class FrontDoor:
                            rejected_backpressure=backpressured,
                            rejected_rate_limit=rate_limited)
             return rejections
-
-    def send_command(self, session_id: int, command: bytes) -> None:
-        """Single-command send with a server-stamped seq.
-
-        The :class:`~repro.frontend.clients.BotSwarm`-facing surface shared
-        with :class:`~repro.frontend.connection.ConnectionServer`.
-        """
-        self.submit(session_id, None, command)
-
-    def run_tick(self) -> TickOutcome:
-        """Drive one gateway tick (the in-process load-driver surface)."""
-        return self.drive_tick()
 
     # ------------------------------------------------------------------
     # The serve loop body

@@ -1,8 +1,7 @@
-"""Client sessions and admission control, shared by every front-end tier.
+"""Client sessions and admission control for the front door.
 
-Both front doors -- the in-process :class:`ConnectionServer` (one shard)
-and the TCP :class:`~repro.frontend.gateway.GatewayServer` (a whole fleet)
--- admit clients into *sessions* and meter their command flow the same way:
+:class:`~repro.frontend.gateway.FrontDoor` admits clients into *sessions*
+and meters their command flow:
 
 * a **per-tick command budget** models flood control (a client may not
   issue more than ``commands_per_tick_limit`` commands between two tick
@@ -13,8 +12,7 @@ and the TCP :class:`~repro.frontend.gateway.GatewayServer` (a whole fleet)
 
 Both violations raise :class:`CommandOverflowError`, a typed
 :class:`SessionError` carrying the offending session and the limit hit --
-the gateway maps it onto a client-visible REJECT frame, the legacy server
-lets it propagate to the caller.
+the gateway maps it onto a client-visible REJECT frame.
 """
 
 from __future__ import annotations
@@ -46,10 +44,8 @@ class ClientSession:
     session_id: int
     player_name: str
     connected_at_tick: int
-    #: Fleet shard currently serving this session (0 for single-shard).
+    #: Fleet shard currently serving this session.
     shard_index: int = 0
-    commands_sent: int = 0
-    trades_requested: int = 0
     #: Commands forwarded during the current tick window (rate limiting).
     commands_this_tick: int = 0
     #: Commands admitted but not yet applied by a tick (pending bound).
@@ -60,10 +56,10 @@ class ClientSession:
 
 
 class SessionRegistry:
-    """Session lifecycle + admission control, front-end agnostic.
+    """Session lifecycle + admission control.
 
-    Not thread-safe by itself -- the gateway serializes access under its
-    own lock, the legacy connection server is single-threaded.
+    Not thread-safe by itself -- the front door serializes access under
+    its own lock.
     """
 
     def __init__(self, commands_per_tick_limit: int = 16,
@@ -82,10 +78,6 @@ class SessionRegistry:
         self._max_pending = max_pending_commands
         self._sessions: Dict[int, ClientSession] = {}
         self._next_session_id = 1
-
-    @property
-    def commands_per_tick_limit(self) -> int:
-        return self._limit
 
     @property
     def count(self) -> int:
@@ -154,15 +146,12 @@ class SessionRegistry:
             )
         session.commands_this_tick += 1
         session.commands_pending += 1
-        session.commands_sent += 1
 
     def end_tick(self) -> None:
         """Reset every session's per-tick budget at a tick boundary.
 
         Pending counts are *not* reset here -- they drop when the caller
-        acknowledges application via :meth:`mark_applied` (gateway) or all
-        at once via :meth:`mark_all_applied` (legacy server, where every
-        pending command is applied by the very next tick).
+        acknowledges application via :meth:`mark_applied`.
         """
         for session in self._sessions.values():
             session.commands_this_tick = 0
@@ -171,8 +160,3 @@ class SessionRegistry:
         """Credit ``count`` of this session's pending commands as applied."""
         session = self.get(session_id)
         session.commands_pending = max(0, session.commands_pending - count)
-
-    def mark_all_applied(self) -> None:
-        """Credit every session's pending commands (single-shard tick)."""
-        for session in self._sessions.values():
-            session.commands_pending = 0

@@ -11,7 +11,9 @@ This package is that back-end, miniaturized: a transactional item/account
 store with a redo-only write-ahead log, periodic snapshots, and log-replay
 recovery.  It complements the checkpoint-recovery fast path: the game server
 (:mod:`repro.engine`) persists the high-rate local updates, while trades and
-other ACID operations flow through :class:`PersistenceServer`.
+other ACID operations flow through :class:`PersistenceServer`.  Each store
+belongs to one shard; there are no cross-shard transactions.  The paper's
+evaluation checkpoints game state only, so this back-end is context.
 
 Simplifications relative to a full ARIES (documented, deliberate): the store
 is single-writer (MMO persistence servers serialize trades per shard), pages
@@ -21,12 +23,10 @@ no undo records and recovery is pure redo from the newest snapshot.
 
 from repro.persistence.server import PersistenceServer, TradeResult
 from repro.persistence.store import Character, Item, ItemStore
-from repro.persistence.twophase import CrossShardCoordinator
 from repro.persistence.wal import WriteAheadLog
 
 __all__ = [
     "Character",
-    "CrossShardCoordinator",
     "Item",
     "ItemStore",
     "PersistenceServer",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import List, Optional, Union
 
 from repro.errors import EngineError
 from repro.persistence.store import ItemStore, TransactionError
@@ -51,11 +51,6 @@ class PersistenceServer:
         self._wal = WriteAheadLog(self._directory, sync=sync)
         self._snapshot_every = snapshot_every
         self._store = ItemStore()
-        # Two-phase-commit participant state: prepared-but-undecided global
-        # transactions and the entities they pin.
-        self._in_doubt: Dict[str, List[tuple]] = {}
-        self._locked_items: Set[int] = set()
-        self._locked_characters: Set[int] = set()
         self._redo_pending()
         self._transactions_since_snapshot = 0
         self._crashed = False
@@ -66,36 +61,6 @@ class PersistenceServer:
             self._store = ItemStore.from_snapshot_bytes(recovery.snapshot)
         for operations in recovery.redo_operations:
             self._apply_operations(operations)
-        for global_id, operations in recovery.in_doubt.items():
-            self._pin_prepared(global_id, operations)
-
-    def _pin_prepared(self, global_id: str, operations: List[tuple]) -> None:
-        """Track a prepared transaction: locks + reserved item ids."""
-        self._in_doubt[global_id] = operations
-        items, characters = _touched_entities(operations)
-        self._locked_items |= items
-        self._locked_characters |= characters
-        for operation in operations:
-            if operation[0] == OP_CREATE_ITEM:
-                self._store.next_item_id = max(
-                    self._store.next_item_id, operation[1] + 1
-                )
-            elif operation[0] == OP_CREATE_CHARACTER:
-                self._store.next_character_id = max(
-                    self._store.next_character_id, operation[1] + 1
-                )
-
-    def _unpin_prepared(self, global_id: str) -> List[tuple]:
-        operations = self._in_doubt.pop(global_id)
-        # Rebuild lock sets from the remaining in-doubt transactions (they
-        # are few; trades are rare by the paper's premise).
-        self._locked_items = set()
-        self._locked_characters = set()
-        for other in self._in_doubt.values():
-            items, characters = _touched_entities(other)
-            self._locked_items |= items
-            self._locked_characters |= characters
-        return operations
 
     # ------------------------------------------------------------------
     # Introspection
@@ -124,7 +89,6 @@ class PersistenceServer:
         """Validate, write-ahead, apply.  Returns the transaction id."""
         if self._crashed:
             raise EngineError("persistence server has crashed; recover it")
-        self._check_locks(operations)
         # Validate against a scratch copy so failures leave no state behind.
         scratch = ItemStore.from_snapshot_bytes(self._store.snapshot_bytes())
         self._apply_operations(operations, target=scratch)
@@ -205,63 +169,6 @@ class PersistenceServer:
         return self._commit([(OP_DELETE_ITEM, item_id)])
 
     # ------------------------------------------------------------------
-    # Two-phase commit (cross-shard transfers)
-    # ------------------------------------------------------------------
-
-    def _check_locks(self, operations: List[tuple]) -> None:
-        items, characters = _touched_entities(operations)
-        if items & self._locked_items or characters & self._locked_characters:
-            raise TransactionError(
-                "entities are locked by an in-flight cross-shard transfer"
-            )
-
-    def prepare_remote(self, global_id: str, operations: List[tuple]) -> bool:
-        """Phase one: validate and durably vote yes (True) or no (False).
-
-        A yes vote pins the touched entities until the coordinator's
-        decision arrives -- possibly after this server crashed and
-        recovered.
-        """
-        if self._crashed:
-            raise EngineError("persistence server has crashed; recover it")
-        if global_id in self._in_doubt:
-            raise TransactionError(
-                f"transaction {global_id!r} is already prepared"
-            )
-        try:
-            self._check_locks(operations)
-            scratch = ItemStore.from_snapshot_bytes(
-                self._store.snapshot_bytes()
-            )
-            self._apply_operations(operations, target=scratch)
-        except TransactionError:
-            return False  # vote no; nothing was logged
-        self._wal.log_prepare(global_id, operations)
-        self._pin_prepared(global_id, operations)
-        return True
-
-    def resolve_remote(self, global_id: str, commit: bool) -> bool:
-        """Phase two: apply the coordinator's decision (idempotent).
-
-        Returns True if this call resolved a pending transaction, False if
-        there was nothing to resolve (already decided, or never prepared
-        here).
-        """
-        if self._crashed:
-            raise EngineError("persistence server has crashed; recover it")
-        if global_id not in self._in_doubt:
-            return False
-        self._wal.log_decision(global_id, commit)
-        operations = self._unpin_prepared(global_id)
-        if commit:
-            self._apply_operations(operations)
-        return True
-
-    def in_doubt_transactions(self) -> Dict[str, List[tuple]]:
-        """Prepared transactions awaiting the coordinator's decision."""
-        return dict(self._in_doubt)
-
-    # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
 
@@ -273,11 +180,7 @@ class PersistenceServer:
         self._transactions_since_snapshot = 0
 
     def compact_wal(self) -> int:
-        """Snapshot, then drop the redundant WAL prefix; returns bytes freed.
-
-        In-doubt prepared transactions survive compaction (their decisions
-        may arrive after any number of restarts).
-        """
+        """Snapshot, then drop the redundant WAL prefix; returns bytes freed."""
         self.checkpoint_now()
         return self._wal.compact()
 
@@ -307,27 +210,3 @@ class PersistenceServer:
         """Reopen after a crash: snapshot + redo rebuilds committed state."""
         return cls(directory, sync=sync)
 
-
-def _touched_entities(operations: List[tuple]) -> Tuple[Set[int], Set[int]]:
-    """Item ids and character ids an operation list reads or writes."""
-    items: Set[int] = set()
-    characters: Set[int] = set()
-    for operation in operations:
-        opcode, *args = operation
-        if opcode == OP_CREATE_CHARACTER:
-            characters.add(args[0])
-        elif opcode == OP_CREATE_ITEM:
-            items.add(args[0])
-            characters.add(args[2])
-        elif opcode == OP_TRANSFER_GOLD:
-            characters.add(args[0])
-            characters.add(args[1])
-        elif opcode == OP_ADJUST_GOLD:
-            characters.add(args[0])
-        elif opcode == OP_TRANSFER_ITEM:
-            items.add(args[0])
-            characters.add(args[1])
-            characters.add(args[2])
-        elif opcode == OP_DELETE_ITEM:
-            items.add(args[0])
-    return items, characters

@@ -30,33 +30,18 @@ from repro.storage.layout import (
 #: WAL record types (disjoint from the checkpoint/action-log types).
 RECORD_TRANSACTION = 16
 RECORD_SNAPSHOT = 17
-#: Two-phase-commit participant records (cross-shard transfers).
-RECORD_PREPARE = 18
-RECORD_DECISION = 19
-
-
-@dataclass(frozen=True)
-class LoggedTransaction:
-    """One committed transaction as read back from the log."""
-
-    transaction_id: int
-    operations: List[tuple]
 
 
 @dataclass(frozen=True)
 class WalRecovery:
     """Everything redo needs, reconstructed from one scan of the log.
 
-    ``redo_operations`` lists the operation batches to re-apply *in log
-    order* on top of the snapshot: local transactions and the distributed
-    transactions whose commit decision landed after the snapshot.
-    ``in_doubt`` maps prepared-but-undecided global transaction ids to their
-    pinned operations -- the coordinator resolves them (presumed abort).
+    ``redo_operations`` lists the operation batches of the transactions
+    logged after the snapshot, to re-apply *in log order* on top of it.
     """
 
     snapshot: Optional[bytes]
     redo_operations: List[List[tuple]]
-    in_doubt: "dict[str, List[tuple]]"
 
 
 class WriteAheadLog:
@@ -72,13 +57,16 @@ class WriteAheadLog:
         self._path = os.path.join(self._directory, self.FILE_NAME)
         self._handle = open(self._path, "a+b")
         self._last_transaction_id = 0
-        for kind, payload in self._scan():
-            if kind in (RECORD_TRANSACTION, RECORD_SNAPSHOT):
+        try:
+            for _kind, payload in self._scan():
                 # Snapshot records carry the id watermark at snapshot time,
                 # so the counter survives compaction.
                 self._last_transaction_id = max(
                     self._last_transaction_id, payload[0]
                 )
+        except StorageError:
+            self._handle.close()
+            raise
 
     def close(self) -> None:
         """Close the log file."""
@@ -129,24 +117,6 @@ class WriteAheadLog:
         """Embed a store snapshot; redo restarts from the newest one."""
         self._append(RECORD_SNAPSHOT, self._last_transaction_id, snapshot)
 
-    def log_prepare(self, global_id: str, operations: List[tuple]) -> None:
-        """Durably record a yes-vote for a distributed transaction.
-
-        The operations are *not* applied yet; they are pinned until a
-        decision record arrives (possibly after a crash).
-        """
-        self._append(
-            RECORD_PREPARE, 0, pickle.dumps((global_id, operations),
-                                            protocol=4)
-        )
-
-    def log_decision(self, global_id: str, commit: bool) -> None:
-        """Durably record the coordinator's decision for a prepared txn."""
-        self._append(
-            RECORD_DECISION, int(commit),
-            pickle.dumps(global_id, protocol=4),
-        )
-
     # ------------------------------------------------------------------
     # Reading / redo
     # ------------------------------------------------------------------
@@ -156,11 +126,14 @@ class WriteAheadLog:
 
         Payloads: ``(transaction_id, operations)`` for transactions,
         ``(last_transaction_id, snapshot_bytes)`` for snapshots.  Stops at
-        the first torn record.
+        the first torn record; a whole record of any other type raises
+        :class:`StorageError`, since skipping it could drop committed
+        state.
         """
         handle = self._handle
         handle.seek(0)
         while True:
+            offset = handle.tell()
             header = handle.read(RECORD_HEADER_BYTES)
             if len(header) < RECORD_HEADER_BYTES:
                 return
@@ -178,47 +151,27 @@ class WriteAheadLog:
                 yield record_type, (a, pickle.loads(payload))
             elif record_type == RECORD_SNAPSHOT:
                 yield record_type, (a, payload)
-            elif record_type == RECORD_PREPARE:
-                yield record_type, pickle.loads(payload)  # (gid, operations)
-            elif record_type == RECORD_DECISION:
-                yield record_type, (pickle.loads(payload), bool(a))
+            else:
+                raise StorageError(
+                    f"{self._path}: unknown WAL record type {record_type} "
+                    f"at offset {offset}"
+                )
 
     def recover(self) -> WalRecovery:
         """Rebuild redo state from one forward scan of the log.
 
-        Snapshots reset the redo list (their state already includes every
-        batch applied before them); commit decisions act as the apply-point
-        of their prepared operations; prepares without any decision remain
-        in doubt.
+        Snapshots reset the redo list: their state already includes every
+        batch applied before them.
         """
         snapshot: Optional[bytes] = None
         redo: List[List[tuple]] = []
-        prepared: dict = {}
-        decided: set = set()
-        in_doubt: dict = {}
         for record_type, payload in self._scan():
             if record_type == RECORD_SNAPSHOT:
                 snapshot = payload[1]
                 redo = []
-            elif record_type == RECORD_TRANSACTION:
+            else:
                 redo.append(payload[1])
-            elif record_type == RECORD_PREPARE:
-                global_id, operations = payload
-                prepared[global_id] = operations
-                if global_id not in decided:
-                    in_doubt[global_id] = operations
-            elif record_type == RECORD_DECISION:
-                global_id, commit = payload
-                if global_id in decided:
-                    continue  # duplicate decision (re-sent after recovery)
-                decided.add(global_id)
-                in_doubt.pop(global_id, None)
-                if commit:
-                    operations = prepared.get(global_id)
-                    if operations is not None:
-                        redo.append(operations)
-        return WalRecovery(snapshot=snapshot, redo_operations=redo,
-                           in_doubt=in_doubt)
+        return WalRecovery(snapshot=snapshot, redo_operations=redo)
 
     def size_bytes(self) -> int:
         """Current log size."""
@@ -232,11 +185,9 @@ class WriteAheadLog:
     def compact(self) -> int:
         """Drop everything the newest snapshot makes redundant.
 
-        Rewrites the log as: the prepare records of still-in-doubt
-        distributed transactions (they must survive -- their decisions may
-        arrive after any number of restarts), then the newest snapshot, then
-        every record after it.  Returns the bytes reclaimed (0 when there is
-        no snapshot to compact behind).
+        Rewrites the log as the newest snapshot, then every record after
+        it.  Returns the bytes reclaimed (0 when there is no snapshot to
+        compact behind).
         """
         recovery = self.recover()
         if recovery.snapshot is None:
@@ -247,14 +198,6 @@ class WriteAheadLog:
         # the recovered structures.
         temp_path = self._path + ".compact"
         with open(temp_path, "wb") as temp:
-            for global_id, operations in recovery.in_doubt.items():
-                temp.write(
-                    pack_record(
-                        RECORD_PREPARE, 0,
-                        0,
-                        pickle.dumps((global_id, operations), protocol=4),
-                    )
-                )
             temp.write(
                 pack_record(
                     RECORD_SNAPSHOT, self._last_transaction_id, 0,

@@ -7,15 +7,16 @@ crash-serve scenario on the process backend.
 """
 
 import asyncio
+import importlib
 import multiprocessing
 
+import numpy as np
 import pytest
 
 from repro.config import StateGeometry
 from repro.engine.fleet import ShardFleet
 from repro.errors import BackpressureError
 from repro.frontend import (
-    BotSwarm,
     FrontDoor,
     GatewayClient,
     GatewayError,
@@ -25,7 +26,9 @@ from repro.frontend import (
 )
 from repro.frontend import protocol
 from repro.frontend.gateway import Applied, Placed, Rejected
-from repro.frontend.sessions import CommandOverflowError
+from repro.frontend.sessions import CommandOverflowError, SessionRegistry
+from repro.persistence import wal as wal_module
+from repro.persistence.server import PersistenceServer
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -113,11 +116,29 @@ class TestFrontDoor:
         placed = [fd.connect(f"p{i}") for i in range(4)]
         assert [p.shard_index for p in placed] == [0, 1, 0, 1]
         assert fd.session_count == 4
+        assert fd.session(placed[1].session_id).player_name == "p1"
+        assert len({p.session_id for p in placed}) == 4
         fd.disconnect(placed[0].session_id)
         assert fd.connect("p4").shard_index == 0
         with pytest.raises(SessionError):
             fd.submit(placed[0].session_id, 1, b"gone")
+        with pytest.raises(SessionError):
+            fd.disconnect(placed[0].session_id)
+        assert (fd.stats.sessions_opened, fd.stats.sessions_closed) == (5, 1)
         fd.fleet.close()
+
+    def test_empty_player_name_rejected(self, app_factory, tmp_path):
+        fd = make_frontdoor(app_factory, tmp_path)
+        with pytest.raises(SessionError):
+            fd.connect("")
+        assert fd.session_count == 0
+        fd.fleet.close()
+
+    def test_bad_rate_limit_rejected(self, app_factory, tmp_path):
+        fleet = ShardFleet(app_factory, tmp_path, 1, seed=3)
+        with pytest.raises(SessionError):
+            FrontDoor(fleet, commands_per_tick_limit=0)
+        fleet.close()
 
     def test_rate_limit_resets_at_tick(self, app_factory, tmp_path):
         fd = make_frontdoor(app_factory, tmp_path,
@@ -130,6 +151,19 @@ class TestFrontDoor:
         assert fd.stats.rejected_rate_limit == 1
         fd.drive_tick()
         fd.submit(session, 3, b"c")  # fresh budget after the boundary
+        fd.fleet.close()
+
+    def test_rate_limit_is_per_session(self, app_factory, tmp_path):
+        fd = make_frontdoor(app_factory, tmp_path, num_shards=1,
+                            commands_per_tick_limit=2)
+        flooder = fd.connect("flooder").session_id
+        other = fd.connect("other").session_id
+        for _ in range(2):
+            fd.submit(flooder, None, b"a")
+        with pytest.raises(CommandOverflowError):
+            fd.submit(flooder, None, b"a")
+        fd.submit(other, None, b"b")  # unaffected by the flooder's budget
+        assert fd.stats.rejected_rate_limit == 1
         fd.fleet.close()
 
     def test_queue_backpressure_is_typed(self, app_factory, tmp_path):
@@ -164,9 +198,9 @@ class TestFrontDoor:
     def test_server_stamped_seqs(self, app_factory, tmp_path):
         fd = make_frontdoor(app_factory, tmp_path, num_shards=1)
         session = fd.connect("stampme").session_id
-        fd.send_command(session, b"one")
-        fd.send_command(session, b"two")
-        outcome = fd.run_tick()
+        fd.submit(session, None, b"one")
+        fd.submit(session, None, b"two")
+        outcome = fd.drive_tick()
         assert outcome.applied == [Applied(session, 1, 2, outcome.tick)]
         fd.fleet.close()
 
@@ -208,12 +242,25 @@ class TestFrontDoor:
 
     def test_bot_swarm_drives_the_gateway_surface(self, app_factory,
                                                   tmp_path):
-        fd = make_frontdoor(app_factory, tmp_path)
-        swarm = BotSwarm(fd, num_bots=6, seed=2, command_probability=0.8)
-        swarm.play_ticks(4)
-        assert swarm.commands_attempted > 0
-        assert (fd.stats.commands_applied
-                == swarm.commands_attempted - swarm.commands_dropped)
+        """A seeded bot loop on the in-process surface: every admitted
+        command is applied, every refused one was counted as dropped."""
+        fd = make_frontdoor(app_factory, tmp_path,
+                            commands_per_tick_limit=2)
+        rng = np.random.default_rng(2)
+        sessions = [fd.connect(f"bot-{i}").session_id for i in range(6)]
+        attempted = dropped = 0
+        for _ in range(4):
+            for session in sessions:
+                for _ in range(int(rng.integers(0, 4))):
+                    attempted += 1
+                    unit = int(rng.integers(0, GEOMETRY.rows))
+                    try:
+                        fd.submit(session, None, f"heal:{unit}".encode())
+                    except CommandOverflowError:
+                        dropped += 1
+            assert fd.drive_tick().report.ok
+        assert attempted > dropped > 0
+        assert fd.stats.commands_applied == attempted - dropped
         fd.fleet.close()
 
 
@@ -315,3 +362,18 @@ class TestGatewayCrashServe:
             fd.fleet.close()
 
         asyncio.run(scenario())
+
+
+def test_no_second_front_door_grows_back():
+    """FrontDoor is the only front end and a shard's item store is
+    single-shard: no connection server, bot swarm or two-phase commit,
+    and none of the surface that existed only for them."""
+    for name in ("repro.frontend.connection", "repro.frontend.clients",
+                 "repro.persistence.twophase"):
+        with pytest.raises(ImportError):
+            importlib.import_module(name)
+    assert not hasattr(FrontDoor, "send_command")
+    assert not hasattr(FrontDoor, "run_tick")
+    assert not hasattr(SessionRegistry, "mark_all_applied")
+    assert not hasattr(PersistenceServer, "prepare_remote")
+    assert not hasattr(wal_module, "RECORD_PREPARE")

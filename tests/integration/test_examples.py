@@ -61,9 +61,3 @@ class TestExamples:
         assert "SHARD CRASH" in out
         assert "world recovered exactly:   True" in out
         assert "economy recovered exactly: True" in out
-
-    def test_cross_shard_transfer(self):
-        out = run_example("cross_shard_transfer.py")
-        assert "commit decision logged -- CRASH" in out
-        assert "dragonblade on shard A" in out
-        assert "exactly one dragonblade" in out

@@ -1,11 +1,15 @@
 """Tests for the transactional persistence server (ACID + crash recovery)."""
 
+import os
+import pickle
+
 import pytest
 
-from repro.errors import EngineError
+from repro.errors import EngineError, StorageError
 from repro.persistence.server import PersistenceServer
 from repro.persistence.store import TransactionError
 from repro.persistence.wal import WriteAheadLog
+from repro.storage.layout import pack_record
 
 
 @pytest.fixture
@@ -121,6 +125,21 @@ class TestCrashRecovery:
         assert recovered.store.items[sword].owner_id == bob
         recovered.close()
 
+    def test_unknown_record_type_refuses_recovery(self, tmp_path):
+        """A whole record of a type this log does not write (here a
+        type-19 commit decision) may carry committed state: recovery
+        raises instead of skipping it."""
+        server = PersistenceServer(tmp_path)
+        seed_world(server)
+        server.crash()
+        wal_path = tmp_path / WriteAheadLog.FILE_NAME
+        offset = os.path.getsize(wal_path)
+        with open(wal_path, "ab") as handle:
+            handle.write(pack_record(19, 1, 0, pickle.dumps("gid-1")))
+        with pytest.raises(StorageError,
+                           match=f"record type 19 at offset {offset}"):
+            PersistenceServer.recover(tmp_path)
+
     def test_snapshots_bound_redo(self, tmp_path):
         server = PersistenceServer(tmp_path, snapshot_every=5)
         alice = server.create_character("alice", gold=1_000)
@@ -182,20 +201,3 @@ class TestWalCompaction:
         with WriteAheadLog(tmp_path) as wal:
             wal.log_transaction(1, [("noop",)])
             assert wal.compact() == 0  # no snapshot yet
-
-    def test_compaction_preserves_in_doubt_prepares(self, tmp_path):
-        from repro.persistence.server import OP_DELETE_ITEM
-
-        server = PersistenceServer(tmp_path, snapshot_every=10_000)
-        alice, bob, sword = seed_world(server)
-        assert server.prepare_remote("gid-7", [(OP_DELETE_ITEM, sword)])
-        for _ in range(10):
-            server.deposit_gold(alice, 1)
-        server.compact_wal()
-        server.crash()
-        recovered = PersistenceServer.recover(tmp_path)
-        assert "gid-7" in recovered.in_doubt_transactions()
-        # The decision can still land after compaction + crash.
-        assert recovered.resolve_remote("gid-7", True)
-        assert sword not in recovered.store.items
-        recovered.close()

@@ -56,7 +56,7 @@ def test_gateway_delivery_matches_direct_driving(tmp_path_factory, script):
     applied = 0
     for tick_commands in script:
         for position, command in enumerate(tick_commands):
-            frontdoor.send_command(sessions[position % 2], command)
+            frontdoor.submit(sessions[position % 2], None, command)
         outcome = frontdoor.drive_tick()
         assert outcome.report.ok
         applied += sum(

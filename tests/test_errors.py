@@ -29,6 +29,6 @@ class TestHierarchy:
         assert issubclass(TransactionError, errors.ReproError)
 
     def test_session_error_in_hierarchy(self):
-        from repro.frontend.connection import SessionError
+        from repro.frontend.sessions import SessionError
 
         assert issubclass(SessionError, errors.ReproError)
