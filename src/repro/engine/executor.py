@@ -37,6 +37,7 @@ torn live read is discarded.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -125,6 +126,7 @@ class RealExecutor(SubroutineExecutor):
         self.sync_copy_seconds = 0.0
         self.handle_update_seconds = 0.0
         self._serial_bytes_written = 0
+        self._finished_bytes = 0
         self._last_committed_tick: Optional[int] = None
 
     @property
@@ -138,17 +140,21 @@ class RealExecutor(SubroutineExecutor):
         return self._writer
 
     def writer_totals(self) -> Tuple[int, float]:
-        """``(checkpoint bytes written, writer busy seconds)`` so far, across
-        both writer modes, from one read of the writer's two counters."""
+        """``(checkpoint bytes written, writer busy seconds)`` as a tick
+        reports them.  A writer's bytes are the count read when this
+        executor last saw its job finish, so they advance only with
+        ``checkpoints_completed`` and never count a job just handed off;
+        serial drains count as the tick writes them."""
         if self._writer is None:
             return self._serial_bytes_written, 0.0
-        bytes_written, busy_seconds = self._writer.totals()
-        return self._serial_bytes_written + bytes_written, busy_seconds
+        return self._finished_bytes, self._writer.totals()[1]
 
     @property
     def bytes_written(self) -> int:
-        """Checkpoint bytes written so far, across both writer modes."""
-        return self.writer_totals()[0]
+        """Checkpoint bytes written so far, read live from the writer."""
+        if self._writer is None:
+            return self._serial_bytes_written
+        return self._writer.totals()[0]
 
     @property
     def last_committed_tick(self) -> Optional[int]:
@@ -236,6 +242,7 @@ class RealExecutor(SubroutineExecutor):
             self._writer.check()
             if self._writer.idle:
                 self._task_committed = True
+                self._finished_bytes = self._writer.totals()[0]
                 return True
             return False
         return False
@@ -295,7 +302,8 @@ class RealExecutor(SubroutineExecutor):
         else:
             count = min(remaining, max(1, budget_bytes // object_bytes))
         chunk = self._task_ids[self._task_position: self._task_position + count]
-        payloads = self._gather_payloads(chunk)
+        payloads = np.empty((count, object_bytes), dtype=np.uint8)
+        self.read_payloads_into(chunk, payloads)
         if isinstance(self._store, DoubleBackupStore):
             self._store.write_objects(chunk, payloads)
         else:
@@ -307,43 +315,29 @@ class RealExecutor(SubroutineExecutor):
             self._commit()
         return written
 
-    def _gather_payloads(self, ids: np.ndarray) -> bytes:
-        """Cut-consistent payloads: snapshot where saved, live table otherwise."""
-        payloads = self._table.read_objects(ids)
-        saved = self._snapshot_mask[ids]
-        if saved.any():
-            payloads[saved] = self._snapshot[ids[saved]]
-        return payloads.tobytes()
-
-    def read_payloads(self, object_ids: np.ndarray) -> bytes:
-        """Cut-consistent payloads for the writer thread (PayloadSource).
-
-        Holds the objects' stripes across the mask read and the gather, so a
-        concurrent ``Handle-Update`` of any of these objects either completed
-        its old-value save before we looked (we read the snapshot) or is
-        still waiting for the stripes (the live value is the cut value).
-
-        With a ``concurrent_reader = False`` writer there are no stripes:
-        the call must then come from the game thread itself (the process
-        backend stages payloads synchronously inside ``submit``).
-        """
-        if self._locks is None:
-            return self._gather_payloads(object_ids)
-        with self._locks.locked(object_ids):
-            return self._gather_payloads(object_ids)
-
     def read_payloads_into(self, object_ids: np.ndarray, out: np.ndarray) -> None:
-        """Cut-consistent payloads gathered straight into ``out``.
+        """Cut-consistent payloads gathered straight into ``out`` (the
+        :class:`~repro.engine.writer.PayloadSource` contract): snapshot where
+        saved, live table otherwise.  ``out`` has one row per object, of
+        raw bytes or of table cells.
 
-        The zero-intermediate-copy variant of :meth:`read_payloads` for
-        same-thread callers (no stripe locks taken): the process backend
-        uses it to stage a checkpoint's payloads into shared memory at the
-        cut, before the mutator runs another tick.
+        With a concurrent writer this holds the objects' stripes across the
+        mask read and the gather, so a concurrent ``Handle-Update`` of any
+        of these objects either completed its old-value save before we
+        looked (we read the snapshot) or is still waiting for the stripes
+        (the live value is the cut value).  Without one (serial drain, or
+        the process backend staging at the cut) the caller is the game
+        thread itself and no stripes exist.
         """
-        self._table.gather_objects_into(object_ids, out)
-        saved = self._snapshot_mask[object_ids]
-        if saved.any():
-            out[saved] = self._snapshot[object_ids[saved]]
+        out = out.view(self._table.dtype)
+        with (
+            nullcontext() if self._locks is None
+            else self._locks.locked(object_ids)
+        ):
+            self._table.gather_objects_into(object_ids, out)
+            saved = self._snapshot_mask[object_ids]
+            if saved.any():
+                out[saved] = self._snapshot[object_ids[saved]]
 
     def _commit(self) -> None:
         self._store.commit_checkpoint(self._task_cut_tick)

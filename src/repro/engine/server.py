@@ -239,9 +239,9 @@ class DurableGameServer:
     def bytes_written(self) -> int:
         """Checkpoint bytes written so far, read live from the executor.
 
-        Unlike ``stats.bytes_written`` (refreshed only at tick boundaries)
-        this also counts flushes that completed after the last tick -- the
-        number a telemetry scrape between ticks wants.
+        Unlike ``stats.bytes_written`` (which advances only with
+        ``checkpoints_completed``) this also counts flushes that landed
+        since -- the number a telemetry scrape between ticks wants.
         """
         return self._executor.bytes_written
 

@@ -37,6 +37,8 @@ EOF on ``done`` and on the pipe, that shard's failure -- never a hang.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
 import multiprocessing
 import os
@@ -53,7 +55,6 @@ from repro.engine.server import ServerStats, open_checkpoint_store
 from repro.engine.shard import GAME_SUBDIRECTORY, MMOShard
 from repro.engine.shard_handle import ShardHandle, TickLoop
 from repro.engine.writer import CheckpointJob, WriterStats
-from repro.engine.writer_pool import release_freed_heap
 from repro.errors import CheckpointWriterError, EngineError
 from repro.obs.metrics import MetricsRegistry, RowMetrics
 from repro.obs.telemetry import (
@@ -423,6 +424,14 @@ def _crash_now() -> None:
     os._exit(CRASH_EXIT_CODE)
 
 
+def _trim_heap_before_fork() -> None:
+    """Return the parent's freed heap pages to the OS (glibc's
+    ``malloc_trim(0)``; a no-op elsewhere), so no worker starts with a
+    copy of them."""
+    with contextlib.suppress(AttributeError, OSError):
+        ctypes.CDLL(None).malloc_trim(0)
+
+
 def _worker_control(message, shard, proxy, loop, send) -> None:
     """Handle one parent message, between runs or mid-run between ticks."""
     kind = message[0]
@@ -455,24 +464,29 @@ def _worker_control(message, shard, proxy, loop, send) -> None:
 class _StagedSource:
     """PayloadSource over a shard's shared staging slot (zero-copy).
 
-    ``read_payloads`` hands back memoryviews straight into the shared
-    segment: the pool's gathered ``writev`` iovecs point at the staged
-    bytes, so the only copy on the whole checkpoint path is the worker's
-    single gather at the cut.
+    The worker filled the slot at the cut, in id order, and the slot is
+    also the pool handle's slab: the flush stages each chunk into the rows
+    the chunk already occupies, so ``read_payloads_into`` only checks that
+    the ids and the destination are its own staged rows and copies nothing.
+    The only copy on the whole checkpoint path is the worker's one gather.
     """
 
-    def __init__(self, ids: np.ndarray, payloads: np.ndarray) -> None:
+    def __init__(self, ids: np.ndarray, rows: np.ndarray) -> None:
         self._ids = ids
-        self._payloads = payloads
+        self._rows = rows
 
-    def read_payloads(self, object_ids: np.ndarray):
+    def read_payloads_into(self, object_ids: np.ndarray, out: np.ndarray) -> None:
         start = int(np.searchsorted(self._ids, object_ids[0]))
-        stop = start + object_ids.size
-        if not np.array_equal(self._ids[start:stop], object_ids):
+        staged = self._rows[start: start + object_ids.size]
+        if not (
+            out.ctypes.data == staged.ctypes.data
+            and out.shape == staged.shape
+            and np.array_equal(self._ids[start: start + object_ids.size],
+                               object_ids)
+        ):
             raise EngineError(
-                "staged checkpoint ids do not match the requested chunk"
+                "staged checkpoint rows do not match the requested chunk"
             )
-        return self._payloads[start:stop].reshape(-1).view(np.uint8).data
 
 
 class ProcessShardHandle(ShardHandle):
@@ -525,7 +539,8 @@ class ProcessShardHandle(ShardHandle):
             daemon=True,
         )
         self._staged_ids = arena.array(STAGED_IDS_SLOT)
-        self._staging = arena.array(STAGING_SLOT)
+        # One uint8 row per object: the pool handle's slab.
+        self._staging = arena.array(STAGING_SLOT).view(np.uint8)
 
     @classmethod
     def open_all(
@@ -561,8 +576,7 @@ class ProcessShardHandle(ShardHandle):
         shard_kwargs = dict(shard_kwargs)
         shard_kwargs.pop("writer_pool", None)
         shard_kwargs.pop("writer_name", None)
-        # Freed but resident heap would be copied into every worker.
-        release_freed_heap()
+        _trim_heap_before_fork()
         handles: List[ProcessShardHandle] = []
         parent_ends: List[int] = []  # no worker may keep one of these
         try:
@@ -636,7 +650,7 @@ class ProcessShardHandle(ShardHandle):
             shard_kwargs.get("fsync_policy"),
         )
         self.pool_handle = pool.register(
-            self.store, name=f"shard-{self.index:02d}"
+            self.store, name=f"shard-{self.index:02d}", slab=self._staging
         )
 
     # ------------------------------------------------------------------
@@ -815,7 +829,7 @@ class ProcessShardHandle(ShardHandle):
         """Land one staged checkpoint through the shared pool."""
         _, count, epoch, cut_tick, backup_index, is_full_dump = message
         # The ids are copied out (they are tiny); the payloads are not --
-        # the job's source serves memoryviews into the shared staging slot.
+        # the flush lands slices of the shared staging slot.
         ids = self._staged_ids[:count].copy()
         job = CheckpointJob(
             object_ids=ids,

@@ -7,13 +7,14 @@ observes checkpoint-cut values while the mutator keeps updating (Section 4.1).
 This module holds the pieces of that subroutine every caller shares:
 
 * the mutator hands over one :class:`CheckpointJob` per checkpoint -- the
-  sorted write set plus a :class:`PayloadSource` that produces
-  cut-consistent payloads (reading the double-buffered snapshot for saved
-  objects and the live table otherwise, under striped per-object locks);
-* :func:`flush_checkpoint_job` gathers the job in bounded chunks and lands
-  it through the store (:class:`~repro.storage.double_backup.DoubleBackupStore`
-  in-place sorted runs, :class:`~repro.storage.checkpoint_log.CheckpointLogStore`
-  sequential appends) with the commit riding on the final write;
+  sorted write set plus a :class:`PayloadSource` that stages cut-consistent
+  payloads (reading the double-buffered snapshot for saved objects and the
+  live table otherwise, under striped per-object locks);
+* :func:`flush_checkpoint_job` stages the job into the writer's slab in
+  bounded chunks and lands it through the store as one list of disk runs
+  (:class:`~repro.storage.double_backup.DoubleBackupStore` one ``pwritev``
+  per run, :class:`~repro.storage.checkpoint_log.CheckpointLogStore` one
+  gathered append) with the commit riding on the final write;
 * :class:`WriterStats` is the per-writer counter block a scrape reads.
 
 The threads that run the routine live in
@@ -46,9 +47,8 @@ StoreType = Union[DoubleBackupStore, CheckpointLogStore]
 #: batched I/O (256 KiB at the paper's 512-byte objects).
 DEFAULT_CHUNK_OBJECTS = 512
 
-#: Most payload bytes :func:`flush_checkpoint_job` stages in memory before it
-#: lands them; a bigger job reaches the disk in slabs of this size rather
-#: than ballooning the writer's footprint.
+#: Largest slab :func:`flush_checkpoint_job` asks for; a bigger job reaches
+#: the disk a slab at a time rather than ballooning the writer's footprint.
 MAX_GATHER_BYTES = 64 << 20
 
 #: Newest per-checkpoint durations a :class:`WriterStats` retains; long-lived
@@ -62,24 +62,25 @@ def flush_checkpoint_job(
     chunk_objects: int,
     should_abandon,
     on_chunk_written,
+    slab_for=None,
 ) -> bool:
-    """Flush one :class:`CheckpointJob` as a single gathered store write.
+    """Stage one :class:`CheckpointJob` into a slab and land it as one
+    list of disk runs.
 
-    The cut-consistent payload reads are chunked -- ``chunk_objects`` at a
-    time, so stripe locks are held only briefly and ``should_abandon()`` is
-    polled at every chunk boundary -- but nothing beyond the begin marker
-    touches the disk until the whole job has been gathered.  The
-    accumulated chunks then land through the store's
-    ``write_checkpoint_vectored`` entry point: one gathered ``writev`` of
-    every record plus the commit marker for the log organization, one
-    globally-sorted ``pwritev`` pass for the double backup, and at most one
+    ``slab_for(rows)`` returns the slab: a 2-D uint8 array, one row per
+    object and at least ``rows`` rows long, that the writer owns (without
+    it the call allocates one for itself).  The job is staged into it in
+    id order ``chunk_objects`` at a time through
+    ``job.source.read_payloads_into`` -- so stripe locks are held only
+    briefly and ``should_abandon()`` is polled at every chunk boundary --
+    and nothing beyond the begin marker touches the disk until the slab is
+    full.  The store's ``write_checkpoint_vectored`` then lands it: one
+    ``pwritev`` per disk run for the double backup, one gathered ``writev``
+    of every record plus the commit marker for the log, and at most one
     data fsync either way.
 
-    A job bigger than :data:`MAX_GATHER_BYTES` is not staged whole: each
-    time that many bytes are staged, the staged runs are landed uncommitted
-    through the store's per-run entry point and gathering continues, so the
-    last slab -- and with it the commit -- still goes through
-    ``write_checkpoint_vectored``.
+    A job bigger than the slab (:data:`MAX_GATHER_BYTES` caps it) lands a
+    slab at a time, uncommitted, and the last slab carries the commit.
 
     An abandon request aborts the checkpoint (crash semantics -- the store
     keeps an uncommitted checkpoint) and the function returns False; a
@@ -88,37 +89,40 @@ def flush_checkpoint_job(
     """
     if isinstance(store, DoubleBackupStore):
         store.begin_checkpoint(job.backup_index, job.epoch)
-        land_run = store.write_objects
     else:
         store.begin_checkpoint(job.epoch, job.is_full_dump)
-        land_run = store.append_objects
-    object_bytes = store.geometry.object_bytes
     ids = job.object_ids
-    chunks = []
-    staged_bytes = 0
-    for start in range(0, ids.size, chunk_objects):
+    object_bytes = store.geometry.object_bytes
+    cap = -(-MAX_GATHER_BYTES // (chunk_objects * object_bytes)) * chunk_objects
+    rows_needed = min(ids.size, cap)
+    slab = (
+        np.empty((rows_needed, object_bytes), dtype=np.uint8)
+        if slab_for is None else slab_for(rows_needed)
+    )
+    base = 0
+    while True:
+        window = ids[base: base + len(slab)]
+        rows = slab[: window.size]
+        for start in range(0, window.size, chunk_objects):
+            if should_abandon():
+                store.abort_checkpoint()
+                return False
+            stop = start + chunk_objects
+            job.source.read_payloads_into(window[start:stop], rows[start:stop])
         if should_abandon():
             store.abort_checkpoint()
             return False
-        if staged_bytes >= MAX_GATHER_BYTES:
-            for run in chunks:
-                land_run(*run)
-            on_chunk_written(staged_bytes)
-            chunks = []
-            staged_bytes = 0
-        chunk = ids[start: start + chunk_objects]
-        chunks.append((chunk, job.source.read_payloads(chunk)))
-        staged_bytes += chunk.size * object_bytes
-    if should_abandon():
-        store.abort_checkpoint()
-        return False
-    nbytes = store.write_checkpoint_vectored(chunks, job.cut_tick)
-    on_chunk_written(nbytes)
-    return True
+        base += window.size
+        last = base >= ids.size
+        on_chunk_written(store.write_checkpoint_vectored(
+            window, rows, job.cut_tick if last else None
+        ))
+        if last:
+            return True
 
 
 class PayloadSource(Protocol):
-    """Produces cut-consistent payload bytes for a batch of objects.
+    """Stages cut-consistent payloads for a batch of objects.
 
     Implementations must be safe to call from the writer thread while the
     mutator keeps updating: they take the stripe locks covering the batch,
@@ -126,8 +130,8 @@ class PayloadSource(Protocol):
     live table for the rest (whose live value *is* the cut value).
     """
 
-    def read_payloads(self, object_ids: np.ndarray):
-        """Return a contiguous bytes-like buffer of the objects' payloads."""
+    def read_payloads_into(self, object_ids: np.ndarray, out: np.ndarray) -> None:
+        """Fill ``out`` (one uint8 row per object) with their payloads."""
         ...
 
 

@@ -29,13 +29,13 @@ not ``O(num_shards)`` threads that mostly idle between cadence points.
 * **Batched, gathered flushes.**  A worker wakes up and takes a *batch*:
   the stalest job plus up to ``batch_jobs - 1`` more jobs whose store is
   the same type, flushed back-to-back oldest-cut-first through
-  :func:`~repro.engine.writer.flush_checkpoint_job` -- every chunk of a
-  job gathered into one iovec and written with a single ``writev`` (log
-  stores, commit marker included) or one globally-sorted ``pwritev`` pass
+  :func:`~repro.engine.writer.flush_checkpoint_job` -- each job staged
+  into its handle's slab and written with a single ``writev`` (log
+  stores, commit marker included) or one ``pwritev`` per disk run
   (double-backup stores), with at most one data fsync per job.  POSIX
   offers no gathered write spanning file descriptors, so the batch lands
-  as one such gathered write per handle.  The selection rule keeps the
-  oldest waiting shard in the very next batch.
+  one handle at a time.  The selection rule keeps the oldest waiting
+  shard in the very next batch.
 
 * **Failure isolation.**  A store raising mid-flush poisons only its own
   handle: the error is recorded there and re-raised on *that shard's* next
@@ -51,12 +51,13 @@ workers within the timeout raises rather than silently leaking threads.
 
 from __future__ import annotations
 
-import ctypes
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.engine.writer import (
     DEFAULT_CHUNK_OBJECTS,
@@ -67,22 +68,6 @@ from repro.engine.writer import (
 )
 from repro.errors import CheckpointWriterError
 from repro.obs.trace import get_tracer
-
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-    _malloc_trim.argtypes = [ctypes.c_size_t]
-    _malloc_trim.restype = ctypes.c_int
-except (AttributeError, OSError, TypeError):  # not glibc
-    _malloc_trim = None
-
-
-def release_freed_heap() -> None:
-    """Return freed heap pages to the OS (glibc's ``malloc_trim(0)``, every
-    arena; a no-op elsewhere): a full dump's staged chunks, once freed, or
-    the freed heap a fork would copy into every child."""
-    if _malloc_trim is not None:
-        _malloc_trim(0)
-
 
 @dataclass
 class PoolStats:
@@ -132,9 +117,11 @@ class PoolWriter:
 
     def __init__(
         self, pool: "CheckpointWriterPool", store: StoreType, index: int,
-        name: str,
+        name: str, slab: Optional[np.ndarray],
     ) -> None:
         self._pool = pool
+        # Owned by whichever worker flushes this handle's one job.
+        self._slab = slab
         self._store = store
         self._index = index
         self._name = name
@@ -244,8 +231,9 @@ class PoolWriter:
         re-raises any pending error; ``wait=False`` drops a queued job
         outright and tells a worker mid-flush to abandon at the next chunk
         boundary (crash semantics).  Either way the handle is idle when this
-        returns -- no worker will touch the store afterwards -- or a
-        :class:`~repro.errors.CheckpointWriterError` is raised.
+        returns -- no worker will touch the store afterwards, and the slab
+        is released -- or a :class:`~repro.errors.CheckpointWriterError` is
+        raised.
         """
         self._closed = True
         if not wait:
@@ -258,12 +246,23 @@ class PoolWriter:
             if self._error is not None:
                 message += f" (pending writer error: {self._error!r})"
             raise CheckpointWriterError(message) from self._error
+        self._slab = None
         if wait:
             self.check()
 
     def kill(self, timeout: float = 30.0) -> None:
         """Crash-style retirement: abandon this shard's job and detach."""
         self.close(timeout=timeout, wait=False)
+
+    def _slab_for(self, rows: int) -> np.ndarray:
+        """This handle's slab, allocated on first use and grown only for a
+        job that needs more ``rows`` than it has."""
+        if self._slab is None or len(self._slab) < rows:
+            self._slab = None  # freed before its successor is allocated
+            self._slab = np.empty(
+                (rows, self._store.geometry.object_bytes), dtype=np.uint8
+            )
+        return self._slab
 
 
 class CheckpointWriterPool:
@@ -354,14 +353,22 @@ class CheckpointWriterPool:
     # Registration and submission
     # ------------------------------------------------------------------
 
-    def register(self, store: StoreType, name: Optional[str] = None) -> PoolWriter:
-        """Attach a shard's store; returns its submission handle."""
+    def register(
+        self, store: StoreType, name: Optional[str] = None,
+        slab: Optional[np.ndarray] = None,
+    ) -> PoolWriter:
+        """Attach a shard's store; returns its submission handle.
+
+        ``slab`` is memory the shard's jobs are already staged in (the
+        process backend's shared staging slot, one uint8 row per object);
+        without it the handle allocates its own slab on its first job.
+        """
         if self._closed:
             raise CheckpointWriterError("writer pool is closed")
         with self._lock:
             index = len(self._handles)
             handle = PoolWriter(
-                self, store, index, name or f"shard-{index:02d}"
+                self, store, index, name or f"shard-{index:02d}", slab
             )
             self._handles.append(handle)
         return handle
@@ -529,6 +536,7 @@ class CheckpointWriterPool:
                         self._chunk,
                         should_abandon=should_abandon,
                         on_chunk_written=on_chunk_written,
+                        slab_for=handle._slab_for,
                     )
             elapsed = time.perf_counter() - started
             with self._lock:
@@ -548,10 +556,6 @@ class CheckpointWriterPool:
                 handle._stats.jobs_abandoned += 1
                 self._stats.jobs_abandoned += 1
         finally:
-            if job.is_full_dump:
-                # Before the handle goes idle, so the next tick does not
-                # run beside it.
-                release_freed_heap()
             handle._job = None
             handle._idle.set()
 

@@ -72,6 +72,11 @@ _GEOMETRY_RECORD_BYTES = RECORD_HEADER_BYTES + GEOMETRY_BYTES
 #: (and with it the int64 ids) starts 8-byte aligned behind the 29-byte header.
 _SCRATCH_PAD = -RECORD_HEADER_BYTES % 8
 
+#: Most objects one OBJECTS record of a gathered checkpoint frames: the
+#: writer pool's default chunk, so the records are the ones chunk-at-a-time
+#: appends would frame.
+OBJECTS_PER_RECORD = 512
+
 _HAS_FADVISE = hasattr(os, "posix_fadvise")
 #: Window of each readahead hint the backwards scan gives the kernel.
 _READAHEAD_BYTES = 4 << 20
@@ -339,23 +344,27 @@ class CheckpointLogStore:
             )
         )
 
-    def write_checkpoint_vectored(self, chunks, cut_tick: int) -> int:
-        """Land the whole in-progress checkpoint in one gathered write.
+    def write_checkpoint_vectored(
+        self, object_ids: np.ndarray, rows, cut_tick: Optional[int]
+    ) -> int:
+        """Land a staged write set and its commit marker in one gathered write.
 
-        ``chunks`` is a sequence of ``(object_ids, payloads)`` runs, each
-        validated (and fault-hook checked) exactly like an
-        :meth:`append_objects` call.  Every OBJECTS record *and* the commit
-        marker are framed into a single iovec and handed to one ``writev``
-        (split only at ``IOV_MAX``), then made durable by at most one
-        ``fsync`` under the ``commit``/``always`` policies -- instead of one
-        write (and, under ``always``, one fsync) per run.
+        ``rows`` holds the objects' payloads in ``object_ids`` order (the
+        writer's slab), validated (and fault-hook checked) exactly like an
+        :meth:`append_objects` call.  It is framed as one OBJECTS record per
+        :data:`OBJECTS_PER_RECORD` objects over slices of ``rows`` -- never
+        copied -- and every record *and* the commit marker go to one
+        ``writev`` (split only at ``IOV_MAX``), made durable by at most one
+        ``fsync`` under the ``commit``/``always`` policies.
+        ``cut_tick=None`` lands the records uncommitted (a slab of a job
+        bigger than the writer's slab).
 
         The commit marker is the final entry of the iovec and ``writev``
         lands buffers in order, so a torn write can truncate the checkpoint
         but can never produce a commit marker ahead of its data: recovery
         sees either a fully committed checkpoint or an uncommitted tail it
         already knows to ignore.  Returns the number of payload bytes
-        written and ends the in-progress checkpoint.
+        written; a commit ends the in-progress checkpoint.
         """
         if self._writing_epoch is None:
             raise StorageError(
@@ -363,25 +372,22 @@ class CheckpointLogStore:
             )
         parts: List = []
         payload_bytes = 0
-        for object_ids, payloads in chunks:
-            run = self._validated_run(object_ids, payloads)
-            if run is None:
-                continue
+        run = self._validated_run(object_ids, rows)
+        if run is not None:
             object_ids, payload_view = run
-            parts.extend(
-                pack_record_parts(
-                    RECORD_OBJECTS,
-                    self._writing_epoch,
-                    object_ids.size,
-                    [object_ids, payload_view],
-                )
-            )
-            payload_bytes += payload_view.nbytes
-        parts.append(
-            pack_record(
+            payload_bytes = payload_view.nbytes
+            record_bytes = OBJECTS_PER_RECORD * self._geometry.object_bytes
+            for first in range(0, object_ids.size, OBJECTS_PER_RECORD):
+                ids = object_ids[first: first + OBJECTS_PER_RECORD]
+                offset = first * self._geometry.object_bytes
+                parts.extend(pack_record_parts(
+                    RECORD_OBJECTS, self._writing_epoch, ids.size,
+                    [ids, payload_view[offset: offset + record_bytes]],
+                ))
+        if cut_tick is not None:
+            parts.append(pack_record(
                 RECORD_CHECKPOINT_COMMIT, self._writing_epoch, cut_tick, b""
-            )
-        )
+            ))
         with get_tracer().span(
             "log_writev",
             epoch=self._writing_epoch,
@@ -389,8 +395,9 @@ class CheckpointLogStore:
             bytes=payload_bytes,
             iovecs=len(parts),
         ):
-            self._append_parts(parts, committing=True)
-        self._writing_epoch = None
+            self._append_parts(parts, committing=cut_tick is not None)
+        if cut_tick is not None:
+            self._writing_epoch = None
         return payload_bytes
 
     def commit_checkpoint(self, tick: int) -> None:

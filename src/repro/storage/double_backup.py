@@ -232,120 +232,83 @@ class DoubleBackupStore:
         self._writing_to = backup_index
         self._writing_epoch = epoch
 
-    def write_objects(self, object_ids: np.ndarray, payloads: bytes) -> None:
+    def write_objects(self, object_ids: np.ndarray, payloads) -> None:
         """Write payload bytes for ``object_ids`` at their fixed offsets.
 
-        ``payloads`` holds ``len(object_ids)`` back-to-back object images.
-        Ids are written in increasing-offset order (the paper's sorted-write
-        optimization) regardless of the order given.
+        ``payloads`` is any contiguous buffer of ``len(object_ids)``
+        back-to-back object images.  Ids are written in increasing-offset
+        order (the paper's sorted-write optimization) regardless of the
+        order given; a repeated id keeps its last payload.
         """
         if self._writing_to is None:
             raise StorageError("write_objects outside begin/commit")
-        run = self._validated_rows(object_ids, payloads)
-        if run is not None:
-            self._pwritev_sorted_parts([run[0]], [run[1]])
+        self._write_runs(object_ids, payloads)
 
-    def _validated_rows(self, object_ids: np.ndarray, payloads):
-        """Fault-hook, id-range, and length checks shared by both write
-        paths; returns ``(ids, payload_rows)`` (``None`` for an empty run)."""
-        if self.write_fault_hook is not None:
-            self.write_fault_hook()
-        object_ids = np.asarray(object_ids, dtype=np.int64)
-        object_bytes = self._geometry.object_bytes
-        if len(payloads) != object_ids.size * object_bytes:
-            raise StorageError(
-                f"payload length {len(payloads)} does not match "
-                f"{object_ids.size} objects of {object_bytes} bytes"
-            )
-        if object_ids.size == 0:
-            return None
-        if object_ids.min() < 0 or object_ids.max() >= self._geometry.num_objects:
-            raise StorageError("object id out of range")
-        payload_rows = np.frombuffer(payloads, dtype=np.uint8).reshape(
-            object_ids.size, object_bytes
-        )
-        return object_ids, payload_rows
+    def write_checkpoint_vectored(
+        self, object_ids: np.ndarray, rows, cut_tick: Optional[int]
+    ) -> int:
+        """Land a staged write set, one ``pwritev`` per disk run, and commit.
 
-    def write_checkpoint_vectored(self, chunks, cut_tick: int) -> int:
-        """Land the whole in-progress checkpoint as one coalesced write pass.
-
-        ``chunks`` is a sequence of ``(object_ids, payloads)`` runs, each
-        validated (and fault-hook checked) exactly like a
-        :meth:`write_objects` call, but sorted *globally*: ids from every
-        chunk are merged into a single sorted sequence before any byte is
-        written, so contiguous runs that straddle chunk boundaries coalesce
-        into single positioned vectored writes -- strictly fewer, larger
-        ``pwritev`` calls than flushing the chunks one at a time.  An object
-        appearing in several chunks keeps only the last submitted payload,
-        matching the chunk-at-a-time semantics.  Commits the checkpoint at
-        ``cut_tick`` (one data fsync under ``commit``/``always``) and
-        returns the number of payload bytes handed to the store.
+        ``rows`` holds the objects' payloads in ``object_ids`` order (the
+        writer's slab).  Each maximal run of consecutive ids is one slice of
+        ``rows`` and one :func:`pwritev_all` call, so a checkpoint costs one
+        vectorised pass to find the runs plus one syscall per run.  Commits
+        the checkpoint at ``cut_tick`` (one data fsync under
+        ``commit``/``always``); ``cut_tick=None`` lands the rows uncommitted
+        (a slab of a job bigger than the writer's slab).  Returns the
+        payload bytes written.
         """
         if self._writing_to is None:
             raise StorageError(
                 "write_checkpoint_vectored outside begin/commit"
             )
-        ids_parts = []
-        row_parts = []
-        payload_bytes = 0
-        for object_ids, payloads in chunks:
-            run = self._validated_rows(object_ids, payloads)
-            if run is None:
-                continue
-            ids_parts.append(run[0])
-            row_parts.append(run[1])
-            payload_bytes += run[1].nbytes
+        payload_bytes = memoryview(rows).nbytes
         with get_tracer().span(
             "backup_pwritev", cut=cut_tick, bytes=payload_bytes
         ):
-            if ids_parts:
-                self._pwritev_sorted_parts(ids_parts, row_parts)
-            self.commit_checkpoint(cut_tick)
+            self._write_runs(object_ids, rows)
+            if cut_tick is not None:
+                self.commit_checkpoint(cut_tick)
         return payload_bytes
 
-    def _pwritev_sorted_parts(self, ids_parts, row_parts) -> None:
-        """Land per-chunk payload rows sorted globally, zero payload copies.
+    def _write_runs(self, object_ids: np.ndarray, payloads) -> None:
+        """Validate, then one :func:`pwritev_all` per run of consecutive ids.
 
-        Only the (8-byte-per-object) ids are concatenated for the global
-        sort; the payload rows stay in the chunks' own buffers and reach the
-        kernel as ``pwritev`` iovec entries, each a maximal stretch of rows
-        that is consecutive both on disk (id run) and in its source chunk.
+        Ids that are not strictly increasing cost one comparison to detect
+        and then a stable sort that keeps each id's last payload; sorted
+        input (every flush) skips it.
         """
+        if self.write_fault_hook is not None:
+            self.write_fault_hook()
+        object_ids = np.asarray(object_ids, dtype=np.int64)
         object_bytes = self._geometry.object_bytes
-        counts = np.array([ids.size for ids in ids_parts], dtype=np.int64)
-        part_starts = np.concatenate(([0], np.cumsum(counts)))
-        all_ids = np.concatenate(ids_parts)
-        order = np.argsort(all_ids, kind="stable")
-        sorted_ids = all_ids[order]
-        # Duplicates across (or within) chunks: keep the last submission.
-        keep = np.concatenate((np.diff(sorted_ids) != 0, [True]))
-        sorted_ids = sorted_ids[keep]
-        source = order[keep]
-        run_starts = np.flatnonzero(
-            np.concatenate(([True], np.diff(sorted_ids) > 1))
-        )
-        run_stops = np.concatenate((run_starts[1:], [sorted_ids.size]))
-        part_of = np.searchsorted(part_starts, source, side="right") - 1
-        row_of = source - part_starts[part_of]
-        # True where the next kept row is physically the next row of the
-        # same chunk buffer, i.e. the two extend one iovec entry.
-        adjacent = (np.diff(source) == 1) & (np.diff(part_of) == 0)
+        rows = np.frombuffer(payloads, dtype=np.uint8)
+        if rows.size != object_ids.size * object_bytes:
+            raise StorageError(
+                f"payload length {rows.size} does not match "
+                f"{object_ids.size} objects of {object_bytes} bytes"
+            )
+        if object_ids.size == 0:
+            return
+        if object_ids.min() < 0 or object_ids.max() >= self._geometry.num_objects:
+            raise StorageError("object id out of range")
+        rows = rows.reshape(object_ids.size, object_bytes)
+        steps = np.diff(object_ids)
+        if not (steps > 0).all():
+            order = np.argsort(object_ids, kind="stable")
+            object_ids = object_ids[order]
+            last = np.append(object_ids[1:] != object_ids[:-1], True)
+            object_ids, rows = object_ids[last], rows[order[last]]
+            steps = np.diff(object_ids)
+        starts = np.concatenate(([0], np.flatnonzero(steps != 1) + 1))
+        offsets = BACKUP_HEADER_BYTES + object_ids[starts] * object_bytes
+        cuts = (np.append(starts, object_ids.size) * object_bytes).tolist()
+        view = memoryview(rows).cast("B")
         handle = self._files[self._writing_to]
         handle.flush()
         fd = handle.fileno()
-        for start, stop in zip(run_starts, run_stops):
-            offset = (
-                BACKUP_HEADER_BYTES + int(sorted_ids[start]) * object_bytes
-            )
-            breaks = np.flatnonzero(~adjacent[start: stop - 1]) + 1
-            bounds = np.concatenate(([0], breaks, [stop - start]))
-            buffers = [
-                row_parts[part_of[start + first]][
-                    row_of[start + first]: row_of[start + first] + last - first
-                ]
-                for first, last in zip(bounds[:-1], bounds[1:])
-            ]
-            pwritev_all(fd, buffers, offset)
+        for first, last, offset in zip(cuts, cuts[1:], offsets.tolist()):
+            pwritev_all(fd, [view[first:last]], offset)
 
     def commit_checkpoint(self, tick: int) -> None:
         """Flush and stamp the in-progress backup ``COMPLETE`` at ``tick``."""

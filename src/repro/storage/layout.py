@@ -262,17 +262,20 @@ def pwritev_all(fd: int, buffers: Sequence, offset: int) -> int:
                 view = view[written:]
                 offset += written
         return total
-    while views:
+    remaining = total
+    while remaining:
         written = os.pwritev(fd, views[:IOV_MAX], offset)
         offset += written
-        trimmed = []
-        for view in views:
-            if written >= view.nbytes:
-                written -= view.nbytes
-                continue
-            trimmed.append(view[written:] if written else view)
-            written = 0
-        views = trimmed
+        remaining -= written
+        if remaining:
+            trimmed = []
+            for view in views:
+                if written >= view.nbytes:
+                    written -= view.nbytes
+                    continue
+                trimmed.append(view[written:] if written else view)
+                written = 0
+            views = trimmed
     return total
 
 

@@ -6,6 +6,7 @@ crashes mid-tick and mid-checkpoint-flush, segment leak discipline, and
 recovery of a dead shard from its last durable checkpoint.
 """
 
+import ctypes
 import multiprocessing
 import os
 
@@ -13,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.config import StateGeometry
-from repro.engine import writer_pool
 from repro.engine.fleet import ShardFleet, shard_directory
 from repro.engine.recovery import RecoveryManager
 from repro.engine.server import DurableGameServer
@@ -242,7 +242,8 @@ def status_kib(pid, field):
 
 
 @pytest.mark.skipif(
-    writer_pool._malloc_trim is None or not os.path.exists("/proc/self"),
+    not hasattr(ctypes.CDLL(None), "malloc_trim")
+    or not os.path.exists("/proc/self"),
     reason="needs glibc's malloc_trim and /proc",
 )
 def test_workers_do_not_inherit_freed_heap(app_factory, tmp_path):

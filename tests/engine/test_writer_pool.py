@@ -26,8 +26,8 @@ class ArraySource:
     def __init__(self, objects: np.ndarray) -> None:
         self._objects = objects
 
-    def read_payloads(self, object_ids: np.ndarray) -> bytes:
-        return self._objects[object_ids].tobytes()
+    def read_payloads_into(self, object_ids: np.ndarray, out) -> None:
+        out[:] = self._objects[object_ids].view(np.uint8)
 
 
 class BlockingSource(ArraySource):
@@ -38,10 +38,10 @@ class BlockingSource(ArraySource):
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def read_payloads(self, object_ids: np.ndarray) -> bytes:
+    def read_payloads_into(self, object_ids: np.ndarray, out) -> None:
         self.entered.set()
         self.release.wait(timeout=30.0)
-        return super().read_payloads(object_ids)
+        super().read_payloads_into(object_ids, out)
 
 
 def make_objects(seed=0):
@@ -237,12 +237,8 @@ class TestFailureIsolation:
             bad_store = DoubleBackupStore(tmp_path / "bad", GEOMETRY)
             good_store = DoubleBackupStore(tmp_path / "good", GEOMETRY)
 
-            calls = {"count": 0}
-
-            def explode():
-                calls["count"] += 1
-                if calls["count"] > 1:  # die on the second chunk
-                    raise StorageError("injected mid-flush fault")
+            def explode():  # the job's one write batch, after staging
+                raise StorageError("injected mid-flush fault")
 
             bad_store.write_fault_hook = explode
             bad = pool.register(bad_store, name="bad")
@@ -352,10 +348,10 @@ class TestAdmissionControl:
                 super().__init__(objects)
                 self._index = index
 
-            def read_payloads(self, object_ids):
+            def read_payloads_into(self, object_ids, out):
                 if self._index not in commit_order:
                     commit_order.append(self._index)
-                return super().read_payloads(object_ids)
+                super().read_payloads_into(object_ids, out)
 
         handles[0].submit(full_job(blocker))
         assert blocker.entered.wait(timeout=10.0)
@@ -575,10 +571,10 @@ class TestStalenessAdmission:
                 super().__init__(objects)
                 self._index = index
 
-            def read_payloads(self, object_ids):
+            def read_payloads_into(self, object_ids, out):
                 if self._index not in service_order:
                     service_order.append(self._index)
-                return super().read_payloads(object_ids)
+                super().read_payloads_into(object_ids, out)
 
         pool = CheckpointWriterPool(1, batch_jobs=1)
         blocker = BlockingSource(make_objects())
@@ -679,13 +675,13 @@ class TestGatherCap:
 
             def explode():
                 calls["count"] += 1
-                if calls["count"] > 2:  # slab one is two runs; die in slab two
+                if calls["count"] > 1:  # one write per slab; die in slab two
                     raise StorageError("injected second-slab fault")
 
             store.write_fault_hook = explode
             handle.submit(store_job(store, ArraySource(second), 2, 12))
             assert handle.wait_idle(timeout=10.0, check=False)
-            assert calls["count"] == 3
+            assert calls["count"] == 2
             # Slab one reached the disk uncommitted; the handle is poisoned...
             assert handle.stats().bytes_written == (
                 GEOMETRY.checkpoint_bytes + self.CAP

@@ -36,10 +36,10 @@ class _Blocker:
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def read_payloads(self, object_ids: np.ndarray) -> bytes:
+    def read_payloads_into(self, object_ids: np.ndarray, out) -> None:
         self.entered.set()
         self.release.wait(timeout=30.0)
-        return b"\x00" * (object_ids.size * GEOMETRY.object_bytes)
+        out[:] = 0
 
 
 def _full_job(source, cut_tick: int) -> CheckpointJob:
@@ -62,9 +62,9 @@ def test_flooded_pool_drains_oldest_cut_first(cuts):
         def __init__(self, index: int) -> None:
             self._index = index
 
-        def read_payloads(self, object_ids: np.ndarray) -> bytes:
+        def read_payloads_into(self, object_ids: np.ndarray, out) -> None:
             service_order.append(self._index)
-            return b"\x00" * (object_ids.size * GEOMETRY.object_bytes)
+            out[:] = 0
 
     with tempfile.TemporaryDirectory() as root:
         pool = CheckpointWriterPool(1, batch_jobs=1)
@@ -139,11 +139,9 @@ def test_straggler_bounded_by_one_service_under_staleness(cuts, lag):
                 def __init__(self, label):
                     self._label = label
 
-                def read_payloads(self, object_ids):
+                def read_payloads_into(self, object_ids, out):
                     serviced.append(self._label)
-                    return b"\x00" * (
-                        object_ids.size * GEOMETRY.object_bytes
-                    )
+                    out[:] = 0
 
             handles = []
             for index, cut in enumerate(cuts):
@@ -178,7 +176,7 @@ def test_straggler_bounded_by_one_service_under_staleness(cuts, lag):
 class _ClockedSource:
     """Zero payloads; every service advances a shared virtual tick clock.
 
-    One ``read_payloads`` call is one job's service (the geometry fits a
+    One ``read_payloads_into`` call is one job's service (the geometry fits a
     whole checkpoint in one chunk), so ages come out in deterministic
     virtual ticks.  The gate parks the worker until a submission wave is
     fully queued, which keeps the pool saturated for the whole wave.
@@ -191,12 +189,12 @@ class _ClockedSource:
         #: Clock value right after each of this shard's jobs was serviced.
         self.service_clocks = []
 
-    def read_payloads(self, object_ids: np.ndarray) -> bytes:
+    def read_payloads_into(self, object_ids: np.ndarray, out) -> None:
         self._gate.wait(timeout=30.0)
         with self._clock_lock:
             self._clock[0] += 1
             self.service_clocks.append(self._clock[0])
-        return b"\x00" * (object_ids.size * GEOMETRY.object_bytes)
+        out[:] = 0
 
 
 def _straggler_ages(root: str, num_shards: int, waves: int, lag: int):

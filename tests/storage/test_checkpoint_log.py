@@ -261,6 +261,11 @@ class TestVectoredWrites:
             for ids in id_groups
         ]
 
+    def write_set(self, geometry, fill, *id_groups):
+        """The chunks' ids and payloads as one staged ``(ids, rows)``."""
+        ids = np.concatenate([np.array(g, dtype=np.int64) for g in id_groups])
+        return ids, payload_for(ids, geometry, fill)
+
     def test_vectored_round_trip_matches_chunked_appends(
         self, tmp_path, geometry
     ):
@@ -269,7 +274,10 @@ class TestVectoredWrites:
         )
         with CheckpointLogStore(tmp_path / "vectored", geometry) as vectored:
             vectored.begin_checkpoint(1, is_full_dump=True)
-            nbytes = vectored.write_checkpoint_vectored(chunks, cut_tick=12)
+            nbytes = vectored.write_checkpoint_vectored(
+                *self.write_set(geometry, 1, [0, 1, 2], [3, 4, 5], [6, 7]),
+                cut_tick=12,
+            )
             assert nbytes == geometry.num_objects * geometry.object_bytes
             image, epoch, tick = vectored.restore_image()
         with CheckpointLogStore(tmp_path / "chunked", geometry) as chunked:
@@ -287,11 +295,11 @@ class TestVectoredWrites:
         ids = np.arange(geometry.num_objects)
         store.begin_checkpoint(1, is_full_dump=True)
         store.write_checkpoint_vectored(
-            [(ids, payload_for(ids, geometry, 1))], cut_tick=0
+            ids, payload_for(ids, geometry, 1), cut_tick=0
         )
         store.begin_checkpoint(2, is_full_dump=False)
         store.write_checkpoint_vectored(
-            self.chunks_for(geometry, 2, [3], [5]), cut_tick=9
+            *self.write_set(geometry, 2, [3], [5]), cut_tick=9
         )
         image, epoch, tick = store.restore_image()
         assert (epoch, tick) == (2, 9)
@@ -302,18 +310,17 @@ class TestVectoredWrites:
     def test_vectored_outside_checkpoint_rejected(self, store, geometry):
         with pytest.raises(StorageError):
             store.write_checkpoint_vectored(
-                self.chunks_for(geometry, 1, [0]), cut_tick=1
+                *self.write_set(geometry, 1, [0]), cut_tick=1
             )
 
     def test_vectored_validates_every_chunk_before_writing(
         self, store, geometry
     ):
-        """A bad chunk anywhere in the batch aborts with zero bytes landed."""
+        """Rows short of the ids abort with zero bytes landed."""
         store.begin_checkpoint(1, is_full_dump=True)
-        good = self.chunks_for(geometry, 1, [0, 1])
-        bad = [(np.array([2], dtype=np.int64), b"short")]
+        ids, rows = self.write_set(geometry, 1, [0, 1, 2])
         with pytest.raises(StorageError):
-            store.write_checkpoint_vectored(good + bad, cut_tick=3)
+            store.write_checkpoint_vectored(ids, rows[:-1], cut_tick=3)
         store.abort_checkpoint()
         with pytest.raises(NoConsistentCheckpointError):
             store.restore_image()
@@ -335,7 +342,7 @@ class TestVectoredWrites:
             store.begin_checkpoint(1, is_full_dump=False)
             counts["fsyncs"] = 0
             store.write_checkpoint_vectored(
-                [(ids, payload_for(ids, geometry, 1))], cut_tick=3
+                ids, payload_for(ids, geometry, 1), cut_tick=3
             )
             assert counts["fsyncs"] == expected_fsyncs
 
@@ -371,14 +378,14 @@ class TestVectoredWrites:
         with CheckpointLogStore(tmp_path, geometry) as store:
             store.begin_checkpoint(1, is_full_dump=True)
             store.write_checkpoint_vectored(
-                [(ids, payload_for(ids, geometry, 1))], cut_tick=5
+                ids, payload_for(ids, geometry, 1), cut_tick=5
             )
             path = store._path
             committed_size = os.path.getsize(path)
             store.begin_checkpoint(2, is_full_dump=False)
             begin_size = os.path.getsize(path)
             store.write_checkpoint_vectored(
-                self.chunks_for(geometry, 2, [0, 1, 2, 3], [4, 5, 6, 7]),
+                *self.write_set(geometry, 2, [0, 1, 2, 3], [4, 5, 6, 7]),
                 cut_tick=9,
             )
             full_size = os.path.getsize(path)
@@ -403,8 +410,10 @@ class _ImageSource:
     def __init__(self, geometry, fill):
         self.geometry, self.fill = geometry, fill
 
-    def read_payloads(self, ids):
-        return payload_for(ids, self.geometry, self.fill)
+    def read_payloads_into(self, ids, out):
+        out[:] = np.frombuffer(
+            payload_for(ids, self.geometry, self.fill), dtype=np.uint8
+        ).reshape(out.shape)
 
 
 class TestRotation:
@@ -427,8 +436,8 @@ class TestRotation:
         from repro.engine import writer
 
         if path == "slabs":
-            # Two objects a slab: all but the last chunk land uncommitted
-            # through append_objects before the gathered commit write.
+            # Two objects a slab: all but the last slab land uncommitted
+            # before the gathered commit write.
             monkeypatch.setattr(
                 writer, "MAX_GATHER_BYTES", 2 * geometry.object_bytes
             )
@@ -488,8 +497,13 @@ class TestRotation:
         assert (epoch, tick) == (3, 30)
         assert image_value(image, geometry, 5) == 3_005
 
-    @pytest.mark.parametrize("path", FLUSH_PATHS)
-    @pytest.mark.parametrize("call", [1, 3])
+    # A gathered full dump is one write batch; over-cap slabs are four, so
+    # only they have a third write to fault.
+    @pytest.mark.parametrize("path,call", [
+        pytest.param("gathered", 1, id="1-gathered"),
+        pytest.param("slabs", 1, id="1-slabs"),
+        pytest.param("slabs", 3, id="3-slabs"),
+    ])
     def test_fault_while_writing_keeps_the_previous_checkpoint(
         self, tmp_path, geometry, monkeypatch, path, call
     ):

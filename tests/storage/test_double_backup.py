@@ -227,27 +227,30 @@ class TestReopen:
 
 
 class TestVectoredWrites:
-    def chunks_for(self, geometry, fill, *id_groups):
-        return [
-            (np.array(ids, dtype=np.int64), payload_for(ids, geometry, fill))
-            for ids in id_groups
-        ]
+    def write_set(self, geometry, fill, *id_groups):
+        """The groups' ids and payloads as one staged ``(ids, rows)``."""
+        ids = np.concatenate([np.array(g, dtype=np.int64) for g in id_groups])
+        return ids, payload_for(ids, geometry, fill)
 
     def test_vectored_round_trip_matches_chunked_writes(
         self, tmp_path, geometry
     ):
-        chunks = self.chunks_for(geometry, 1, [4, 0, 6], [2, 3], [7, 1, 5])
+        groups = ([4, 0, 6], [2, 3], [7, 1, 5])
         with DoubleBackupStore(tmp_path / "vectored", geometry) as vectored:
             vectored.begin_checkpoint(0, epoch=1)
-            nbytes = vectored.write_checkpoint_vectored(chunks, cut_tick=12)
+            nbytes = vectored.write_checkpoint_vectored(
+                *self.write_set(geometry, 1, *groups), cut_tick=12
+            )
             assert nbytes == geometry.num_objects * geometry.object_bytes
             found = vectored.latest_consistent()
             assert (found.epoch, found.tick) == (1, 12)
             image = vectored.read_image(found.backup_index)
         with DoubleBackupStore(tmp_path / "chunked", geometry) as chunked:
             chunked.begin_checkpoint(0, epoch=1)
-            for ids, payload in chunks:
-                chunked.write_objects(ids, payload)
+            for ids in groups:
+                chunked.write_objects(
+                    np.array(ids), payload_for(ids, geometry, 1)
+                )
             chunked.commit_checkpoint(tick=12)
             expected = chunked.read_image(0)
         assert image == expected
@@ -256,7 +259,7 @@ class TestVectoredWrites:
         """Ids contiguous across chunk boundaries land correctly."""
         store.begin_checkpoint(0, epoch=1)
         store.write_checkpoint_vectored(
-            self.chunks_for(geometry, 3, [0, 1, 2], [3, 4], [6, 7]),
+            *self.write_set(geometry, 3, [0, 1, 2], [3, 4], [6, 7]),
             cut_tick=4,
         )
         image = store.read_image(0)
@@ -270,14 +273,16 @@ class TestVectoredWrites:
     def test_vectored_duplicates_across_chunks_keep_last(
         self, store, geometry
     ):
-        """An id resubmitted in a later chunk wins, like chunked writes."""
-        store.begin_checkpoint(0, epoch=1)
-        store.write_checkpoint_vectored(
-            self.chunks_for(geometry, 1, [0, 3, 5])
-            + self.chunks_for(geometry, 2, [3, 1])
-            + self.chunks_for(geometry, 9, [3]),
-            cut_tick=6,
+        """An id resubmitted later in unsorted input wins, like chunked
+        writes: ``write_objects`` sorts stably and keeps the last."""
+        groups = [(1, [0, 3, 5]), (2, [3, 1]), (9, [3])]
+        ids = np.concatenate([ids for _, ids in groups])
+        payload = b"".join(
+            payload_for(ids, geometry, fill) for fill, ids in groups
         )
+        store.begin_checkpoint(0, epoch=1)
+        store.write_objects(ids, payload)
+        store.commit_checkpoint(tick=6)
         image = store.read_image(0)
         payload = np.frombuffer(image, dtype=np.uint32).reshape(
             geometry.num_objects, geometry.cells_per_object
@@ -290,86 +295,121 @@ class TestVectoredWrites:
     def test_vectored_outside_checkpoint_rejected(self, store, geometry):
         with pytest.raises(StorageError):
             store.write_checkpoint_vectored(
-                self.chunks_for(geometry, 1, [0]), cut_tick=1
+                *self.write_set(geometry, 1, [0]), cut_tick=1
             )
 
     def test_vectored_fault_hook_fires_before_any_byte(self, store, geometry):
-        """A fault in any chunk's validation aborts with nothing written."""
+        """A fault in the one validation aborts with nothing written."""
         calls = {"count": 0}
 
         def explode():
             calls["count"] += 1
-            if calls["count"] > 1:
-                raise StorageError("injected fault")
+            raise StorageError("injected fault")
 
         store.write_fault_hook = explode
         store.begin_checkpoint(0, epoch=1)
         with pytest.raises(StorageError):
             store.write_checkpoint_vectored(
-                self.chunks_for(geometry, 1, [0, 1], [2, 3]), cut_tick=3
+                *self.write_set(geometry, 1, [0, 1], [2, 3]), cut_tick=3
             )
         store.abort_checkpoint()
-        assert calls["count"] == 2
+        assert calls["count"] == 1
         with pytest.raises(NoConsistentCheckpointError):
             store.latest_consistent()
 
 
-def per_run_plan(ids_parts, object_bytes):
-    """``(offset, iovec lengths)`` of every ``pwritev`` the vectored flush
-    made when it planned each id run with its own numpy calls."""
-    counts = np.array([ids.size for ids in ids_parts], dtype=np.int64)
-    part_starts = np.concatenate(([0], np.cumsum(counts)))
-    all_ids = np.concatenate(ids_parts)
-    order = np.argsort(all_ids, kind="stable")
-    sorted_ids = all_ids[order]
-    keep = np.concatenate((np.diff(sorted_ids) != 0, [True]))
-    sorted_ids = sorted_ids[keep]
-    source = order[keep]
-    run_starts = np.flatnonzero(
-        np.concatenate(([True], np.diff(sorted_ids) > 1))
-    )
-    run_stops = np.concatenate((run_starts[1:], [sorted_ids.size]))
-    part_of = np.searchsorted(part_starts, source, side="right") - 1
-    adjacent = (np.diff(source) == 1) & (np.diff(part_of) == 0)
+def per_run_plan(ids, object_bytes, slab_rows):
+    """``(offset, iovec lengths)`` of every ``pwritev`` the run writer
+    makes for sorted unique ``ids``: one per run of consecutive ids, each a
+    single slice of the slab, and a run split wherever a slab ends."""
     calls = []
-    for start, stop in zip(run_starts, run_stops):
-        offset = BACKUP_HEADER_BYTES + int(sorted_ids[start]) * object_bytes
-        breaks = np.flatnonzero(~adjacent[start: stop - 1]) + 1
-        bounds = np.concatenate(([0], breaks, [stop - start]))
-        calls.append((offset, [int(last - first) * object_bytes
-                               for first, last in zip(bounds[:-1],
-                                                      bounds[1:])]))
+    for base in range(0, len(ids), slab_rows):
+        window = [int(i) for i in ids[base: base + slab_rows]]
+        first = 0
+        for stop in range(1, len(window) + 1):
+            if stop == len(window) or window[stop] != window[stop - 1] + 1:
+                offset = BACKUP_HEADER_BYTES + window[first] * object_bytes
+                calls.append((offset, [(stop - first) * object_bytes]))
+                first = stop
     return calls
 
 
-class TestVectoredRunPlan:
-    """The flush makes one ``pwritev`` per id run, its iovecs split where
-    rows stop being consecutive in their chunk (the reference any faster
-    planner must match), and lands what chunk-at-a-time writes land."""
+class _RowSource:
+    """PayloadSource of a flush job over a fixed ``(objects, bytes)`` array."""
 
-    GEOMETRY = StateGeometry(rows=96, columns=8, cell_bytes=4,
+    def __init__(self, objects):
+        self.objects = objects
+
+    def read_payloads_into(self, ids, out):
+        out[:] = self.objects[ids]
+
+
+class TestVectoredRunPlan:
+    """The flush makes one ``pwritev`` per disk run, one slab slice each,
+    and lands exactly what chunk-at-a-time ``write_objects`` and
+    ``append_objects`` land -- the double backup's image and the log's
+    bytes -- including a job bigger than the slab."""
+
+    GEOMETRY = StateGeometry(rows=750, columns=32, cell_bytes=4,
                              object_bytes=32)
+
+    def draw_write_set(self, draw, num_objects):
+        """Sorted unique ids: contiguous stretches, some crossing the
+        512-object chunk bounds, plus scattered singles."""
+        parts = []
+        for _ in range(int(draw.integers(1, 8))):
+            start = int(draw.integers(0, num_objects - 1))
+            length = int(draw.integers(1, 700))
+            parts.append(np.arange(start, min(num_objects, start + length)))
+        parts.append(draw.integers(0, num_objects, int(draw.integers(0, 300))))
+        return np.unique(np.concatenate(parts)).astype(np.int64)
+
+    def flush(self, store, ids, objects, is_double_backup):
+        from repro.engine import writer
+
+        job = writer.CheckpointJob(
+            object_ids=ids, epoch=1, cut_tick=5, source=_RowSource(objects),
+            backup_index=0 if is_double_backup else None,
+        )
+        assert writer.flush_checkpoint_job(
+            store, job, writer.DEFAULT_CHUNK_OBJECTS,
+            lambda: False, lambda nbytes: None,
+        )
+
+    def chunked(self, store, ids, objects, is_double_backup):
+        from repro.engine.writer import DEFAULT_CHUNK_OBJECTS
+
+        if is_double_backup:
+            store.begin_checkpoint(0, epoch=1)
+        else:
+            store.begin_checkpoint(1, is_full_dump=False)
+        land = store.write_objects if is_double_backup else store.append_objects
+        for first in range(0, ids.size, DEFAULT_CHUNK_OBJECTS):
+            chunk = ids[first: first + DEFAULT_CHUNK_OBJECTS]
+            land(chunk, objects[chunk].tobytes())
+        store.commit_checkpoint(tick=5)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_same_pwritev_sequence_and_bytes(
         self, tmp_path, monkeypatch, seed
     ):
+        from repro.engine import writer
+        from repro.storage.checkpoint_log import CheckpointLogStore
+
         geometry = self.GEOMETRY
+        object_bytes = geometry.object_bytes
         draw = np.random.default_rng(seed)
-        chunks = []
-        for fill in range(int(draw.integers(1, 6))):
-            if draw.random() < 0.5:
-                # A contiguous stretch: runs that straddle chunk bounds.
-                start = int(draw.integers(0, geometry.num_objects - 8))
-                ids = np.arange(start, start + int(draw.integers(1, 9)))
-            else:
-                # Scattered, with duplicates inside the chunk.
-                ids = draw.integers(0, geometry.num_objects,
-                                    int(draw.integers(1, 40)))
-            chunks.append((ids.astype(np.int64),
-                           payload_for(ids, geometry, fill + 1)))
-        expected = per_run_plan([ids for ids, _ in chunks],
-                                geometry.object_bytes)
+        ids = self.draw_write_set(draw, geometry.num_objects)
+        objects = draw.integers(
+            0, 256, (geometry.num_objects, object_bytes), dtype=np.uint8
+        )
+        slab_rows = ids.size
+        if seed % 2:
+            # A slab of two 512-object chunks: the job lands in slabs.
+            slab_rows = 2 * writer.DEFAULT_CHUNK_OBJECTS
+            monkeypatch.setattr(
+                writer, "MAX_GATHER_BYTES", slab_rows * object_bytes
+            )
         calls = []
         real = double_backup_module.pwritev_all
 
@@ -378,17 +418,37 @@ class TestVectoredRunPlan:
             return real(fd, buffers, offset)
 
         monkeypatch.setattr(double_backup_module, "pwritev_all", recording)
-        with DoubleBackupStore(tmp_path / "vectored", geometry) as vectored:
-            vectored.begin_checkpoint(0, epoch=1)
-            vectored.write_checkpoint_vectored(chunks, cut_tick=5)
-            image = vectored.read_image(0)
-        assert calls == expected
-        with DoubleBackupStore(tmp_path / "chunked", geometry) as chunked:
-            chunked.begin_checkpoint(0, epoch=1)
-            for ids, payload in chunks:
-                chunked.write_objects(ids, payload)
-            chunked.commit_checkpoint(tick=5)
-            assert image == chunked.read_image(0)
+        files = {}
+        for label, land in (("flushed", self.flush), ("chunked", self.chunked)):
+            directory = tmp_path / label
+            with DoubleBackupStore(directory, geometry) as backup, \
+                    CheckpointLogStore(directory, geometry) as log:
+                calls.clear()
+                land(backup, ids, objects, True)
+                if label == "flushed":
+                    assert calls == per_run_plan(ids, object_bytes, slab_rows)
+                land(log, ids, objects, False)
+            files[label] = [
+                (directory / name).read_bytes()
+                for name in (*DoubleBackupStore.FILE_NAMES,
+                             CheckpointLogStore.FILE_NAME)
+            ]
+        assert files["flushed"] == files["chunked"]
+        # Unsorted input with repeats, through write_objects: one pwritev
+        # per run of the sorted ids, and the last payload of an id wins.
+        shuffled = draw.permutation(ids)
+        repeats = shuffled[: ids.size // 4]
+        mixed = np.concatenate((repeats, shuffled))
+        payloads = np.concatenate((objects[repeats] ^ 0xFF, objects[shuffled]))
+        calls.clear()
+        with DoubleBackupStore(tmp_path / "unsorted", geometry) as backup:
+            backup.begin_checkpoint(0, epoch=1)
+            backup.write_objects(mixed, payloads.tobytes())
+            backup.commit_checkpoint(tick=5)
+        assert calls == per_run_plan(ids, object_bytes, ids.size)
+        assert (tmp_path / "unsorted" / "backup0.db").read_bytes() == (
+            files["chunked"][0]
+        )
 
 
 class TestReadImageDestination:
