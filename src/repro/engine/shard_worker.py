@@ -750,10 +750,20 @@ class ProcessShardHandle(ShardHandle):
                     resource.close()
             except Exception:
                 pass
+        if self.pool_handle is not None:
+            # The pool is down by now: retiring the handle drops its slab.
+            with contextlib.suppress(Exception):
+                self.pool_handle.kill(timeout=0.0)
         os.close(self.go)
         os.close(self.done)
         if self._dispatcher.is_alive():
             self._dispatcher.join(timeout=10.0)
+        # Drop every view into the segment (the control row keeps a private
+        # copy), so destroy() unmaps it -- and closes its fd -- now, not at
+        # garbage collection.
+        self.control = self.control.copy()
+        self.metrics = self._ring_high_water = None
+        self.ring = self.trace_ring = self._staged_ids = self._staging = None
         self.arena.destroy()
 
     # ------------------------------------------------------------------

@@ -11,19 +11,18 @@ The log is a sequence of framed records::
     OBJECTS           (epoch, first_object_id_count) + [ids][payloads]
     CHECKPOINT_COMMIT (epoch, cut_tick)
 
-Recovery finds the last committed checkpoint, then reconstructs the image
-from the latest committed version of every object at or before it, reading
-the log backwards from that checkpoint's commit record
-(:meth:`CheckpointLogStore.restore_image`).  The scan never reaches past the
-newest full dump: the simulator charges it ``(k*C + n)`` objects when ``k``
-are appended per checkpoint and a full dump comes every ``C``-th.  A full
-dump is written into a fresh file (``checkpoints.log.next``) that atomically
-replaces the log once its commit is durable, so the log only ever holds the
-newest full dump and the partials after it; with the engine's default
-policy (a full dump once the partials since the last one add up to the
-state) a restore reads, and the disk holds, less than two images of log.
-:meth:`restore_scan_bytes` reports how many log bytes a backwards scan would
-touch, which the validation experiments compare against the model.
+Recovery (:meth:`CheckpointLogStore.restore_image`) reads the log oldest
+first, from the newest committed full dump through the last commit, and a
+later version of an object overwrites an earlier one.  Nothing older than
+that full dump is read: the simulator charges ``(k*C + n)`` objects when
+``k`` are appended per checkpoint and a full dump comes every ``C``-th.  A
+full dump is written into a fresh file (``checkpoints.log.next``) that
+atomically replaces the log once its commit is durable, so the log only
+ever holds the newest full dump and the partials after it; with the
+engine's default policy (a full dump once the partials since the last one
+add up to the state) a restore reads, and the disk holds, less than two
+images of log.  :meth:`restore_scan_bytes` reports those bytes, which the
+validation experiments compare against the model.
 
 Checkpoints are appended one at a time with increasing epochs, so file order
 is history order: the newest committed checkpoint is the last one in the file.
@@ -33,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import zlib
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, List, NamedTuple, Optional, Tuple, Union
 
@@ -77,10 +77,6 @@ _SCRATCH_PAD = -RECORD_HEADER_BYTES % 8
 #: appends would frame.
 OBJECTS_PER_RECORD = 512
 
-_HAS_FADVISE = hasattr(os, "posix_fadvise")
-#: Window of each readahead hint the backwards scan gives the kernel.
-_READAHEAD_BYTES = 4 << 20
-
 
 class _Record(NamedTuple):
     """One framed record as the header walk saw it (nothing verified)."""
@@ -113,34 +109,23 @@ class _LogCheckpoint:
     last_record: int
 
 
-def _scatter_unseen(
-    ids: np.ndarray, rows: np.ndarray, out_rows: np.ndarray, seen: np.ndarray
-) -> int:
-    """Copy the rows of not-yet-``seen`` objects into ``out_rows`` and mark
-    them seen; returns how many objects that was.
+def _scatter(
+    ids: np.ndarray, rows: np.ndarray, out_rows: np.ndarray, ascending: bool
+) -> None:
+    """``out_rows[ids] = rows`` for one OBJECTS record read into scratch.
 
-    ``ids``/``rows`` are one OBJECTS record.  Within a record the last
-    occurrence of an id is its version; the writer's runs are strictly
-    ascending (no duplicates), which one comparison confirms, and only a run
-    that is not pays for a sort.
+    Within a record the last occurrence of an id is its version: a run
+    that is not strictly ``ascending`` (the writer's never are) pays for a
+    stable sort that keeps each id's last row.
     """
-    pick = None
-    if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
+    if not ascending:
         order = np.argsort(ids, kind="stable")
         ids = ids[order]
         last = np.concatenate((ids[1:] != ids[:-1], [True]))
-        ids, pick = ids[last], order[last]
-    if ids[0] < 0 or ids[-1] >= seen.size:
+        ids, rows = ids[last], rows[order[last]]
+    if ids[0] < 0 or ids[-1] >= len(out_rows):
         raise StorageError("object id out of range in checkpoint log")
-    fresh = ~seen[ids]
-    if pick is None and fresh.all():
-        out_rows[ids] = rows
-    else:
-        ids = ids[fresh]
-        pick = np.flatnonzero(fresh) if pick is None else pick[fresh]
-        out_rows[ids] = rows[pick]
-    seen[ids] = True
-    return ids.size
+    out_rows[ids] = rows
 
 
 class CheckpointLogStore:
@@ -561,14 +546,14 @@ class CheckpointLogStore:
             return None
         return payload
 
-    def _verified_history(
-        self, fd: int
-    ) -> Tuple[List[_Record], List[_LogCheckpoint]]:
-        """:meth:`_history` with every record of its trusted range verified.
+    def latest_committed(self) -> Tuple[int, int]:
+        """``(epoch, cut_tick)`` of the newest committed checkpoint.
 
-        A record that fails ends the log there; the history is resolved again
-        over the shortened log until a fully verified one is found.
+        Every record a restore of it relies on is verified first; one that
+        fails ends the log there, and the history is resolved again over
+        the shortened log until a fully verified one is found.
         """
+        fd = self._read_fd()
         records = self._walk(fd)
         while True:
             history = self._history(records)
@@ -579,12 +564,7 @@ class CheckpointLogStore:
                     del records[index:]
                     break
             else:
-                return records, history
-
-    def latest_committed(self) -> Tuple[int, int]:
-        """``(epoch, cut_tick)`` of the newest committed checkpoint."""
-        _records, history = self._verified_history(self._read_fd())
-        return history[-1].epoch, history[-1].cut_tick
+                return history[-1].epoch, history[-1].cut_tick
 
     def restore_image(self, out=None) -> Tuple[object, int, int]:
         """Reconstruct the newest committed checkpoint image into ``out``.
@@ -596,19 +576,18 @@ class CheckpointLogStore:
         ``bytearray``.  Returns ``(image, epoch, cut_tick)`` where ``image``
         is ``out`` or that new buffer.
 
-        This is the paper's backwards scan.  A header-only walk finds the
-        committed checkpoints; records are then read newest first, each once
-        into one scratch buffer, CRC-verified there, and only objects not yet
-        seen are scattered into ``out`` -- the newest version wins without
-        ever sorting ids.  The scan stops at the newest full dump, or earlier
-        once every object has been seen.  *Verify what you trust*: every
-        record from the stop point through the target's COMMIT passes its CRC
-        before a byte of it reaches ``out``; one that fails ends the log
-        there, as a torn tail does, and the restore starts over against the
-        shortened log.  Records older than the stop point are never read.
-        Objects no checkpoint wrote (possible only without a full dump) come
-        out zero-filled.  When :class:`NoConsistentCheckpointError` is raised
-        after such a restart, ``out`` is left zero-filled.
+        A header-only walk finds the committed checkpoints; records are then
+        read in file order from the newest full dump's BEGIN through the
+        target's COMMIT, so a later version of an object overwrites an
+        earlier one.  An OBJECTS record whose ids are one ascending
+        contiguous run (every record of the writer's full dumps) is read
+        straight into ``out``; any other goes through one scratch buffer.
+        *Verify what you trust*: every record in that range passes its CRC
+        before the pass moves on; one that fails ends the log there, as a
+        torn tail does, and the restore starts over against the shortened
+        log.  Objects no checkpoint wrote (possible only without a full
+        dump) come out zero-filled, as does ``out`` when such a restart
+        ends in :class:`NoConsistentCheckpointError`.
         """
         geometry = self._geometry
         image, view = restore_destination(
@@ -619,7 +598,6 @@ class CheckpointLogStore:
         )
         fd = self._read_fd()
         records = self._walk(fd)
-        seen = np.zeros(geometry.num_objects, dtype=bool)
         restarted = False
         while True:
             try:
@@ -628,78 +606,86 @@ class CheckpointLogStore:
                 if restarted:
                     out_rows[:] = 0
                 raise
-            corrupt = self._fill_backwards(fd, records, history, out_rows, seen)
+            corrupt = self._fill(fd, records, history, out_rows)
             if corrupt is None:
                 target = history[-1]
                 return image, target.epoch, target.cut_tick
             del records[corrupt:]
-            seen[:] = False
             restarted = True
 
-    def _fill_backwards(
+    def _fill(
         self, fd: int, records: List[_Record], history: List[_LogCheckpoint],
-        out_rows: np.ndarray, seen: np.ndarray,
+        out_rows: np.ndarray,
     ) -> Optional[int]:
-        """One backwards pass of :meth:`restore_image` over ``history``.
+        """One file-order pass of :meth:`restore_image` over ``history``.
 
         Returns the index of the first record found corrupt (the caller
-        shortens the log and retries), else None with ``out_rows`` complete:
-        rows of ``seen`` objects hold their newest committed version, all
-        others are zero.
+        shortens the log and retries), else None with ``out_rows`` complete.
+        While the applied records land one contiguous prefix ``[0, written)``
+        (a full dump's all of it) the rest of ``out_rows`` is left as it is;
+        it is zeroed before the first record that lands anywhere else.
         """
-        object_bytes = self._geometry.object_bytes
+        num_objects, object_bytes = out_rows.shape
         first, last = self._trusted_range(history)
         applies = {
             index for checkpoint in history
             for index in checkpoint.object_records
         }
         scratch = self._scratch_for(records, first, last)
-        floor = records[first].offset
-        advised = records[last].end
-        unseen = seen.size
-        for index in range(last, first - 1, -1):
+        body = _SCRATCH_PAD + RECORD_HEADER_BYTES  # ids start here, aligned
+        written: Optional[int] = 0
+        for index in range(first, last + 1):
             record = records[index]
-            if (
-                _HAS_FADVISE
-                and floor < advised
-                and record.offset < advised + _READAHEAD_BYTES
-            ):
-                # Newest-first reads defeat the kernel's sequential
-                # readahead on a cold cache, so ask for the log below the
-                # scan one window at a time, staying a window ahead (the
-                # kernel caps a single WILLNEED at its readahead size).
-                below = max(floor, advised - _READAHEAD_BYTES)
-                os.posix_fadvise(
-                    fd, below, advised - below, os.POSIX_FADV_WILLNEED
-                )
-                advised = below
-            payload = self._read_verified(fd, record, scratch)
-            if payload is None:
-                return index
-            if index not in applies:
-                continue
             count = record.b
-            if count < 0 or record.length != count * (8 + object_bytes):
-                raise StorageError(
-                    f"OBJECTS record at offset {record.offset} holds "
-                    f"{record.length} bytes, not {count} objects"
-                )
-            if count == 0:
+            applied = index in applies
+            framed = record.length == count * (8 + object_bytes)
+            if not (applied and framed and count):
+                if self._read_verified(fd, record, scratch) is None:
+                    return index
+                if applied and not framed:
+                    raise StorageError(
+                        f"OBJECTS record at offset {record.offset} holds "
+                        f"{record.length} bytes, not {count} objects"
+                    )
                 continue
-            ids = np.frombuffer(payload, dtype=np.int64, count=count)
-            rows = np.frombuffer(
-                payload, dtype=np.uint8, offset=8 * count
-            ).reshape(count, object_bytes)
-            unseen -= _scatter_unseen(ids, rows, out_rows, seen)
-            if unseen == 0:
-                return None
-        out_rows[~seen] = 0
+            head = scratch[_SCRATCH_PAD: body + 8 * count]
+            if self._pread(fd, head, record.offset) != head.nbytes:
+                return index
+            ids = np.frombuffer(scratch, np.int64, count=count, offset=body)
+            low = int(ids[0])
+            ascending = bool((ids[1:] > ids[:-1]).all())
+            direct = (
+                ascending and low >= 0 and ids[-1] == low + count - 1
+                and low + count <= num_objects
+            )
+            if written is not None and not (direct and low == written):
+                out_rows[written:] = 0
+                written = None
+            if direct:
+                rows = out_rows[low: low + count]
+            else:
+                rows = np.frombuffer(
+                    scratch, np.uint8, count=count * object_bytes,
+                    offset=body + 8 * count,
+                ).reshape(count, object_bytes)
+            landed = self._pread(fd, rows, record.offset + head.nbytes)
+            if landed != rows.nbytes:
+                return index
+            checksum = zlib.crc32(head[:RECORD_HEADER_BYTES - 4])
+            if zlib.crc32(rows, zlib.crc32(ids, checksum)) != record.checksum:
+                return index
+            if not direct:
+                _scatter(ids, rows, out_rows, ascending)
+            elif written is not None:
+                written += count
+        if written is not None:
+            out_rows[written:] = 0
         return None
 
     def restore_scan_bytes(self) -> int:
-        """Bytes a backwards restore scan reads: from the end of the log back
-        to the beginning of the newest committed full dump (or the whole log
-        if none exists).  Read off the record headers alone."""
+        """Log bytes from the newest committed full dump (the whole log
+        without one) to the end: what a restore reads when the log ends at
+        its target's commit.  Read off the record headers alone."""
         records = self._walk(self._read_fd())
         first, _last = self._trusted_range(self._history(records))
         return records[-1].end - records[first].offset

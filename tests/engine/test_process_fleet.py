@@ -7,6 +7,7 @@ recovery of a dead shard from its last durable checkpoint.
 """
 
 import ctypes
+import gc
 import multiprocessing
 import os
 
@@ -179,6 +180,39 @@ class TestWorkerCrash:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+
+def mapped_segment_fds():
+    """Targets of this process's descriptors open on a shared segment."""
+    held = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue  # the listing's own descriptor
+        if f"/{DEFAULT_TAG}." in target:
+            held.append(target)
+    return sorted(held)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+@pytest.mark.parametrize("end", ["close", "crash"])
+def test_teardown_unmaps_every_segment_without_gc(app_factory, tmp_path, end):
+    """The parent drops every view into a shard's segment when the fleet
+    closes, so the mapping -- and the descriptor it holds -- goes then,
+    not whenever the garbage collector next runs."""
+    gc.collect()
+    before = mapped_segment_fds()
+    gc.disable()
+    try:
+        fleet = make_fleet(app_factory, tmp_path)
+        fleet.run_ticks(6)
+        if end == "crash":
+            fleet.crash()
+        fleet.close()
+        assert mapped_segment_fds() == before
+    finally:
+        gc.enable()
 
 
 class TestBarrierDeterminism:

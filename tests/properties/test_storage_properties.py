@@ -329,3 +329,106 @@ class TestBackwardsRestoreMatchesForwardOracle:
                 # answer is the undamaged log's.
                 assert damage is not None and damage[0] == "flip"
                 assert got == intact
+
+
+# ----------------------------------------------------------------------
+# Direct reads: contiguous runs land straight in the image
+# ----------------------------------------------------------------------
+
+contiguous_runs = st.tuples(
+    st.integers(0, NUM_OBJECTS - 1), st.integers(1, NUM_OBJECTS)
+).map(lambda run: list(range(run[0], min(NUM_OBJECTS, sum(run)))))
+mixed_runs = st.lists(
+    st.one_of(
+        contiguous_runs,
+        # Ascending with gaps, and any order with duplicates.
+        st.sets(st.integers(0, NUM_OBJECTS - 1), min_size=1).map(sorted),
+        object_runs.filter(bool).map(lambda runs: runs[0]),
+    ),
+    max_size=2,
+)
+direct_scripts = st.lists(
+    st.tuples(
+        st.booleans(),                       # full dump?
+        mixed_runs,                          # runs before the sorted run
+        mixed_runs,                          # runs after it
+        st.sampled_from(["commit", "commit", "commit", "abort"]),
+    ),
+    min_size=1, max_size=6,
+)
+direct_damages = st.one_of(
+    st.none(),
+    st.tuples(st.sampled_from(["ids", "rows"]), st.integers(0, 63),
+              st.floats(0, 1, exclude_max=True), st.integers(1, 255)),
+)
+
+
+def direct_reads(data: bytes):
+    """``(ids_start, rows_start, rows_end)`` of every OBJECTS record of a
+    committed checkpoint whose ids are one ascending contiguous run: the
+    records a restore reads straight into the image."""
+    offset, records, committed = LOG_PREAMBLE, [], set()
+    while offset + RECORD_HEADER_BYTES <= len(data):
+        kind, a, b, length, _ = unpack_record_header(
+            data[offset: offset + RECORD_HEADER_BYTES]
+        )
+        body = offset + RECORD_HEADER_BYTES
+        if kind == RECORD_CHECKPOINT_COMMIT:
+            committed.add(a)
+        elif kind == RECORD_OBJECTS:
+            ids = np.frombuffer(data, np.int64, count=b, offset=body)
+            if np.array_equal(ids, np.arange(ids[0], ids[0] + b)):
+                records.append((a, body, body + 8 * b, body + length))
+        offset = body + length
+    return [run for epoch, *run in records if epoch in committed]
+
+
+class TestDirectReadsMatchForwardOracle:
+    @given(script=direct_scripts, damage=direct_damages)
+    @settings(max_examples=120, deadline=None)
+    def test_restore_equals_oracle(self, script, damage, tmp_path_factory):
+        """Contiguous runs at any offset, in partials and in full dumps
+        whose sorted run is not their first, with a flipped byte in a
+        record the restore reads straight into a fresh or a dirty image."""
+        directory = tmp_path_factory.mktemp("direct")
+        fill = 0
+        with CheckpointLogStore(directory, GEOMETRY) as store:
+            for epoch, (full, before, after, ending) in enumerate(
+                script, start=1
+            ):
+                store.begin_checkpoint(epoch, is_full_dump=full)
+                runs = before + [list(range(NUM_OBJECTS))] * full + after
+                for ids in runs:
+                    fill += 1
+                    # Bytes below 0x20: nothing passes for a record's magic.
+                    payload = np.full(
+                        (len(ids), GEOMETRY.object_bytes), fill % 32, np.uint8
+                    )
+                    payload[:, 0] = np.arange(len(ids)) % 32
+                    store.append_objects(
+                        np.array(ids, dtype=np.int64), payload.tobytes()
+                    )
+                if ending == "commit":
+                    store.commit_checkpoint(tick=epoch * 3)
+                else:
+                    store.abort_checkpoint()
+            path = store.path
+        with open(path, "rb") as handle:
+            data = handle.read()
+        targets = direct_reads(data)
+        if damage is not None and targets:
+            part, pick, where, mask = damage
+            ids_at, rows_at, end = targets[pick % len(targets)]
+            low, high = (ids_at, rows_at) if part == "ids" else (rows_at, end)
+            at = low + int(where * (high - low))
+            data = data[:at] + bytes([data[at] ^ mask]) + data[at + 1:]
+            with open(path, "wb") as handle:
+                handle.write(data)
+        expected = outcome(lambda: forward_oracle(data))
+
+        with CheckpointLogStore(directory, GEOMETRY) as store:
+            restored = outcome(store.restore_image)
+            dirty = bytearray(b"\xEE" * GEOMETRY.checkpoint_bytes)
+            into_dirty = outcome(lambda: store.restore_image(out=dirty))
+        assert restored == expected
+        assert into_dirty == expected

@@ -9,7 +9,11 @@ import pytest
 from repro.config import StateGeometry
 from repro.errors import NoConsistentCheckpointError, StorageError
 from repro.storage.checkpoint_log import CheckpointLogStore
-from repro.storage.layout import RECORD_CHECKPOINT_BEGIN
+from repro.storage.layout import (
+    GEOMETRY_BYTES,
+    RECORD_CHECKPOINT_BEGIN,
+    RECORD_HEADER_BYTES,
+)
 
 
 @pytest.fixture
@@ -634,8 +638,9 @@ def counted_reads(monkeypatch):
 
 
 class TestBackwardsRestore:
-    """``restore_image`` reads newest first, verifies what it trusts, and
-    never touches history a full dump superseded."""
+    """``restore_image`` reads oldest first from the newest full dump,
+    verifies what it trusts, and never touches history that dump
+    superseded."""
 
     def checkpoint(self, store, geometry, epoch, ids, full=False):
         ids = np.asarray(ids, dtype=np.int64)
@@ -703,20 +708,44 @@ class TestBackwardsRestore:
         assert 0 < counts["bytes"] <= scan + headers
         assert store.bytes_read - before == counts["bytes"]
 
-    def test_restore_stops_early_once_every_object_is_seen(
-        self, store, geometry, monkeypatch
+    @pytest.mark.parametrize(
+        "log", ["three_cycles", "no_full_dump", "aborted_inside"]
+    )
+    def test_restore_reads_exactly_the_trusted_range(
+        self, tmp_path, geometry, log
     ):
+        """A restore reads every record from the base full dump's BEGIN (the
+        geometry record without one) through the target's COMMIT once, and
+        nothing else: the paper's ``(k*C + n)``, as restore_scan_bytes
+        reports it, on top of the open's geometry check and the walk."""
         everything = np.arange(geometry.num_objects)
-        self.checkpoint(store, geometry, 1, everything, full=True)
-        self.checkpoint(store, geometry, 2, everything)
-        size_of_last = store.size_bytes() - self.record_offsets(store)[-4][0]
-        headers = 29 * len(self.record_offsets(store))
-        counts = counted_reads(monkeypatch)
-        image, epoch, _ = store.restore_image()
-        assert epoch == 2
-        assert image_value(image, geometry, 0) == 2_000
-        # BEGIN of checkpoint 2 is older than the stop point: not even read.
-        assert counts["bytes"] <= size_of_last - 29 + headers
+        with CheckpointLogStore(tmp_path, geometry) as store:
+            if log == "three_cycles":
+                self.three_cycles(store, geometry)
+            elif log == "no_full_dump":
+                for epoch in (1, 2, 3):
+                    self.checkpoint(store, geometry, epoch, [epoch, 7])
+            else:
+                self.checkpoint(store, geometry, 1, everything, full=True)
+                self.checkpoint(store, geometry, 2, [3, 4])
+                store.begin_checkpoint(3, is_full_dump=False)
+                store.append_objects(
+                    np.array([5]), payload_for([5], geometry, 3)
+                )
+                store.abort_checkpoint()
+                self.checkpoint(store, geometry, 4, [4, 6])
+        with CheckpointLogStore(tmp_path, geometry) as store:
+            _image, epoch, _tick = store.restore_image()
+            restored = store.bytes_read
+            walked = len(self.record_offsets(store))
+            scan = store.restore_scan_bytes()
+        assert epoch == {
+            "three_cycles": 11, "no_full_dump": 3, "aborted_inside": 4
+        }[log]
+        assert restored == (
+            RECORD_HEADER_BYTES + GEOMETRY_BYTES
+            + RECORD_HEADER_BYTES * walked + scan
+        )
 
     def test_hostile_length_allocates_nothing(self, tmp_path, geometry):
         """A header claiming 4 GiB is a torn tail, found without a read of
@@ -857,3 +886,17 @@ def test_no_second_compaction_path_grows_back():
     """Rotation on each full dump is the only way the log sheds history."""
     for retired in ("compact", "COMPACT_CHUNK_BYTES"):
         assert not hasattr(CheckpointLogStore, retired)
+
+
+def test_no_second_restore_path_grows_back():
+    """The restore reads the log in file order and lets newer versions
+    overwrite older ones: no backwards pass, no ``seen`` scatter, and no
+    readahead hints of its own."""
+    import repro
+
+    root = Path(repro.__file__).parent
+    for path in root.rglob("*.py"):
+        text = path.read_text()
+        for gone in ("_fill_backwards", "_scatter_unseen",
+                     "POSIX_FADV_WILLNEED", "_READAHEAD_BYTES"):
+            assert gone not in text, (gone, path)
