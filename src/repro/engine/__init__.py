@@ -4,8 +4,8 @@ Unlike the analytic simulator, this package moves actual bytes: the
 :class:`~repro.engine.server.DurableGameServer` runs a deterministic
 :class:`~repro.engine.app.TickApplication` tick by tick, checkpointing its
 :class:`~repro.state.table.GameStateTable` to real files through any of the
-six algorithms -- serially on the game thread, or overlapped with ticks by
-a :class:`~repro.engine.writer_pool.CheckpointWriterPool` worker -- logging
+six algorithms -- on the game thread at each cut, or overlapped with ticks
+by a :class:`~repro.engine.writer_pool.CheckpointWriterPool` worker -- logging
 every tick to the logical :class:`~repro.storage.action_log.ActionLog`, and
 surviving crashes: :class:`~repro.engine.recovery.RecoveryManager` restores
 the newest consistent checkpoint and replays the log to the exact crash

@@ -9,9 +9,8 @@ and deterministic seed.  Checkpoint I/O has one asynchronous shape:
 :class:`~repro.engine.writer_pool.CheckpointWriterPool` that serves every
 shard, so it runs ``N`` mutator threads plus ``K`` writer threads
 (``O(pool_size)``, not ``O(num_shards)``), with batched submission and
-oldest-cut-first service.  Without ``pool_size`` the thread backend drains
-each checkpoint on its shard's game thread (the deterministic serial
-emulation).
+oldest-cut-first service.  Without ``pool_size`` the thread backend flushes
+each checkpoint on its shard's game thread at the cut.
 
 The thread backend runs the mutators as *threads*, which caps aggregate
 throughput at roughly one core (the GIL serializes the tick loops however
@@ -228,7 +227,7 @@ class ShardFleet:
 
     @property
     def writer_pool(self) -> Optional[CheckpointWriterPool]:
-        """The shared checkpoint writer pool, or None when the shards drain
+        """The shared checkpoint writer pool, or None when the shards flush
         their checkpoints on their own game threads."""
         return self._pool
 

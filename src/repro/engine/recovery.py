@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -47,7 +48,8 @@ class RecoveryReport:
     """What recovery did and what it produced."""
 
     table: GameStateTable
-    rng: np.random.Generator
+    #: Builds :attr:`rng`.
+    _rng: Callable[[], np.random.Generator] = field(repr=False, compare=False)
     #: Next tick the recovered server would execute (= crash-time next tick).
     next_tick: int
     #: Cut tick of the restored checkpoint (-1 when none was found).
@@ -72,6 +74,14 @@ class RecoveryReport:
     #: plus the newest one, which opening the log verifies.  The header
     #: walk, which verifies nothing, is not counted.
     log_bytes_read: int = 0
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """The generator as the crashed server left it: the pre-crash stream
+        continues from here.  A log record holds the state before its tick,
+        so when no logged tick follows the restored cut the first read
+        re-runs the whole log from the seed on a scratch table."""
+        return self._rng()
 
     @property
     def recovery_seconds(self) -> float:
@@ -122,7 +132,10 @@ class RecoveryManager:
             replay_seconds = time.perf_counter() - replay_started
         report = RecoveryReport(
             table=table,
-            rng=rng,
+            _rng=(
+                (lambda: self._rng_after(cut_tick))
+                if replayed == 0 and not used_fallback else lambda: rng
+            ),
             next_tick=cut_tick + 1 + replayed,
             checkpoint_tick=cut_tick,
             checkpoint_epoch=epoch,
@@ -187,6 +200,18 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     # Replay
     # ------------------------------------------------------------------
+
+    def _rng_after(self, tick: int) -> np.random.Generator:
+        """The generator after ``tick``, re-run over the log from the seed."""
+        table = GameStateTable(self._app.geometry, dtype=self._app.dtype)
+        rng = np.random.default_rng(self._seed)
+        self._app.initialize(table, rng)
+        if self._replay(table, rng, start_tick=0)[0] != tick + 1:
+            raise RecoveryError(
+                f"the logical log ends before tick {tick}; the generator "
+                "state after it is lost"
+            )
+        return rng
 
     def _replay(
         self, table: GameStateTable, rng: np.random.Generator, start_tick: int

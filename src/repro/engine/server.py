@@ -11,16 +11,18 @@ to :meth:`run_tick`:
 3. routes the touched atomic objects through the checkpointing framework
    (saving old values where the algorithm requires it);
 4. applies the updates to the in-memory table;
-5. lets the checkpoint writer make progress -- either draining bytes on the
-   game thread (serial mode) or just surfacing errors from the
+5. surfaces a failure of the checkpoint writer -- the
    :class:`~repro.engine.writer_pool.CheckpointWriterPool` worker that
-   overlaps the I/O with game ticks (``writer_pool=``);
+   overlaps the I/O with game ticks (``writer_pool=``), or without one the
+   :class:`~repro.engine.writer.InlineWriter` that flushes each checkpoint
+   on the game thread at its cut;
 6. waits until the record is durable; and
 7. runs the framework's end-of-tick boundary, finishing and starting
    checkpoints.
 
-A failure between the record's write and its fsync's return leaves the
-tick half-run, and the server must then be recovered.
+A failure after the record's write -- its fsync, or the checkpoint started
+at the boundary -- leaves the tick half-run, and the server must then be
+recovered.
 
 :meth:`crash` abandons all in-memory state, after which
 :class:`~repro.engine.recovery.RecoveryManager` can rebuild the exact
@@ -102,7 +104,6 @@ class DurableGameServer:
         # None: a full dump once the partials since the last one add up to
         # the state, bounding the checkpoint log below two images.
         full_dump_period: Optional[int] = None,
-        writer_bytes_per_tick: Optional[int] = None,
         sync: bool = False,
         fsync_policy: Optional[str] = None,
         min_checkpoint_interval_ticks: int = 1,
@@ -160,16 +161,9 @@ class DurableGameServer:
         self._store = open_checkpoint_store(
             self._directory, geometry, self._policy.layout, sync, fsync_policy
         )
-        if writer_bytes_per_tick is None:
-            # Default: spread a full-state write over ~16 ticks, echoing the
-            # paper's regime where checkpoints span many ticks.
-            writer_bytes_per_tick = max(
-                geometry.object_bytes, geometry.checkpoint_bytes // 16
-            )
         self._executor = RealExecutor(
             self._table,
             self._store,
-            writer_bytes_per_tick=writer_bytes_per_tick,
             num_stripes=num_stripes,
             writer_pool=writer_pool,
             writer_name=writer_name,
@@ -208,27 +202,11 @@ class DurableGameServer:
         return self._next_tick
 
     @property
-    def async_writer(self) -> bool:
-        """True when checkpoints are flushed off the game thread (a writer
-        pool handle or a pre-built writer)."""
-        return self._executor.writer is not None
-
-    @property
     def last_committed_checkpoint_tick(self) -> Optional[int]:
-        """Cut tick of the newest durable checkpoint, if any.
-
-        In asynchronous mode the store's headers belong to the writer thread,
-        so the executor's in-memory tracking is consulted instead of the
-        files.
-        """
-        if self.async_writer:
-            return self._executor.last_committed_tick
-        try:
-            if isinstance(self._store, DoubleBackupStore):
-                return self._store.latest_consistent().tick
-            return self._store.latest_committed()[1]
-        except Exception:
-            return None
+        """Cut tick of the newest durable checkpoint, if any, as the writer
+        tracks it (the store's headers may belong to a writer thread)."""
+        committed = self._executor.writer.last_committed
+        return None if committed is None else committed[1]
 
     @property
     def last_cut_tick(self) -> Optional[int]:
@@ -243,7 +221,7 @@ class DurableGameServer:
         ``checkpoints_completed``) this also counts flushes that landed
         since -- the number a telemetry scrape between ticks wants.
         """
-        return self._executor.bytes_written
+        return self._executor.writer.totals()[0]
 
     # ------------------------------------------------------------------
     # The tick loop
@@ -308,7 +286,7 @@ class DurableGameServer:
         geometry = self._table.geometry
         self._table.check_updates(plan.rows, plan.columns)
         # The record is fixed before the tick runs: write it now and fsync
-        # it beside the tick.  Until it is durable, a failure is fatal.
+        # it beside the tick.  From here to the boundary a failure is fatal.
         self._failed = True
         self._action_log.append(TickRecord(
             tick=tick, rng_state=rng_state, command_payload=command_blob
@@ -326,20 +304,20 @@ class DurableGameServer:
             validate=False, cell_index=cell_index,
         )
 
-        # Asynchronous writer's share of this tick, then the tick boundary.
+        # A writer failure surfaces here, then the tick boundary.
         if not self._executor.stable_write_finished():
             self.stats.checkpoint_overlap_ticks += 1
-        self._executor.drain()
+        self._executor.writer.check()
         # The tick is durable once its record is on disk; the boundary is
         # the only place a cut starts.
         self.stats.log_wait_seconds += self._action_log.wait_durable()
-        self._failed = False
         self._executor.set_current_tick(tick)
         allow_start = (
             tick - self._last_checkpoint_start_tick
             >= self._min_checkpoint_interval
         )
         boundary = self._framework.end_of_tick(allow_start=allow_start)
+        self._failed = False
         if boundary.started is not None:
             self._last_checkpoint_start_tick = tick
 
@@ -373,16 +351,11 @@ class DurableGameServer:
         checkpoint schedule -- and therefore the bytes on disk -- becomes a
         pure function of the tick number, identical on every backend.
         """
-        writer = self._executor.writer
-        if writer is not None:
-            if not writer.wait_idle(timeout=timeout):
-                raise EngineError(
-                    f"checkpoint writer still busy after {timeout} s"
-                )
-            self._executor.stable_write_finished()
-        else:
-            while not self._executor.stable_write_finished():
-                self._executor.drain()
+        if not self._executor.writer.wait_idle(timeout=timeout):
+            raise EngineError(
+                f"checkpoint writer still busy after {timeout} s"
+            )
+        self._executor.stable_write_finished()
 
     # ------------------------------------------------------------------
     # Failure and shutdown
@@ -401,7 +374,7 @@ class DurableGameServer:
         if self._closed:
             raise EngineError("server is closed")
         self._crashed = True
-        self._executor.shutdown(wait=False)
+        self._executor.shutdown()
         self._store.close()
         self._action_log.close()
 
@@ -410,7 +383,7 @@ class DurableGameServer:
         if self._closed:
             return
         if not self._crashed:
-            self._executor.shutdown(wait=False)
+            self._executor.shutdown()
             self._store.close()
             self._action_log.close()
         self._closed = True

@@ -54,9 +54,9 @@ class MMOShard:
         """``writer_pool`` (a
         :class:`~repro.engine.writer_pool.CheckpointWriterPool`) makes the
         game server submit its checkpoints through the pool instead of
-        draining them on the game thread; the pool is owned by the caller
-        (typically :class:`~repro.engine.fleet.ShardFleet`) and survives
-        this shard's crash/close."""
+        flushing each on the game thread at its cut; the pool is owned by
+        the caller (typically :class:`~repro.engine.fleet.ShardFleet`) and
+        survives this shard's crash/close."""
         self._directory = os.fspath(directory)
         self._game = DurableGameServer(
             app,

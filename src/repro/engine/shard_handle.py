@@ -114,7 +114,7 @@ class ShardHandle:
     """
 
     #: Writer-pool size the fleet uses when the caller names none (None:
-    #: each shard drains its checkpoints on its own game thread).
+    #: each shard flushes its checkpoints on its own game thread at the cut).
     default_pool_size: Optional[int] = None
     #: Pid of the worker process, or None when the shard is in this one.
     pid: Optional[int] = None

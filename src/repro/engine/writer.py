@@ -15,6 +15,8 @@ This module holds the pieces of that subroutine every caller shares:
   (:class:`~repro.storage.double_backup.DoubleBackupStore` one ``pwritev``
   per run, :class:`~repro.storage.checkpoint_log.CheckpointLogStore` one
   gathered append) with the commit riding on the final write;
+* :class:`InlineWriter` runs it on the game thread, for a server with no
+  pool: each checkpoint is durable at its cut;
 * :class:`WriterStats` is the per-writer counter block a scrape reads.
 
 The threads that run the routine live in
@@ -32,11 +34,7 @@ from typing import List, Optional, Protocol, Tuple, Union
 
 import numpy as np
 
-from repro.obs.metrics import (
-    DURATION_BUCKETS_US,
-    Histogram,
-    HistogramSnapshot,
-)
+from repro.errors import CheckpointWriterError
 from repro.storage.checkpoint_log import CheckpointLogStore
 from repro.storage.double_backup import DoubleBackupStore
 
@@ -169,18 +167,10 @@ class WriterStats:
     durations: List[float] = field(default_factory=list)
     #: ``(epoch, cut_tick)`` of the newest committed checkpoint.
     last_committed: Optional[Tuple[int, int]] = None
-    #: Fixed-bucket distribution of every duration ever recorded (not just
-    #: the window), in microseconds; filled on snapshots.
-    duration_histogram: Optional[HistogramSnapshot] = field(
-        default=None, compare=False
-    )
     # Copy-on-write bookkeeping: True while ``durations`` is shared with a
     # snapshot, so the next record copies before mutating and the scrape
     # itself is O(1) instead of O(samples).
     _durations_shared: bool = field(default=False, repr=False, compare=False)
-    _live_histogram: Optional[Histogram] = field(
-        default=None, repr=False, compare=False
-    )
 
     def record_duration(self, elapsed: float) -> None:
         """Append one checkpoint duration, keeping the window bounded."""
@@ -190,16 +180,9 @@ class WriterStats:
         self.durations.append(elapsed)
         if len(self.durations) > DURATION_WINDOW:
             del self.durations[: len(self.durations) - DURATION_WINDOW]
-        if self._live_histogram is None:
-            self._live_histogram = Histogram(
-                np.zeros(len(DURATION_BUCKETS_US) + 3, dtype=np.int64),
-                0,
-                DURATION_BUCKETS_US,
-            )
-        self._live_histogram.observe(elapsed * 1e6)
 
     def snapshot(self) -> "WriterStats":
-        """Detached copy for scrapers, O(buckets) however many samples.
+        """Detached copy for scrapers, O(1) however many samples.
 
         The durations list is published *by reference* and both sides flip
         to copy-on-write: the next :meth:`record_duration` copies before
@@ -214,12 +197,78 @@ class WriterStats:
             busy_seconds=self.busy_seconds,
             durations=self.durations,
             last_committed=self.last_committed,
-            duration_histogram=(
-                self._live_histogram.snapshot()
-                if self._live_histogram is not None
-                else None
-            ),
         )
         snap._durations_shared = True
         self._durations_shared = True
         return snap
+
+
+class InlineWriter:
+    """The writer of a server without a pool: :meth:`submit` runs
+    :func:`flush_checkpoint_job` on the game thread, so a checkpoint is
+    durable at its cut and the writer is idle whenever it is asked.
+
+    Duck-types the mutator surface of
+    :class:`~repro.engine.writer_pool.PoolWriter` (``submit`` / ``check`` /
+    ``idle`` / ``wait_idle`` / ``totals`` / ``last_committed`` /
+    ``close``).  Nothing reads the table beside the mutator, so it declares
+    ``concurrent_reader = False`` and the executor takes no stripe locks.
+    A failed flush is sticky, as on a pool handle: the store keeps the
+    uncommitted checkpoint, ``submit`` raises, and so does every later
+    ``check`` until the server is recovered.
+    """
+
+    #: No concurrent reads of the table: the flush runs inside submit.
+    concurrent_reader = False
+    #: Every submit returns with its flush finished.
+    idle = True
+
+    def __init__(self, store: StoreType) -> None:
+        self._store = store
+        self._error: Optional[Exception] = None
+        self._bytes_written = 0
+        #: ``(epoch, cut_tick)`` of the newest committed checkpoint.
+        self.last_committed: Optional[Tuple[int, int]] = None
+
+    def check(self) -> None:
+        """Re-raise the failure of an earlier flush."""
+        if self._error is not None:
+            raise CheckpointWriterError(
+                f"checkpoint flush failed: {self._error!r}"
+            ) from self._error
+
+    def submit(self, job: CheckpointJob) -> None:
+        """Flush ``job`` to commit; a store fault is raised as
+        :class:`~repro.errors.CheckpointWriterError` and kept."""
+        self.check()
+        try:
+            flush_checkpoint_job(
+                self._store, job, DEFAULT_CHUNK_OBJECTS,
+                should_abandon=lambda: False,
+                on_chunk_written=lambda nbytes: None,
+            )
+        except Exception as error:
+            self._error = error
+            self.check()
+        self._bytes_written += (
+            job.object_ids.size * self._store.geometry.object_bytes
+        )
+        self.last_committed = (job.epoch, job.cut_tick)
+
+    def wait_idle(
+        self, timeout: Optional[float] = None, check: bool = True
+    ) -> bool:
+        """Always idle; re-raises a kept failure unless ``check`` is off."""
+        if check:
+            self.check()
+        return True
+
+    def totals(self) -> Tuple[int, float]:
+        """``(bytes_written, busy_seconds)``; the flushes are the game
+        thread's own time, so there are no writer busy seconds."""
+        return self._bytes_written, 0.0
+
+    def close(self, timeout: float = 30.0, wait: bool = True) -> None:
+        """Nothing is in flight; an orderly close re-raises a kept failure."""
+        if wait:
+            self.check()

@@ -190,7 +190,7 @@ class PoolWriter:
         return max(0, self._newest_cut - committed_cut)
 
     def stats(self) -> WriterStats:
-        """Consistent snapshot of this shard's counters (O(buckets))."""
+        """Consistent snapshot of this shard's counters (O(1))."""
         with self._pool._lock:
             return self._stats.snapshot()
 

@@ -294,7 +294,7 @@ class CheckpointLogStore:
             self.write_fault_hook()
         object_ids = np.ascontiguousarray(object_ids, dtype=np.int64)
         object_bytes = self._geometry.object_bytes
-        payload_view = memoryview(payloads).cast("B")
+        payload_view = memoryview(payloads)
         if payload_view.nbytes != object_ids.size * object_bytes:
             raise StorageError(
                 f"payload length {payload_view.nbytes} does not match "
@@ -304,7 +304,7 @@ class CheckpointLogStore:
             return None
         if object_ids.min() < 0 or object_ids.max() >= self._geometry.num_objects:
             raise StorageError("object id out of range")
-        return object_ids, payload_view
+        return object_ids, payload_view.cast("B")
 
     def append_objects(self, object_ids: np.ndarray, payloads) -> None:
         """Append one run of object versions to the in-progress checkpoint.

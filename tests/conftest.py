@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.config import (
     StateGeometry,
 )
 from repro.engine.app import TickApplication, TickUpdatesPlan
+from repro.errors import StorageError
 
 
 @pytest.fixture
@@ -57,3 +60,32 @@ class RandomWalkApp(TickApplication):
 @pytest.fixture
 def random_walk_app(tiny_geometry) -> RandomWalkApp:
     return RandomWalkApp(tiny_geometry)
+
+
+class FlushGate:
+    """Holds a pool worker's checkpoint flush in flight.
+
+    Called from inside the flush -- as a store's ``write_fault_hook``, or
+    wrapped around the executor's ``read_payloads_into`` to hold it before
+    staging -- it blocks until :meth:`release`.  Then it raises
+    :class:`~repro.errors.StorageError` if built with ``fail=True``, so the
+    checkpoint never commits, or lets the flush go on.  While ``armed`` is
+    False it lets every call through.
+    """
+
+    def __init__(self, fail: bool = False, armed: bool = True):
+        self.fail = fail
+        self.armed = armed
+        self.reached = threading.Event()
+        self._released = threading.Event()
+
+    def __call__(self, *args) -> None:
+        if not self.armed:
+            return
+        self.reached.set()
+        assert self._released.wait(timeout=60.0), "the gate was never opened"
+        if self.fail:
+            raise StorageError("flush held at the gate, then failed")
+
+    def release(self) -> None:
+        self._released.set()

@@ -2,7 +2,7 @@
 
 ``DurableGameServer.run_tick`` writes the tick's record once the plan
 passes its bounds check and waits for its fsync just before the tick
-boundary, so the fsync runs beside Handle-Update, the apply and the drain.
+boundary, so the fsync runs beside Handle-Update and the apply.
 These tests pin what that overlap must not change: no cut starts and no
 tick returns before its record is durable, no fd is closed under an
 in-flight fsync, no sync thread outlives its log, and a failed write or
@@ -23,10 +23,11 @@ from repro.core.registry import ALGORITHM_KEYS
 from repro.engine.fleet import ShardFleet
 from repro.engine.recovery import RecoveryManager
 from repro.engine.server import DurableGameServer
+from repro.engine.writer_pool import CheckpointWriterPool
 from repro.errors import CheckpointWriterError, EngineError, StorageError
 from repro.state.table import GameStateTable
 from repro.storage.action_log import ActionLog, TickRecord
-from tests.conftest import RandomWalkApp
+from tests.conftest import FlushGate, RandomWalkApp
 
 SYNC_THREAD = "repro-log-sync"
 GEOMETRY = StateGeometry(rows=400, columns=10)
@@ -230,18 +231,26 @@ class TestFailure:
 
     def fail_and_crash(self, app, directory, match,
                        algorithm="copy-on-update"):
-        server = DurableGameServer(
-            app, directory, algorithm=algorithm, seed=3,
-            fsync_policy="commit", writer_bytes_per_tick=512,
-        )
-        server.run_ticks(self.FAILED_TICK)
-        with pytest.raises(StorageError, match=match):
-            server.run_tick()
-        for _ in range(2):
-            with pytest.raises(EngineError, match="recover it instead"):
+        """The first checkpoint is held in flight on a one-worker pool
+        through the failure, and fails at the gate before the crash."""
+        with CheckpointWriterPool(1) as pool:
+            server = DurableGameServer(
+                app, directory, algorithm=algorithm, seed=3,
+                fsync_policy="commit", writer_pool=pool,
+            )
+            gate = FlushGate(fail=True)
+            server._store.write_fault_hook = gate
+            server.run_ticks(self.FAILED_TICK)
+            with pytest.raises(StorageError, match=match):
                 server.run_tick()
-        assert server.ticks_run == self.FAILED_TICK
-        server.crash()
+            for _ in range(2):
+                with pytest.raises(EngineError, match="recover it instead"):
+                    server.run_tick()
+            assert server.ticks_run == self.FAILED_TICK
+            assert server.last_committed_checkpoint_tick is None
+            assert gate.reached.wait(timeout=10.0)
+            gate.release()
+            server.crash()
 
     @pytest.mark.parametrize("algorithm", ALGORITHM_KEYS)
     def test_failed_sync(self, tiny_geometry, tmp_path, monkeypatch,

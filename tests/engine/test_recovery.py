@@ -5,6 +5,28 @@ import pytest
 from repro.core.registry import ALGORITHM_KEYS
 from repro.engine.recovery import RecoveryManager
 from repro.engine.server import DurableGameServer
+from repro.engine.writer_pool import CheckpointWriterPool
+from tests.conftest import FlushGate
+
+
+def gated_victim(app, tmp_path, algorithm, pool, armed):
+    """A server on ``pool`` whose store's flushes stop at a failing
+    :class:`FlushGate` once it is armed."""
+    victim = DurableGameServer(
+        app, tmp_path / "victim", algorithm=algorithm, seed=7,
+        writer_pool=pool,
+    )
+    victim._store.write_fault_hook = FlushGate(fail=True, armed=armed)
+    return victim
+
+
+def crash_in_flight(victim):
+    """Crash with the gated checkpoint in flight: it fails at the gate, so
+    the store keeps it uncommitted."""
+    gate = victim._store.write_fault_hook
+    assert gate.reached.wait(timeout=10.0)
+    gate.release()
+    victim.crash()
 
 
 def run_pair(app_factory, tmp_path, algorithm, ticks, seed=7, **server_kwargs):
@@ -36,18 +58,25 @@ class TestExactRecovery:
         reference.close()
 
     def test_recovery_without_any_checkpoint(self, random_walk_app, tmp_path):
-        """Crash before the first commit: seed fallback + full replay."""
-        factory = lambda: random_walk_app
-        reference, victim = run_pair(
-            factory, tmp_path, "copy-on-update", ticks=2,
-            writer_bytes_per_tick=64,
-        )
+        """Crash before the first commit: seed fallback + full replay.  The
+        first checkpoint is held at a gate on a one-worker pool and fails
+        there, so none ever commits."""
+        with CheckpointWriterPool(1) as pool:
+            victim = gated_victim(
+                random_walk_app, tmp_path, "copy-on-update", pool, armed=True,
+            )
+            victim.run_ticks(2)
+            crash_in_flight(victim)
         report = RecoveryManager(
             random_walk_app, victim.directory, seed=7
         ).recover()
         assert report.used_seed_fallback
         assert report.bytes_restored == 0
         assert report.ticks_replayed == 2
+        reference = DurableGameServer(
+            random_walk_app, tmp_path / "reference", seed=7
+        )
+        reference.run_ticks(2)
         assert report.table.equals(reference.table)
         reference.close()
 
@@ -116,14 +145,31 @@ class TestRepeatedCrashes:
 class TestCrashTimingMatrix:
     @pytest.mark.parametrize("ticks", [1, 7, 16, 33, 64])
     def test_crash_at_various_points(self, ticks, random_walk_app, tmp_path):
-        factory = lambda: random_walk_app
-        reference, victim = run_pair(
-            factory, tmp_path, "copy-on-update", ticks=ticks,
-            writer_bytes_per_tick=256,
-        )
+        """Checkpoints commit for the first half of the run; the next one
+        is then held in flight on a one-worker pool while the second half
+        ticks, and the crash tears it."""
+        with CheckpointWriterPool(1) as pool:
+            victim = gated_victim(
+                random_walk_app, tmp_path, "copy-on-update", pool,
+                armed=False,
+            )
+            for _ in range(ticks // 2):
+                victim.run_tick()
+                victim.wait_checkpoint_idle()
+            victim._store.write_fault_hook.armed = True
+            victim.run_ticks(ticks - ticks // 2)
+            crash_in_flight(victim)
         report = RecoveryManager(
             random_walk_app, victim.directory, seed=7
         ).recover()
+        assert report.next_tick == ticks
+        assert report.used_seed_fallback == (ticks // 2 == 0)
+        if ticks // 2:
+            assert report.checkpoint_tick == ticks // 2 - 1
+        reference = DurableGameServer(
+            random_walk_app, tmp_path / "reference", seed=7
+        )
+        reference.run_ticks(ticks)
         assert report.table.equals(reference.table)
         reference.close()
 
@@ -133,7 +179,12 @@ import os
 import numpy as np
 
 from repro.config import StateGeometry
-from repro.errors import CheckpointWriterError, RecoveryError, StorageError
+from repro.errors import (
+    CheckpointWriterError,
+    EngineError,
+    RecoveryError,
+    StorageError,
+)
 from repro.storage.action_log import ActionLog, TickRecord
 from repro.storage.double_backup import DoubleBackupStore
 from repro.storage.layout import RECORD_HEADER_BYTES
@@ -161,10 +212,12 @@ class TestActionLogEdgeCases:
     def test_torn_tail_record_truncates_cleanly(
         self, random_walk_app, tmp_path
     ):
-        """A crash mid-append loses exactly the torn tick, nothing else."""
+        """A crash mid-append loses exactly the torn tick, nothing else.
+        A checkpoint every 16 ticks leaves the torn tick uncovered, as a
+        crash inside its append does."""
         factory = lambda: random_walk_app
         reference, victim = run_pair(factory, tmp_path, "copy-on-update",
-                                     ticks=40)
+                                     ticks=40, min_checkpoint_interval_ticks=16)
         log_path = os.path.join(victim.directory, ActionLog.FILE_NAME)
         with open(log_path, "r+b") as handle:
             handle.truncate(os.path.getsize(log_path) - 5)
@@ -180,6 +233,25 @@ class TestActionLogEdgeCases:
         assert report.table.equals(replica.table)
         replica.close()
         reference.close()
+
+    def test_generator_lost_with_the_cut_tick_record_raises(
+        self, random_walk_app, tmp_path
+    ):
+        """The newest checkpoint covers the last tick, whose record is then
+        torn: the table restores from the checkpoint, but the generator
+        after that tick is on no disk, so reading it raises."""
+        server = DurableGameServer(random_walk_app, tmp_path, seed=7)
+        server.run_ticks(10)
+        expected = server.table.copy()
+        server.crash()
+        log_path = os.path.join(tmp_path, ActionLog.FILE_NAME)
+        with open(log_path, "r+b") as handle:
+            handle.truncate(os.path.getsize(log_path) - 5)
+        report = RecoveryManager(random_walk_app, tmp_path, seed=7).recover()
+        assert (report.checkpoint_tick, report.next_tick) == (9, 10)
+        assert report.table.equals(expected)
+        with pytest.raises(RecoveryError, match="generator"):
+            report.rng
 
     def test_log_starting_after_cut_raises(self, tmp_path, random_walk_app):
         """A checkpoint whose follow-on ticks are missing cannot replay."""
@@ -203,12 +275,13 @@ class TestActionLogEdgeCases:
         self, random_walk_app, tmp_path
     ):
         """A record that fails its CRC with intact ticks after it is a hole,
-        not a torn tail: recovery refuses rather than stop short."""
+        not a torn tail: recovery refuses rather than stop short.  A
+        checkpoint every 16 ticks leaves a tail to replay."""
         from tests.storage.test_action_log import flip_byte, frames
 
         factory = lambda: random_walk_app
         reference, victim = run_pair(factory, tmp_path, "copy-on-update",
-                                     ticks=40)
+                                     ticks=40, min_checkpoint_interval_ticks=16)
         reference.close()
         clean = RecoveryManager(random_walk_app, victim.directory,
                                 seed=7).recover()
@@ -223,12 +296,15 @@ class TestActionLogEdgeCases:
 
 class TestReplayReadsTheTailOnly:
     """Replay reads the log from the checkpoint's cut on: what it verifies
-    and unpickles is the tail, however long the log is."""
+    and unpickles is the tail, however long the log is.  A checkpoint every
+    16 ticks leaves a tail."""
 
     TICKS = 300
 
     def crashed(self, app, tmp_path):
-        server = DurableGameServer(app, tmp_path / "victim", seed=7)
+        server = DurableGameServer(
+            app, tmp_path / "victim", seed=7, min_checkpoint_interval_ticks=16
+        )
         server.run_ticks(self.TICKS)
         expected = server.table.copy()
         server.crash()
@@ -292,11 +368,12 @@ class TestCrashMidFlush:
     def test_recovers_like_a_replica(
         self, algorithm, random_walk_app, tmp_path
     ):
-        """Kill the writer mid-flush; recovery must equal a crash-free
-        replica bit-for-bit on both disk organizations."""
+        """Fail the inline writer's fourth flush: that tick fails, every
+        later one raises, and recovery equals a crash-free replica
+        bit-for-bit on both disk organizations."""
         server = DurableGameServer(
             random_walk_app, tmp_path / "victim", algorithm=algorithm,
-            seed=7, writer_bytes_per_tick=2_048,
+            seed=7,
         )
         calls = {"count": 0}
 
@@ -306,15 +383,24 @@ class TestCrashMidFlush:
                 raise StorageError("injected mid-flush fault")
 
         server._store.write_fault_hook = explode
-        with pytest.raises((StorageError, CheckpointWriterError)):
-            for _ in range(500):
+        server.run_ticks(3)
+        with pytest.raises(CheckpointWriterError) as failure:
+            server.run_tick()
+        assert isinstance(failure.value.__cause__, StorageError)
+        for _ in range(2):
+            with pytest.raises(EngineError, match="recover it instead"):
                 server.run_tick()
-        assert calls["count"] > 3, "fault hook never fired"
+            with pytest.raises(CheckpointWriterError):
+                server._executor.writer.check()
+        assert server.ticks_run == 3
+        assert server.last_committed_checkpoint_tick == 2
         server.crash()
 
         report = RecoveryManager(
             random_walk_app, server.directory, seed=7
         ).recover()
+        # The failed tick's record was durable before its cut.
+        assert (report.checkpoint_tick, report.next_tick) == (2, 4)
         replica = DurableGameServer(
             random_walk_app, tmp_path / "replica", algorithm=algorithm,
             seed=7,
@@ -339,11 +425,10 @@ class TestRestoreIntoTheTable:
         from tests.conftest import RandomWalkApp
 
         app = RandomWalkApp(self.GEOMETRY, updates_per_tick=64)
-        # The writer lands RECORD_OBJECTS objects a tick, so the first (full)
-        # checkpoint commits after 16 ticks and a partial follows it.
+        # A checkpoint commits at every cut: the log holds a full dump and
+        # the partials after it, framed RECORD_OBJECTS objects a record.
         server = DurableGameServer(
             app, tmp_path / algorithm, algorithm=algorithm, seed=3,
-            writer_bytes_per_tick=self.RECORD_OBJECTS * 512,
         )
         server.run_ticks(40)
         expected = server.table.copy()

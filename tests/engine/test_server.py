@@ -99,7 +99,7 @@ class TestRepeatedObjectIds:
         def run(directory):
             server = DurableGameServer(
                 HotObjectApp(tiny_geometry), directory, algorithm=algorithm,
-                seed=9, writer_bytes_per_tick=2_048,
+                seed=9,
             )
             server.run_ticks(90)
             assert server.stats.checkpoints_completed >= 3
@@ -163,7 +163,7 @@ class TestDoubleBackupWords:
         def run(directory):
             server = DurableGameServer(
                 HotObjectApp(tiny_geometry), directory, algorithm=algorithm,
-                seed=4, writer_bytes_per_tick=2_048,
+                seed=4,
             )
             server.run_ticks(90)
             assert server.stats.checkpoints_completed >= 3
@@ -188,9 +188,7 @@ class TestTickLoop:
             assert server.stats.updates_applied == 500
 
     def test_checkpoints_happen(self, random_walk_app, tmp_path):
-        with DurableGameServer(
-            random_walk_app, tmp_path, writer_bytes_per_tick=2_048
-        ) as server:
+        with DurableGameServer(random_walk_app, tmp_path) as server:
             server.run_ticks(40)
             assert server.stats.checkpoints_started >= 2
             assert server.stats.checkpoints_completed >= 1
@@ -216,7 +214,6 @@ class TestTickLoop:
         geometry = random_walk_app.geometry
         with DurableGameServer(
             random_walk_app, tmp_path, algorithm="dribble",
-            writer_bytes_per_tick=geometry.checkpoint_bytes,
         ) as server:
             while server.stats.checkpoints_completed < 10:
                 server.run_tick()
@@ -239,7 +236,6 @@ class TestTickLoop:
                                                tmp_path):
         with DurableGameServer(
             random_walk_app, tmp_path, min_checkpoint_interval_ticks=9,
-            writer_bytes_per_tick=100_000,  # writes finish within a tick
         ) as server:
             starts = []
             last = server.stats.checkpoints_started
@@ -332,7 +328,7 @@ class TestPlanHandling:
         app = FixedBufferApp(tiny_geometry, bad_tick=bad_tick,
                              bad_row=bad_row)
         with DurableGameServer(
-            app, tmp_path, algorithm=algorithm, writer_bytes_per_tick=2_048
+            app, tmp_path, algorithm=algorithm
         ) as server:
             server.run_ticks(bad_tick)
             # A checkpoint has begun, so the untouched last object is clean

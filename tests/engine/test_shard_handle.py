@@ -22,7 +22,7 @@ from repro.errors import EngineError
 from repro.game.knights_archers import KnightsArchersGame
 from repro.game.scenario import BattleScenario
 from repro.state.ring import SharedCommandRing
-from tests.conftest import RandomWalkApp
+from tests.conftest import FlushGate, RandomWalkApp
 from tests.engine.test_fleet_commands import (
     SCRIPT_TICKS,
     drive_scripted,
@@ -153,20 +153,25 @@ def test_dead_shard_reads_as_down(backend, tmp_path):
 def test_thread_cut_lag_counts_from_the_newest_cut(tmp_path):
     """``cut_lag_ticks`` counts from the newest cut handed to the writer,
     durable or not; the checkpoint age counts from the newest durable one.
-    A serial writer one object a tick keeps the first cut in flight."""
+    A one-worker pool held at a gate keeps the first cut in flight."""
     fleet = walk_fleet(
-        tmp_path, "thread", min_checkpoint_interval_ticks=1,
-        writer_bytes_per_tick=1,
+        tmp_path, "thread", min_checkpoint_interval_ticks=1, pool_size=1,
     )
+    gate = FlushGate()
+    fleet.shards[0].game._store.write_fault_hook = gate
     with fleet:
-        fleet.run_ticks(6)
-        game = fleet.shards[0].game
-        assert game.last_cut_tick is not None
-        assert game.last_committed_checkpoint_tick is None
-        shard = fleet.telemetry().shards[0]
-        assert shard.cut_lag_ticks == 6 - 1 - game.last_cut_tick
-        assert shard.checkpoint_age_ticks == 6
-        assert shard.cut_lag_ticks < shard.checkpoint_age_ticks
+        try:
+            fleet.run_ticks(6)
+            game = fleet.shards[0].game
+            assert gate.reached.wait(timeout=10.0)
+            assert game.last_cut_tick == 0
+            assert game.last_committed_checkpoint_tick is None
+            shard = fleet.telemetry().shards[0]
+            assert shard.cut_lag_ticks == 6 - 1 - game.last_cut_tick
+            assert shard.checkpoint_age_ticks == 6
+            assert shard.cut_lag_ticks < shard.checkpoint_age_ticks
+        finally:
+            gate.release()
 
 
 def test_cut_lag_agrees_across_backends(tmp_path):

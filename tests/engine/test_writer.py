@@ -102,13 +102,8 @@ class TestAsyncServerMode:
         server = DurableGameServer(
             app, tmp_path, algorithm=algorithm, seed=23, writer_pool=pool,
         )
-        # Run until at least one checkpoint has committed (the commit moment
-        # depends on writer-thread scheduling, so poll rather than assume).
         server.run_ticks(30)
-        for _ in range(500):
-            if server.last_committed_checkpoint_tick is not None:
-                break
-            server.run_tick()
+        server.wait_checkpoint_idle()
         committed_before = server.last_committed_checkpoint_tick
         assert committed_before is not None
 
@@ -116,24 +111,21 @@ class TestAsyncServerMode:
 
         def explode():
             calls["count"] += 1
-            if calls["count"] > 1:  # die on the second chunk of a flush
-                raise StorageError("injected mid-flush fault")
+            raise StorageError("injected mid-flush fault")
 
         server._store.write_fault_hook = explode
+        server.run_tick()  # its boundary hands the next checkpoint over
         with pytest.raises(CheckpointWriterError):
-            for _ in range(500):
-                server.run_tick()
-        assert calls["count"] > 1, "fault hook never fired mid-flush"
+            server.wait_checkpoint_idle()
+        assert calls["count"] == 1, "the flush made one hooked write"
         server.crash()
 
         report = RecoveryManager(app, tmp_path, seed=23).recover()
         # The recovery checkpoint is the last committed one -- never the
-        # torn in-flight flush the fault killed.
-        assert report.checkpoint_tick >= committed_before
-        # The failing tick logged its record before the writer error
-        # surfaced, so the recovered state covers every logged tick:
-        # ticks 0 .. next_tick-1.
-        assert report.next_tick >= 30
+        # torn in-flight flush the fault killed -- and replay covers every
+        # logged tick: ticks 0 .. 30.
+        assert report.checkpoint_tick == committed_before
+        assert report.next_tick == 31
         reference = DurableGameServer(
             app_class(GEOMETRY), tmp_path / "ref",
             algorithm=algorithm, seed=23,

@@ -1,8 +1,8 @@
 """Property test: recovery exactness (invariant 3).
 
-For any algorithm, update intensity, crash tick, and writer speed, restoring
-the checkpoint and replaying the logical log reproduces the crash-free state
-bit for bit.
+For any algorithm, update intensity, crash tick, and checkpoint interval,
+restoring the checkpoint and replaying the logical log reproduces the
+crash-free state bit for bit.
 """
 
 from hypothesis import given, settings
@@ -21,25 +21,25 @@ GEOMETRY = StateGeometry(rows=64, columns=8)
     algorithm=st.sampled_from(ALGORITHM_KEYS),
     ticks=st.integers(min_value=1, max_value=48),
     updates_per_tick=st.integers(min_value=0, max_value=60),
-    writer_bytes=st.sampled_from([64, 512, 4_096, None]),
+    interval=st.sampled_from([1, 3, 8, 64]),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=40, deadline=None)
 def test_crash_recovery_is_bit_exact(
-    tmp_path_factory, algorithm, ticks, updates_per_tick, writer_bytes, seed
+    tmp_path_factory, algorithm, ticks, updates_per_tick, interval, seed
 ):
     app = RandomWalkApp(GEOMETRY, updates_per_tick=updates_per_tick)
     base = tmp_path_factory.mktemp("recovery")
 
     reference = DurableGameServer(
         app, base / "reference", algorithm=algorithm, seed=seed,
-        writer_bytes_per_tick=writer_bytes,
+        min_checkpoint_interval_ticks=interval,
     )
     reference.run_ticks(ticks)
 
     victim = DurableGameServer(
         app, base / "victim", algorithm=algorithm, seed=seed,
-        writer_bytes_per_tick=writer_bytes,
+        min_checkpoint_interval_ticks=interval,
     )
     victim.run_ticks(ticks)
     victim.crash()

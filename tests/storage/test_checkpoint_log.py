@@ -311,6 +311,22 @@ class TestVectoredWrites:
         assert image_value(image, geometry, 5) == 2_005
         assert image_value(image, geometry, 4) == 1_004
 
+    def test_vectored_empty_slab_commits(self, store, geometry):
+        """A partial checkpoint with nothing dirty lands an empty slab."""
+        ids = np.arange(geometry.num_objects)
+        store.begin_checkpoint(1, is_full_dump=True)
+        store.write_checkpoint_vectored(
+            ids, payload_for(ids, geometry, 1), cut_tick=0
+        )
+        store.begin_checkpoint(2, is_full_dump=False)
+        empty = np.empty((0, geometry.object_bytes), dtype=np.uint8)
+        assert store.write_checkpoint_vectored(
+            ids[:0], empty, cut_tick=4
+        ) == 0
+        image, epoch, tick = store.restore_image()
+        assert (epoch, tick) == (2, 4)
+        assert image_value(image, geometry, 3) == 1_003
+
     def test_vectored_outside_checkpoint_rejected(self, store, geometry):
         with pytest.raises(StorageError):
             store.write_checkpoint_vectored(
