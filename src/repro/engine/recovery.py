@@ -225,9 +225,6 @@ class RecoveryManager:
         reproduce the lost state; recovery fails loudly rather than replay
         around the hole or stop short of it.
         """
-        log_path = os.path.join(self._directory, ActionLog.FILE_NAME)
-        if not os.path.exists(log_path):
-            return 0, 0
         expected = start_tick
         with ActionLog(self._directory) as log:
             for record in log.records(start_tick=start_tick):

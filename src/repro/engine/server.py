@@ -152,7 +152,8 @@ class DurableGameServer:
         self._action_log = ActionLog(
             self._directory, sync=sync, fsync_policy=fsync_policy
         )
-        if self._action_log.last_tick is not None:
+        if (self._action_log.last_tick is not None
+                or self._action_log.sealed_segments):
             self._action_log.close()
             raise EngineError(
                 f"{self._directory} already contains a server's logs; "
@@ -317,9 +318,11 @@ class DurableGameServer:
             >= self._min_checkpoint_interval
         )
         boundary = self._framework.end_of_tick(allow_start=allow_start)
-        self._failed = False
         if boundary.started is not None:
+            # Replay from this cut reads no older log segment.
+            self._action_log.roll()
             self._last_checkpoint_start_tick = tick
+        self._failed = False
 
         self.stats.ticks_run += 1
         self.stats.updates_applied += plan.update_count

@@ -55,6 +55,7 @@ from repro.storage.layout import (
     RECORD_CHECKPOINT_COMMIT,
     RECORD_HEADER_BYTES,
     RECORD_OBJECTS,
+    fsync_directory,
     pack_geometry,
     pack_record,
     pack_record_parts,
@@ -224,11 +225,7 @@ class CheckpointLogStore:
         make the rename durable, then read and append through it."""
         os.replace(self._next_path, self._path)
         if self._fsync != "never":
-            directory = os.open(self._directory, os.O_RDONLY)
-            try:
-                os.fsync(directory)
-            finally:
-                os.close(directory)
+            fsync_directory(self._directory)
         self._handle.close()
         self._handle, self._next = self._next, None
 

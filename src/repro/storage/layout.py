@@ -227,24 +227,6 @@ def pread_into(fd: int, buffer, offset: int) -> int:
     return total
 
 
-def pwrite_all(fd: int, buffer, offset: int) -> int:
-    """Positioned write of one contiguous buffer, retrying partial writes.
-
-    Uses ``os.pwritev`` (one syscall, no seek, no flattening copy) when the
-    platform has it; returns the number of bytes written.
-    """
-    view = memoryview(buffer).cast("B")
-    total = view.nbytes
-    while view.nbytes:
-        if HAS_PWRITEV:
-            written = os.pwritev(fd, [view], offset)
-        else:  # pragma: no cover - non-POSIX fallback
-            written = os.pwrite(fd, view, offset)
-        view = view[written:]
-        offset += written
-    return total
-
-
 def pwritev_all(fd: int, buffers: Sequence, offset: int) -> int:
     """Gathered positioned write of ``buffers`` at ``offset``.
 
@@ -309,3 +291,12 @@ def write_all(fd: int, buffers: Sequence) -> int:
                 written = 0
             views = trimmed
     return total
+
+
+def fsync_directory(path: str) -> None:
+    """Make the names created, renamed or replaced in ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

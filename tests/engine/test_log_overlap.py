@@ -165,7 +165,7 @@ class TestLifecycle:
         patch_log_fsync(monkeypatch, after=after)
         return events
 
-    @pytest.mark.parametrize("step", ["close", "truncate"])
+    @pytest.mark.parametrize("step", ["close", "roll"])
     def test_log_waits_out_a_pending_sync(self, tmp_path, monkeypatch, step):
         events = self.slow_sync(monkeypatch)
         log = ActionLog(tmp_path, fsync_policy="commit")
@@ -173,12 +173,14 @@ class TestLifecycle:
             log.append(TickRecord(tick=0, rng_state={}))
             getattr(log, step)()
             events.append(step)
-            assert sync_threads() == []
+            assert len(sync_threads()) == (step == "roll")
         finally:
             log.close()
         assert events == ["synced", step]
-        if step == "truncate":
+        if step == "roll":
             assert os.path.getsize(log.path) == 0
+            assert [os.path.basename(path) for path in log.sealed_segments] \
+                == ["actions.0.log"]
 
     def test_crash_waits_out_a_pending_sync(
         self, random_walk_app, tmp_path, monkeypatch
@@ -198,14 +200,23 @@ class TestLifecycle:
         events.append("crash")
         assert events == ["synced", "synced", "synced", "crash"]
 
-    def test_no_sync_thread_survives_close(self, tmp_path):
+    def test_no_sync_thread_survives_close(self, tmp_path, monkeypatch):
+        """One sync thread survives a roll, which swaps the fd it syncs,
+        and none survives close."""
+        synced = []
+        patch_log_fsync(
+            monkeypatch, before=lambda fd: synced.append(os.fstat(fd).st_ino)
+        )
         with ActionLog(tmp_path, fsync_policy="commit") as log:
             log.append(TickRecord(tick=0, rng_state={}))
             assert len(sync_threads()) == 1
-            log.truncate()
-            log.append(TickRecord(tick=0, rng_state={}))
+            log.roll()
+            log.append(TickRecord(tick=1, rng_state={}))
             assert len(sync_threads()) == 1
+            log.wait_durable()
+            live = os.stat(log.path).st_ino
         assert sync_threads() == []
+        assert synced[-1] == live != synced[0]
 
     def test_never_starts_no_thread(self, random_walk_app, tmp_path):
         with DurableGameServer(

@@ -244,7 +244,8 @@ class TestActionLogEdgeCases:
         server.run_ticks(10)
         expected = server.table.copy()
         server.crash()
-        log_path = os.path.join(tmp_path, ActionLog.FILE_NAME)
+        # The cut at tick 9 sealed its record in a segment of its own.
+        log_path = os.path.join(tmp_path, "actions.9.log")
         with open(log_path, "r+b") as handle:
             handle.truncate(os.path.getsize(log_path) - 5)
         report = RecoveryManager(random_walk_app, tmp_path, seed=7).recover()
@@ -349,7 +350,7 @@ class TestReplayReadsTheTailOnly:
 
         directory, expected = self.crashed(random_walk_app, tmp_path)
         clean = RecoveryManager(random_walk_app, directory, seed=7).recover()
-        flip_byte(os.path.join(directory, ActionLog.FILE_NAME),
+        flip_byte(os.path.join(directory, "actions.0.log"),
                   RECORD_HEADER_BYTES + 10)
         flipped = RecoveryManager(random_walk_app, directory, seed=7).recover()
         assert flipped.table.equals(clean.table)

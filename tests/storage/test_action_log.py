@@ -211,13 +211,6 @@ class TestDurability:
         assert ticks == [0, 1]
         assert peak < 1 << 20
 
-    def test_truncate(self, tmp_path):
-        with ActionLog(tmp_path) as log:
-            log.append(TickRecord(tick=0, rng_state=rng_state(0)))
-            log.truncate()
-            assert log.last_tick is None
-            assert list(log.records()) == []
-
 
 class TestReadsOnlyWhatItYields:
     """Opening walks headers and verifies the newest record alone;
