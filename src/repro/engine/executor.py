@@ -2,31 +2,32 @@
 
 :class:`RealExecutor` plugs into the shared
 :class:`~repro.core.framework.CheckpointFramework` just like the simulator's
-executor, but instead of charging model costs it
+executor, but instead of charging model costs it hands each checkpoint, as
+one :class:`~repro.engine.writer.CheckpointJob`, to a writer that lands it
+through :func:`~repro.engine.writer.flush_checkpoint_job` in a real
+:class:`~repro.storage.DoubleBackupStore` or
+:class:`~repro.storage.CheckpointLogStore`.  How the cut is kept consistent
+depends on when that writer reads the table, which its ``concurrent_reader``
+attribute declares:
 
-* copies live object payloads into a snapshot buffer (``Copy-To-Memory`` and
-  the old-value saves of ``Handle-Update``), and
-* hands each checkpoint, as one :class:`~repro.engine.writer.CheckpointJob`,
-  to a writer that lands it through
-  :func:`~repro.engine.writer.flush_checkpoint_job` in a real
-  :class:`~repro.storage.DoubleBackupStore` or
-  :class:`~repro.storage.CheckpointLogStore`: a
-  :class:`~repro.engine.writer_pool.CheckpointWriterPool` handle
-  (``writer_pool=``), whose worker overlaps the I/O with subsequent ticks as
-  in the paper's Figure 1 architecture, a pre-built ``writer`` (the process
-  backend's checkpoint proxy), or else an
-  :class:`~repro.engine.writer.InlineWriter` that flushes on the game thread
-  at the cut.
+* A writer that captures the payloads inside ``submit`` --
+  :class:`~repro.engine.writer.InlineWriter`, which flushes on the game
+  thread at the cut, and the process backend's checkpoint proxy, which
+  stages into shared memory there -- reads the table before the next tick
+  touches it, so the live table *is* the cut.  Its gather is the
+  checkpoint's only copy: ``Copy-To-Memory`` and ``Handle-Update``'s saves
+  are no-ops and there is no snapshot buffer.
+* A :class:`~repro.engine.writer_pool.CheckpointWriterPool` handle
+  (``writer_pool=``) reads the table beside the mutator, overlapping the I/O
+  with later ticks as in the paper's Figure 1.  It gets the paper's
+  snapshot: ``Copy-To-Memory`` copies the eager write set and
+  ``Handle-Update`` saves an object's old value on its first update after
+  the cut, and every object is emitted from the snapshot if saved and from
+  the live table otherwise (whose live value then is the cut value).
 
-The consistency argument mirrors the paper's: every object in the write set
-is emitted either from the snapshot buffer (if it was updated after the cut;
-its pre-update value was saved on first touch) or from the live table (if it
-has not been updated since the cut, in which case the live value *is* the cut
-value).
-
-In asynchronous mode the same argument must hold across threads, and does so
-through a :class:`~repro.state.dirty.StripeLockSet`: ``Handle-Update`` saves
-an object's old value and sets its snapshot bit under the object's stripe
+The concurrent case holds across threads through a
+:class:`~repro.state.dirty.StripeLockSet`: ``Handle-Update`` saves an
+object's old value and sets its snapshot bit under the object's stripe
 *before* the update lands, while the writer reads the snapshot bit and then
 snapshot-or-live payload under the same stripe.  If the writer observes the
 bit unset, the saving (and hence the update) of that object cannot complete
@@ -74,26 +75,25 @@ class RealExecutor(SubroutineExecutor):
         self._table = table
         self._store = store
         num_objects = geometry.num_objects
-        self._snapshot = np.zeros(
-            (num_objects, geometry.cells_per_object), dtype=table.dtype
-        )
-        self._snapshot_mask = np.zeros(num_objects, dtype=bool)
         self._all_ids = np.arange(num_objects, dtype=np.int64)
         writer = writer or (
             InlineWriter(store) if writer_pool is None
             else writer_pool.register(store, name=writer_name)
         )
         self._writer = writer
-        # A writer that declares ``concurrent_reader = False`` never reads
-        # the table beside the mutator -- it captures the payloads
-        # synchronously inside ``submit`` -- so the stripe-lock protocol
-        # (and its per-update cost) is skipped entirely.  A pool worker
-        # flushes under it.
-        self._locks = (
-            StripeLockSet(num_objects, num_stripes)
-            if getattr(writer, "concurrent_reader", True)
-            else None
-        )
+        # A writer that declares ``concurrent_reader = False`` captures the
+        # payloads inside ``submit``, at the cut, so it needs no snapshot,
+        # no old-value saves and no stripe locks.  A pool worker reads the
+        # table beside the mutator and gets all three.
+        self._concurrent = getattr(writer, "concurrent_reader", True)
+        if self._concurrent:
+            self._snapshot = np.zeros(
+                (num_objects, geometry.cells_per_object), dtype=table.dtype
+            )
+            self._snapshot_mask = np.zeros(num_objects, dtype=bool)
+            self._locks = StripeLockSet(num_objects, num_stripes)
+        else:
+            self._snapshot = self._snapshot_mask = self._locks = None
         # In-flight write task.
         self._task_ids: Optional[np.ndarray] = None
         self._task_committed = False
@@ -137,6 +137,8 @@ class RealExecutor(SubroutineExecutor):
     # ------------------------------------------------------------------
 
     def copy_to_memory(self, plan: CheckpointPlan) -> float:
+        if not self._concurrent:
+            return 0.0
         started = time.perf_counter()
         # A new checkpoint's snapshot starts empty; stale old values belong
         # to the previous (already durable) checkpoint.
@@ -185,6 +187,8 @@ class RealExecutor(SubroutineExecutor):
         return True
 
     def handle_updates(self, effects: UpdateEffects) -> float:
+        if not self._concurrent:
+            return 0.0
         started = time.perf_counter()
         ids = effects.copy_ids
         if ids.size:
@@ -195,11 +199,10 @@ class RealExecutor(SubroutineExecutor):
             # whenever the writer thread may be reading them concurrently.
             fresh = ids[~self._snapshot_mask[ids]]
             if fresh.size:
-                if self._locks is not None and not self._writer.idle:
-                    with self._locks.locked(fresh):
-                        self._snapshot[fresh] = self._table.read_objects(fresh)
-                        self._snapshot_mask[fresh] = True
-                else:
+                with (
+                    nullcontext() if self._writer.idle
+                    else self._locks.locked(fresh)
+                ):
                     self._snapshot[fresh] = self._table.read_objects(fresh)
                     self._snapshot_mask[fresh] = True
         elapsed = time.perf_counter() - started
@@ -212,23 +215,23 @@ class RealExecutor(SubroutineExecutor):
 
     def read_payloads_into(self, object_ids: np.ndarray, out: np.ndarray) -> None:
         """Cut-consistent payloads gathered straight into ``out`` (the
-        :class:`~repro.engine.writer.PayloadSource` contract): snapshot where
-        saved, live table otherwise.  ``out`` has one row per object, of
-        raw bytes or of table cells.
+        :class:`~repro.engine.writer.PayloadSource` contract).  ``out`` has
+        one row per object, of raw bytes or of table cells.
 
-        With a concurrent writer this holds the objects' stripes across the
-        mask read and the gather, so a concurrent ``Handle-Update`` of any
-        of these objects either completed its old-value save before we
-        looked (we read the snapshot) or is still waiting for the stripes
-        (the live value is the cut value).  Without one (the inline writer,
-        or the process backend staging at the cut) the caller is the game
-        thread itself and no stripes exist.
+        A writer that captures at the cut is the game thread itself, before
+        the next tick: the live table is the cut, and this gather is the
+        checkpoint's only copy.  A concurrent writer gets the snapshot where
+        saved and the live table otherwise, with the objects' stripes held
+        across the mask read and the gather, so a concurrent
+        ``Handle-Update`` of any of these objects either completed its
+        old-value save before we looked (we read the snapshot) or is still
+        waiting for the stripes (the live value is the cut value).
         """
         out = out.view(self._table.dtype)
-        with (
-            nullcontext() if self._locks is None
-            else self._locks.locked(object_ids)
-        ):
+        if not self._concurrent:
+            self._table.gather_objects_into(object_ids, out)
+            return
+        with self._locks.locked(object_ids):
             self._table.gather_objects_into(object_ids, out)
             saved = self._snapshot_mask[object_ids]
             if saved.any():

@@ -176,8 +176,9 @@ class WorkerCheckpointProxy:
     ``close``) so :class:`~repro.engine.executor.RealExecutor` plugs it in
     unchanged.  ``concurrent_reader = False`` tells the executor that nobody
     ever reads the table from another thread -- the payload capture happens
-    synchronously inside :meth:`submit` -- so the stripe-lock protocol (and
-    its per-update cost) is skipped entirely.
+    synchronously inside :meth:`submit`, at the cut -- so it keeps no
+    snapshot and takes no stripe locks: the gather into the staging slot is
+    the checkpoint's only copy.
     """
 
     #: No concurrent reads of the table: payloads are captured inside submit.

@@ -8,8 +8,9 @@ This module holds the pieces of that subroutine every caller shares:
 
 * the mutator hands over one :class:`CheckpointJob` per checkpoint -- the
   sorted write set plus a :class:`PayloadSource` that stages cut-consistent
-  payloads (reading the double-buffered snapshot for saved objects and the
-  live table otherwise, under striped per-object locks);
+  payloads (for a pool writer, the snapshot for saved objects and the live
+  table otherwise, under striped per-object locks; for a writer that reads
+  at the cut, the live table alone);
 * :func:`flush_checkpoint_job` stages the job into the writer's slab in
   bounded chunks and lands it through the store as one list of disk runs
   (:class:`~repro.storage.double_backup.DoubleBackupStore` one ``pwritev``
@@ -122,10 +123,11 @@ def flush_checkpoint_job(
 class PayloadSource(Protocol):
     """Stages cut-consistent payloads for a batch of objects.
 
-    Implementations must be safe to call from the writer thread while the
-    mutator keeps updating: they take the stripe locks covering the batch,
-    read the snapshot buffer for objects whose old value was saved, and the
-    live table for the rest (whose live value *is* the cut value).
+    For a writer that reads beside the mutator, implementations must be
+    safe to call from the writer thread while the mutator keeps updating:
+    they take the stripe locks covering the batch, read the snapshot buffer
+    for objects whose old value was saved, and the live table for the rest
+    (whose live value *is* the cut value).
     """
 
     def read_payloads_into(self, object_ids: np.ndarray, out: np.ndarray) -> None:
@@ -212,7 +214,9 @@ class InlineWriter:
     :class:`~repro.engine.writer_pool.PoolWriter` (``submit`` / ``check`` /
     ``idle`` / ``wait_idle`` / ``totals`` / ``last_committed`` /
     ``close``).  Nothing reads the table beside the mutator, so it declares
-    ``concurrent_reader = False`` and the executor takes no stripe locks.
+    ``concurrent_reader = False``: the executor keeps no snapshot and takes
+    no stripe locks, and the flush's gather from the live table is the
+    checkpoint's only copy.
     A failed flush is sticky, as on a pool handle: the store keeps the
     uncommitted checkpoint, ``submit`` raises, and so does every later
     ``check`` until the server is recovered.

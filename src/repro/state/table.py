@@ -153,11 +153,12 @@ class GameStateTable:
         )
 
     def read_objects(self, object_ids) -> np.ndarray:
-        """Copy of the payload cells for ``object_ids``.
+        """Copy of the payload cells for ``object_ids`` (an array of ids).
 
-        Returns an array of shape ``(len(object_ids), cells_per_object)``.
+        Returns a new array of shape ``(len(object_ids), cells_per_object)``:
+        the fancy-index gather is the one copy.
         """
-        return self._object_matrix()[object_ids].copy()
+        return self._object_matrix()[object_ids]
 
     def gather_objects_into(self, object_ids, out: np.ndarray) -> None:
         """Copy the payload cells for ``object_ids`` into ``out``.

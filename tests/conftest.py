@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
 import threading
 
 import numpy as np
@@ -14,6 +17,37 @@ from repro.config import (
 )
 from repro.engine.app import TickApplication, TickUpdatesPlan
 from repro.errors import StorageError
+
+#: Seconds one test may run before faulthandler dumps every thread's stack
+#: and ends the run, so a hang fails with a traceback instead of stalling.
+HANG_SECONDS = 120
+
+#: Where a hang's traceback goes: a duplicate of the terminal's stderr.
+HANG_REPORT_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # Output capture is suspended while pytest configures, so fd 2 is still
+    # the terminal here; during a test it is the capture file, which a run
+    # that ends in faulthandler's exit never prints.
+    config.stash[HANG_REPORT_FD] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[HANG_REPORT_FD])
+
+
+@pytest.fixture(autouse=True)
+def hang_watchdog(pytestconfig):
+    """Dump every thread's stack and exit if the test outlives
+    :data:`HANG_SECONDS`.  A child forked meanwhile must end through
+    ``os._exit`` (as ``multiprocessing`` workers do): interpreter
+    finalization in a child would wait on the parent's watchdog thread."""
+    faulthandler.dump_traceback_later(
+        HANG_SECONDS, exit=True, file=pytestconfig.stash[HANG_REPORT_FD]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ from repro.core.registry import ALGORITHM_KEYS
 from repro.engine.app import TickApplication, TickUpdatesPlan
 from repro.engine.recovery import RecoveryManager
 from repro.engine.server import DurableGameServer
+from repro.engine.writer_pool import CheckpointWriterPool
 from repro.errors import EngineError, GeometryError
 from repro.state.dirty import EpochSet, PolarityBitmap, unique_ids
 from repro.state.table import GameStateTable
@@ -323,12 +324,14 @@ class TestPlanHandling:
     ):
         """Row 10**6 used to die with a bare IndexError inside the dirty
         bitmap; row -1 wrapped and marked the last object dirty before the
-        table refused the plan."""
+        table refused the plan.  A pool writer, because only a writer that
+        reads beside the mutator gives the executor a snapshot to save old
+        values into."""
         bad_tick = 30
         app = FixedBufferApp(tiny_geometry, bad_tick=bad_tick,
                              bad_row=bad_row)
-        with DurableGameServer(
-            app, tmp_path, algorithm=algorithm
+        with CheckpointWriterPool(1) as pool, DurableGameServer(
+            app, tmp_path, algorithm=algorithm, writer_pool=pool
         ) as server:
             server.run_ticks(bad_tick)
             # A checkpoint has begun, so the untouched last object is clean
