@@ -20,26 +20,27 @@ attribute declares:
 * A :class:`~repro.engine.writer_pool.CheckpointWriterPool` handle
   (``writer_pool=``) reads the table beside the mutator, overlapping the I/O
   with later ticks as in the paper's Figure 1.  It gets the paper's
-  snapshot: ``Copy-To-Memory`` copies the eager write set and
-  ``Handle-Update`` saves an object's old value on its first update after
-  the cut, and every object is emitted from the snapshot if saved and from
-  the live table otherwise (whose live value then is the cut value).
+  snapshot, packed: ``Copy-To-Memory`` saves the eager write set and
+  ``Handle-Update`` an object's old value on its first update after the
+  cut into the next free row (from row 0 at each cut), and a slot map
+  holds each object's row (-1: unsaved).  Its resident memory is the
+  largest save set, not the image.  Once the handle is idle its job has
+  landed, so nothing is saved until the next cut.
 
 The concurrent case holds across threads through a
 :class:`~repro.state.dirty.StripeLockSet`: ``Handle-Update`` saves an
-object's old value and sets its snapshot bit under the object's stripe
-*before* the update lands, while the writer reads the snapshot bit and then
-snapshot-or-live payload under the same stripe.  If the writer observes the
-bit unset, the saving (and hence the update) of that object cannot complete
-until the writer releases the stripe, so the live value it reads is still the
-cut value; if it observes the bit set, the saved snapshot row is used and any
-torn live read is discarded.
+object's old value and publishes its slot under the object's stripe
+*before* the update lands, while the writer reads the slot and then the
+payload under the same stripe.  If the writer observes the object unsaved,
+the saving (and hence the update) of that object cannot complete until the
+writer releases the stripe, so the live value it reads is still the cut
+value; if it observes a slot, the saved row is used and any torn live read
+is discarded.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -84,16 +85,18 @@ class RealExecutor(SubroutineExecutor):
         # A writer that declares ``concurrent_reader = False`` captures the
         # payloads inside ``submit``, at the cut, so it needs no snapshot,
         # no old-value saves and no stripe locks.  A pool worker reads the
-        # table beside the mutator and gets all three.
+        # table beside the mutator and gets all three; its snapshot has the
+        # image's size, but no row past the saved ones is ever touched.
         self._concurrent = getattr(writer, "concurrent_reader", True)
         if self._concurrent:
-            self._snapshot = np.zeros(
+            self._snapshot = np.empty(
                 (num_objects, geometry.cells_per_object), dtype=table.dtype
             )
-            self._snapshot_mask = np.zeros(num_objects, dtype=bool)
+            self._slots = np.full(num_objects, -1, dtype=np.int64)
             self._locks = StripeLockSet(num_objects, num_stripes)
         else:
-            self._snapshot = self._snapshot_mask = self._locks = None
+            self._snapshot = self._slots = self._locks = None
+        self._saved = 0
         # In-flight write task.
         self._task_ids: Optional[np.ndarray] = None
         self._task_committed = False
@@ -142,11 +145,10 @@ class RealExecutor(SubroutineExecutor):
         started = time.perf_counter()
         # A new checkpoint's snapshot starts empty; stale old values belong
         # to the previous (already durable) checkpoint.
-        self._snapshot_mask.fill(False)
-        ids = plan.eager_copy_ids
-        if ids.size:
-            self._snapshot[ids] = self._table.read_objects(ids)
-            self._snapshot_mask[ids] = True
+        self._slots.fill(-1)
+        self._saved = 0
+        if plan.eager_copy_ids.size:
+            self._save(plan.eager_copy_ids)
         elapsed = time.perf_counter() - started
         self.sync_copy_seconds += elapsed
         return elapsed
@@ -187,27 +189,34 @@ class RealExecutor(SubroutineExecutor):
         return True
 
     def handle_updates(self, effects: UpdateEffects) -> float:
-        if not self._concurrent:
+        # An idle handle's job has landed: nothing reads a save until the
+        # next cut, which starts the snapshot afresh.
+        if not self._concurrent or self._writer.idle:
             return 0.0
         started = time.perf_counter()
         ids = effects.copy_ids
         if ids.size:
-            # Save old values only for objects not already snapshotted this
-            # checkpoint -- each object is copied at most once per checkpoint.
-            # The mask is mutated only on this (game) thread, so the unlocked
-            # read is safe; the save itself happens under the objects' stripes
-            # whenever the writer thread may be reading them concurrently.
-            fresh = ids[~self._snapshot_mask[ids]]
+            # Save old values only for objects not already saved this
+            # checkpoint -- each object is copied at most once per
+            # checkpoint.  The slot map is written only on this (game)
+            # thread, so the unlocked read is safe.
+            fresh = ids[self._slots[ids] < 0]
             if fresh.size:
-                with (
-                    nullcontext() if self._writer.idle
-                    else self._locks.locked(fresh)
-                ):
-                    self._snapshot[fresh] = self._table.read_objects(fresh)
-                    self._snapshot_mask[fresh] = True
+                self._save(fresh)
         elapsed = time.perf_counter() - started
         self.handle_update_seconds += elapsed
         return elapsed
+
+    def _save(self, ids: np.ndarray) -> None:
+        """Save the live payloads of ``ids`` (none saved yet this
+        checkpoint) into the snapshot's next free rows, then publish their
+        slots, under the objects' stripes."""
+        start, self._saved = self._saved, self._saved + ids.size
+        with self._locks.locked(ids):
+            self._table.gather_objects_into(
+                ids, self._snapshot[start: self._saved]
+            )
+            self._slots[ids] = np.arange(start, self._saved)
 
     # ------------------------------------------------------------------
     # The writer's payload source
@@ -220,12 +229,13 @@ class RealExecutor(SubroutineExecutor):
 
         A writer that captures at the cut is the game thread itself, before
         the next tick: the live table is the cut, and this gather is the
-        checkpoint's only copy.  A concurrent writer gets the snapshot where
-        saved and the live table otherwise, with the objects' stripes held
-        across the mask read and the gather, so a concurrent
-        ``Handle-Update`` of any of these objects either completed its
-        old-value save before we looked (we read the snapshot) or is still
-        waiting for the stripes (the live value is the cut value).
+        checkpoint's only copy.  A concurrent writer gets the snapshot row
+        where an object was saved and the live table otherwise, with the
+        objects' stripes held across the slot read and the gather, so a
+        concurrent ``Handle-Update`` of any of these objects either
+        completed its old-value save before we looked (we read the
+        snapshot) or is still waiting for the stripes (the live value is
+        the cut value).
         """
         out = out.view(self._table.dtype)
         if not self._concurrent:
@@ -233,9 +243,10 @@ class RealExecutor(SubroutineExecutor):
             return
         with self._locks.locked(object_ids):
             self._table.gather_objects_into(object_ids, out)
-            saved = self._snapshot_mask[object_ids]
+            slots = self._slots[object_ids]
+            saved = slots >= 0
             if saved.any():
-                out[saved] = self._snapshot[object_ids[saved]]
+                out[saved] = self._snapshot[slots[saved]]
 
     # ------------------------------------------------------------------
     # Shutdown

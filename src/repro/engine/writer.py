@@ -46,9 +46,10 @@ StoreType = Union[DoubleBackupStore, CheckpointLogStore]
 #: batched I/O (256 KiB at the paper's 512-byte objects).
 DEFAULT_CHUNK_OBJECTS = 512
 
-#: Largest slab :func:`flush_checkpoint_job` asks for; a bigger job reaches
-#: the disk a slab at a time rather than ballooning the writer's footprint.
-MAX_GATHER_BYTES = 64 << 20
+#: Largest slab :func:`flush_checkpoint_job` asks for; a bigger job, such
+#: as a full dump, reaches the disk a slab at a time, so a handle's slab
+#: stays this small however big the image.
+MAX_GATHER_BYTES = 4 << 20
 
 #: Newest per-checkpoint durations a :class:`WriterStats` retains; long-lived
 #: fleets keep a sliding window instead of an ever-growing list.

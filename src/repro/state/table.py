@@ -18,6 +18,10 @@ import numpy as np
 from repro.config import StateGeometry
 from repro.errors import GeometryError
 
+#: Cells :meth:`GameStateTable.fill_random` draws per call, so filling a
+#: large table never builds a state-sized temporary.
+FILL_CHUNK_CELLS = 1 << 18
+
 
 class GameStateTable:
     """A rows x columns cell table sliceable into atomic objects.
@@ -167,8 +171,19 @@ class GameStateTable:
         the table dtype.  One fancy-index gather straight into the caller's
         buffer -- the single-copy variant of :meth:`read_objects` used when
         the destination (e.g. a shared-memory staging area) already exists.
+        A negative or out-of-range id raises ``IndexError`` before ``out``
+        is written, so the gather can run in ``clip`` mode: numpy's default
+        ``raise`` mode stages it in a temporary of ``out``'s size.
         """
-        np.take(self._object_matrix(), object_ids, axis=0, out=out)
+        matrix = self._object_matrix()
+        ids = np.asarray(object_ids)
+        # A negative id wraps to a huge unsigned one: one max covers both.
+        unsigned = ids.view(ids.dtype.str.replace("i", "u"))
+        if ids.size and unsigned.max() >= len(matrix):
+            bad = ids[(ids < 0) | (ids >= len(matrix))][0]
+            raise IndexError(f"index {bad} is out of bounds for axis 0 "
+                             f"with size {len(matrix)}")
+        np.take(matrix, ids, axis=0, out=out, mode="clip")
 
     def write_objects(self, object_ids, payloads) -> None:
         """Overwrite the payloads of ``object_ids`` (used during recovery)."""
@@ -231,12 +246,18 @@ class GameStateTable:
         )
 
     def fill_random(self, rng: np.random.Generator) -> None:
-        """Fill the table with random cell values (test/benchmark helper)."""
-        if np.issubdtype(self._dtype, np.integer):
-            info = np.iinfo(self._dtype)
-            values = rng.integers(
-                info.min, info.max, size=self._cells.size, dtype=self._dtype
-            )
-        else:
-            values = rng.random(self._cells.size).astype(self._dtype)
-        self._cells[:] = values
+        """Fill the table with random cell values (test/benchmark helper),
+        :data:`FILL_CHUNK_CELLS` at a time: for cells of 32 bits or more
+        the values and ``rng``'s final state equal one whole-table draw's
+        (numpy buffers narrower bounded draws per call, so those stay one
+        draw)."""
+        cells = self._cells
+        step = FILL_CHUNK_CELLS if self._dtype.itemsize >= 4 else cells.size
+        for start in range(0, cells.size, step):
+            part = cells[start: start + step]
+            if np.issubdtype(self._dtype, np.integer):
+                info = np.iinfo(self._dtype)
+                part[:] = rng.integers(info.min, info.max, size=part.size,
+                                       dtype=self._dtype)
+            else:
+                part[:] = rng.random(part.size)

@@ -59,14 +59,14 @@ def forbid_snapshots(monkeypatch):
 
     def checked_init(self, *args, **kwargs):
         build(self, *args, **kwargs)
-        if self._snapshot is not None or self._snapshot_mask is not None:
+        if self._snapshot is not None or self._slots is not None:
             raise AssertionError("a cut-capturing executor built a snapshot")
 
     def no_save(self, object_ids):
         raise AssertionError("old-value save by a cut-capturing executor")
 
     monkeypatch.setattr(RealExecutor, "__init__", checked_init)
-    monkeypatch.setattr(GameStateTable, "read_objects", no_save)
+    monkeypatch.setattr(RealExecutor, "_save", no_save)
 
 
 @needs_fork
@@ -99,7 +99,7 @@ def test_cut_capturing_writers_land_the_pool_bytes(
 
 def test_no_second_cut_copy_grows_back(tmp_path):
     """A ``concurrent_reader = False`` writer leaves the executor with no
-    snapshot buffer, no snapshot mask and no stripe locks -- and with no
+    snapshot buffer, no slot map and no stripe locks -- and with no
     image-sized buffer of any other name."""
     geometry = StateGeometry(rows=64, columns=8)
     table = GameStateTable(geometry, dtype=np.float32)
@@ -108,7 +108,7 @@ def test_no_second_cut_copy_grows_back(tmp_path):
         assert writer.concurrent_reader is False
         executor = RealExecutor(table, store, writer=writer)
         assert executor._snapshot is None
-        assert executor._snapshot_mask is None
+        assert executor._slots is None
         assert executor._locks is None
         image_bytes = geometry.num_objects * geometry.object_bytes
         assert not [

@@ -16,12 +16,13 @@ import repro
 from repro.config import StateGeometry
 from repro.core.plan import CheckpointPlan, DiskLayout, UpdateEffects, empty_ids
 from repro.engine.executor import RealExecutor
-from repro.engine.writer import flush_checkpoint_job
+from repro.engine.server import DurableGameServer
+from repro.engine.writer import MAX_GATHER_BYTES, flush_checkpoint_job
 from repro.engine.writer_pool import CheckpointWriterPool
 from repro.errors import CheckpointWriterError, EngineError, StorageError
 from repro.state.table import GameStateTable
 from repro.storage.double_backup import DoubleBackupStore
-from tests.conftest import FlushGate
+from tests.conftest import FlushGate, RandomWalkApp
 
 
 @pytest.fixture
@@ -222,6 +223,128 @@ class TestCutConsistency:
         assert np.array_equal(restored, original)
 
 
+class TestPackedSnapshot:
+    """The pool path's snapshot holds only the old values it saved, packed
+    from row 0 at each cut, and saves nothing once the handle is idle."""
+
+    GEOMETRY = StateGeometry(rows=400, columns=10)  # 32 objects
+
+    @staticmethod
+    def served(tmp_path, algorithm, pool):
+        """A pool-backed server whose cuts are recorded as full images and
+        whose flush, once ``gate.armed``, is held after its first chunk."""
+        server = DurableGameServer(
+            RandomWalkApp(TestPackedSnapshot.GEOMETRY, updates_per_tick=40),
+            tmp_path, algorithm=algorithm, writer_pool=pool,
+        )
+        executor = server._executor
+        cuts, staged, gate = [], [], FlushGate(armed=False)
+        copy, stage = executor.copy_to_memory, executor.read_payloads_into
+
+        def copy_to_memory(plan):
+            cuts.append(server.table.full_image())
+            return copy(plan)
+
+        def read_payloads_into(object_ids, out):
+            if staged:
+                gate()
+            stage(object_ids, out)
+            staged.append(object_ids.copy())
+
+        executor.copy_to_memory = copy_to_memory
+        executor.read_payloads_into = read_payloads_into
+        return server, cuts, staged, gate
+
+    @staticmethod
+    def landed_image(store):
+        if isinstance(store, DoubleBackupStore):
+            newest = store.latest_consistent().backup_index
+            return bytes(store.read_image(newest))
+        return bytes(store.restore_image()[0])
+
+    @pytest.mark.parametrize("algorithm",
+                             ["copy-on-update", "cou-partial-redo"])
+    def test_saves_on_both_sides_of_the_staged_boundary(
+        self, tmp_path, algorithm
+    ):
+        with CheckpointWriterPool(1, chunk_objects=4) as pool:
+            server, cuts, staged, gate = self.served(tmp_path, algorithm, pool)
+            with server:
+                server.run_ticks(3)
+                server.wait_checkpoint_idle()
+                staged.clear()
+                gate.armed = True
+                server.run_tick()               # the held checkpoint's cut
+                assert gate.reached.wait(timeout=10.0)
+                cut = cuts[-1]
+                server.run_ticks(4)             # in flight throughout
+                executor = server._executor
+                saved = np.flatnonzero(executor._slots >= 0)
+                rows = np.sort(executor._slots[saved])
+                gate.release()
+                server.wait_checkpoint_idle()
+                first_chunk = np.isin(saved, staged[0])
+                assert first_chunk.any() and not first_chunk.all()
+                # Packed: the saved objects fill rows 0..saved-1 once each.
+                assert np.array_equal(rows, np.arange(executor._saved))
+                assert self.landed_image(executor.store) == cut
+
+    @pytest.mark.parametrize("algorithm",
+                             ["copy-on-update", "cou-partial-redo"])
+    def test_saves_only_while_a_job_is_in_flight(
+        self, tmp_path, algorithm, monkeypatch
+    ):
+        saves = []
+        save = RealExecutor._save
+
+        def recorded(self, ids):
+            saves.append(self._writer.idle)
+            save(self, ids)
+
+        monkeypatch.setattr(RealExecutor, "_save", recorded)
+        with CheckpointWriterPool(1, chunk_objects=4) as pool:
+            server, cuts, staged, gate = self.served(tmp_path, algorithm, pool)
+            with server:
+                for _ in range(6):              # a barrier run
+                    server.run_tick()
+                    server.wait_checkpoint_idle()
+                assert len(cuts) == 6 and saves == []
+                assert server._executor.handle_update_seconds == 0.0
+                staged.clear()
+                gate.armed = True
+                server.run_tick()
+                assert gate.reached.wait(timeout=10.0)
+                server.run_ticks(3)
+                held = list(saves)
+                gate.release()
+                server.wait_checkpoint_idle()
+                server.run_tick()               # the handle is idle
+                assert held and not any(held)
+                assert saves == held
+
+    def test_full_dump_slab_is_bounded(self, tmp_path):
+        """A full dump of an 8 MiB image lands in several slabs, so the
+        handle's slab stays within ``MAX_GATHER_BYTES`` and short of the
+        image."""
+        geometry = StateGeometry(rows=16385, columns=128,
+                                 cell_bytes=4, object_bytes=512)
+        cap_rows = MAX_GATHER_BYTES // geometry.object_bytes
+        assert cap_rows < geometry.num_objects
+        table = GameStateTable(geometry, dtype=np.uint32)
+        table.fill_random(np.random.default_rng(3))
+        with CheckpointWriterPool(1) as pool, DoubleBackupStore(
+            tmp_path, geometry
+        ) as store:
+            executor = RealExecutor(table, store, writer_pool=pool)
+            executor.set_current_tick(0)
+            executor.copy_to_memory(plan_all())
+            executor.begin_stable_write(plan_all())
+            assert executor.writer.wait_idle(timeout=30.0)
+            assert executor.stable_write_finished()
+            assert 0 < len(executor.writer._slab) <= cap_rows
+            assert store.read_image(0) == table.full_image()
+
+
 class TestLogStoreExecutor:
     def test_full_dump_and_partial_via_log(self, table, geometry, tmp_path):
         from repro.storage.checkpoint_log import CheckpointLogStore
@@ -303,3 +426,11 @@ def test_no_second_write_path_grows_back():
     assert ".write_checkpoint_vectored(" in inspect.getsource(
         flush_checkpoint_job
     )
+
+
+def test_no_dense_snapshot_grows_back():
+    """The snapshot is packed behind a slot map: no per-object mask of
+    which objects are saved survives anywhere in ``src/``."""
+    root = pathlib.Path(repro.__file__).parent
+    assert not [path for path in root.rglob("*.py")
+                if "_snapshot_mask" in path.read_text()]

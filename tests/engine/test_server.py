@@ -338,14 +338,14 @@ class TestPlanHandling:
             # and a wrapped mark on it would show.
             assert server.stats.checkpoints_started >= 1
             bookkeeping = pickle.dumps(server._policy)
-            snapshot_mask = server._executor._snapshot_mask.copy()
+            slots = server._executor._slots.copy()
+            saved = server._executor._saved
             table = server.table.copy()
             with pytest.raises(GeometryError, match="row index"):
                 server.run_tick()
             assert pickle.dumps(server._policy) == bookkeeping
-            assert np.array_equal(
-                server._executor._snapshot_mask, snapshot_mask
-            )
+            assert np.array_equal(server._executor._slots, slots)
+            assert server._executor._saved == saved
             assert server.table.equals(table)
             assert server._action_log.last_tick == bad_tick - 1
             assert server.ticks_run == bad_tick

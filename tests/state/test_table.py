@@ -1,11 +1,13 @@
 """Tests for the game-state table."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.config import StateGeometry
 from repro.errors import GeometryError
-from repro.state.table import GameStateTable
+from repro.state.table import FILL_CHUNK_CELLS, GameStateTable
 
 
 @pytest.fixture
@@ -154,6 +156,26 @@ class TestCopyAndEquality:
         table.fill_random(np.random.default_rng(0))
         assert table.cells.any()
 
+    @pytest.mark.parametrize("dtype", [np.uint32, np.float32])
+    def test_fill_random_chunks_match_one_draw(self, dtype):
+        """Chunked draws give the one-shot draw's values and leave the
+        generator in its state."""
+        geometry = StateGeometry(rows=75_001, columns=7)
+        cells = geometry.num_cells
+        assert cells > 2 * FILL_CHUNK_CELLS and cells % FILL_CHUNK_CELLS % 2
+        table = GameStateTable(geometry, dtype=dtype)
+        chunked = np.random.default_rng(11)
+        one_shot = np.random.default_rng(11)
+        table.fill_random(chunked)
+        if dtype is np.uint32:
+            info = np.iinfo(dtype)
+            expected = one_shot.integers(info.min, info.max, size=cells,
+                                         dtype=dtype)
+        else:
+            expected = one_shot.random(cells).astype(dtype)
+        assert np.array_equal(table.flat, expected)
+        assert chunked.bit_generator.state == one_shot.bit_generator.state
+
 
 class TestObjectRangeLoads:
     def test_object_bytes_is_single_copy_view(self, table):
@@ -245,3 +267,29 @@ class TestValidateFastPath:
         with pytest.raises(GeometryError, match="integers"):
             table.check_updates(np.array([1], dtype=np.int64),
                                 np.array([1], dtype=dtype))
+
+
+class TestGatherInPlace:
+    def test_gather_stages_no_copy_of_out(self):
+        """The gather writes ``out`` in place: nothing near its size is
+        allocated on the way."""
+        geometry = StateGeometry(rows=8192, columns=128)  # 4 MiB
+        table = GameStateTable(geometry, dtype=np.uint32)
+        table.fill_random(np.random.default_rng(2))
+        ids = np.arange(geometry.num_objects, dtype=np.int64)[::-1].copy()
+        out = np.empty((ids.size, geometry.cells_per_object), dtype=np.uint32)
+        tracemalloc.start()
+        try:
+            table.gather_objects_into(ids, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes // 8
+        assert np.array_equal(out, table.read_objects(ids))
+
+    @pytest.mark.parametrize("bad", [7, 10**9, -1])
+    def test_bad_id_raises_with_out_unwritten(self, table, bad):
+        out = np.full((2, table.geometry.cells_per_object), 5, dtype=np.uint32)
+        with pytest.raises(IndexError, match="out of bounds"):
+            table.gather_objects_into(np.array([0, bad]), out)
+        assert (out == 5).all()
