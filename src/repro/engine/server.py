@@ -75,8 +75,7 @@ def open_checkpoint_store(
     directory: str,
     geometry,
     layout: DiskLayout,
-    sync: bool = False,
-    fsync_policy: Optional[str] = None,
+    fsync_policy: str = "never",
 ):
     """The checkpoint store of disk organization ``layout`` in ``directory``.
 
@@ -89,7 +88,7 @@ def open_checkpoint_store(
         if layout is DiskLayout.DOUBLE_BACKUP
         else CheckpointLogStore
     )
-    return store_type(directory, geometry, sync=sync, fsync_policy=fsync_policy)
+    return store_type(directory, geometry, fsync_policy=fsync_policy)
 
 
 class DurableGameServer:
@@ -104,8 +103,7 @@ class DurableGameServer:
         # None: a full dump once the partials since the last one add up to
         # the state, bounding the checkpoint log below two images.
         full_dump_period: Optional[int] = None,
-        sync: bool = False,
-        fsync_policy: Optional[str] = None,
+        fsync_policy: str = "never",
         min_checkpoint_interval_ticks: int = 1,
         num_stripes: int = 64,
         writer_pool=None,
@@ -149,9 +147,7 @@ class DurableGameServer:
         # The logical log shares the checkpoint stores' durability policy so
         # fsync sweeps compare the whole write path apples-to-apples.  It
         # opens first, so refusing a used directory leaves nothing open.
-        self._action_log = ActionLog(
-            self._directory, sync=sync, fsync_policy=fsync_policy
-        )
+        self._action_log = ActionLog(self._directory, fsync_policy=fsync_policy)
         if (self._action_log.last_tick is not None
                 or self._action_log.sealed_segments):
             self._action_log.close()
@@ -160,7 +156,7 @@ class DurableGameServer:
                 "recover it instead of starting fresh"
             )
         self._store = open_checkpoint_store(
-            self._directory, geometry, self._policy.layout, sync, fsync_policy
+            self._directory, geometry, self._policy.layout, fsync_policy
         )
         self._executor = RealExecutor(
             self._table,

@@ -47,7 +47,7 @@ class MMOShard:
         directory: Union[str, os.PathLike],
         algorithm: str = "copy-on-update",
         seed: int = 0,
-        sync: bool = False,
+        fsync_policy: str = "never",
         writer_pool=None,
         **game_server_kwargs,
     ) -> None:
@@ -56,19 +56,22 @@ class MMOShard:
         game server submit its checkpoints through the pool instead of
         flushing each on the game thread at its cut; the pool is owned by
         the caller (typically :class:`~repro.engine.fleet.ShardFleet`) and
-        survives this shard's crash/close."""
+        survives this shard's crash/close.  ``fsync_policy`` is the game
+        server's; under ``always`` the item economy's WAL also fsyncs every
+        transaction."""
         self._directory = os.fspath(directory)
         self._game = DurableGameServer(
             app,
             os.path.join(self._directory, GAME_SUBDIRECTORY),
             algorithm=algorithm,
             seed=seed,
-            sync=sync,
+            fsync_policy=fsync_policy,
             writer_pool=writer_pool,
             **game_server_kwargs,
         )
         self._persistence = PersistenceServer(
-            os.path.join(self._directory, PERSISTENCE_SUBDIRECTORY), sync=sync
+            os.path.join(self._directory, PERSISTENCE_SUBDIRECTORY),
+            sync=fsync_policy == "always",
         )
         self._crashed = False
 

@@ -647,8 +647,7 @@ class ProcessShardHandle(ShardHandle):
             os.path.join(directory, GAME_SUBDIRECTORY),
             self.geometry,
             algorithm_class(algorithm).layout,
-            shard_kwargs.get("sync", False),
-            shard_kwargs.get("fsync_policy"),
+            shard_kwargs.get("fsync_policy", "never"),
         )
         self.pool_handle = pool.register(
             self.store, name=f"shard-{self.index:02d}", slab=self._staging

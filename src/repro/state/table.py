@@ -156,21 +156,12 @@ class GameStateTable:
             self._geometry.num_objects, self._geometry.cells_per_object
         )
 
-    def read_objects(self, object_ids) -> np.ndarray:
-        """Copy of the payload cells for ``object_ids`` (an array of ids).
-
-        Returns a new array of shape ``(len(object_ids), cells_per_object)``:
-        the fancy-index gather is the one copy.
-        """
-        return self._object_matrix()[object_ids]
-
     def gather_objects_into(self, object_ids, out: np.ndarray) -> None:
         """Copy the payload cells for ``object_ids`` into ``out``.
 
         ``out`` must be a ``(len(object_ids), cells_per_object)`` array of
-        the table dtype.  One fancy-index gather straight into the caller's
-        buffer -- the single-copy variant of :meth:`read_objects` used when
-        the destination (e.g. a shared-memory staging area) already exists.
+        the table dtype.  One gather straight into the caller's buffer
+        (e.g. a shared-memory staging area): the copy is the only one.
         A negative or out-of-range id raises ``IndexError`` before ``out``
         is written, so the gather can run in ``clip`` mode: numpy's default
         ``raise`` mode stages it in a temporary of ``out``'s size.

@@ -14,21 +14,20 @@ bit-identical to the pre-crash run.
 The log is one segment per checkpoint period: at a cut at tick ``c``,
 :meth:`ActionLog.roll` renames the live ``actions.log`` after its first
 tick, ``actions.<tick>.log``, and opens a fresh one for tick ``c + 1``.
-Records are CRC-framed, and the log is read the way the checkpoint log is:
-*verify what you trust*.  Opening walks the live segment's headers only --
-29 bytes each, parsed out of bounded reads, nothing CRC-checked or
-unpickled -- and lists sealed ones by name only when a read needs them,
-so it costs one period, not the uptime.  A header with bad magic, or a
-length that runs past end of file, is the torn tail (a crash mid-append)
-and ends the walk.  :attr:`ActionLog.last_tick` is the newest record that
-passes its CRC, in the newest segment that has one, so a tick is
-recoverable exactly when its record hit the log; the first append after
-an open that found a torn tail cuts the live file back to that record.
-:meth:`ActionLog.records` starts in the newest segment whose first tick
-is at or before the first tick asked for, seeks straight to that tick and
-verifies only the records it yields: a replay from a checkpoint's cut
-reads the ticks after the cut, never the ones before it, and a bad byte
-in a record the cut made redundant cannot hide the newer ones.
+Each segment is a :class:`~repro.storage.layout.RecordFile`, the framed
+record file the checkpoint log is built on, and is read the same way:
+*verify what you trust*.  Opening walks the live segment's headers only
+and lists sealed ones by name only when a read needs them, so it costs
+one period, not the uptime.  :attr:`ActionLog.last_tick` is the newest
+record that passes its CRC, in the newest segment that has one, so a tick
+is recoverable exactly when its record hit the log; the records after it
+are the torn tail, which the next append cuts off, as it does what a
+failed write left.  :meth:`ActionLog.records` starts in the newest segment
+whose first tick is at or before the first tick asked for, seeks straight
+to that tick and verifies only the records it yields: a replay from a
+checkpoint's cut reads the ticks after the cut, never the ones before it,
+and a bad byte in a record the cut made redundant cannot hide the newer
+ones.
 
 Appending is two-phase: :meth:`ActionLog.append` starts a record's fsync,
 :meth:`ActionLog.wait_durable` waits for it, and the tick runs in between.
@@ -42,26 +41,18 @@ import pickle
 import re
 import threading
 import time
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Union
 
-from repro.errors import CorruptCheckpointError, StorageError
-from repro.storage.double_backup import resolve_fsync_policy
+from repro.errors import StorageError
 from repro.storage.layout import (
     RECORD_HEADER_BYTES,
     RECORD_TICK,
+    RecordFile,
+    check_fsync_policy,
     fsync_directory,
-    pack_record,
-    pread_into,
-    unpack_record_header,
-    verify_record,
-    write_all,
 )
-
-#: Size of each read the header walk parses headers out of.
-_WALK_BLOCK_BYTES = 64 << 10
 
 #: A sealed segment's file name; the number is its first record's tick.
 _SEALED_NAME = re.compile(r"actions\.(\d+)\.log")
@@ -78,54 +69,11 @@ class TickRecord:
     command_payload: bytes = b""
 
 
-class _Segment:
-    """Header offset and (unverified) tick of every record of one segment
-    file up to ``end``, in file order."""
-
-    def __init__(self, fd: int) -> None:
-        self.fd, self.end = fd, 0
-        self.offsets, self.ticks = array("q"), array("q")
-
-    def walk(self) -> int:
-        """Index the headers from ``end`` on; returns the file's size.
-
-        Headers are parsed out of bounded block reads, and no payload is
-        CRC-checked or unpickled.  A header with bad magic, or whose length
-        runs past end of file, is the torn tail and ends the walk, having
-        allocated nothing for it.
-        """
-        size = os.fstat(self.fd).st_size
-        block = memoryview(bytearray(min(_WALK_BLOCK_BYTES, size - self.end)))
-        add_offset, add_tick = self.offsets.append, self.ticks.append
-        offset = base = self.end
-        filled = 0
-        while offset + RECORD_HEADER_BYTES <= size:
-            at = offset - base
-            if at + RECORD_HEADER_BYTES > filled:
-                base, at = offset, 0
-                filled = pread_into(self.fd, block, offset)
-                if filled < RECORD_HEADER_BYTES:
-                    break
-            try:
-                _type, tick, _b, length, _crc = unpack_record_header(block, at)
-            except CorruptCheckpointError:
-                break
-            end = offset + RECORD_HEADER_BYTES + length
-            if end > size:
-                break
-            add_offset(offset)
-            add_tick(tick)
-            offset = end
-        self.end = offset
-        return size
-
-
 class ActionLog:
     """Append-only logical log of game ticks.
 
     Durability follows the same ``fsync_policy`` vocabulary as the
-    checkpoint stores (``never`` / ``commit`` / ``always``), resolved through
-    :func:`~repro.storage.double_backup.resolve_fsync_policy` so sweeps
+    checkpoint stores (``never`` / ``commit`` / ``always``), so sweeps
     compare the whole write path under one policy.  Every append *is* this
     log's commit point (a tick is durable exactly when its record is down),
     so ``commit`` and ``always`` both fsync per append and ``never`` trusts
@@ -140,20 +88,18 @@ class ActionLog:
     def __init__(
         self,
         directory: Union[str, os.PathLike],
-        sync: bool = False,
-        fsync_policy: Optional[str] = None,
+        fsync_policy: str = "never",
     ) -> None:
         self._directory = os.fspath(directory)
-        self._fsync = resolve_fsync_policy(sync, fsync_policy)
+        self._fsync = check_fsync_policy(fsync_policy)
         os.makedirs(self._directory, exist_ok=True)
         self._path = os.path.join(self._directory, self.FILE_NAME)
         #: First tick of every sealed segment, oldest first: listed only
         #: when a read needs an older segment than the live one.
         self._sealed: Optional[List[int]] = None
-        self._handle = open(self._path, "a+b")
         self._bytes_verified = 0
-        self._live = _Segment(self._handle.fileno())
-        size = self._live.walk()
+        self._live = RecordFile(self._path)
+        self._live.walk()
         self._last_tick = self._drop_unverified_tail(self._live)
         if self._last_tick is None:
             # Only a live segment with no verified record opens sealed ones.
@@ -162,9 +108,6 @@ class ActionLog:
                     self._last_tick = self._drop_unverified_tail(segment)
                 if self._last_tick is not None:
                     break
-        #: The live file holds bytes past the index (a torn or corrupt
-        #: tail, or a failed write) that the next append must cut off first.
-        self._torn = size > self._live.end
         # The sync hand-off, both locks held at rest: append releases
         # ``_sync_requested``, the sync thread ``_synced`` after its fsync.
         self._sync_requested, self._synced = threading.Lock(), threading.Lock()
@@ -178,7 +121,7 @@ class ActionLog:
     def close(self) -> None:
         """Close the log file, once its pending sync has returned."""
         self._stop_sync()
-        self._handle.close()
+        self._live.close()
 
     def __enter__(self) -> "ActionLog":
         return self
@@ -223,58 +166,36 @@ class ActionLog:
                 _SEALED_NAME.fullmatch, os.listdir(self._directory)) if match)
         return self._sealed
 
-    def _drop_unverified_tail(self, segment: _Segment) -> Optional[int]:
+    def _drop_unverified_tail(self, segment: RecordFile) -> Optional[int]:
         """Cut ``segment``'s index back to its newest record that passes its
         CRC; returns that record's tick, or None when none does."""
-        for index in reversed(range(len(segment.offsets))):
-            verified = self._read_verified(segment, index)
-            if verified is not None:
-                break
-        else:
-            index, verified = -1, None
-        if index + 1 < len(segment.offsets):
-            segment.end = segment.offsets[index + 1]
-            del segment.offsets[index + 1:], segment.ticks[index + 1:]
-        return None if verified is None else verified[0]
+        index = len(segment.records)
+        while index and self._read_tick(segment, index - 1) is None:
+            index -= 1
+        segment.cut(index)
+        return segment.records[-1].a if index else None
 
     @contextlib.contextmanager
-    def _segment(self, first_tick: Optional[int]) -> Iterator[_Segment]:
+    def _segment(self, first_tick: Optional[int]) -> Iterator[RecordFile]:
         """The sealed segment ``first_tick``, opened and walked; the live
         one for None."""
         if first_tick is None:
             yield self._live
             return
-        with open(self._sealed_path(first_tick), "rb") as handle:
-            segment = _Segment(handle.fileno())
+        segment = RecordFile(self._sealed_path(first_tick), readonly=True)
+        try:
             segment.walk()
             yield segment
+        finally:
+            segment.close()
 
-    def _read_verified(
-        self, segment: _Segment, index: int
-    ) -> Optional[Tuple[int, memoryview]]:
-        """Read record ``index`` of ``segment`` whole; ``(tick, payload)``
-        if it is a tick record that passes its CRC, else None."""
-        offsets = segment.offsets
-        start = offsets[index]
-        end = offsets[index + 1] if index + 1 < len(offsets) else segment.end
-        frame = memoryview(bytearray(end - start))
-        read = pread_into(segment.fd, frame, start)
-        self._bytes_verified += read
-        if read != len(frame):
-            return None
-        header = frame[:RECORD_HEADER_BYTES]
-        payload = frame[RECORD_HEADER_BYTES:]
-        try:
-            record_type, tick, _b, _length, checksum = unpack_record_header(
-                header
-            )
-        except CorruptCheckpointError:
-            return None
-        if record_type != RECORD_TICK or not verify_record(
-            header, payload, checksum
-        ):
-            return None
-        return tick, payload
+    def _read_tick(self, segment: RecordFile, index: int):
+        """Record ``index`` of ``segment`` read whole: its payload if it is
+        a tick record that passes its CRC, else None."""
+        record = segment.records[index]
+        self._bytes_verified += RECORD_HEADER_BYTES + record.length
+        payload = segment.read_verified(index)
+        return payload if record.type == RECORD_TICK else None
 
     # ------------------------------------------------------------------
     # Appending
@@ -294,26 +215,15 @@ class ActionLog:
         payload = pickle.dumps(
             (record.rng_state, record.command_payload), protocol=4
         )
-        frame = pack_record(RECORD_TICK, record.tick, 0, payload)
-        live = self._live
         try:
-            if self._torn:
-                # A record appended behind bytes the walk could not read
-                # would never be read back: cut the file to its last
-                # verified record.
-                self._handle.truncate(live.end)
-                self._torn = False
-            # Unbuffered: a failed write leaves nothing for close to flush.
-            write_all(self._handle.fileno(), (frame,))
+            # The live segment's index is one period long: appends extend
+            # it, after cutting off a torn tail the open or a failed write
+            # left, so the record is always read back.
+            self._live.append([(RECORD_TICK, record.tick, 0, [payload])])
         except OSError as error:
-            self._torn = True
             raise StorageError(
                 f"action log write of tick {record.tick} failed: {error}"
             ) from error
-        # The live segment's index is one period long: appends extend it.
-        live.offsets.append(live.end)
-        live.ticks.append(record.tick)
-        live.end += len(frame)
         self._last_tick = record.tick
         if self._fsync != "never":
             # Each append is this log's commit point, so the "commit" and
@@ -331,18 +241,17 @@ class ActionLog:
         fresh ``actions.log`` for the next record; a no-op while the live
         segment holds none.  The server rolls at each checkpoint cut."""
         self.wait_durable()
-        if not self._live.ticks:
+        if not self._live.records:
             return
-        first = self._live.ticks[0]
+        first = self._live.records[0].a
         try:
             os.rename(self._path, self._sealed_path(first))
-            handle, self._handle = self._handle, open(self._path, "a+b")
+            sealed, self._live = self._live, RecordFile(self._path)
         except OSError as error:
             raise StorageError(f"action log roll failed: {error}") from error
-        handle.close()
+        sealed.close()
         if self._sealed is not None:
             self._sealed.append(first)
-        self._live, self._torn = _Segment(self._handle.fileno()), False
         self._new_segment = self._fsync != "never"
 
     def wait_durable(self) -> float:
@@ -369,8 +278,8 @@ class ActionLog:
                     # The new segment's name is durable before its records.
                     fsync_directory(self._directory)
                     self._new_segment = False
-                # The live handle: a roll swaps it only with no sync pending.
-                os.fsync(self._handle.fileno())
+                # The live file: a roll swaps it only with no sync pending.
+                os.fsync(self._live.fd)
             except OSError as error:
                 self._sync_error = error
             self._synced.release()
@@ -403,20 +312,20 @@ class ActionLog:
         has a hole, and it is the caller's to refuse a replay that stops
         short of :attr:`last_tick`.
         """
-        live = self._live.ticks
-        sealed = [] if live and live[0] <= start_tick else self._sealed_ticks()
+        live = self._live.records
+        sealed = [] if live and live[0].a <= start_tick else self._sealed_ticks()
         sealed = sealed[max(bisect_right(sealed, start_tick) - 1, 0):]
         for first in sealed + [None]:
             with self._segment(first) as segment:
-                ticks = segment.ticks
-                begin = len(ticks)
-                while begin and ticks[begin - 1] >= start_tick:
+                records = segment.records
+                begin = len(records)
+                while begin and records[begin - 1].a >= start_tick:
                     begin -= 1
-                for index in range(begin, len(ticks)):
-                    verified = self._read_verified(segment, index)
-                    if verified is None:
+                for index in range(begin, len(records)):
+                    payload = self._read_tick(segment, index)
+                    if payload is None:
                         return
-                    tick, payload = verified
                     rng_state, command_payload = pickle.loads(payload)
-                    yield TickRecord(tick=tick, rng_state=rng_state,
+                    yield TickRecord(tick=records[index].a,
+                                     rng_state=rng_state,
                                      command_payload=command_payload)

@@ -5,7 +5,8 @@ log organization allows us to use a sequential write pattern, we may have to
 read more of the log in order to find all objects necessary to reconstruct a
 full consistent checkpoint." (Section 3.2.)
 
-The log is a sequence of framed records::
+The log is a :class:`~repro.storage.layout.RecordFile` (the framed record
+file under the action log too) holding::
 
     CHECKPOINT_BEGIN  (epoch, is_full_dump)
     OBJECTS           (epoch, first_object_id_count) + [ids][payloads]
@@ -26,44 +27,36 @@ validation experiments compare against the model.
 
 Checkpoints are appended one at a time with increasing epochs, so file order
 is history order: the newest committed checkpoint is the last one in the file.
+Opening the store walks the log's headers once, and appends extend that
+index.  A torn tail, a failed write, or a record a restore found corrupt ends
+the log, and the next append cuts it off.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.config import StateGeometry
-from repro.errors import (
-    CorruptCheckpointError,
-    NoConsistentCheckpointError,
-    StorageError,
-)
+from repro.errors import NoConsistentCheckpointError, StorageError
 from repro.obs.trace import get_tracer
-from repro.storage.double_backup import (
-    resolve_fsync_policy,
-    restore_destination,
-)
 from repro.storage.layout import (
     GEOMETRY_BYTES,
     RECORD_CHECKPOINT_BEGIN,
     RECORD_CHECKPOINT_COMMIT,
     RECORD_HEADER_BYTES,
     RECORD_OBJECTS,
+    Record,
+    RecordFile,
+    check_fsync_policy,
     fsync_directory,
     pack_geometry,
-    pack_record,
-    pack_record_parts,
-    pread_into,
+    restore_destination,
     unpack_geometry,
-    unpack_record_header,
-    verify_record,
-    write_all,
 )
 
 _GEOMETRY_RECORD = 0  # pseudo-epoch used by the leading geometry record
@@ -79,33 +72,22 @@ _SCRATCH_PAD = -RECORD_HEADER_BYTES % 8
 OBJECTS_PER_RECORD = 512
 
 
-class _Record(NamedTuple):
-    """One framed record as the header walk saw it (nothing verified)."""
-
-    offset: int  # of the header
-    type: int
-    a: int
-    b: int
-    length: int
-    checksum: int
-
-    @property
-    def end(self) -> int:
-        return self.offset + RECORD_HEADER_BYTES + self.length
+def _open_log(path: str) -> RecordFile:
+    # Header-sized walk reads: an OBJECTS payload is far longer than the
+    # headers a block read would find around it.
+    return RecordFile(path, block_bytes=RECORD_HEADER_BYTES)
 
 
 @dataclass
 class _LogCheckpoint:
-    """Parsed view of one checkpoint's records in the log."""
+    """Parsed view of one committed checkpoint's records in the log."""
 
     epoch: int
     is_full_dump: bool
-    committed: bool
     cut_tick: int
     #: Index (into the walked record list) of each OBJECTS record.
     object_records: List[int]
-    #: Indices of the BEGIN record and of the last record (COMMIT once
-    #: committed) in the walked record list.
+    #: Indices of the BEGIN and the COMMIT record in the walked record list.
     first_record: int
     last_record: int
 
@@ -138,15 +120,15 @@ class CheckpointLogStore:
         self,
         directory: Union[str, os.PathLike],
         geometry: StateGeometry,
-        sync: bool = False,
-        fsync_policy: Optional[str] = None,
+        fsync_policy: str = "never",
     ) -> None:
         self._directory = os.fspath(directory)
         self._geometry = geometry
-        self._fsync = resolve_fsync_policy(sync, fsync_policy)
+        self._fsync = check_fsync_policy(fsync_policy)
         #: Test hook: called before every object append; raising from it
         #: emulates a writer killed mid-flush (fault injection).
         self.write_fault_hook: Optional[Callable[[], None]] = None
+        #: Bytes read from log files this store has since replaced.
         self._bytes_read = 0
         os.makedirs(self._directory, exist_ok=True)
         self._path = os.path.join(self._directory, self.FILE_NAME)
@@ -155,17 +137,18 @@ class CheckpointLogStore:
         # still the committed one.
         with contextlib.suppress(FileNotFoundError):
             os.unlink(self._next_path)
-        fresh = not os.path.exists(self._path) or os.path.getsize(self._path) == 0
-        self._handle = open(self._path, "a+b")
+        self._log = _open_log(self._path)
         #: The full dump being written, while one is (see begin_checkpoint).
-        self._next: Optional[BinaryIO] = None
+        self._next: Optional[RecordFile] = None
         try:
-            if fresh:
-                self._append_parts([self._geometry_record()])
+            # The log's one full walk; later walks and appends extend it.
+            self._log.walk()
+            if self._log.size() == 0:
+                self._log.append([self._geometry_record()])
             else:
                 self._verify_geometry()
         except BaseException:
-            self._handle.close()
+            self._log.close()
             raise
         self._writing_epoch: Optional[int] = None
 
@@ -174,7 +157,7 @@ class CheckpointLogStore:
         until the next open removes it)."""
         if self._next is not None:
             self._next.close()
-        self._handle.close()
+        self._log.close()
 
     def __enter__(self) -> "CheckpointLogStore":
         return self
@@ -197,26 +180,18 @@ class CheckpointLogStore:
         """Active durability policy (``never`` / ``commit`` / ``always``)."""
         return self._fsync
 
-    def _geometry_record(self) -> bytes:
-        return pack_record(
-            RECORD_CHECKPOINT_BEGIN, _GEOMETRY_RECORD, 0,
-            pack_geometry(self._geometry),
-        )
+    def _geometry_record(self):
+        return (RECORD_CHECKPOINT_BEGIN, _GEOMETRY_RECORD, 0,
+                [pack_geometry(self._geometry)])
 
-    def _append_parts(self, parts: List, committing: bool = False) -> None:
-        """Gathered append of framed records without concatenating them.
-
-        Records go to the full dump being written, if there is one, else to
-        the log.  Both handles are in append mode and never buffer a write,
-        so the raw fd lands all parts at the end of the file in one
-        ``writev``.  A ``committing`` append carries a commit marker, so it
-        must reach stable storage under the ``commit`` policy as well as
-        ``always``; a committed full dump then replaces the log.
-        """
-        target = self._next or self._handle
-        write_all(target.fileno(), parts)
-        if self._fsync == "always" or (committing and self._fsync == "commit"):
-            os.fsync(target.fileno())
+    def _append(self, records: List, committing: bool = False) -> None:
+        """Append records to the full dump being written, if there is one,
+        else to the log.  A ``committing`` append is durable under the
+        ``commit`` policy too; a committed full dump replaces the log."""
+        (self._next or self._log).append(records, fsync=(
+            self._fsync == "always"
+            or (committing and self._fsync == "commit")
+        ))
         if committing and self._next is not None:
             self._install_next()
 
@@ -226,25 +201,18 @@ class CheckpointLogStore:
         os.replace(self._next_path, self._path)
         if self._fsync != "never":
             fsync_directory(self._directory)
-        self._handle.close()
-        self._handle, self._next = self._next, None
+        self._bytes_read += self._log.bytes_read
+        self._log.close()
+        self._log, self._next = self._next, None
 
     def _verify_geometry(self) -> None:
-        record = memoryview(bytearray(_GEOMETRY_RECORD_BYTES))
-        header = record[:RECORD_HEADER_BYTES]
-        payload = record[RECORD_HEADER_BYTES:]
-        # A short read leaves zeros behind, which fail the magic check.
-        self._pread(self._read_fd(), record, 0)
-        try:
-            record_type, a, _b, length, checksum = unpack_record_header(header)
-        except CorruptCheckpointError:
-            record_type = None
-        if (
-            record_type != RECORD_CHECKPOINT_BEGIN
-            or a != _GEOMETRY_RECORD
-            or length != GEOMETRY_BYTES
-            or not verify_record(header, payload, checksum)
+        first = self._log.records[:1]
+        payload = None
+        if first and (first[0].type, first[0].a, first[0].length) == (
+            RECORD_CHECKPOINT_BEGIN, _GEOMETRY_RECORD, GEOMETRY_BYTES
         ):
+            payload = self._log.read_verified(0)
+        if payload is None:
             raise StorageError(f"{self._path} does not start with a geometry record")
         on_disk = unpack_geometry(payload)
         if on_disk != self._geometry:
@@ -272,59 +240,24 @@ class CheckpointLogStore:
             )
         if epoch <= 0:
             raise StorageError(f"epoch must be positive, got {epoch}")
-        begin = pack_record(
-            RECORD_CHECKPOINT_BEGIN, epoch, int(is_full_dump), b""
-        )
+        begin = (RECORD_CHECKPOINT_BEGIN, epoch, int(is_full_dump), [])
         if is_full_dump and self.size_bytes() > _GEOMETRY_RECORD_BYTES:
-            self._next = open(self._next_path, "a+b")
+            self._next = _open_log(self._next_path)
             # In progress from here: a failed write is aborted like any other.
             self._writing_epoch = epoch
-            self._append_parts([self._geometry_record(), begin])
+            self._append([self._geometry_record(), begin])
         else:
-            self._append_parts([begin])
+            self._append([begin])
         self._writing_epoch = epoch
 
-    def _validated_run(self, object_ids: np.ndarray, payloads):
-        """Fault-hook, id-range, and length checks shared by both append
-        paths; returns ``(ids, payload_view)`` (``None`` for an empty run)."""
-        if self.write_fault_hook is not None:
-            self.write_fault_hook()
-        object_ids = np.ascontiguousarray(object_ids, dtype=np.int64)
-        object_bytes = self._geometry.object_bytes
-        payload_view = memoryview(payloads)
-        if payload_view.nbytes != object_ids.size * object_bytes:
-            raise StorageError(
-                f"payload length {payload_view.nbytes} does not match "
-                f"{object_ids.size} objects of {object_bytes} bytes"
-            )
-        if object_ids.size == 0:
-            return None
-        if object_ids.min() < 0 or object_ids.max() >= self._geometry.num_objects:
-            raise StorageError("object id out of range")
-        return object_ids, payload_view.cast("B")
-
     def append_objects(self, object_ids: np.ndarray, payloads) -> None:
-        """Append one run of object versions to the in-progress checkpoint.
+        """Append one run of object versions to the in-progress checkpoint:
+        :meth:`write_checkpoint_vectored` without a commit.
 
         ``payloads`` is any contiguous bytes-like buffer holding
-        ``len(object_ids)`` back-to-back object images.  Header, ids, and
-        payload go down in one gathered write -- the record is never
-        assembled in memory.
+        ``len(object_ids)`` back-to-back object images.
         """
-        if self._writing_epoch is None:
-            raise StorageError("append_objects outside begin/commit")
-        run = self._validated_run(object_ids, payloads)
-        if run is None:
-            return
-        object_ids, payload_view = run
-        self._append_parts(
-            pack_record_parts(
-                RECORD_OBJECTS,
-                self._writing_epoch,
-                object_ids.size,
-                [object_ids, payload_view],
-            )
-        )
+        self.write_checkpoint_vectored(object_ids, payloads, None)
 
     def write_checkpoint_vectored(
         self, object_ids: np.ndarray, rows, cut_tick: Optional[int]
@@ -332,14 +265,14 @@ class CheckpointLogStore:
         """Land a staged write set and its commit marker in one gathered write.
 
         ``rows`` holds the objects' payloads in ``object_ids`` order (the
-        writer's slab), validated (and fault-hook checked) exactly like an
-        :meth:`append_objects` call.  It is framed as one OBJECTS record per
-        :data:`OBJECTS_PER_RECORD` objects over slices of ``rows`` -- never
-        copied -- and every record *and* the commit marker go to one
-        ``writev`` (split only at ``IOV_MAX``), made durable by at most one
-        ``fsync`` under the ``commit``/``always`` policies.
-        ``cut_tick=None`` lands the records uncommitted (a slab of a job
-        bigger than the writer's slab).
+        writer's slab); the fault hook runs, then ids and lengths are
+        checked before a byte is written.  It is framed as one OBJECTS
+        record per :data:`OBJECTS_PER_RECORD` objects over slices of
+        ``rows`` -- never copied -- and every record *and* the commit
+        marker go to one ``writev`` (split only at ``IOV_MAX``), made
+        durable by at most one ``fsync`` under the ``commit``/``always``
+        policies.  ``cut_tick=None`` lands the records uncommitted (a slab
+        of a job bigger than the writer's slab).
 
         The commit marker is the final entry of the iovec and ``writev``
         lands buffers in order, so a torn write can truncate the checkpoint
@@ -352,32 +285,43 @@ class CheckpointLogStore:
             raise StorageError(
                 "write_checkpoint_vectored outside begin/commit"
             )
-        parts: List = []
-        payload_bytes = 0
-        run = self._validated_run(object_ids, rows)
-        if run is not None:
-            object_ids, payload_view = run
-            payload_bytes = payload_view.nbytes
-            record_bytes = OBJECTS_PER_RECORD * self._geometry.object_bytes
+        if self.write_fault_hook is not None:
+            self.write_fault_hook()
+        object_ids = np.ascontiguousarray(object_ids, dtype=np.int64)
+        object_bytes = self._geometry.object_bytes
+        payload_view = memoryview(rows)
+        payload_bytes = payload_view.nbytes
+        if payload_bytes != object_ids.size * object_bytes:
+            raise StorageError(
+                f"payload length {payload_bytes} does not match "
+                f"{object_ids.size} objects of {object_bytes} bytes"
+            )
+        records: List = []
+        if object_ids.size:
+            if (object_ids.min() < 0
+                    or object_ids.max() >= self._geometry.num_objects):
+                raise StorageError("object id out of range")
+            payload_view = payload_view.cast("B")
+            record_bytes = OBJECTS_PER_RECORD * object_bytes
             for first in range(0, object_ids.size, OBJECTS_PER_RECORD):
                 ids = object_ids[first: first + OBJECTS_PER_RECORD]
-                offset = first * self._geometry.object_bytes
-                parts.extend(pack_record_parts(
+                offset = first * object_bytes
+                records.append((
                     RECORD_OBJECTS, self._writing_epoch, ids.size,
                     [ids, payload_view[offset: offset + record_bytes]],
                 ))
         if cut_tick is not None:
-            parts.append(pack_record(
-                RECORD_CHECKPOINT_COMMIT, self._writing_epoch, cut_tick, b""
-            ))
+            records.append(
+                (RECORD_CHECKPOINT_COMMIT, self._writing_epoch, cut_tick, [])
+            )
         with get_tracer().span(
             "log_writev",
             epoch=self._writing_epoch,
             cut=cut_tick,
             bytes=payload_bytes,
-            iovecs=len(parts),
+            records=len(records),
         ):
-            self._append_parts(parts, committing=cut_tick is not None)
+            self._append(records, committing=cut_tick is not None)
         if cut_tick is not None:
             self._writing_epoch = None
         return payload_bytes
@@ -386,9 +330,8 @@ class CheckpointLogStore:
         """Append the commit record; the checkpoint is now recoverable."""
         if self._writing_epoch is None:
             raise StorageError("commit_checkpoint without begin_checkpoint")
-        self._append_parts(
-            [pack_record(RECORD_CHECKPOINT_COMMIT, self._writing_epoch, tick,
-                         b"")],
+        self._append(
+            [(RECORD_CHECKPOINT_COMMIT, self._writing_epoch, tick, [])],
             committing=True,
         )
         self._writing_epoch = None
@@ -411,56 +354,20 @@ class CheckpointLogStore:
     @property
     def bytes_read(self) -> int:
         """Bytes this store object has read from the log file so far."""
-        return self._bytes_read
+        return self._bytes_read + self._log.bytes_read
 
-    def _read_fd(self) -> int:
-        """The raw fd for positioned reads, with buffered appends flushed."""
-        self._handle.flush()
-        return self._handle.fileno()
-
-    def _pread(self, fd: int, buffer, offset: int) -> int:
-        """Every read of the log goes through here: :func:`pread_into`,
-        counted into :attr:`bytes_read`."""
-        read = pread_into(fd, buffer, offset)
-        self._bytes_read += read
-        return read
-
-    def _walk(self, fd: int) -> List[_Record]:
-        """Header-only pass over the log: every framed record, in file order.
-
-        Hops from header to header and reads no payload.  A header with bad
-        magic, or whose ``length`` runs past the end of the file, is the torn
-        tail: the walk stops there having allocated nothing for it.  Nothing
-        is CRC-checked here -- callers verify the records they go on to trust
-        with :meth:`_read_verified`.
-        """
-        size = os.fstat(fd).st_size
-        header = bytearray(RECORD_HEADER_BYTES)
-        records: List[_Record] = []
-        offset = 0
-        while offset + RECORD_HEADER_BYTES <= size:
-            if self._pread(fd, header, offset) != RECORD_HEADER_BYTES:
-                break
-            try:
-                fields = unpack_record_header(header)
-            except CorruptCheckpointError:
-                break
-            record = _Record(offset, *fields)
-            if record.end > size:
-                break
-            records.append(record)
-            offset = record.end
-        return records
-
-    @staticmethod
-    def _checkpoints(records: List[_Record]) -> List[_LogCheckpoint]:
-        """Group walked records into checkpoints, in file order.
+    def _history(self, records: List[Record]) -> List[_LogCheckpoint]:
+        """The committed checkpoints a restore applies, oldest first.
 
         A checkpoint is a BEGIN record and the OBJECTS / COMMIT records of
         the same epoch that follow it before the next BEGIN; the writer
         appends one checkpoint at a time, so file order is history order.
+        The last one returned is the target (the newest committed
+        checkpoint); the first is the newest committed full dump at or
+        before it -- nothing older can contribute a byte -- or the log's
+        first committed checkpoint when no full dump exists.
         """
-        checkpoints: List[_LogCheckpoint] = []
+        committed: List[_LogCheckpoint] = []
         current: Optional[_LogCheckpoint] = None
         for index, record in enumerate(records):
             if record.type == RECORD_CHECKPOINT_BEGIN:
@@ -469,35 +376,19 @@ class CheckpointLogStore:
                 current = _LogCheckpoint(
                     epoch=record.a,
                     is_full_dump=bool(record.b),
-                    committed=False,
                     cut_tick=-1,
                     object_records=[],
                     first_record=index,
                     last_record=index,
                 )
-                checkpoints.append(current)
             elif current is not None and record.a == current.epoch:
                 if record.type == RECORD_OBJECTS:
                     current.object_records.append(index)
                 elif record.type == RECORD_CHECKPOINT_COMMIT:
-                    current.committed = True
                     current.cut_tick = record.b
-                else:
-                    continue
-                current.last_record = index
-                if current.committed:
+                    current.last_record = index
+                    committed.append(current)
                     current = None
-        return checkpoints
-
-    def _history(self, records: List[_Record]) -> List[_LogCheckpoint]:
-        """The committed checkpoints a restore applies, oldest first.
-
-        The last one is the target (the newest committed checkpoint); the
-        first is the newest committed full dump at or before it -- nothing
-        older can contribute a byte -- or the log's first committed
-        checkpoint when no full dump exists.
-        """
-        committed = [c for c in self._checkpoints(records) if c.committed]
         if not committed:
             raise NoConsistentCheckpointError(
                 f"no committed checkpoint in {self._path}"
@@ -516,32 +407,13 @@ class CheckpointLogStore:
         return first, history[-1].last_record
 
     @staticmethod
-    def _scratch_for(records: List[_Record], first: int, last: int):
-        """One reusable buffer that fits any record of ``[first, last]``."""
+    def _scratch_for(records: List[Record], first: int, last: int):
+        """One reusable buffer that fits any record of ``[first, last]``,
+        placed so that a payload read into it starts 8-byte aligned."""
         longest = max(record.length for record in records[first: last + 1])
-        return memoryview(
-            np.empty(_SCRATCH_PAD + RECORD_HEADER_BYTES + longest, np.uint8)
-        )
-
-    def _read_verified(
-        self, fd: int, record: _Record, scratch: memoryview
-    ) -> Optional[memoryview]:
-        """Read one whole record into ``scratch`` and CRC it in place.
-
-        Returns the payload view (8-byte aligned within ``scratch``), or
-        None when the record is short or fails its CRC -- the log ends at
-        such a record exactly as it does at a torn tail.
-        """
-        whole = scratch[
-            _SCRATCH_PAD: _SCRATCH_PAD + RECORD_HEADER_BYTES + record.length
-        ]
-        if self._pread(fd, whole, record.offset) != whole.nbytes:
-            return None
-        header = whole[:RECORD_HEADER_BYTES]
-        payload = whole[RECORD_HEADER_BYTES:]
-        if not verify_record(header, payload, record.checksum):
-            return None
-        return payload
+        return memoryview(np.empty(
+            _SCRATCH_PAD + RECORD_HEADER_BYTES + longest, np.uint8
+        ))[_SCRATCH_PAD:]
 
     def latest_committed(self) -> Tuple[int, int]:
         """``(epoch, cut_tick)`` of the newest committed checkpoint.
@@ -550,18 +422,8 @@ class CheckpointLogStore:
         fails ends the log there, and the history is resolved again over
         the shortened log until a fully verified one is found.
         """
-        fd = self._read_fd()
-        records = self._walk(fd)
-        while True:
-            history = self._history(records)
-            first, last = self._trusted_range(history)
-            scratch = self._scratch_for(records, first, last)
-            for index in range(first, last + 1):
-                if self._read_verified(fd, records[index], scratch) is None:
-                    del records[index:]
-                    break
-            else:
-                return history[-1].epoch, history[-1].cut_tick
+        target = self._restore(None)
+        return target.epoch, target.cut_tick
 
     def restore_image(self, out=None) -> Tuple[object, int, int]:
         """Reconstruct the newest committed checkpoint image into ``out``.
@@ -573,7 +435,7 @@ class CheckpointLogStore:
         ``bytearray``.  Returns ``(image, epoch, cut_tick)`` where ``image``
         is ``out`` or that new buffer.
 
-        A header-only walk finds the committed checkpoints; records are then
+        The open's header walk found the committed checkpoints; records are
         read in file order from the newest full dump's BEGIN through the
         target's COMMIT, so a later version of an object overwrites an
         earlier one.  An OBJECTS record whose ids are one ascending
@@ -593,51 +455,60 @@ class CheckpointLogStore:
         out_rows = np.frombuffer(view, dtype=np.uint8).reshape(
             geometry.num_objects, geometry.object_bytes
         )
-        fd = self._read_fd()
-        records = self._walk(fd)
+        target = self._restore(out_rows)
+        return image, target.epoch, target.cut_tick
+
+    def _restore(self, out_rows: Optional[np.ndarray]) -> _LogCheckpoint:
+        """Verify (and, into ``out_rows``, apply) the newest committed
+        checkpoint's trusted range; returns that checkpoint.  A corrupt
+        record ends the log there, and the history is resolved again."""
+        records = self._log.walk()
         restarted = False
         while True:
             try:
                 history = self._history(records)
             except NoConsistentCheckpointError:
-                if restarted:
+                if restarted and out_rows is not None:
                     out_rows[:] = 0
                 raise
-            corrupt = self._fill(fd, records, history, out_rows)
+            corrupt = self._fill(records, history, out_rows)
             if corrupt is None:
-                target = history[-1]
-                return image, target.epoch, target.cut_tick
-            del records[corrupt:]
+                return history[-1]
+            self._log.cut(corrupt)
             restarted = True
 
     def _fill(
-        self, fd: int, records: List[_Record], history: List[_LogCheckpoint],
-        out_rows: np.ndarray,
+        self, records: List[Record], history: List[_LogCheckpoint],
+        out_rows: Optional[np.ndarray],
     ) -> Optional[int]:
-        """One file-order pass of :meth:`restore_image` over ``history``.
+        """One file-order pass of :meth:`_restore` over ``history``.
 
         Returns the index of the first record found corrupt (the caller
-        shortens the log and retries), else None with ``out_rows`` complete.
-        While the applied records land one contiguous prefix ``[0, written)``
-        (a full dump's all of it) the rest of ``out_rows`` is left as it is;
-        it is zeroed before the first record that lands anywhere else.
+        shortens the log and retries), else None with ``out_rows`` complete
+        (without ``out_rows``, every record is only verified).  While the
+        applied records land one contiguous prefix ``[0, written)`` (a full
+        dump's all of it) the rest of ``out_rows`` is left as it is; it is
+        zeroed before the first record that lands anywhere else.
         """
-        num_objects, object_bytes = out_rows.shape
+        num_objects = self._geometry.num_objects
+        object_bytes = self._geometry.object_bytes
         first, last = self._trusted_range(history)
-        applies = {
+        applies = set() if out_rows is None else {
             index for checkpoint in history
             for index in checkpoint.object_records
         }
         scratch = self._scratch_for(records, first, last)
-        body = _SCRATCH_PAD + RECORD_HEADER_BYTES  # ids start here, aligned
-        written: Optional[int] = 0
+        body = RECORD_HEADER_BYTES  # ids start here, 8-byte aligned
+        written: Optional[int] = None if out_rows is None else 0
         for index in range(first, last + 1):
             record = records[index]
             count = record.b
             applied = index in applies
             framed = record.length == count * (8 + object_bytes)
             if not (applied and framed and count):
-                if self._read_verified(fd, record, scratch) is None:
+                # A record that fails its CRC ends the log, as a torn
+                # tail does.
+                if self._log.read_verified(index, scratch) is None:
                     return index
                 if applied and not framed:
                     raise StorageError(
@@ -645,8 +516,8 @@ class CheckpointLogStore:
                         f"{record.length} bytes, not {count} objects"
                     )
                 continue
-            head = scratch[_SCRATCH_PAD: body + 8 * count]
-            if self._pread(fd, head, record.offset) != head.nbytes:
+            head = scratch[: body + 8 * count]
+            if self._log.read(head, record.offset) != head.nbytes:
                 return index
             ids = np.frombuffer(scratch, np.int64, count=count, offset=body)
             low = int(ids[0])
@@ -665,11 +536,7 @@ class CheckpointLogStore:
                     scratch, np.uint8, count=count * object_bytes,
                     offset=body + 8 * count,
                 ).reshape(count, object_bytes)
-            landed = self._pread(fd, rows, record.offset + head.nbytes)
-            if landed != rows.nbytes:
-                return index
-            checksum = zlib.crc32(head[:RECORD_HEADER_BYTES - 4])
-            if zlib.crc32(rows, zlib.crc32(ids, checksum)) != record.checksum:
+            if self._log.read_verified(index, head, rows) is None:
                 return index
             if not direct:
                 _scatter(ids, rows, out_rows, ascending)
@@ -683,11 +550,10 @@ class CheckpointLogStore:
         """Log bytes from the newest committed full dump (the whole log
         without one) to the end: what a restore reads when the log ends at
         its target's commit.  Read off the record headers alone."""
-        records = self._walk(self._read_fd())
+        records = self._log.walk()
         first, _last = self._trusted_range(self._history(records))
         return records[-1].end - records[first].offset
 
     def size_bytes(self) -> int:
         """Current size of the log file."""
-        self._handle.seek(0, os.SEEK_END)
-        return self._handle.tell()
+        return self._log.size()

@@ -39,25 +39,11 @@ from repro.storage.layout import (
     STATE_EMPTY,
     STATE_IN_PROGRESS,
     BackupHeader,
+    check_fsync_policy,
     pread_into,
     pwritev_all,
+    restore_destination,
 )
-
-#: Durability policies: ``never`` trusts the OS page cache, ``commit`` forces
-#: the data region and the COMPLETE header down at each checkpoint commit,
-#: ``always`` additionally fsyncs every header transition.
-FSYNC_POLICIES = ("never", "commit", "always")
-
-
-def resolve_fsync_policy(sync: bool, fsync_policy: Optional[str]) -> str:
-    """Merge the legacy ``sync`` flag with the explicit policy name."""
-    if fsync_policy is None:
-        return "always" if sync else "never"
-    if fsync_policy not in FSYNC_POLICIES:
-        raise StorageError(
-            f"fsync_policy must be one of {FSYNC_POLICIES}, got {fsync_policy!r}"
-        )
-    return fsync_policy
 
 
 @dataclass(frozen=True)
@@ -69,32 +55,6 @@ class ConsistentImage:
     tick: int
 
 
-def restore_destination(out, nbytes: int):
-    """The buffer a whole-image restore fills: ``out`` checked, or a fresh
-    zeroed ``bytearray`` when ``out`` is None.
-
-    Returns ``(image, view)``: ``image`` is what the restore hands back
-    (``out`` itself when given) and ``view`` its flat writable byte view.
-    Raises :class:`StorageError` for anything but a writable contiguous
-    buffer of exactly ``nbytes`` bytes -- before the caller reads anything.
-    """
-    image = bytearray(nbytes) if out is None else out
-    try:
-        view = memoryview(image).cast("B")
-    except TypeError as error:
-        raise StorageError(
-            f"restore destination must be a contiguous buffer: {error}"
-        ) from None
-    if view.readonly:
-        raise StorageError("restore destination is read-only")
-    if view.nbytes != nbytes:
-        raise StorageError(
-            f"restore destination holds {view.nbytes} bytes, "
-            f"the image is {nbytes}"
-        )
-    return image, view
-
-
 class DoubleBackupStore:
     """Two alternating backup files with fixed per-object offsets."""
 
@@ -104,12 +64,11 @@ class DoubleBackupStore:
         self,
         directory: Union[str, os.PathLike],
         geometry: StateGeometry,
-        sync: bool = False,
-        fsync_policy: Optional[str] = None,
+        fsync_policy: str = "never",
     ) -> None:
         self._directory = os.fspath(directory)
         self._geometry = geometry
-        self._fsync = resolve_fsync_policy(sync, fsync_policy)
+        self._fsync = check_fsync_policy(fsync_policy)
         #: Test hook: called before every object write batch; raising from it
         #: emulates a writer killed mid-flush (fault injection).
         self.write_fault_hook: Optional[Callable[[], None]] = None
@@ -186,7 +145,8 @@ class DoubleBackupStore:
         self._bytes_read += read
         return read
 
-    def _read_header(self, backup_index: int) -> BackupHeader:
+    def header(self, backup_index: int) -> BackupHeader:
+        """Read one backup's header, checking its geometry."""
         raw = bytearray(BACKUP_HEADER_BYTES)
         read = self._pread(backup_index, raw, 0)
         header = BackupHeader.unpack(raw[:read])
@@ -219,7 +179,7 @@ class DoubleBackupStore:
             raise StorageError(
                 f"checkpoint already in progress on backup {self._writing_to}"
             )
-        other = self._read_header(1 - backup_index)
+        other = self.header(1 - backup_index)
         if other.state == STATE_IN_PROGRESS:
             raise StorageError(
                 "both backups would be in progress at once; the double-backup "
@@ -233,16 +193,15 @@ class DoubleBackupStore:
         self._writing_epoch = epoch
 
     def write_objects(self, object_ids: np.ndarray, payloads) -> None:
-        """Write payload bytes for ``object_ids`` at their fixed offsets.
+        """Write payload bytes for ``object_ids`` at their fixed offsets:
+        :meth:`write_checkpoint_vectored` without a commit.
 
         ``payloads`` is any contiguous buffer of ``len(object_ids)``
         back-to-back object images.  Ids are written in increasing-offset
         order (the paper's sorted-write optimization) regardless of the
         order given; a repeated id keeps its last payload.
         """
-        if self._writing_to is None:
-            raise StorageError("write_objects outside begin/commit")
-        self._write_runs(object_ids, payloads)
+        self.write_checkpoint_vectored(object_ids, payloads, None)
 
     def write_checkpoint_vectored(
         self, object_ids: np.ndarray, rows, cut_tick: Optional[int]
@@ -342,7 +301,7 @@ class DoubleBackupStore:
         """Find the newest complete image across both backups."""
         best: Optional[ConsistentImage] = None
         for index in (0, 1):
-            header = self._read_header(index)
+            header = self.header(index)
             if header.state != STATE_COMPLETE:
                 continue
             if best is None or header.epoch > best.epoch:
@@ -373,17 +332,3 @@ class DoubleBackupStore:
             )
         return image
 
-    def read_objects(self, backup_index: int, object_ids: np.ndarray) -> bytes:
-        """Read selected object payloads from one backup (for inspection)."""
-        object_bytes = self._geometry.object_bytes
-        handle = self._files[backup_index]
-        chunks = []
-        for object_id in np.asarray(object_ids, dtype=np.int64):
-            offset = BACKUP_HEADER_BYTES + int(object_id) * object_bytes
-            handle.seek(offset)
-            chunks.append(handle.read(object_bytes))
-        return b"".join(chunks)
-
-    def header(self, backup_index: int) -> BackupHeader:
-        """Read one backup's header (for tests and tooling)."""
-        return self._read_header(backup_index)

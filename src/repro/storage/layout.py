@@ -1,7 +1,10 @@
-"""Shared on-disk framing helpers: headers, records, and checksums.
+"""Shared on-disk framing: headers, records, checksums, and the record file.
 
 All multi-byte integers are little-endian.  Every header and record carries a
 CRC-32 so recovery can distinguish a torn write from valid data.
+:class:`RecordFile` is the append-only file of framed records under both logs
+(the action log's segments and the checkpoint log); what the records mean
+stays with the logs.
 """
 
 from __future__ import annotations
@@ -10,10 +13,10 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.config import StateGeometry
-from repro.errors import CorruptCheckpointError
+from repro.errors import CorruptCheckpointError, StorageError
 
 #: Common magic prefix for all repro storage files.
 MAGIC = b"RPRO"
@@ -25,6 +28,47 @@ FORMAT_VERSION = 1
 def crc32(data: bytes) -> int:
     """CRC-32 of ``data`` as an unsigned 32-bit integer."""
     return zlib.crc32(data) & 0xFFFFFFFF
+
+
+#: Durability policies of every store: ``never`` trusts the OS page cache,
+#: ``commit`` forces each commit point down, ``always`` also fsyncs every
+#: other write (for the double backup, every header transition).
+FSYNC_POLICIES = ("never", "commit", "always")
+
+
+def check_fsync_policy(fsync_policy: str) -> str:
+    """``fsync_policy``, once it is known to be one of :data:`FSYNC_POLICIES`."""
+    if fsync_policy not in FSYNC_POLICIES:
+        raise StorageError(
+            f"fsync_policy must be one of {FSYNC_POLICIES}, got {fsync_policy!r}"
+        )
+    return fsync_policy
+
+
+def restore_destination(out, nbytes: int):
+    """The buffer a whole-image restore fills: ``out`` checked, or a fresh
+    zeroed ``bytearray`` when ``out`` is None.
+
+    Returns ``(image, view)``: ``image`` is what the restore hands back
+    (``out`` itself when given) and ``view`` its flat writable byte view.
+    Raises :class:`StorageError` for anything but a writable contiguous
+    buffer of exactly ``nbytes`` bytes -- before the caller reads anything.
+    """
+    image = bytearray(nbytes) if out is None else out
+    try:
+        view = memoryview(image).cast("B")
+    except TypeError as error:
+        raise StorageError(
+            f"restore destination must be a contiguous buffer: {error}"
+        ) from None
+    if view.readonly:
+        raise StorageError("restore destination is read-only")
+    if view.nbytes != nbytes:
+        raise StorageError(
+            f"restore destination holds {view.nbytes} bytes, "
+            f"the image is {nbytes}"
+        )
+    return image, view
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +175,7 @@ RECORD_TICK = 4
 
 def pack_record(record_type: int, a: int, b: int, payload: bytes) -> bytes:
     """Frame one log record: typed header + CRC-protected payload."""
-    header = _RECORD_STRUCT.pack(MAGIC, record_type, a, b, len(payload), 0)
-    checksum = crc32(header[:-4] + payload)
-    header = _RECORD_STRUCT.pack(MAGIC, record_type, a, b, len(payload), checksum)
-    return header + payload
+    return pack_record_parts(record_type, a, b, [payload])[0] + payload
 
 
 def unpack_record_header(data, offset: int = 0):
@@ -152,26 +193,26 @@ def unpack_record_header(data, offset: int = 0):
     return record_type, a, b, length, checksum
 
 
-def verify_record(header_bytes, payload, checksum: int) -> bool:
-    """True if the payload matches the CRC recorded in the header.
+def verify_record(header_bytes, payload, checksum: int, rest=b"") -> bool:
+    """True if the payload (continued in ``rest``, if the record was read
+    into two buffers) matches the CRC recorded in the header.
 
-    Both arguments are any bytes-like buffers; the CRC runs over the header
-    (minus its own CRC field) and then the payload in place, so verifying a
-    record never concatenates or copies it.
+    All are any bytes-like buffers; the CRC runs over the header (minus its
+    own CRC field) and then the payload in place, so verifying a record
+    never concatenates or copies it.
     """
-    running = zlib.crc32(memoryview(header_bytes)[:-4])
-    return zlib.crc32(payload, running) & 0xFFFFFFFF == checksum
+    running = zlib.crc32(payload, zlib.crc32(memoryview(header_bytes)[:-4]))
+    return zlib.crc32(rest, running) & 0xFFFFFFFF == checksum
 
 
-def pack_record_parts(
-    record_type: int, a: int, b: int, parts: Sequence
-) -> List:
+def pack_record_parts(record_type: int, a: int, b: int, parts: Sequence):
     """Frame one record whose payload is scattered across ``parts``.
 
     Equivalent to ``pack_record(record_type, a, b, b"".join(parts))`` but
     never concatenates: the CRC is computed incrementally over the parts
-    (each a bytes-like buffer) and the framed record is returned as
-    ``[header, *parts]``, ready for a single gathered ``os.writev``.
+    (each a bytes-like buffer).  Returns ``(header, views, length, crc)``:
+    the header and the parts' byte views are the record, ready for a
+    single gathered ``os.writev``.
     """
     views = [memoryview(part).cast("B") for part in parts]
     length = sum(view.nbytes for view in views)
@@ -179,10 +220,8 @@ def pack_record_parts(
     checksum = zlib.crc32(header[:-4])
     for view in views:
         checksum = zlib.crc32(view, checksum)
-    header = _RECORD_STRUCT.pack(
-        MAGIC, record_type, a, b, length, checksum & 0xFFFFFFFF
-    )
-    return [header, *views]
+    header = _RECORD_STRUCT.pack(MAGIC, record_type, a, b, length, checksum)
+    return header, views, length, checksum
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +266,19 @@ def pread_into(fd: int, buffer, offset: int) -> int:
     return total
 
 
+def _skip(views: List[memoryview], written: int) -> List[memoryview]:
+    """What is left of ``views`` once the first ``written`` bytes landed:
+    fully-written views dropped, the partially-written one trimmed."""
+    left = []
+    for view in views:
+        if written >= view.nbytes:
+            written -= view.nbytes
+            continue
+        left.append(view[written:] if written else view)
+        written = 0
+    return left
+
+
 def pwritev_all(fd: int, buffers: Sequence, offset: int) -> int:
     """Gathered positioned write of ``buffers`` at ``offset``.
 
@@ -250,14 +302,7 @@ def pwritev_all(fd: int, buffers: Sequence, offset: int) -> int:
         offset += written
         remaining -= written
         if remaining:
-            trimmed = []
-            for view in views:
-                if written >= view.nbytes:
-                    written -= view.nbytes
-                    continue
-                trimmed.append(view[written:] if written else view)
-                written = 0
-            views = trimmed
+            views = _skip(views, written)
     return total
 
 
@@ -281,15 +326,7 @@ def write_all(fd: int, buffers: Sequence) -> int:
         written = os.writev(fd, views[:IOV_MAX])
         remaining -= written
         if remaining:
-            # Drop fully-written views, trim the partially-written one.
-            trimmed = []
-            for view in views:
-                if written >= view.nbytes:
-                    written -= view.nbytes
-                    continue
-                trimmed.append(view[written:] if written else view)
-                written = 0
-            views = trimmed
+            views = _skip(views, written)
     return total
 
 
@@ -300,3 +337,160 @@ def fsync_directory(path: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+# ---------------------------------------------------------------------------
+# The record file under both logs
+# ---------------------------------------------------------------------------
+
+#: Default size of each read the header walk parses headers out of.
+WALK_BLOCK_BYTES = 64 << 10
+
+
+class Record(NamedTuple):
+    """One framed record as the header walk indexed it (nothing verified)."""
+
+    offset: int  # of the header
+    type: int
+    a: int
+    b: int
+    length: int  # of the payload
+    checksum: int
+
+    @property
+    def end(self) -> int:
+        return self.offset + RECORD_HEADER_BYTES + self.length
+
+
+class RecordFile:
+    """One append-only file of framed records, and the index of its headers.
+
+    :attr:`records` holds every record up to :attr:`end` in file order, as
+    a walk or an append saw it; nothing in it is verified until
+    :meth:`read_verified` reads it.  :attr:`torn` says the file holds bytes
+    past :attr:`end` (a torn or corrupt tail, or what a failed write left),
+    which the next :meth:`append` cuts off before it writes.  A walk reads
+    at most ``block_bytes`` at a time, and only the next header after a
+    record longer than that, so it never reads a long payload.
+    """
+
+    def __init__(self, path: str, block_bytes: int = WALK_BLOCK_BYTES,
+                 readonly: bool = False) -> None:
+        # Unbuffered: a failed write leaves nothing for close to flush.
+        self._file = open(path, "rb" if readonly else "a+b", buffering=0)
+        self._block_bytes = block_bytes
+        self.records: List[Record] = []
+        self.end = 0
+        self.torn = False
+        #: Bytes read from the file so far, by walks and record reads.
+        self.bytes_read = 0
+
+    def close(self) -> None:
+        self._file.close()
+
+    @property
+    def fd(self) -> int:
+        return self._file.fileno()
+
+    def size(self) -> int:
+        """The file's size on disk, torn tail included."""
+        return os.fstat(self.fd).st_size
+
+    def read(self, buffer, offset: int) -> int:
+        """:func:`pread_into`, counted into :attr:`bytes_read`."""
+        read = pread_into(self.fd, buffer, offset)
+        self.bytes_read += read
+        return read
+
+    def walk(self) -> List[Record]:
+        """Index the headers from :attr:`end` on; returns :attr:`records`.
+        A header with bad magic, or whose length runs past end of file, is
+        the torn tail and ends the walk, having allocated nothing for it."""
+        size = self.size()
+        offset = base = self.end
+        block = memoryview(bytearray(max(min(self._block_bytes, size - offset), 0)))
+        want = block.nbytes
+        filled = 0
+        while offset + RECORD_HEADER_BYTES <= size:
+            at = offset - base
+            if at + RECORD_HEADER_BYTES > filled:
+                base, at = offset, 0
+                filled = self.read(block[:want], offset)
+                if filled < RECORD_HEADER_BYTES:
+                    break
+            try:
+                record = Record(offset, *unpack_record_header(block, at))
+            except CorruptCheckpointError:
+                break
+            if record.end > size:
+                break
+            self.records.append(record)
+            offset = record.end
+            long = RECORD_HEADER_BYTES + record.length > self._block_bytes
+            want = RECORD_HEADER_BYTES if long else block.nbytes
+        self.end = offset
+        self.torn = size > offset
+        return self.records
+
+    def cut(self, index: int) -> None:
+        """End the index before record ``index``: the file from there on is
+        a torn tail, which the next :meth:`append` cuts off."""
+        if index < len(self.records):
+            self.end = self.records[index].offset
+            del self.records[index:]
+            self.torn = True
+
+    def read_verified(self, index: int, head=None,
+                      rest=None) -> Optional[memoryview]:
+        """Read record ``index`` into the front of ``head`` (a fresh buffer
+        without one) and CRC it in place; returns the payload view, or None
+        when the record is short or fails its CRC.  A caller that already
+        read the record's first ``len(head)`` bytes into ``head`` (to see
+        where the rest belongs) passes ``rest``: only the remainder is read,
+        into ``rest``, which is returned once the CRC over both holds."""
+        record = self.records[index]
+        if head is None:
+            head = bytearray(RECORD_HEADER_BYTES + record.length)
+        head = memoryview(head).cast("B")
+        if rest is None:
+            head = target = head[: RECORD_HEADER_BYTES + record.length]
+            offset, rest = record.offset, b""
+        else:
+            target = rest = memoryview(rest).cast("B")
+            offset = record.offset + head.nbytes
+        if self.read(target, offset) != target.nbytes or not verify_record(
+            head[:RECORD_HEADER_BYTES], head[RECORD_HEADER_BYTES:],
+            record.checksum, rest,
+        ):
+            return None
+        return head[RECORD_HEADER_BYTES:] if target is head else rest
+
+    def append(self, records: Iterable[Tuple[int, int, int, Sequence]],
+               fsync: bool = False) -> None:
+        """Frame ``records`` -- ``(type, a, b, payload parts)`` each -- and
+        land them at :attr:`end` in one gathered write (then an fsync, if
+        asked), after cutting off a torn tail.  A failed write or fsync
+        raises :class:`OSError`, indexes nothing and leaves the tail torn."""
+        parts: List = []
+        added: List[Record] = []
+        end = self.end
+        for record_type, a, b, payload in records:
+            header, views, length, checksum = pack_record_parts(
+                record_type, a, b, payload
+            )
+            added.append(Record(end, record_type, a, b, length, checksum))
+            end = added[-1].end
+            parts.append(header)
+            parts += views
+        try:
+            if self.torn:
+                os.ftruncate(self.fd, self.end)
+                self.torn = False
+            write_all(self.fd, parts)
+            if fsync:
+                os.fsync(self.fd)
+        except OSError:
+            self.torn = True
+            raise
+        self.records += added
+        self.end = end

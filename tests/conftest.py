@@ -26,11 +26,49 @@ HANG_SECONDS = 120
 HANG_REPORT_FD = pytest.StashKey[int]()
 
 
+#: The armed watchdog's report fd, while a test runs (None between tests).
+_watchdog_file = None
+
+
+def arm_watchdog(file) -> None:
+    """Start the hang watchdog, reporting to ``file``."""
+    global _watchdog_file
+    _watchdog_file = file
+    faulthandler.dump_traceback_later(HANG_SECONDS, exit=True, file=file)
+
+
+def disarm_watchdog() -> None:
+    global _watchdog_file
+    _watchdog_file = None
+    faulthandler.cancel_dump_traceback_later()
+
+
+def _before_fork() -> None:
+    # A child inherits an armed watchdog without its thread, and would
+    # block in faulthandler's cancel at interpreter exit.
+    if _watchdog_file is not None:
+        faulthandler.cancel_dump_traceback_later()
+
+
+def _after_fork_in_parent() -> None:
+    if _watchdog_file is not None:
+        arm_watchdog(_watchdog_file)
+
+
+def register_watchdog_fork_hooks() -> None:
+    """Disarm the watchdog across every fork, re-arming it in the parent
+    only: a child runs without one."""
+    os.register_at_fork(before=_before_fork,
+                        after_in_parent=_after_fork_in_parent,
+                        after_in_child=disarm_watchdog)
+
+
 def pytest_configure(config):
     # Output capture is suspended while pytest configures, so fd 2 is still
     # the terminal here; during a test it is the capture file, which a run
     # that ends in faulthandler's exit never prints.
     config.stash[HANG_REPORT_FD] = os.dup(sys.stderr.fileno())
+    register_watchdog_fork_hooks()
 
 
 def pytest_unconfigure(config):
@@ -40,14 +78,12 @@ def pytest_unconfigure(config):
 @pytest.fixture(autouse=True)
 def hang_watchdog(pytestconfig):
     """Dump every thread's stack and exit if the test outlives
-    :data:`HANG_SECONDS`.  A child forked meanwhile must end through
-    ``os._exit`` (as ``multiprocessing`` workers do): interpreter
-    finalization in a child would wait on the parent's watchdog thread."""
-    faulthandler.dump_traceback_later(
-        HANG_SECONDS, exit=True, file=pytestconfig.stash[HANG_REPORT_FD]
-    )
+    :data:`HANG_SECONDS`.  The watchdog is disarmed across a fork and
+    re-armed in the parent (restarting its countdown), so a child never
+    inherits it."""
+    arm_watchdog(pytestconfig.stash[HANG_REPORT_FD])
     yield
-    faulthandler.cancel_dump_traceback_later()
+    disarm_watchdog()
 
 
 @pytest.fixture

@@ -206,7 +206,8 @@ class TestCutConsistency:
         executor.begin_stable_write(plan_all())
         assert gate.reached.wait(timeout=10.0)
         ids = np.array([2], dtype=np.int64)
-        original = table.read_objects(ids).copy()
+        original = np.empty((1, 8), dtype=np.uint32)
+        table.gather_objects_into(ids, original)
         executor.handle_updates(
             UpdateEffects(bit_tests=1, first_touch_ids=ids, copy_ids=ids)
         )
@@ -217,10 +218,8 @@ class TestCutConsistency:
         )
         gate.release()
         assert executor.writer.wait_idle(timeout=10.0)
-        restored = np.frombuffer(
-            store.read_objects(0, ids), dtype=np.uint32
-        ).reshape(1, 8)
-        assert np.array_equal(restored, original)
+        restored = np.frombuffer(store.read_image(0), dtype=np.uint32)
+        assert np.array_equal(restored.reshape(-1, 8)[ids], original)
 
 
 class TestPackedSnapshot:

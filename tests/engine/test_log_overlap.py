@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-import repro.storage.action_log as action_log_module
+import repro.storage.layout as layout
 from repro.config import StateGeometry
 from repro.core.registry import ALGORITHM_KEYS
 from repro.engine.fleet import ShardFleet
@@ -286,18 +286,18 @@ class TestFailure:
         self, tiny_geometry, tmp_path, monkeypatch
     ):
         app = RandomWalkApp(tiny_geometry)
-        real = action_log_module.write_all
+        real = layout.write_all
         writes = []
 
         def write_all(fd, buffers):
             writes.append(fd)
             if len(writes) == self.FAILED_TICK + 1:
-                frame = bytes(buffers[0])
+                frame = b"".join(bytes(buffer) for buffer in buffers)
                 real(fd, (frame[: len(frame) // 2],))
                 raise OSError(errno.ENOSPC, "injected short write")
             return real(fd, buffers)
 
-        monkeypatch.setattr(action_log_module, "write_all", write_all)
+        monkeypatch.setattr(layout, "write_all", write_all)
         self.fail_and_crash(app, tmp_path, "write of tick 5 failed")
         monkeypatch.undo()
         assert self.recover_and_compare(app, tmp_path).next_tick == (

@@ -16,6 +16,7 @@ import pickle
 import pytest
 
 import repro.storage.action_log as action_log_module
+import repro.storage.layout as layout
 from repro.engine.recovery import RecoveryManager
 from repro.engine.server import DurableGameServer
 from repro.errors import EngineError, RecoveryError
@@ -144,7 +145,7 @@ class TestOpenCostIsOnePeriod:
             for _ in range(self.TAIL):
                 log.append(TickRecord(tick=tick, rng_state={}))
                 tick += 1
-        real = action_log_module.pread_into
+        real = layout.pread_into
         read = []
 
         def pread_into(fd, buffer, offset):
@@ -152,7 +153,7 @@ class TestOpenCostIsOnePeriod:
             read.append(count)
             return count
 
-        monkeypatch.setattr(action_log_module, "pread_into", pread_into)
+        monkeypatch.setattr(layout, "pread_into", pread_into)
         listed = []
         monkeypatch.setattr(os, "listdir", listed.append)
         with ActionLog(directory) as log:

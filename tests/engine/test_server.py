@@ -220,7 +220,7 @@ class TestTickLoop:
                 server.run_tick()
                 server.wait_checkpoint_idle()
             store = server._store
-            records = store._walk(store._read_fd())
+            records = store._log.walk()
             framing = (
                 8 * geometry.num_objects
                 + RECORD_HEADER_BYTES * len(records) + GEOMETRY_BYTES
@@ -278,11 +278,11 @@ class TestTickLoop:
         from repro.engine.recovery import RecoveryManager
 
         reference = DurableGameServer(
-            random_walk_app, tmp_path / "ref", seed=2, sync=True
+            random_walk_app, tmp_path / "ref", seed=2, fsync_policy="always"
         )
         reference.run_ticks(30)
         victim = DurableGameServer(
-            random_walk_app, tmp_path / "victim", seed=2, sync=True
+            random_walk_app, tmp_path / "victim", seed=2, fsync_policy="always"
         )
         victim.run_ticks(30)
         victim.crash()

@@ -23,7 +23,7 @@ TICKS = 30
 def log_bound(store):
     """Two images of objects, with their ids, plus every record's header."""
     geometry = store.geometry
-    records = store._walk(store._read_fd())
+    records = store._log.walk()
     framing = (
         2 * 8 * geometry.num_objects
         + RECORD_HEADER_BYTES * len(records)

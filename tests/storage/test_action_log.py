@@ -106,14 +106,8 @@ class TestAppendAndRead:
 
 
 class TestFsyncPolicy:
-    def test_legacy_sync_flag_maps_to_policy(self, tmp_path):
-        with ActionLog(tmp_path / "a") as log:
-            assert log.fsync_policy == "never"
-        with ActionLog(tmp_path / "b", sync=True) as log:
-            assert log.fsync_policy == "always"
-
-    def test_explicit_policy_wins_over_sync_flag(self, tmp_path):
-        with ActionLog(tmp_path, sync=True, fsync_policy="never") as log:
+    def test_default_policy_is_never(self, tmp_path):
+        with ActionLog(tmp_path) as log:
             assert log.fsync_policy == "never"
 
     def test_invalid_policy_rejected(self, tmp_path):

@@ -199,7 +199,7 @@ class TestCompaction:
             store.commit_checkpoint(tick=epoch)
 
     def epochs_in_log(self, store):
-        return [r.a for r in store._walk(store._read_fd())
+        return [r.a for r in store._log.walk()
                 if r.type == RECORD_CHECKPOINT_BEGIN and r.a]
 
     def test_compaction_reclaims_and_preserves_restore(self, store, geometry):
@@ -502,9 +502,7 @@ class TestRotation:
         def no_space(fd, parts):
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(
-            "repro.storage.checkpoint_log.write_all", no_space
-        )
+        monkeypatch.setattr("repro.storage.layout.write_all", no_space)
         with pytest.raises(OSError, match="no space"):
             store.begin_checkpoint(3, is_full_dump=True)
         monkeypatch.undo()
@@ -586,7 +584,7 @@ class TestRotation:
                 assert image_value(image, geometry, object_id) == (
                     3_000 + object_id
                 )
-            assert [r.a for r in store._walk(store._read_fd())
+            assert [r.a for r in store._log.walk()
                     if r.type == RECORD_CHECKPOINT_BEGIN] == [0, 3]
 
     @pytest.mark.parametrize("path,policy,expected_fsyncs", [
@@ -639,17 +637,18 @@ def counted_fsyncs(monkeypatch):
 
 def counted_reads(monkeypatch):
     """Route the log store's only read syscall through a byte counter."""
-    from repro.storage import checkpoint_log, layout
+    from repro.storage import layout
 
     counts = {"bytes": 0, "calls": 0}
 
     def counting_pread_into(fd, buffer, offset):
-        read = layout.pread_into(fd, buffer, offset)
+        read = real(fd, buffer, offset)
         counts["bytes"] += read
         counts["calls"] += 1
         return read
 
-    monkeypatch.setattr(checkpoint_log, "pread_into", counting_pread_into)
+    real = layout.pread_into
+    monkeypatch.setattr(layout, "pread_into", counting_pread_into)
     return counts
 
 
@@ -682,7 +681,7 @@ class TestBackwardsRestore:
 
     def record_offsets(self, store):
         """(offset, end) of every framed record, from the store's own walk."""
-        return [(r.offset, r.end) for r in store._walk(store._read_fd())]
+        return [(r.offset, r.end) for r in store._log.walk()]
 
     def legacy_log(self, tmp_path, geometry):
         """The three cycles in one file, as a store that appended its full
