@@ -8,9 +8,9 @@ and deterministic seed.  Checkpoint I/O has one asynchronous shape:
 ``pool_size=K`` gives the fleet one shared
 :class:`~repro.engine.writer_pool.CheckpointWriterPool` that serves every
 shard, so it runs ``N`` mutator threads plus ``K`` writer threads
-(``O(pool_size)``, not ``O(num_shards)``), with batched submission and
-oldest-cut-first service.  Without ``pool_size`` the thread backend flushes
-each checkpoint on its shard's game thread at the cut.
+(``O(pool_size)``, not ``O(num_shards)``), each worker flushing the
+queued job with the oldest cut.  Without ``pool_size`` the thread backend
+flushes each checkpoint on its shard's game thread at the cut.
 
 The thread backend runs the mutators as *threads*, which caps aggregate
 throughput at roughly one core (the GIL serializes the tick loops however
@@ -134,11 +134,8 @@ class ShardFleet:
         algorithm: str = "copy-on-update",
         seed: int = 0,
         pool_size: Optional[int] = None,
-        pool_max_pending: Optional[int] = None,
-        pool_batch_jobs: int = 8,
         backend: str = "thread",
         command_ring_bytes: int = DEFAULT_RING_BYTES,
-        metrics: bool = True,
         **shard_kwargs,
     ) -> None:
         if num_shards <= 0:
@@ -156,11 +153,7 @@ class ShardFleet:
             pool_size = handle_type.default_pool_size
         self._pool: Optional[CheckpointWriterPool] = None
         if pool_size is not None:
-            self._pool = CheckpointWriterPool(
-                pool_size,
-                max_pending=pool_max_pending,
-                batch_jobs=pool_batch_jobs,
-            )
+            self._pool = CheckpointWriterPool(pool_size)
         try:
             self._handles: List[ShardHandle] = handle_type.open_all(
                 app_factory,
@@ -171,9 +164,6 @@ class ShardFleet:
                 shard_kwargs,
                 self._pool,
                 self._command_ring_bytes,
-                # False skips all hot-path publication (the overhead A/B
-                # lever the benchmark pulls); the rows still exist, zeroed.
-                bool(metrics),
             )
         except BaseException:
             if self._pool is not None:
@@ -569,16 +559,14 @@ class ShardFleet:
         num_shards: int,
         seed: int = 0,
         parallel: bool = True,
-        max_workers: Optional[int] = None,
     ) -> List[ShardRecovery]:
         """Recover every shard of a crashed fleet, results in index order.
 
         Each shard recovers by the paper's restore-then-replay.  With
-        ``parallel`` (the default) shards recover on a thread pool of
-        ``max_workers`` threads (default: one per shard); restore reads and
-        replays of independent shards overlap, which is where recovery time
-        goes at production shard counts.  Without it they recover one after
-        another.
+        ``parallel`` (the default) shards recover on one thread each; restore
+        reads and replays of independent shards overlap, which is where
+        recovery time goes at production shard counts.  Without it they
+        recover one after another.
 
         Assembly is deterministic either way: the returned list is indexed
         by shard, and each shard's recovery is a pure function of its own
@@ -596,10 +584,8 @@ class ShardFleet:
 
         if not parallel or num_shards == 1:
             return [recover_shard(index) for index in range(num_shards)]
-        workers = max_workers if max_workers is not None else num_shards
-        workers = max(1, min(workers, num_shards))
         with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-fleet-recover"
+            max_workers=num_shards, thread_name_prefix="repro-fleet-recover"
         ) as executor:
             # Executor.map preserves argument order, so the assembly is
             # index-ordered no matter which shard finishes first.

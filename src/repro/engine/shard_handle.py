@@ -35,27 +35,24 @@ from repro.state.ring import SharedCommandRing
 class TickLoop:
     """The per-tick body of every shard, on either backend.
 
-    ``metrics`` is the shard's metrics row, or None to publish nothing.
-    Two hooks let the owner add to the body without forking it:
-    ``after_drain`` runs after a nonempty drain and before the tick that
-    would log the batch (the torn-batch fault point), ``after_tick`` after
-    every tick's metrics are published.
+    ``metrics`` is the shard's metrics row.  Two hooks let the owner add
+    to the body without forking it: ``after_drain`` runs after a nonempty
+    drain and before the tick that would log the batch (the torn-batch
+    fault point), ``after_tick`` after every tick's metrics are published.
     """
 
     def __init__(
         self,
         shard: MMOShard,
         ring: SharedCommandRing,
-        metrics: Optional[RowMetrics],
+        metrics: RowMetrics,
     ) -> None:
         self._shard = shard
         self._ring = ring
-        self._publish = metrics is not None
-        if metrics is not None:
-            self._tick_us = metrics.histogram("tick_us")
-            self._drained = metrics.counter("commands_drained")
-            self._log_wait = metrics.counter("log_wait_us")
-            self._cut_lag = metrics.gauge("cut_lag_ticks")
+        self._tick_us = metrics.histogram("tick_us")
+        self._drained = metrics.counter("commands_drained")
+        self._log_wait = metrics.counter("log_wait_us")
+        self._cut_lag = metrics.gauge("cut_lag_ticks")
         self.after_drain: Optional[Callable[[], None]] = None
         self.after_tick: Optional[Callable[[], None]] = None
 
@@ -65,7 +62,7 @@ class TickLoop:
         shard, tracer = self._shard, get_tracer()
         game = shard.game
         for _ in range(count):
-            started = time.monotonic_ns() if self._publish else 0
+            started = time.monotonic_ns()
             with tracer.span("shard_tick"):
                 # One drain per tick: everything pushed before this instant
                 # becomes this tick's batch.
@@ -76,18 +73,15 @@ class TickLoop:
                 if batch and self.after_drain is not None:
                     self.after_drain()
                 shard.run_tick()
-            if self._publish:
-                self._tick_us.observe((time.monotonic_ns() - started) // 1000)
-                if batch:
-                    self._drained.inc(len(batch))
-                self._log_wait.set(int(game.stats.log_wait_seconds * 1e6))
-                # Ticks run beyond the newest cut handed to the checkpoint
-                # path, durable or not.
-                cut = game.last_cut_tick
-                ticks = game.ticks_run
-                self._cut_lag.set(
-                    ticks if cut is None else max(0, ticks - 1 - cut)
-                )
+            self._tick_us.observe((time.monotonic_ns() - started) // 1000)
+            if batch:
+                self._drained.inc(len(batch))
+            self._log_wait.set(int(game.stats.log_wait_seconds * 1e6))
+            # Ticks run beyond the newest cut handed to the checkpoint path,
+            # durable or not.
+            cut = game.last_cut_tick
+            ticks = game.ticks_run
+            self._cut_lag.set(ticks if cut is None else max(0, ticks - 1 - cut))
             if self.after_tick is not None:
                 self.after_tick()
             if barrier:
@@ -127,23 +121,20 @@ class ShardHandle:
         geometry,
         ring: SharedCommandRing,
         metrics: RowMetrics,
-        publish: bool,
     ) -> None:
         self.index = index
         self.geometry = geometry
         self.ring = ring
-        #: The shard's metrics row; zeroed when ``publish`` is False.
+        #: The shard's metrics row.
         self.metrics = metrics
-        self._ring_high_water = (
-            metrics.gauge("ring_high_water_bytes") if publish else None
-        )
+        self._ring_high_water = metrics.gauge("ring_high_water_bytes")
 
     def submit(self, payloads: Sequence[bytes]) -> int:
         """Push the prefix of ``payloads`` that fits the ring; returns how
         many landed.  A dead shard's failure is raised instead."""
         self.check()
         accepted = self.ring.push_batch(payloads)
-        if accepted and self._ring_high_water is not None:
+        if accepted:
             self._ring_high_water.max(self.ring.pending_bytes)
         return accepted
 
@@ -160,19 +151,17 @@ class ShardHandle:
 class ThreadShardHandle(ShardHandle):
     """A shard in this process, over a private command ring."""
 
-    def __init__(
-        self, index: int, shard: MMOShard, ring_bytes: int, publish: bool
-    ) -> None:
+    def __init__(self, index: int, shard: MMOShard, ring_bytes: int) -> None:
         metrics = MetricsRegistry(SHARD_METRICS_LAYOUT, rows=1).row(0)
         game = shard.game
         super().__init__(
             index, game.table.geometry,
-            SharedCommandRing.private(ring_bytes), metrics, publish,
+            SharedCommandRing.private(ring_bytes), metrics,
         )
         self._shard = shard
         # The game server outlives a crash, so its counters stay readable.
         self._game = game
-        self._loop = TickLoop(shard, self.ring, metrics if publish else None)
+        self._loop = TickLoop(shard, self.ring, metrics)
         self._thread: Optional[threading.Thread] = None
         self._outcome = None
 
@@ -186,7 +175,6 @@ class ThreadShardHandle(ShardHandle):
         shard_kwargs: dict,
         pool,
         ring_bytes: int,
-        publish: bool,
     ) -> List["ThreadShardHandle"]:
         """Open one in-process shard per directory; all or nothing."""
         shard_kwargs = dict(shard_kwargs)
@@ -200,7 +188,7 @@ class ThreadShardHandle(ShardHandle):
                     app_factory(index), directory, algorithm=algorithm,
                     seed=seed + index, **shard_kwargs,
                 )
-                handles.append(cls(index, shard, ring_bytes, publish))
+                handles.append(cls(index, shard, ring_bytes))
         except BaseException:
             for handle in handles:
                 handle.close()

@@ -190,17 +190,13 @@ class WorkerCheckpointProxy:
         control_row: np.ndarray,
         staged_ids: np.ndarray,
         staging: np.ndarray,
-        metrics_row: Optional[RowMetrics] = None,
+        metrics_row: RowMetrics,
     ) -> None:
         self._send = send
         self._control = control_row
         self._staged_ids = staged_ids
         self._staging = staging
-        self._staging_us = (
-            metrics_row.counter("staging_us")
-            if metrics_row is not None
-            else None
-        )
+        self._staging_us = metrics_row.counter("staging_us")
         self._tracer = get_tracer()
         #: Armed by the ``("crash", "at_checkpoint")`` test command: the
         #: worker dies right after handing a checkpoint to the parent, so
@@ -234,9 +230,7 @@ class WorkerCheckpointProxy:
                 "previous checkpoint is still being flushed by the parent"
             )
         count = int(job.object_ids.size)
-        staging_started = (
-            time.monotonic_ns() if self._staging_us is not None else 0
-        )
+        staging_started = time.monotonic_ns()
         with self._tracer.span(
             "ckpt_stage", epoch=int(job.epoch), cut=int(job.cut_tick)
         ):
@@ -244,10 +238,7 @@ class WorkerCheckpointProxy:
             job.source.read_payloads_into(
                 job.object_ids, self._staging[:count]
             )
-        if self._staging_us is not None:
-            self._staging_us.inc(
-                (time.monotonic_ns() - staging_started) // 1000
-            )
+        self._staging_us.inc((time.monotonic_ns() - staging_started) // 1000)
         row = self._control
         row[F_JOB_EPOCH] = int(job.epoch)
         row[F_JOB_CUT] = int(job.cut_tick)
@@ -318,7 +309,6 @@ def shard_worker_main(
     conn,
     doorbells: Tuple[int, int],
     parent_ends: Sequence[int],
-    publish_metrics: bool = True,
 ) -> None:
     """Entry point of one shard's worker process (fork start method).
 
@@ -346,11 +336,9 @@ def shard_worker_main(
         control = arena.array(CONTROL_SLOT)
         # This worker is the single writer of the tick-loop fields of its
         # shared metrics row; the parent scrapes them without a syscall.
-        metrics_row = None
-        if publish_metrics:
-            metrics_row = MetricsRegistry.from_array(
-                SHARD_METRICS_LAYOUT, arena.array(SHARD_METRICS_SLOT)
-            ).row(0)
+        metrics_row = MetricsRegistry.from_array(
+            SHARD_METRICS_LAYOUT, arena.array(SHARD_METRICS_SLOT)
+        ).row(0)
         # The tracer singleton was inherited through fork: re-stamp the pid
         # and, when enabled, route spans through the shared trace ring so
         # the parent can merge them onto the fleet timeline.
@@ -370,7 +358,7 @@ def shard_worker_main(
             control,
             arena.array(STAGED_IDS_SLOT),
             arena.array(STAGING_SLOT),
-            metrics_row=metrics_row,
+            metrics_row,
         )
         shard = MMOShard(
             app,
@@ -509,7 +497,7 @@ class ProcessShardHandle(ShardHandle):
 
     def __init__(
         self, index: int, geometry, process, conn, go: int, done: int,
-        arena: SharedArena, publish: bool,
+        arena: SharedArena,
     ) -> None:
         super().__init__(
             index,
@@ -518,7 +506,6 @@ class ProcessShardHandle(ShardHandle):
             MetricsRegistry.from_array(
                 SHARD_METRICS_LAYOUT, arena.array(SHARD_METRICS_SLOT)
             ).row(0),
-            publish,
         )
         self.trace_ring = SharedCommandRing(arena, prefix=TRACE_RING_PREFIX)
         self.process = process
@@ -553,7 +540,6 @@ class ProcessShardHandle(ShardHandle):
         shard_kwargs: dict,
         pool,
         ring_bytes: int,
-        publish: bool,
     ) -> List["ProcessShardHandle"]:
         """Fork one worker per directory, each over a fresh shared arena.
 
@@ -596,7 +582,7 @@ class ProcessShardHandle(ShardHandle):
                         target=shard_worker_main,
                         args=(app, directory, algorithm, seed + index,
                               shard_kwargs, arena, child_conn,
-                              (go_r, done_w), parent_ends, publish),
+                              (go_r, done_w), parent_ends),
                         name=f"repro-shard-{index:02d}",
                         daemon=True,
                     )
@@ -610,7 +596,7 @@ class ProcessShardHandle(ShardHandle):
                 os.close(go_r)
                 os.close(done_w)
                 handles.append(cls(index, app.geometry, process, parent_conn,
-                                   go_w, done_r, arena, publish))
+                                   go_w, done_r, arena))
             for handle, directory in zip(handles, directories):
                 handle._attach(directory, algorithm, shard_kwargs, pool)
         except BaseException:

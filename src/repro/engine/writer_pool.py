@@ -12,30 +12,17 @@ not ``O(num_shards)`` threads that mostly idle between cadence points.
   :class:`~repro.engine.executor.RealExecutor` and the validation harness
   program against.
 
-* **Bounded admission queue.**  Each handle may have at most one job in
-  flight (checkpoints are sequential per shard by construction), so the
-  ready queue holds at most one entry per shard.  ``max_pending`` bounds
-  the queue; a saturated pool pushes back on the submitting mutator (it
-  blocks up to ``admission_timeout`` seconds, then raises) instead of
-  buffering without limit.
-
-* **Oldest cut first.**  Recovery time depends on the *age* of the oldest
-  checkpoint at crash time, not on mean throughput, so each queued job
-  carries the tick its cut happened at and a worker always services the
-  job whose cut is oldest (submission order breaks ties, so equal-cadence
-  shards drain round-robin and no shard starves another).  Under overload
-  this bounds the worst-case checkpoint age at roughly one queue drain.
-
-* **Batched, gathered flushes.**  A worker wakes up and takes a *batch*:
-  the stalest job plus up to ``batch_jobs - 1`` more jobs whose store is
-  the same type, flushed back-to-back oldest-cut-first through
-  :func:`~repro.engine.writer.flush_checkpoint_job` -- each job staged
-  into its handle's slab and written with a single ``writev`` (log
+* **Oldest cut first, one job per wakeup.**  Each handle has at most
+  one job in flight (checkpoints are sequential per shard), so the queue
+  holds at most one job per handle and needs no bound of its own.
+  Recovery time depends on the *age* of the oldest checkpoint at crash
+  time, so a worker that wakes pops the queued job whose cut is oldest
+  (submission order breaks ties, so equal-cadence shards drain
+  round-robin) and flushes it through
+  :func:`~repro.engine.writer.flush_checkpoint_job`: one ``writev`` (log
   stores, commit marker included) or one ``pwritev`` per disk run
-  (double-backup stores), with at most one data fsync per job.  POSIX
-  offers no gathered write spanning file descriptors, so the batch lands
-  one handle at a time.  The selection rule keeps the oldest waiting
-  shard in the very next batch.
+  (double-backup stores), with at most one data fsync.  POSIX has no
+  gathered write across files, so two queued jobs go to two workers.
 
 * **Failure isolation.**  A store raising mid-flush poisons only its own
   handle: the error is recorded there and re-raised on *that shard's* next
@@ -54,8 +41,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
@@ -79,14 +66,6 @@ class PoolStats:
     bytes_written: int = 0
     #: Wall-clock seconds workers spent inside jobs (begin to commit).
     busy_seconds: float = 0.0
-    #: Number of worker wakeups that flushed at least one job.
-    batches_flushed: int = 0
-    #: Jobs flushed through batches (the histogram's total weight).
-    jobs_batched: int = 0
-    #: Batch size -> number of batches of that size.  At most ``batch_jobs``
-    #: distinct keys, however long the pool lives -- a fixed-size histogram
-    #: where PR 4 kept one list entry per batch forever.
-    batch_size_histogram: Dict[int, int] = field(default_factory=dict)
     #: Jobs waiting in the admission queue at this snapshot.
     queue_depth: int = 0
     #: Largest number of jobs ever waiting in the admission queue.
@@ -99,13 +78,6 @@ class PoolStats:
     #: newest durable cut) observed at this snapshot -- the fleet-facing
     #: gauge recovery time depends on.
     max_checkpoint_age_ticks: int = 0
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Average jobs flushed per worker wakeup."""
-        if not self.batches_flushed:
-            return 0.0
-        return self.jobs_batched / self.batches_flushed
 
 
 class PoolWriter:
@@ -271,38 +243,23 @@ class CheckpointWriterPool:
     def __init__(
         self,
         num_workers: int,
-        max_pending: Optional[int] = None,
-        batch_jobs: int = 8,
         chunk_objects: int = DEFAULT_CHUNK_OBJECTS,
-        admission_timeout: float = 60.0,
         name: str = "repro-ckpt-pool",
     ) -> None:
         if num_workers <= 0:
             raise CheckpointWriterError(
                 f"num_workers must be positive, got {num_workers}"
             )
-        if max_pending is not None and max_pending <= 0:
-            raise CheckpointWriterError(
-                f"max_pending must be positive or None, got {max_pending}"
-            )
-        if batch_jobs <= 0:
-            raise CheckpointWriterError(
-                f"batch_jobs must be positive, got {batch_jobs}"
-            )
         if chunk_objects <= 0:
             raise CheckpointWriterError(
                 f"chunk_objects must be positive, got {chunk_objects}"
             )
         self._num_workers = num_workers
-        self._max_pending = max_pending
-        self._batch_jobs = batch_jobs
         self._chunk = chunk_objects
-        self._admission_timeout = admission_timeout
         self._arrival_counter = 0
         self._name = name
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
-        self._space = threading.Condition(self._lock)
         self._ready: Deque[PoolWriter] = deque()
         self._handles: List[PoolWriter] = []
         self._threads: List[threading.Thread] = []
@@ -338,9 +295,6 @@ class CheckpointWriterPool:
                 jobs_abandoned=self._stats.jobs_abandoned,
                 bytes_written=self._stats.bytes_written,
                 busy_seconds=self._stats.busy_seconds,
-                batches_flushed=self._stats.batches_flushed,
-                jobs_batched=self._stats.jobs_batched,
-                batch_size_histogram=dict(self._stats.batch_size_histogram),
                 queue_depth=len(self._ready),
                 max_queue_depth=self._stats.max_queue_depth,
                 max_picked_staleness_ticks=(
@@ -399,21 +353,6 @@ class CheckpointWriterPool:
             )
         self._ensure_workers()
         with self._lock:
-            # Admission control: a saturated queue blocks the mutator
-            # (backpressure) rather than growing without bound.
-            deadline = time.monotonic() + self._admission_timeout
-            while (
-                self._max_pending is not None
-                and len(self._ready) >= self._max_pending
-                and not self._shutdown
-            ):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._space.wait(timeout=remaining):
-                    raise CheckpointWriterError(
-                        f"admission queue full ({self._max_pending} pending) "
-                        f"for {self._admission_timeout:.1f}s; the pool is not "
-                        "keeping up with the fleet's checkpoint cadence"
-                    )
             if self._shutdown:
                 raise CheckpointWriterError("writer pool is closed")
             handle._job = job
@@ -449,50 +388,26 @@ class CheckpointWriterPool:
                 handle._stats.jobs_abandoned += 1
                 self._stats.jobs_abandoned += 1
                 handle._idle.set()
-                self._space.notify()
 
     # ------------------------------------------------------------------
     # Worker threads
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _staleness_key(handle: PoolWriter):
-        """Service priority: oldest cut tick first, submission order ties."""
-        return (handle._job.cut_tick, handle._arrival)
-
-    def _take_batch_locked(self) -> List[PoolWriter]:
-        """Pop the most urgent job plus same-store-type jobs behind it.
-
-        The most urgent job is the queued job with the oldest cut tick, so
-        the longest-lagging shard is always in the very next batch and a
-        differently-typed job can be passed over at most until the next
-        wakeup, never indefinitely.
-        """
+    def _take_locked(self) -> PoolWriter:
+        """Pop the queued job with the oldest cut (arrival order breaks
+        ties), so the longest-lagging shard is always flushed next."""
         oldest_queued_cut = min(
             handle._job.cut_tick for handle in self._ready
         )
-        first = min(self._ready, key=self._staleness_key)
+        first = min(
+            self._ready,
+            key=lambda handle: (handle._job.cut_tick, handle._arrival),
+        )
         self._ready.remove(first)
         picked_staleness = first._job.cut_tick - oldest_queued_cut
         if picked_staleness > self._stats.max_picked_staleness_ticks:
             self._stats.max_picked_staleness_ticks = picked_staleness
-        # The batch is built oldest cut first, so the stalest shard's
-        # checkpoint lands first and even mid-batch the worst-case age keeps
-        # shrinking.
-        batch = [first]
-        if self._batch_jobs > 1:
-            store_type = type(first._store)
-            for handle in sorted(self._ready, key=self._staleness_key):
-                if len(batch) >= self._batch_jobs:
-                    break
-                if type(handle._store) is store_type:
-                    self._ready.remove(handle)
-                    batch.append(handle)
-        self._stats.batches_flushed += 1
-        self._stats.jobs_batched += len(batch)
-        histogram = self._stats.batch_size_histogram
-        histogram[len(batch)] = histogram.get(len(batch), 0) + 1
-        return batch
+        return first
 
     def _run(self) -> None:
         while True:
@@ -501,10 +416,8 @@ class CheckpointWriterPool:
                     self._work.wait()
                 if not self._ready:
                     return  # shutdown with an empty queue
-                batch = self._take_batch_locked()
-                self._space.notify_all()
-            for handle in batch:
-                self._flush(handle)
+                handle = self._take_locked()
+            self._flush(handle)
 
     def _flush(self, handle: PoolWriter) -> None:
         """Flush one shard's job; errors poison only that shard's handle."""
@@ -578,7 +491,6 @@ class CheckpointWriterPool:
         with self._lock:
             self._shutdown = True
             self._work.notify_all()
-            self._space.notify_all()
         deadline = time.monotonic() + timeout
         stuck = []
         for thread in self._threads:

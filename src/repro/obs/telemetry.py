@@ -96,7 +96,6 @@ class PoolTelemetry:
     jobs_abandoned: int
     bytes_written: int
     busy_seconds: float
-    mean_batch_size: float
     max_checkpoint_age_ticks: int
 
     @classmethod
@@ -111,7 +110,6 @@ class PoolTelemetry:
             jobs_abandoned=stats.jobs_abandoned,
             bytes_written=stats.bytes_written,
             busy_seconds=stats.busy_seconds,
-            mean_batch_size=stats.mean_batch_size,
             max_checkpoint_age_ticks=stats.max_checkpoint_age_ticks,
         )
 

@@ -27,9 +27,10 @@ validation experiments compare against the model.
 
 Checkpoints are appended one at a time with increasing epochs, so file order
 is history order: the newest committed checkpoint is the last one in the file.
-Opening the store walks the log's headers once, and appends extend that
-index.  A torn tail, a failed write, or a record a restore found corrupt ends
-the log, and the next append cuts it off.
+Opening the store walks the log's headers once and ends the log at its last
+commit; appends extend that index.  What lies past the end -- a torn tail,
+the records of a checkpoint that never committed, a failed write, or a
+record a restore found corrupt -- is cut off by the next append.
 """
 
 from __future__ import annotations
@@ -141,12 +142,20 @@ class CheckpointLogStore:
         #: The full dump being written, while one is (see begin_checkpoint).
         self._next: Optional[RecordFile] = None
         try:
-            # The log's one full walk; later walks and appends extend it.
-            self._log.walk()
+            # The log's one walk; appends extend its index.
+            records = self._log.walk()
             if self._log.size() == 0:
                 self._log.append([self._geometry_record()])
             else:
                 self._verify_geometry()
+                # No restore reads past the last commit, so the uncommitted
+                # tail goes (past the geometry record without a commit): a
+                # corrupt record there cannot hide a later commit.
+                self._log.cut(next(
+                    (index + 1 for index in range(len(records) - 1, 0, -1)
+                     if records[index].type == RECORD_CHECKPOINT_COMMIT),
+                    1,
+                ))
         except BaseException:
             self._log.close()
             raise
@@ -462,7 +471,7 @@ class CheckpointLogStore:
         """Verify (and, into ``out_rows``, apply) the newest committed
         checkpoint's trusted range; returns that checkpoint.  A corrupt
         record ends the log there, and the history is resolved again."""
-        records = self._log.walk()
+        records = self._log.records
         restarted = False
         while True:
             try:
@@ -550,7 +559,7 @@ class CheckpointLogStore:
         """Log bytes from the newest committed full dump (the whole log
         without one) to the end: what a restore reads when the log ends at
         its target's commit.  Read off the record headers alone."""
-        records = self._log.walk()
+        records = self._log.records
         first, _last = self._trusted_range(self._history(records))
         return records[-1].end - records[first].offset
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import StateGeometry
+from repro.engine import fleet as fleet_module
 from repro.engine.fleet import ShardFleet, shard_directory
 from repro.errors import EngineError
 
@@ -101,16 +102,24 @@ class TestRecovery:
             assert np.array_equal(serial, parallel_)
             assert np.array_equal(serial, expected)
 
-    def test_parallel_recovery_respects_max_workers(
-        self, app_factory, tmp_path
+    def test_parallel_recovery_runs_one_thread_per_shard(
+        self, app_factory, tmp_path, monkeypatch
     ):
         fleet = make_fleet(app_factory, tmp_path)
         fleet.run_ticks(10)
         live = [shard.game.table.cells.copy() for shard in fleet.shards]
         fleet.crash()
-        reports = ShardFleet.recover(
-            app_factory, tmp_path, 3, seed=5, parallel=True, max_workers=2
-        )
+        sizes = []
+
+        class CountingExecutor(fleet_module.ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(fleet_module, "ThreadPoolExecutor",
+                            CountingExecutor)
+        reports = ShardFleet.recover(app_factory, tmp_path, 3, seed=5)
+        assert sizes == [3]
         assert len(reports) == 3
         for report, expected in zip(reports, live):
             assert np.array_equal(report.game.table.cells, expected)

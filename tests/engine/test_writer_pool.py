@@ -16,6 +16,7 @@ from repro.errors import CheckpointWriterError, StorageError
 from repro.storage.checkpoint_log import CheckpointLogStore
 from repro.storage.double_backup import DoubleBackupStore
 from repro.storage.layout import STATE_EMPTY
+from tests.conftest import FlushGate
 
 GEOMETRY = StateGeometry(rows=400, columns=10)
 
@@ -94,8 +95,6 @@ class TestConstruction:
         "kwargs",
         [
             {"num_workers": 0},
-            {"num_workers": 2, "max_pending": 0},
-            {"num_workers": 2, "batch_jobs": 0},
             {"num_workers": 2, "chunk_objects": 0},
         ],
     )
@@ -113,22 +112,13 @@ class TestConstruction:
 
 class TestOneCheckpointWriter:
     def test_no_second_writer_grows_back(self):
-        """The pool is the only asynchronous writer: no service-order,
-        flush-path or gather-cap argument on it, no thread or queue in the
-        flush routine's module, no per-server writer class exported."""
+        """The pool is the only asynchronous writer: no thread or queue in
+        the flush routine's module, no per-server writer class exported."""
         import inspect
         import re
 
         import repro.engine
 
-        parameters = inspect.signature(CheckpointWriterPool.__init__).parameters
-        assert list(parameters) == [
-            "self", "num_workers", "max_pending", "batch_jobs",
-            "chunk_objects", "admission_timeout", "name",
-        ]
-        assert parameters["max_pending"].default is None
-        assert parameters["batch_jobs"].default == 8
-        assert parameters["admission_timeout"].default == 60.0
         assert not re.search(
             r"^\s*(import|from)\s+(threading|queue)\b",
             inspect.getsource(writer_module), re.MULTILINE,
@@ -137,11 +127,26 @@ class TestOneCheckpointWriter:
         assert not hasattr(repro.engine, retired)
         assert not hasattr(writer_module, retired)
 
+    def test_no_second_pool_schedule_grows_back(self):
+        """One schedule: a worker flushes the oldest-cut job per wakeup.  No
+        batch, no admission bound and no knob for either comes back."""
+        import inspect
+
+        from repro.engine import writer_pool
+
+        parameters = inspect.signature(CheckpointWriterPool.__init__).parameters
+        assert list(parameters) == [
+            "self", "num_workers", "chunk_objects", "name",
+        ]
+        source = inspect.getsource(writer_pool)
+        assert "batch" not in source.lower()
+        assert "_space" not in source
+
 
 class TestRoundTrip:
     def test_many_shards_few_workers(self, tmp_path):
         """5 stores of both types flushed correctly by 2 worker threads."""
-        with CheckpointWriterPool(2, batch_jobs=4, chunk_objects=8) as pool:
+        with CheckpointWriterPool(2, chunk_objects=8) as pool:
             stores, handles, arrays = [], [], []
             for index in range(5):
                 if index % 2 == 0:
@@ -167,11 +172,6 @@ class TestRoundTrip:
             stats = pool.stats()
             assert stats.jobs_completed == 5
             assert stats.jobs_submitted == 5
-            assert stats.jobs_batched == 5
-            assert sum(
-                size * count
-                for size, count in stats.batch_size_histogram.items()
-            ) == 5
             for store in stores:
                 store.close()
 
@@ -306,35 +306,9 @@ class TestAdmissionControl:
             assert handle.wait_idle(timeout=10.0)
             store.close()
 
-    def test_saturated_queue_times_out_with_backpressure(self, tmp_path):
-        """max_pending bounds the queue; a full pool pushes back on submit."""
-        pool = CheckpointWriterPool(
-            1, max_pending=1, admission_timeout=0.2
-        )
-        blocker = BlockingSource(make_objects())
-        stores, handles = [], []
-        for index in range(3):
-            store = DoubleBackupStore(tmp_path / str(index), GEOMETRY)
-            stores.append(store)
-            handles.append(pool.register(store))
-        # Job 0 occupies the single worker; job 1 fills the queue slot.
-        handles[0].submit(full_job(blocker))
-        assert blocker.entered.wait(timeout=10.0)
-        handles[1].submit(full_job(ArraySource(make_objects(1))))
-        started = time.perf_counter()
-        with pytest.raises(CheckpointWriterError, match="admission queue"):
-            handles[2].submit(full_job(ArraySource(make_objects(2))))
-        assert time.perf_counter() - started >= 0.2
-        blocker.release.set()
-        for handle in handles[:2]:
-            assert handle.wait_idle(timeout=10.0)
-        pool.close()
-        for store in stores:
-            store.close()
-
     def test_queue_drains_fifo_over_shards(self, tmp_path):
         """Round-robin fairness: queued shards commit in submission order."""
-        pool = CheckpointWriterPool(1, batch_jobs=1)
+        pool = CheckpointWriterPool(1)
         blocker = BlockingSource(make_objects())
         stores, handles = [], []
         for index in range(4):
@@ -366,6 +340,41 @@ class TestAdmissionControl:
         pool.close()
         for store in stores:
             store.close()
+
+
+    def test_two_queued_jobs_flush_on_two_workers_at_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Two handles' jobs queued before either idle worker wakes are in
+        flight together: a worker takes one job per wakeup, so the second
+        never waits behind the first on one thread."""
+        pool = CheckpointWriterPool(2)
+        gates = [FlushGate(), FlushGate()]
+        stores, handles = [], []
+        try:
+            for index, gate in enumerate(gates):
+                store = DoubleBackupStore(tmp_path / str(index), GEOMETRY)
+                store.write_fault_hook = gate
+                stores.append(store)
+                handles.append(pool.register(store))
+            pool._ensure_workers()
+            # Queue both jobs without waking a worker, then wake both.
+            monkeypatch.setattr(pool._work, "notify", lambda n=1: None)
+            for index, handle in enumerate(handles):
+                handle.submit(full_job(ArraySource(make_objects(index))))
+            monkeypatch.undo()
+            with pool._lock:
+                pool._work.notify_all()
+            for gate in gates:
+                assert gate.reached.wait(timeout=10.0)
+        finally:
+            for gate in gates:
+                gate.release()
+            for handle in handles:
+                handle.wait_idle(timeout=10.0)
+            pool.close()
+            for store in stores:
+                store.close()
 
 
 class TestShutdown:
@@ -413,7 +422,7 @@ class TestShutdown:
         store.close()
 
     def test_orderly_close_drains_queued_jobs(self, tmp_path):
-        pool = CheckpointWriterPool(1, batch_jobs=1)
+        pool = CheckpointWriterPool(1)
         stores, handles, arrays = [], [], []
         for index in range(3):
             store = DoubleBackupStore(tmp_path / str(index), GEOMETRY)
@@ -558,7 +567,7 @@ class TestStalenessAdmission:
                     service_order.append(self._index)
                 super().read_payloads_into(object_ids, out)
 
-        pool = CheckpointWriterPool(1, batch_jobs=1)
+        pool = CheckpointWriterPool(1)
         blocker = BlockingSource(make_objects())
         stores, handles = [], []
         try:
@@ -679,9 +688,9 @@ class TestGatherCap:
 
 class TestCoalescedCrashSemantics:
     def test_fault_mid_batch_leaves_every_handle_recoverable(self, tmp_path):
-        """A crash-mid-gathered-write fault on one handle of a coalesced
-        batch must not tear any other handle's commit marker."""
-        with CheckpointWriterPool(1, batch_jobs=8, chunk_objects=8) as pool:
+        """A crash-mid-gathered-write fault on one of three queued jobs must
+        not tear any other handle's commit marker."""
+        with CheckpointWriterPool(1, chunk_objects=8) as pool:
             blocker_store = CheckpointLogStore(tmp_path / "blocker", GEOMETRY)
             stores = [
                 CheckpointLogStore(tmp_path / str(index), GEOMETRY)
@@ -700,8 +709,8 @@ class TestCoalescedCrashSemantics:
                     backup_index=None, is_full_dump=True,
                 ))
                 assert handle.wait_idle(timeout=10.0)
-            # Round 2: all three queue behind a parked worker so they flush
-            # as one coalesced batch; the middle store dies mid-write.
+            # Round 2: all three queue behind a parked worker and flush one
+            # after another; the middle store dies mid-write.
             blocker = BlockingSource(make_objects(9))
             blocker_handle.submit(full_job(
                 blocker, epoch=1, cut_tick=6, backup_index=None,
@@ -722,14 +731,12 @@ class TestCoalescedCrashSemantics:
             blocker.release.set()
             for handle in handles:
                 assert handle.wait_idle(timeout=10.0, check=False)
-            stats = pool.stats()
-            assert stats.batch_size_histogram.get(3) == 1
             # The faulted shard: poisoned handle, epoch 1 still restorable.
             assert isinstance(handles[1].error, StorageError)
             image, epoch, tick = stores[1].restore_image()
             assert (epoch, tick) == (1, 5)
             assert image == arrays[1].tobytes()
-            # Its batch-mates committed epoch 2 intact.
+            # The jobs queued beside it committed epoch 2 intact.
             for index in (0, 2):
                 handles[index].check()
                 image, epoch, tick = stores[index].restore_image()

@@ -44,17 +44,6 @@ class TestThreadFleetTelemetry:
         finally:
             fleet.close()
 
-    def test_metrics_disabled_fleet_still_snapshots(self, app_factory,
-                                                    tmp_path):
-        fleet = ShardFleet(app_factory, tmp_path, 1, seed=3, metrics=False)
-        try:
-            fleet.run_ticks(3)
-            snapshot = fleet.telemetry()
-            assert snapshot.shards[0].ticks_run == 3
-            assert snapshot.tick_p50_us == 0.0  # nothing published
-        finally:
-            fleet.close()
-
     def test_render_is_human_readable(self, app_factory, tmp_path):
         fleet = ShardFleet(app_factory, tmp_path, 1, seed=3)
         try:

@@ -47,8 +47,8 @@ class TestPoolTelemetry:
     def test_from_stats_copies_every_field(self):
         stats = PoolStats(
             jobs_submitted=9, jobs_completed=8, jobs_abandoned=1,
-            bytes_written=1 << 20, busy_seconds=0.25, batches_flushed=4,
-            jobs_batched=8, queue_depth=2, max_queue_depth=5,
+            bytes_written=1 << 20, busy_seconds=0.25, queue_depth=2,
+            max_queue_depth=5,
             max_checkpoint_age_ticks=6,
         )
         pool = PoolTelemetry.from_stats(stats, num_workers=3)
@@ -57,7 +57,6 @@ class TestPoolTelemetry:
         assert pool.jobs_completed == 8
         assert pool.queue_depth == 2
         assert pool.max_queue_depth == 5
-        assert pool.mean_batch_size == stats.mean_batch_size
         assert pool.max_checkpoint_age_ticks == 6
 
 

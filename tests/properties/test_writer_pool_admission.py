@@ -67,7 +67,7 @@ def test_flooded_pool_drains_oldest_cut_first(cuts):
             out[:] = 0
 
     with tempfile.TemporaryDirectory() as root:
-        pool = CheckpointWriterPool(1, batch_jobs=1)
+        pool = CheckpointWriterPool(1)
         stores = []
         try:
             blocker_store = CheckpointLogStore(f"{root}/blocker", GEOMETRY)
@@ -123,7 +123,7 @@ def test_straggler_bounded_by_one_service_under_staleness(cuts, lag):
     cuts = [cut + lag + 1 for cut in cuts]  # ...after shifting the rest up
 
     with tempfile.TemporaryDirectory() as root:
-        pool = CheckpointWriterPool(1, batch_jobs=1)
+        pool = CheckpointWriterPool(1)
         stores = []
         try:
             blocker_store = CheckpointLogStore(f"{root}/blocker", GEOMETRY)
@@ -212,7 +212,7 @@ def _straggler_ages(root: str, num_shards: int, waves: int, lag: int):
         _ClockedSource(clock, clock_lock, gate) for _ in range(num_shards)
     ]
     straggler_cuts = []
-    pool = CheckpointWriterPool(1, batch_jobs=1)
+    pool = CheckpointWriterPool(1)
     stores = []
     try:
         for shard in range(num_shards):

@@ -142,6 +142,28 @@ class TestNewestRecordReadsBack:
             assert case.newest(reopened) == NEWEST[log]
 
 
+def test_a_corrupt_uncommitted_tail_is_cut_at_open(tmp_path):
+    """Epoch 2 never committed, and its complete OBJECTS record fails its
+    CRC: the open cuts the uncommitted tail, so neither a restore before
+    the next commit nor epoch 3 behind it trips over that record (the
+    checkpoint log read ``(1, 10)`` after epoch 3 committed)."""
+    case = CASES["checkpoint_log"]
+    with case.open(tmp_path) as opened:
+        case.history(opened)
+        path = opened.path
+    with open(path, "r+b") as file:  # the last byte of epoch 2's payload
+        file.seek(-1, os.SEEK_END)
+        last = file.read(1)[0]
+        file.seek(-1, os.SEEK_END)
+        file.write(bytes([last ^ 0xFF]))
+    with case.open(tmp_path) as opened:
+        assert opened.latest_committed() == (1, 10)
+        case.add_newest(opened)
+        assert case.newest(opened) == NEWEST["checkpoint_log"]
+    with case.open(tmp_path) as reopened:
+        assert case.newest(reopened) == NEWEST["checkpoint_log"]
+
+
 def counted_reads(monkeypatch):
     """The byte count of every read either log makes, in order."""
     real = layout.pread_into
