@@ -96,6 +96,8 @@ class TestConstruction:
         [
             {"num_workers": 0},
             {"num_workers": 2, "chunk_objects": 0},
+            {"num_workers": -1},
+            {"num_workers": 2, "chunk_objects": -1},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
