@@ -100,7 +100,8 @@ def _scatter(
 
     Within a record the last occurrence of an id is its version: a run
     that is not strictly ``ascending`` (the writer's never are) pays for a
-    stable sort that keeps each id's last row.
+    stable sort that keeps each id's last row.  Both sides are viewed as
+    one ``np.void`` element per row, so the store copies whole rows.
     """
     if not ascending:
         order = np.argsort(ids, kind="stable")
@@ -109,7 +110,8 @@ def _scatter(
         ids, rows = ids[last], rows[order[last]]
     if ids[0] < 0 or ids[-1] >= len(out_rows):
         raise StorageError("object id out of range in checkpoint log")
-    out_rows[ids] = rows
+    row = np.dtype((np.void, out_rows.shape[1]))
+    out_rows.view(row)[:, 0][ids] = rows.view(row)[:, 0]
 
 
 class CheckpointLogStore:
