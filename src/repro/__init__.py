@@ -49,15 +49,13 @@ from repro.simulation import (
     PrecomputedObjectTrace,
     RecoveryEstimate,
     SimulationResult,
-    SweepEngine,
     SweepTask,
+    run_sweep,
 )
 from repro.state import GameStateTable
 from repro.workloads import (
     GameLikeTrace,
     MaterializedTrace,
-    TraceCache,
-    TraceSpec,
     TraceStatistics,
     UniformTrace,
     UpdateTrace,
@@ -95,10 +93,7 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "StateGeometry",
-    "SweepEngine",
     "SweepTask",
-    "TraceCache",
-    "TraceSpec",
     "TraceStatistics",
     "UniformTrace",
     "UpdateEffects",
@@ -108,6 +103,7 @@ __all__ = [
     "all_algorithm_classes",
     "load_trace",
     "make_policy",
+    "run_sweep",
     "save_trace",
     "small_config",
     "__version__",

@@ -7,8 +7,8 @@ defaults are sized from ``cpu_count``.  ``os.sched_getaffinity(0)`` reports
 the cores this process may actually run on, which is the number parallel
 fan-out should be sized from.
 
-Everything in the repo that sizes a worker crew -- the sweep engine's process
-pool, the fleet's defaults, benchmark skip logic -- goes through
+Everything in the repo that sizes a worker crew -- the load generator's
+client count, the gateway load example -- goes through
 :func:`available_cpu_count` so the policy lives in one place.
 """
 

@@ -15,7 +15,7 @@ These experiments sweep them:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.analysis.tables import TextTable
 from repro.config import (
@@ -32,13 +32,12 @@ from repro.experiments.common import (
     FULL_SCALE,
     format_seconds,
 )
-from repro.simulation.sweep import SweepEngine, SweepTask
+from repro.simulation.sweep import SweepTask, run_sweep
 from repro.units import format_rate, megabytes
-from repro.workloads.spec import TraceSpec
+from repro.workloads.zipf import ZipfTrace
 
 
 def _run_grid(
-    engine: Optional[SweepEngine],
     keyed_configs: Sequence,
     algorithms,
     num_ticks: int,
@@ -47,35 +46,32 @@ def _run_grid(
 ):
     """Run ``algorithms`` at every ``(key, config)`` point of an ablation.
 
-    Points that share a geometry share a trace spec (only the config
-    differs), so the sweep engine generates -- or cache-loads -- their Zipf
-    trace exactly once.  Returns ``(key -> results, engine)``.
+    Points that share a geometry share one trace object (only the config
+    differs), so the sweep generates and reduces their Zipf trace exactly
+    once.  Returns ``key -> results``.
     """
-    engine = engine if engine is not None else SweepEngine(jobs=1)
-    tasks = [
-        SweepTask(
-            key=key,
-            config=config,
-            spec=TraceSpec.create(
-                "zipf",
+    traces = {}
+    tasks = []
+    for key, config in keyed_configs:
+        trace = traces.get(config.geometry)
+        if trace is None:
+            trace = traces[config.geometry] = ZipfTrace(
                 config.geometry,
                 updates_per_tick=updates_per_tick,
                 skew=DEFAULT_SKEW,
                 num_ticks=num_ticks,
                 seed=seed,
-            ),
-            algorithms=tuple(algorithms),
+            )
+        tasks.append(
+            SweepTask(key, config, trace, algorithms=tuple(algorithms))
         )
-        for key, config in keyed_configs
-    ]
-    return engine.run(tasks), engine
+    return run_sweep(tasks)
 
 
 def run_object_size(
     scale: ExperimentScale = FULL_SCALE,
     object_sizes: Sequence[int] = (128, 512, 2_048, 8_192),
     seed: int = 0,
-    engine: Optional[SweepEngine] = None,
 ) -> FigureResult:
     """Sensitivity to the atomic-object size ``Sobj``."""
     algorithms = ("naive-snapshot", "copy-on-update")
@@ -96,9 +92,7 @@ def run_object_size(
             PAPER_CONFIG, geometry=geometry, warmup_ticks=scale.warmup_ticks
         )
         keyed_configs.append((object_bytes, config))
-    grid, engine = _run_grid(
-        engine, keyed_configs, algorithms, scale.num_ticks, seed
-    )
+    grid = _run_grid(keyed_configs, algorithms, scale.num_ticks, seed)
     raw = {}
     for object_bytes, results in grid.items():
         for result in results:
@@ -121,7 +115,6 @@ def run_object_size(
         description="Atomic-object size sensitivity",
         tables=[table],
         raw={f"{size}:{key}": value for (size, key), value in raw.items()},
-        perf=engine.stats.as_dict(),
     )
 
 
@@ -129,7 +122,6 @@ def run_full_dump_period(
     scale: ExperimentScale = FULL_SCALE,
     periods: Sequence[int] = (2, 5, 9, 20, 50),
     seed: int = 0,
-    engine: Optional[SweepEngine] = None,
 ) -> FigureResult:
     """The log methods' full-dump period C: checkpoint vs recovery trade."""
     algorithms = ("partial-redo", "cou-partial-redo")
@@ -148,9 +140,7 @@ def run_full_dump_period(
         )
         for period in periods
     ]
-    grid, engine = _run_grid(
-        engine, keyed_configs, algorithms, scale.num_ticks, seed
-    )
+    grid = _run_grid(keyed_configs, algorithms, scale.num_ticks, seed)
     raw = {}
     for period, results in grid.items():
         for result in results:
@@ -172,7 +162,6 @@ def run_full_dump_period(
         description="Partial-redo full-dump period",
         tables=[table],
         raw=raw,
-        perf=engine.stats.as_dict(),
     )
 
 
@@ -180,7 +169,6 @@ def run_disk_bandwidth(
     scale: ExperimentScale = FULL_SCALE,
     bandwidths_mb: Sequence[float] = (30, 60, 120, 480, 3_000),
     seed: int = 0,
-    engine: Optional[SweepEngine] = None,
 ) -> FigureResult:
     """Disk bandwidth sweep: 2009 disks through RAM-SSDs."""
     algorithms = ("naive-snapshot", "copy-on-update", "cou-partial-redo")
@@ -201,9 +189,7 @@ def run_disk_bandwidth(
         )
         for bandwidth_mb in bandwidths_mb
     ]
-    grid, engine = _run_grid(
-        engine, keyed_configs, algorithms, scale.num_ticks, seed
-    )
+    grid = _run_grid(keyed_configs, algorithms, scale.num_ticks, seed)
     raw = {}
     for bandwidth_mb, results in grid.items():
         for result in results:
@@ -229,7 +215,6 @@ def run_disk_bandwidth(
         description="Disk-bandwidth sensitivity",
         tables=[table],
         raw=raw,
-        perf=engine.stats.as_dict(),
     )
 
 
@@ -238,7 +223,6 @@ def run_checkpoint_interval(
     intervals: Sequence[int] = (1, 4, 12, 30),
     disk_bandwidth_mb: float = 480,
     seed: int = 0,
-    engine: Optional[SweepEngine] = None,
 ) -> FigureResult:
     """Capping checkpoint frequency on a fast disk (beyond the paper).
 
@@ -270,9 +254,7 @@ def run_checkpoint_interval(
         )
         for interval in intervals
     ]
-    grid, engine = _run_grid(
-        engine, keyed_configs, algorithms, scale.num_ticks, seed
-    )
+    grid = _run_grid(keyed_configs, algorithms, scale.num_ticks, seed)
     raw = {}
     for interval, results in grid.items():
         for result in results:
@@ -296,7 +278,6 @@ def run_checkpoint_interval(
         description="Checkpoint-frequency cap on fast disks",
         tables=[table],
         raw=raw,
-        perf=engine.stats.as_dict(),
     )
 
 
@@ -304,7 +285,6 @@ def run_tick_rate(
     scale: ExperimentScale = FULL_SCALE,
     frequencies: Sequence[float] = (30.0, 60.0),
     seed: int = 0,
-    engine: Optional[SweepEngine] = None,
 ) -> FigureResult:
     """30 Hz vs 60 Hz: the latency limit halves at 60 Hz."""
     algorithms = (
@@ -326,9 +306,7 @@ def run_tick_rate(
         )
         for frequency in frequencies
     ]
-    grid, engine = _run_grid(
-        engine, keyed_configs, algorithms, scale.num_ticks, seed
-    )
+    grid = _run_grid(keyed_configs, algorithms, scale.num_ticks, seed)
     raw = {}
     for frequency, results in grid.items():
         for result in results:
@@ -353,5 +331,4 @@ def run_tick_rate(
         description="Tick-frequency sensitivity",
         tables=[table],
         raw=raw,
-        perf=engine.stats.as_dict(),
     )

@@ -81,10 +81,6 @@ class FigureResult:
     charts: List[str] = field(default_factory=list)
     #: Raw metric values keyed however the experiment likes (for tests).
     raw: Dict = field(default_factory=dict)
-    #: Sweep-engine execution record (jobs, cache hits/misses, wall time) for
-    #: drivers that run through :class:`repro.simulation.sweep.SweepEngine`;
-    #: the CLI aggregates these into ``BENCH_sweep.json``.
-    perf: Dict = field(default_factory=dict)
 
     def render(self) -> str:
         """Full text report: header, tables, charts."""

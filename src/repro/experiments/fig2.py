@@ -12,7 +12,7 @@ for all six algorithms, updates/tick from 1,000 to 256,000.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.ascii_chart import line_chart
 from repro.analysis.tables import TextTable
@@ -25,8 +25,8 @@ from repro.experiments.common import (
     FULL_SCALE,
     format_seconds,
 )
-from repro.simulation.sweep import SweepEngine, SweepTask
-from repro.workloads.spec import TraceSpec
+from repro.simulation.sweep import SweepTask, run_sweep
+from repro.workloads.zipf import ZipfTrace
 
 
 def sweep_results(
@@ -34,17 +34,14 @@ def sweep_results(
     config: SimulationConfig = PAPER_CONFIG,
     skew: float = DEFAULT_SKEW,
     seed: int = 0,
-    engine: Optional[SweepEngine] = None,
 ) -> Dict[int, List]:
     """Run all six algorithms at every update rate; returns rate -> results."""
     config = replace(config, warmup_ticks=scale.warmup_ticks)
-    engine = engine if engine is not None else SweepEngine(jobs=1)
     tasks = [
         SweepTask(
             key=updates_per_tick,
             config=config,
-            spec=TraceSpec.create(
-                "zipf",
+            trace=ZipfTrace(
                 config.geometry,
                 updates_per_tick=updates_per_tick,
                 skew=skew,
@@ -54,7 +51,7 @@ def sweep_results(
         )
         for updates_per_tick in scale.updates_sweep
     ]
-    return engine.run(tasks)
+    return run_sweep(tasks)
 
 
 def _panel_table(
@@ -90,11 +87,9 @@ def _panel_chart(title: str, results: Dict[int, List], metric) -> str:
 def run(
     scale: ExperimentScale = FULL_SCALE,
     seed: int = 0,
-    engine: Optional[SweepEngine] = None,
 ) -> FigureResult:
     """Reproduce Figure 2 (all three panels)."""
-    engine = engine if engine is not None else SweepEngine(jobs=1)
-    results = sweep_results(scale, seed=seed, engine=engine)
+    results = sweep_results(scale, seed=seed)
 
     overhead_table = _panel_table(
         "a", "Figure 2(a): updates per tick vs avg overhead time",
@@ -146,5 +141,4 @@ def run(
         rate: {r.algorithm_key: r.summary() for r in runs}
         for rate, runs in results.items()
     }
-    figure.perf = engine.stats.as_dict()
     return figure

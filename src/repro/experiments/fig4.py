@@ -9,7 +9,7 @@ recovery times shrink with the dirty set but stay far above the rest.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.ascii_chart import line_chart
 from repro.analysis.tables import TextTable
@@ -22,8 +22,8 @@ from repro.experiments.common import (
     FULL_SCALE,
     format_seconds,
 )
-from repro.simulation.sweep import SweepEngine, SweepTask
-from repro.workloads.spec import TraceSpec
+from repro.simulation.sweep import SweepTask, run_sweep
+from repro.workloads.zipf import ZipfTrace
 
 
 def sweep_results(
@@ -31,17 +31,14 @@ def sweep_results(
     config: SimulationConfig = PAPER_CONFIG,
     updates_per_tick: int = DEFAULT_UPDATES_PER_TICK,
     seed: int = 0,
-    engine: Optional[SweepEngine] = None,
 ) -> Dict[float, List]:
     """Run all six algorithms at every skew; returns skew -> results."""
     config = replace(config, warmup_ticks=scale.warmup_ticks)
-    engine = engine if engine is not None else SweepEngine(jobs=1)
     tasks = [
         SweepTask(
             key=skew,
             config=config,
-            spec=TraceSpec.create(
-                "zipf",
+            trace=ZipfTrace(
                 config.geometry,
                 updates_per_tick=updates_per_tick,
                 skew=skew,
@@ -51,7 +48,7 @@ def sweep_results(
         )
         for skew in scale.skew_sweep
     ]
-    return engine.run(tasks)
+    return run_sweep(tasks)
 
 
 def _panel_table(title: str, results: Dict[float, List], metric) -> TextTable:
@@ -78,11 +75,9 @@ def _panel_chart(title: str, results: Dict[float, List], metric) -> str:
 def run(
     scale: ExperimentScale = FULL_SCALE,
     seed: int = 0,
-    engine: Optional[SweepEngine] = None,
 ) -> FigureResult:
     """Reproduce Figure 4 (all three panels)."""
-    engine = engine if engine is not None else SweepEngine(jobs=1)
-    results = sweep_results(scale, seed=seed, engine=engine)
+    results = sweep_results(scale, seed=seed)
 
     overhead_table = _panel_table(
         "Figure 4(a): skew vs avg overhead time", results,
@@ -127,5 +122,4 @@ def run(
         skew: {r.algorithm_key: r.summary() for r in runs}
         for skew, runs in results.items()
     }
-    figure.perf = engine.stats.as_dict()
     return figure

@@ -15,9 +15,7 @@ supported:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import replace
-from typing import Optional
 
 import numpy as np
 
@@ -34,17 +32,17 @@ from repro.game.knights_archers import KnightsArchersGame
 from repro.game.recorder import record_trace
 from repro.game.scenario import BattleScenario
 from repro.game.stats import BattleReport
-from repro.simulation.sweep import SweepEngine, SweepTask
+from repro.simulation.sweep import SweepTask, run_sweep
 from repro.state.table import GameStateTable
-from repro.workloads.spec import TraceSpec
+from repro.workloads.gamelike import GameLikeTrace
+from repro.workloads.reduced import PrecomputedObjectTrace
 
 
 def build_task(scale: ExperimentScale, source: str, seed: int):
     """Build the Figure 5 sweep task; returns (task, extra_notes).
 
-    The ``"gamelike"`` source is declarative (a cacheable spec); the
-    ``"game"`` source must actually run the instrumented game, so it passes
-    the recorded trace by value.
+    The ``"gamelike"`` source generates the statistical model's trace; the
+    ``"game"`` source runs the instrumented game and records its trace.
     """
     if source == "gamelike":
         config = replace(
@@ -52,14 +50,14 @@ def build_task(scale: ExperimentScale, source: str, seed: int):
             geometry=GAME_GEOMETRY,
             warmup_ticks=scale.warmup_ticks,
         )
-        spec = TraceSpec.create(
-            "gamelike", GAME_GEOMETRY, num_ticks=scale.num_ticks, seed=seed
+        trace = GameLikeTrace(
+            GAME_GEOMETRY, num_ticks=scale.num_ticks, seed=seed
         )
         notes = [
             "trace source: statistical game model at the paper's full "
             "400,128-unit geometry"
         ]
-        return SweepTask(key="game-trace", config=config, spec=spec), notes
+        return SweepTask(key="game-trace", config=config, trace=trace), notes
     if source == "game":
         scenario = BattleScenario(num_units=scale.game_units)
         game = KnightsArchersGame(scenario)
@@ -83,17 +81,12 @@ def run(
     scale: ExperimentScale = FULL_SCALE,
     source: str = "gamelike",
     seed: int = 0,
-    engine: Optional[SweepEngine] = None,
 ) -> FigureResult:
     """Reproduce Figure 5 (game-trace bars for all six algorithms)."""
-    engine = engine if engine is not None else SweepEngine(jobs=1)
     task, notes = build_task(scale, source, seed)
-    # Resolve the reduction once: the characterization table reads its
-    # counts, and the runs below reuse the same arrays (no second trace
-    # scan -- the reduced view carries the update counts).
-    reduced = engine.prepare(task)
-    task = dataclasses.replace(task, spec=None, trace=reduced)
-    results = engine.run([task])[task.key]
+    # The characterization table reads the same reduction the runs use.
+    reduced = PrecomputedObjectTrace(task.trace)
+    results = run_sweep([replace(task, trace=reduced)])[task.key]
 
     table = TextTable(
         "Figure 5: game trace -- overhead / checkpoint / recovery",
@@ -156,6 +149,5 @@ def run(
                 "columns": reduced.geometry.columns,
             },
         },
-        perf=engine.stats.as_dict(),
     )
     return figure

@@ -56,8 +56,8 @@ def _driver(experiment_id: str) -> Callable[..., FigureResult]:
 def experiment_parameters(experiment_id: str) -> FrozenSet[str]:
     """The keyword parameters an experiment's driver accepts.
 
-    Callers use this instead of hardcoding which experiments take ``seed``
-    or ``engine`` -- the driver's signature is the single source of truth.
+    Callers use this instead of hardcoding which experiments take ``seed``:
+    the run function's signature is the single source of truth.
     """
     return frozenset(inspect.signature(_driver(experiment_id)).parameters)
 
@@ -68,7 +68,7 @@ def run_experiment(
     """Run one experiment by id.
 
     Keyword arguments the driver does not accept are silently dropped, so
-    callers can offer ``seed=...``/``engine=...`` uniformly.
+    callers can offer ``seed=...`` uniformly.
     """
     driver = _driver(experiment_id)
     accepted = experiment_parameters(experiment_id)

@@ -15,9 +15,8 @@ detailed simulation model."
   checkpoint times, and recovery estimates.
 * :class:`~repro.simulation.results.SimulationResult` -- per-tick series,
   per-checkpoint records, and the aggregates the figures plot.
-* :class:`~repro.simulation.sweep.SweepEngine` -- parallel execution of
-  ``(workload point, algorithm)`` sweeps over a process pool, sharing trace
-  reductions through the persistent cache.
+* :func:`~repro.simulation.sweep.run_sweep` -- serial execution of
+  ``(workload point, algorithm)`` sweeps, reducing each distinct trace once.
 """
 
 from repro.simulation.costmodel import CostModel
@@ -29,7 +28,7 @@ from repro.simulation.simulator import (
     PrecomputedObjectTrace,
     SimulatedExecutor,
 )
-from repro.simulation.sweep import SweepEngine, SweepStats, SweepTask
+from repro.simulation.sweep import SweepTask, run_sweep
 
 __all__ = [
     "CheckpointRecord",
@@ -40,9 +39,8 @@ __all__ = [
     "RecoveryEstimate",
     "SimulatedExecutor",
     "SimulationResult",
-    "SweepEngine",
-    "SweepStats",
     "SweepTask",
     "WriteJob",
     "estimate_recovery",
+    "run_sweep",
 ]

@@ -32,8 +32,8 @@ from repro.simulation.results import CheckpointRecord, SimulationResult
 from repro.state.dirty import unique_ids
 from repro.workloads.base import UpdateTrace
 
-# The reduction lives with the workloads (it is a pure function of the trace
-# and the unit of persistent caching); re-exported here for compatibility.
+# The reduction lives with the workloads (it is a pure function of the
+# trace); re-exported here for compatibility.
 from repro.workloads.reduced import PrecomputedObjectTrace
 
 TraceLike = Union[UpdateTrace, PrecomputedObjectTrace]

@@ -1,254 +1,66 @@
-"""Parallel execution of simulation sweeps.
+"""Serial execution of simulation sweeps.
 
-Every figure in the paper is a sweep: N workload points x M algorithms, each
-``(point, algorithm)`` run independent of all the others.  The
-:class:`SweepEngine` fans those runs out over a ``ProcessPoolExecutor``
-(``jobs=1`` preserves the strictly serial path for debugging), feeds workers
-cheap :class:`~repro.workloads.spec.TraceSpec` descriptions instead of
-pickled tick arrays, and shares trace reductions through the persistent
-:class:`~repro.workloads.cache.TraceCache` so no trace is ever generated
-twice -- not within a sweep, not across experiments, not across runs.
-
-Results are collected in deterministic task/algorithm order and each run is
-seeded solely by its spec, so the output is bit-identical whether a sweep
-executes serially or on any number of workers.
+Every figure in the paper is a sweep: N workload points x M algorithms.
+:func:`run_sweep` runs them in task order, in process, and reduces each
+distinct trace object once per sweep, so points that share a trace (the
+ablations vary only the config) share one reduction.  The simulator is
+deterministic, so a sweep's results depend only on its tasks.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.config import SimulationConfig
 from repro.core.registry import ALGORITHM_KEYS
-from repro.cpu import available_cpu_count
 from repro.errors import SimulationError
 from repro.simulation.simulator import CheckpointSimulator, TraceLike
 from repro.simulation.results import SimulationResult
-from repro.workloads.cache import TraceCache
 from repro.workloads.reduced import PrecomputedObjectTrace
-from repro.workloads.spec import TraceSpec
 
 
 @dataclass(frozen=True)
 class SweepTask:
-    """One workload point of a sweep: a config, a trace, and algorithms.
-
-    The trace is given either declaratively (``spec`` -- preferred: cheap to
-    ship to workers and cacheable) or as a concrete ``trace`` object for
-    workloads that cannot be described by a spec (e.g. a recorded game run).
-    """
+    """One workload point of a sweep: a key, a config, a trace, algorithms."""
 
     key: Any
     config: SimulationConfig
-    spec: Optional[TraceSpec] = None
-    trace: Optional[TraceLike] = None
+    trace: TraceLike
     algorithms: Tuple[str, ...] = tuple(ALGORITHM_KEYS)
 
     def __post_init__(self) -> None:
-        if (self.spec is None) == (self.trace is None):
-            raise SimulationError(
-                "a SweepTask needs exactly one of spec= or trace="
-            )
         if not self.algorithms:
             raise SimulationError("a SweepTask needs at least one algorithm")
 
 
-@dataclass
-class SweepStats:
-    """Execution record of one engine: timing, fan-out, and cache traffic."""
+def run_sweep(
+    tasks: Sequence[SweepTask],
+) -> Dict[Any, List[SimulationResult]]:
+    """Run every ``(task, algorithm)`` pair; results in task order.
 
-    jobs: int = 1
-    tasks: int = 0
-    runs: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    wall_time_s: float = 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Plain-dict form for JSON benchmark records."""
-        return {
-            "jobs": self.jobs,
-            "tasks": self.tasks,
-            "runs": self.runs,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "wall_time_s": self.wall_time_s,
-        }
-
-
-# Per-worker-process memo of reductions, keyed by spec content hash: with the
-# cache disabled it bounds duplicate generation to one per worker, and with
-# the cache enabled it saves repeated loads of the same entry.
-_WORKER_TRACES: Dict[str, PrecomputedObjectTrace] = {}
-
-
-def _worker_reduction(
-    spec: TraceSpec, cache: TraceCache
-) -> PrecomputedObjectTrace:
-    key = spec.content_key()
-    reduced = _WORKER_TRACES.get(key)
-    if reduced is None:
-        if cache.enabled:
-            reduced, _ = cache.get(spec)
-        else:
-            reduced = PrecomputedObjectTrace(spec.build())
-        _WORKER_TRACES[key] = reduced
-    return reduced
-
-
-def _prepare_worker(spec: TraceSpec, cache: TraceCache) -> bool:
-    """Cache-warming task: ensure the reduction exists; report hit/miss."""
-    reduced, hit = cache.get(spec)
-    _WORKER_TRACES[spec.content_key()] = reduced
-    return hit
-
-
-def _run_worker(
-    config: SimulationConfig,
-    spec: Optional[TraceSpec],
-    reduced: Optional[PrecomputedObjectTrace],
-    algorithm: str,
-    cache: TraceCache,
-) -> SimulationResult:
-    """One ``(point, algorithm)`` simulation run in a worker process."""
-    if reduced is None:
-        reduced = _worker_reduction(spec, cache)
-    return CheckpointSimulator(config).run(algorithm, reduced)
-
-
-class SweepEngine:
-    """Runs sweeps of ``(workload point, algorithm)`` simulations.
-
-    Parameters
-    ----------
-    jobs:
-        Worker processes to fan out over.  ``None`` uses every core the
-        scheduler actually grants this process
-        (:func:`repro.cpu.available_cpu_count`, which honors cgroup/affinity
-        pinning); ``1`` runs strictly serially in-process (the debugging
-        path).
-    cache:
-        The :class:`TraceCache` sharing reductions between runs.  ``None``
-        disables persistent caching (library default -- the CLI opts in).
+    Returns ``{task.key: [result per algorithm, in task order]}``.  Task
+    keys must be unique within one call.
     """
-
-    def __init__(
-        self, jobs: Optional[int] = None, cache: Optional[TraceCache] = None
-    ) -> None:
-        if jobs is None:
-            jobs = available_cpu_count()
-        if jobs < 1:
-            raise SimulationError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = int(jobs)
-        self.cache = cache if cache is not None else TraceCache(enabled=False)
-        self.stats = SweepStats(jobs=self.jobs)
-
-    def prepare(self, task: SweepTask) -> PrecomputedObjectTrace:
-        """Resolve a task's trace to its reduction, via the cache if enabled.
-
-        Exposed so drivers that need the trace themselves (e.g. Figure 5's
-        trace-characterization table) can share the engine's copy: pass the
-        result back in via ``replace(task, spec=None, trace=reduced)``.
-        """
-        if task.trace is not None:
-            if isinstance(task.trace, PrecomputedObjectTrace):
-                return task.trace
-            return PrecomputedObjectTrace(task.trace)
-        if self.cache.enabled:
-            reduced, hit = self.cache.get(task.spec)
-            if hit:
-                self.stats.cache_hits += 1
-            else:
-                self.stats.cache_misses += 1
-            return reduced
-        self.stats.cache_misses += 1
-        return PrecomputedObjectTrace(task.spec.build())
-
-    def run(
-        self, tasks: Sequence[SweepTask]
-    ) -> Dict[Any, List[SimulationResult]]:
-        """Execute every ``(task, algorithm)`` pair; results in task order.
-
-        Returns ``{task.key: [result per algorithm, in task order]}``.  Task
-        keys must be unique within one call.
-        """
-        tasks = list(tasks)
-        keys = [task.key for task in tasks]
-        if len(set(keys)) != len(keys):
-            raise SimulationError("sweep task keys must be unique")
-        started = time.perf_counter()
-        if self.jobs == 1 or not tasks:
-            rows = self._run_serial(tasks)
-        else:
-            rows = self._run_parallel(tasks)
-        self.stats.wall_time_s += time.perf_counter() - started
-        self.stats.tasks += len(tasks)
-        self.stats.runs += sum(len(task.algorithms) for task in tasks)
-        return {task.key: row for task, row in zip(tasks, rows)}
-
-    def _run_serial(
-        self, tasks: Sequence[SweepTask]
-    ) -> List[List[SimulationResult]]:
-        rows = []
-        for task in tasks:
-            reduced = self.prepare(task)
-            simulator = CheckpointSimulator(task.config)
-            rows.append(
-                [simulator.run(algorithm, reduced)
-                 for algorithm in task.algorithms]
-            )
-        return rows
-
-    def _run_parallel(
-        self, tasks: Sequence[SweepTask]
-    ) -> List[List[SimulationResult]]:
-        # Reduce concrete (non-spec) traces once in the parent so each of
-        # their runs ships the shared reduction instead of recomputing it.
-        parent_reductions: Dict[int, PrecomputedObjectTrace] = {}
-        warm_specs: Dict[str, TraceSpec] = {}
-        uncached_specs = set()
-        for index, task in enumerate(tasks):
-            if task.trace is not None:
-                parent_reductions[index] = self.prepare(task)
-            elif self.cache.enabled:
-                warm_specs.setdefault(task.spec.content_key(), task.spec)
-            else:
-                # Workers will regenerate (bounded by the per-process memo).
-                uncached_specs.add(task.spec.content_key())
-        self.stats.cache_misses += len(uncached_specs)
-
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-            if warm_specs:
-                # Warm the cache first, one parallel job per distinct trace,
-                # so the per-algorithm runs below never race on a cold miss.
-                for hit in pool.map(
-                    _prepare_worker,
-                    warm_specs.values(),
-                    [self.cache] * len(warm_specs),
-                ):
-                    if hit:
-                        self.stats.cache_hits += 1
-                    else:
-                        self.stats.cache_misses += 1
-            futures = {}
-            for task_index, task in enumerate(tasks):
-                for algorithm_index, algorithm in enumerate(task.algorithms):
-                    futures[(task_index, algorithm_index)] = pool.submit(
-                        _run_worker,
-                        task.config,
-                        task.spec,
-                        parent_reductions.get(task_index),
-                        algorithm,
-                        self.cache,
-                    )
-            return [
-                [
-                    futures[(task_index, algorithm_index)].result()
-                    for algorithm_index in range(len(task.algorithms))
-                ]
-                for task_index, task in enumerate(tasks)
-            ]
+    keys = [task.key for task in tasks]
+    if len(set(keys)) != len(keys):
+        raise SimulationError("sweep task keys must be unique")
+    # A reduction is held from its trace's first task to its last, so
+    # memory is bounded by the traces in use, not by the sweep's length.
+    last_use = {id(task.trace): index for index, task in enumerate(tasks)}
+    reductions: Dict[int, PrecomputedObjectTrace] = {}
+    results = {}
+    for index, task in enumerate(tasks):
+        reduced = reductions.get(id(task.trace))
+        if reduced is None:
+            reduced = task.trace
+            if not isinstance(reduced, PrecomputedObjectTrace):
+                reduced = PrecomputedObjectTrace(reduced)
+            reductions[id(task.trace)] = reduced
+        simulator = CheckpointSimulator(task.config)
+        results[task.key] = [
+            simulator.run(algorithm, reduced) for algorithm in task.algorithms
+        ]
+        if last_use[id(task.trace)] == index:
+            del reductions[id(task.trace)]
+    return results

@@ -17,18 +17,13 @@ game objects, termed cells, have been updated on each tick of the game"
 * :class:`~repro.workloads.stats.TraceStatistics` -- Table 5-style trace
   characterization.
 * :class:`~repro.workloads.reduced.PrecomputedObjectTrace` -- a trace reduced
-  to the per-tick ``(unique objects, update count)`` view policies observe.
-* :class:`~repro.workloads.spec.TraceSpec` -- declarative, content-hashable
-  descriptions of generated traces.
-* :class:`~repro.workloads.cache.TraceCache` -- persistent on-disk cache of
-  trace reductions keyed by spec content hash.
+  once to the per-tick ``(unique objects, update count)`` view policies
+  observe, shared by every algorithm run over it.
 """
 
 from repro.workloads.base import MaterializedTrace, UpdateTrace
-from repro.workloads.cache import TraceCache
 from repro.workloads.gamelike import GameLikeTrace
 from repro.workloads.reduced import PrecomputedObjectTrace
-from repro.workloads.spec import TraceSpec, register_generator
 from repro.workloads.stats import TraceStatistics
 from repro.workloads.trace_file import load_trace, save_trace
 from repro.workloads.uniform import UniformTrace
@@ -38,14 +33,11 @@ __all__ = [
     "GameLikeTrace",
     "MaterializedTrace",
     "PrecomputedObjectTrace",
-    "TraceCache",
-    "TraceSpec",
     "TraceStatistics",
     "UniformTrace",
     "UpdateTrace",
     "ZipfDistribution",
     "ZipfTrace",
     "load_trace",
-    "register_generator",
     "save_trace",
 ]

@@ -5,8 +5,7 @@ which *atomic objects* were touched during a tick and how many raw updates
 occurred (every update is charged one dirty-bit test).  Reducing a trace to
 per-tick ``(unique objects, update count)`` pairs is therefore lossless for
 the simulator while being computable once and shared by every algorithm run
--- and, because the reduction is a pure function of the trace, it is also the
-unit of persistent caching (:mod:`repro.workloads.cache`).
+(:func:`repro.simulation.sweep.run_sweep` reduces each distinct trace once).
 
 The reduction itself is vectorized: instead of one ``np.unique`` call per
 tick, whole batches of ticks are deduplicated in a single pass by uniquing
@@ -93,8 +92,7 @@ class PrecomputedObjectTrace:
 
     Construction is lazy: ``geometry`` and ``num_ticks`` are available
     immediately, and the source trace is only generated and reduced the first
-    time tick data is requested.  Use :meth:`from_arrays` to rebuild a
-    reduction from stored arrays (the trace-cache load path).
+    time tick data is requested.
     """
 
     def __init__(self, trace: UpdateTrace) -> None:
@@ -104,42 +102,6 @@ class PrecomputedObjectTrace:
         self._objects: Optional[np.ndarray] = None
         self._offsets: Optional[np.ndarray] = None
         self._update_counts: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_arrays(
-        cls,
-        geometry: StateGeometry,
-        objects: np.ndarray,
-        offsets: np.ndarray,
-        update_counts: np.ndarray,
-    ) -> "PrecomputedObjectTrace":
-        """Rebuild a reduction from its flat arrays (see :meth:`arrays`)."""
-        objects = np.ascontiguousarray(objects, dtype=np.int64)
-        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        update_counts = np.ascontiguousarray(update_counts, dtype=np.int64)
-        if offsets.size == 0 or offsets[0] != 0 or offsets[-1] != objects.size:
-            raise TraceError("reduced trace has inconsistent tick offsets")
-        if np.any(np.diff(offsets) < 0):
-            raise TraceError("reduced trace has decreasing tick offsets")
-        if update_counts.size != offsets.size - 1:
-            raise TraceError(
-                "reduced trace update_counts length does not match offsets"
-            )
-        if objects.size and (
-            objects.min() < 0 or objects.max() >= geometry.num_objects
-        ):
-            raise TraceError(
-                "reduced trace contains object ids outside "
-                f"[0, {geometry.num_objects})"
-            )
-        self = cls.__new__(cls)
-        self._geometry = geometry
-        self._num_ticks = int(update_counts.size)
-        self._source = None
-        self._objects = objects
-        self._offsets = offsets
-        self._update_counts = update_counts
-        return self
 
     def _ensure_reduced(self) -> None:
         if self._objects is not None:

@@ -62,9 +62,6 @@ class TestExportFigure:
     def test_cli_export_flag(self, tmp_path, capsys):
         from repro.experiments.runner import main
 
-        assert main(
-            ["table1", "--quick", "--export-dir", str(tmp_path),
-             "--bench-out", str(tmp_path / "bench.json")]
-        ) == 0
+        assert main(["table1", "--quick", "--export-dir", str(tmp_path)]) == 0
         assert (tmp_path / "table1.json").exists()
         assert (tmp_path / "table1_table0.csv").exists()

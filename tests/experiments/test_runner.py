@@ -1,8 +1,11 @@
 """Tests for the experiments CLI."""
 
-import json
+import importlib.util
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.errors import ConfigurationError
 from repro.experiments.registry import (
@@ -11,6 +14,7 @@ from repro.experiments.registry import (
     run_experiment,
 )
 from repro.experiments.runner import build_parser, main
+from repro.workloads import reduced as reduced_module
 
 
 class TestRegistry:
@@ -29,18 +33,17 @@ class TestRegistry:
             run_experiment("fig99")
 
     def test_experiment_parameters_introspects_signature(self):
-        assert {"seed", "engine"} <= experiment_parameters("fig2")
-        assert {"seed", "engine"} <= experiment_parameters("ablation_disk")
+        assert experiment_parameters("fig2") == {"scale", "seed"}
+        assert "seed" in experiment_parameters("ablation_disk")
+        assert "seed" not in experiment_parameters("table1")
         with pytest.raises(ConfigurationError):
             experiment_parameters("fig99")
 
     def test_unaccepted_kwargs_dropped(self):
-        # table1 takes neither seed nor engine; passing them must not raise.
+        # table1 takes no seed; passing one must not raise.
         from repro.experiments.common import QUICK_SCALE
 
-        result = run_experiment(
-            "table1", scale=QUICK_SCALE, seed=3, engine=None
-        )
+        result = run_experiment("table1", scale=QUICK_SCALE, seed=3)
         assert result.experiment_id == "table1"
 
 
@@ -50,24 +53,11 @@ class TestCli:
         assert args.experiments == ["table1"]
         assert not args.quick
         assert args.seed == 0
-        assert args.jobs is None
-        assert not args.no_cache
-        assert args.cache_dir is None
-        assert args.bench_out == "BENCH_sweep.json"
+        assert args.out is None
+        assert args.export_dir is None
 
-    def test_parser_sweep_flags(self):
-        args = build_parser().parse_args(
-            ["fig2", "--jobs", "4", "--no-cache", "--cache-dir", "/tmp/c",
-             "--bench-out", "stats.json"]
-        )
-        assert args.jobs == 4
-        assert args.no_cache
-        assert args.cache_dir == "/tmp/c"
-        assert args.bench_out == "stats.json"
-
-    def test_main_runs_table1(self, tmp_path, capsys):
-        bench = tmp_path / "bench.json"
-        assert main(["table1", "--quick", "--bench-out", str(bench)]) == 0
+    def test_main_runs_table1(self, capsys):
+        assert main(["table1", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "Copy-on-Update" in out
@@ -77,44 +67,49 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unknown experiment" in err
 
-    def test_main_rejects_bad_jobs(self, capsys):
-        assert main(["table1", "--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
-
     def test_main_writes_report_file(self, tmp_path, capsys):
         out_file = tmp_path / "report.txt"
-        assert main(["table2", "--quick", "--out", str(out_file),
-                     "--bench-out", str(tmp_path / "bench.json")]) == 0
+        assert main(["table2", "--quick", "--out", str(out_file)]) == 0
         assert "Table 2" in out_file.read_text()
 
-    def test_main_writes_bench_json(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        bench_file = tmp_path / "bench.json"
-        assert main(
-            ["ablation_tickrate", "--quick", "--jobs", "1",
-             "--bench-out", str(bench_file)]
-        ) == 0
-        bench = json.loads(bench_file.read_text())
-        assert bench["scale"] == "quick"
-        assert bench["cache"]["enabled"]
-        record = bench["experiments"]["ablation_tickrate"]
-        assert record["jobs"] == 1
-        assert record["runs"] == 8
-        assert record["wall_time_s"] > 0
-        # Both frequencies share one trace spec (only the hardware differs),
-        # so the second point hits the entry the first just stored.
-        assert record["cache_misses"] == 1
-        assert record["cache_hits"] == 1
-        assert bench["total_cache_misses"] == 1
-        # A second run hits the persistent cache.
-        assert main(
-            ["ablation_tickrate", "--quick", "--jobs", "1",
-             "--bench-out", str(bench_file)]
-        ) == 0
-        bench = json.loads(bench_file.read_text())
-        assert bench["experiments"]["ablation_tickrate"]["cache_hits"] == 2
-
-    def test_main_bench_out_disabled(self, tmp_path, capsys, monkeypatch):
+    def test_main_leaves_no_files_behind(self, tmp_path, capsys,
+                                         monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["table1", "--quick", "--bench-out", ""]) == 0
-        assert not (tmp_path / "BENCH_sweep.json").exists()
+        assert main(["table1", "--quick"]) == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ablation_tickrate_reduces_its_shared_trace_once(
+        self, capsys, monkeypatch
+    ):
+        # Both frequencies share one geometry, so one trace; the sweep must
+        # reduce it once for all 2 x 4 runs.
+        reduced = []
+        original = reduced_module._reduce_trace
+
+        def counting(trace):
+            reduced.append(trace)
+            return original(trace)
+
+        monkeypatch.setattr(reduced_module, "_reduce_trace", counting)
+        assert main(["ablation_tickrate", "--quick"]) == 0
+        assert len(reduced) == 1
+        assert "30 Hz" in capsys.readouterr().out
+
+
+def test_no_trace_cache_grows_back(capsys):
+    """The trace cache, the sweep's process pool and the specs stay gone."""
+    for module in ("repro.workloads.cache", "repro.workloads.spec"):
+        assert importlib.util.find_spec(module) is None, module
+    src = Path(repro.__file__).resolve().parents[1]
+    for package in ("simulation", "experiments"):
+        for path in (src / "repro" / package).rglob("*.py"):
+            assert "ProcessPoolExecutor" not in path.read_text(), path
+    for path in src.rglob("*"):
+        if path.is_file() and "__pycache__" not in path.parts:
+            assert b"REPRO_CACHE" not in path.read_bytes(), path
+    for flag in (["--jobs", "2"], ["--no-cache"], ["--cache-dir", "c"],
+                 ["--bench-out", "b.json"]):
+        with pytest.raises(SystemExit) as error:
+            build_parser().parse_args(["fig2", *flag])
+        assert error.value.code == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err, flag

@@ -1,15 +1,15 @@
-"""Tests for the parallel sweep engine."""
+"""Tests for the serial sweep."""
 
-import numpy as np
 import pytest
 
 from repro.config import small_config
 from repro.errors import SimulationError
 from repro.experiments import fig2
 from repro.experiments.common import QUICK_SCALE
-from repro.simulation.sweep import SweepEngine, SweepTask
-from repro.workloads.cache import TraceCache
-from repro.workloads.spec import TraceSpec
+from repro.simulation.simulator import CheckpointSimulator
+from repro.simulation.sweep import SweepTask, run_sweep
+from repro.workloads import reduced as reduced_module
+from repro.workloads.reduced import PrecomputedObjectTrace
 from repro.workloads.zipf import ZipfTrace
 
 TINY_SCALE = QUICK_SCALE.with_overrides(
@@ -22,13 +22,17 @@ def config():
     return small_config(warmup_ticks=5)
 
 
-def make_task(config, key="point", algorithms=("naive-snapshot",), **params):
+def make_trace(config, **params):
     defaults = dict(updates_per_tick=100, skew=0.8, num_ticks=10, seed=0)
     defaults.update(params)
+    return ZipfTrace(config.geometry, **defaults)
+
+
+def make_task(config, key="point", algorithms=("naive-snapshot",), **params):
     return SweepTask(
         key=key,
         config=config,
-        spec=TraceSpec.create("zipf", config.geometry, **defaults),
+        trace=make_trace(config, **params),
         algorithms=tuple(algorithms),
     )
 
@@ -39,115 +43,92 @@ def summaries(results):
     }
 
 
+@pytest.fixture
+def reductions(monkeypatch):
+    """Counts calls of the trace reduction, by the geometry reduced."""
+    calls = []
+    original = reduced_module._reduce_trace
+
+    def counting(trace):
+        calls.append(trace.geometry)
+        return original(trace)
+
+    monkeypatch.setattr(reduced_module, "_reduce_trace", counting)
+    return calls
+
+
 class TestSweepTask:
-    def test_requires_exactly_one_trace_source(self, config):
-        spec = TraceSpec.create("zipf", config.geometry, updates_per_tick=1)
-        trace = ZipfTrace(config.geometry, updates_per_tick=1, num_ticks=1)
-        with pytest.raises(SimulationError):
-            SweepTask(key="k", config=config)
-        with pytest.raises(SimulationError):
-            SweepTask(key="k", config=config, spec=spec, trace=trace)
-
     def test_requires_algorithms(self, config):
-        spec = TraceSpec.create("zipf", config.geometry, updates_per_tick=1)
         with pytest.raises(SimulationError):
-            SweepTask(key="k", config=config, spec=spec, algorithms=())
+            SweepTask(key="k", config=config, trace=make_trace(config),
+                      algorithms=())
 
 
-class TestSweepEngine:
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(SimulationError):
-            SweepEngine(jobs=0)
-
+class TestRunSweep:
     def test_rejects_duplicate_keys(self, config):
-        engine = SweepEngine(jobs=1)
         tasks = [make_task(config, key="same"), make_task(config, key="same")]
         with pytest.raises(SimulationError, match="unique"):
-            engine.run(tasks)
+            run_sweep(tasks)
 
-    def test_serial_runs_all_algorithms_in_order(self, config):
-        engine = SweepEngine(jobs=1)
+    def test_runs_all_algorithms_in_order(self, config):
         algorithms = ("copy-on-update", "naive-snapshot")
-        results = engine.run([make_task(config, algorithms=algorithms)])
+        results = run_sweep([make_task(config, algorithms=algorithms)])
         row = results["point"]
         assert [r.algorithm_key for r in row] == list(algorithms)
 
-    def test_stats_accumulate(self, config):
-        engine = SweepEngine(jobs=1)
-        engine.run([make_task(config, key="a"),
-                    make_task(config, key="b", seed=1)])
-        engine.run([make_task(config, key="c", seed=2,
-                              algorithms=("dribble", "naive-snapshot"))])
-        assert engine.stats.tasks == 3
-        assert engine.stats.runs == 4
-        assert engine.stats.wall_time_s > 0
-        assert engine.stats.as_dict()["runs"] == 4
-
-    def test_concrete_trace_task(self, config):
-        trace = ZipfTrace(
-            config.geometry, updates_per_tick=100, num_ticks=10, seed=0
-        )
-        engine = SweepEngine(jobs=1)
-        task = SweepTask(
-            key="t", config=config, trace=trace,
-            algorithms=("naive-snapshot",),
-        )
-        via_trace = engine.run([task])["t"][0]
-        via_spec = SweepEngine(jobs=1).run([make_task(config)])["point"][0]
-        assert via_trace.summary() == via_spec.summary()
-
-    def test_prepare_shares_cached_reduction(self, config, tmp_path):
-        cache = TraceCache(directory=tmp_path / "cache")
-        engine = SweepEngine(jobs=1, cache=cache)
-        task = make_task(config)
-        first = engine.prepare(task)
-        second = engine.prepare(task)
-        assert engine.stats.cache_misses == 1
-        assert engine.stats.cache_hits == 1
-        for a, b in zip(first.arrays(), second.arrays()):
-            assert np.array_equal(a, b)
-
-    def test_parallel_identical_to_serial(self, config, tmp_path):
-        tasks = [
-            make_task(config, key=rate, updates_per_tick=rate,
-                      algorithms=("naive-snapshot", "copy-on-update",
-                                  "partial-redo"))
-            for rate in (100, 400)
-        ]
-        serial = SweepEngine(jobs=1).run(tasks)
-        parallel = SweepEngine(
-            jobs=3, cache=TraceCache(directory=tmp_path / "cache")
-        ).run(tasks)
-        assert summaries(serial) == summaries(parallel)
-
-    def test_parallel_cache_hits_on_rerun(self, config, tmp_path):
-        cache = TraceCache(directory=tmp_path / "cache")
-        tasks = [make_task(config, key="a"), make_task(config, key="b",
-                                                       seed=1)]
-        cold = SweepEngine(jobs=2, cache=cache)
-        cold.run(tasks)
-        assert cold.stats.cache_misses == 2
-        assert cold.stats.cache_hits == 0
-        warm = SweepEngine(jobs=2, cache=cache)
-        warm.run(tasks)
-        assert warm.stats.cache_hits == 2
-        assert warm.stats.cache_misses == 0
+    def test_results_in_task_order(self, config):
+        tasks = [make_task(config, key=key, seed=seed)
+                 for seed, key in enumerate(("c", "a", "b"))]
+        assert list(run_sweep(tasks)) == ["c", "a", "b"]
 
     def test_empty_task_list(self):
-        assert SweepEngine(jobs=4).run([]) == {}
+        assert run_sweep([]) == {}
+
+    def test_identical_to_direct_simulator_runs(self, config):
+        algorithms = ("naive-snapshot", "copy-on-update", "partial-redo")
+        tasks = [
+            make_task(config, key=rate, updates_per_tick=rate,
+                      algorithms=algorithms)
+            for rate in (100, 400)
+        ]
+        direct = {
+            rate: CheckpointSimulator(config).run_all(
+                make_trace(config, updates_per_tick=rate), algorithms
+            )
+            for rate in (100, 400)
+        }
+        assert summaries(run_sweep(tasks)) == summaries(direct)
+
+    def test_shared_trace_reduced_once(self, config, reductions):
+        trace = make_trace(config)
+        tasks = [
+            SweepTask(key=period, trace=trace,
+                      config=small_config(warmup_ticks=5,
+                                          full_dump_period=period),
+                      algorithms=("partial-redo",))
+            for period in (2, 5, 9)
+        ]
+        tasks.append(make_task(config, key="other", seed=1))
+        results = run_sweep(tasks)
+        assert len(results) == 4
+        assert len(reductions) == 2
+
+    def test_precomputed_trace_used_as_given(self, config, reductions):
+        reduced = PrecomputedObjectTrace(make_trace(config))
+        reduced.arrays()
+        assert len(reductions) == 1
+        task = SweepTask(key="t", config=config, trace=reduced,
+                         algorithms=("naive-snapshot", "dribble"))
+        via_reduced = run_sweep([task])
+        assert len(reductions) == 1
+        via_trace = run_sweep([make_task(
+            config, key="t", algorithms=("naive-snapshot", "dribble"))])
+        assert summaries(via_reduced) == summaries(via_trace)
 
 
-class TestFig2ThroughEngine:
-    def test_parallel_fig2_sweep_identical_to_serial(self, config, tmp_path):
-        serial = fig2.sweep_results(
-            TINY_SCALE, config=config, engine=SweepEngine(jobs=1)
-        )
-        parallel = fig2.sweep_results(
-            TINY_SCALE,
-            config=config,
-            engine=SweepEngine(
-                jobs=4, cache=TraceCache(directory=tmp_path / "cache")
-            ),
-        )
-        assert sorted(serial) == sorted(parallel) == [200, 800]
-        assert summaries(serial) == summaries(parallel)
+class TestFig2Sweep:
+    def test_fig2_sweep_covers_every_rate(self, config, reductions):
+        results = fig2.sweep_results(TINY_SCALE, config=config)
+        assert sorted(results) == [200, 800]
+        assert all(len(row) == 6 for row in results.values())
+        assert len(reductions) == 2

@@ -115,45 +115,3 @@ class TestPrecomputedObjectTrace:
             assert count == 60
             assert np.array_equal(objects, reduced.tick_objects(index))
             assert np.array_equal(objects, np.unique(objects))  # sorted+uniq
-
-    def test_from_arrays_round_trip(self, geometry):
-        trace = ZipfTrace(geometry, updates_per_tick=80, num_ticks=3, seed=2)
-        original = PrecomputedObjectTrace(trace)
-        rebuilt = PrecomputedObjectTrace.from_arrays(
-            geometry, *original.arrays()
-        )
-        for a, b in zip(original.arrays(), rebuilt.arrays()):
-            assert np.array_equal(a, b)
-
-    def test_from_arrays_rejects_bad_offsets(self, geometry):
-        objects = np.array([1, 2, 3], dtype=np.int64)
-        counts = np.array([3], dtype=np.int64)
-        with pytest.raises(TraceError, match="inconsistent tick offsets"):
-            PrecomputedObjectTrace.from_arrays(
-                geometry, objects, np.array([0, 2], dtype=np.int64), counts
-            )
-        with pytest.raises(TraceError, match="decreasing"):
-            PrecomputedObjectTrace.from_arrays(
-                geometry,
-                objects,
-                np.array([0, 4, 3], dtype=np.int64),
-                np.array([4, 1], dtype=np.int64),
-            )
-
-    def test_from_arrays_rejects_count_mismatch(self, geometry):
-        with pytest.raises(TraceError, match="update_counts length"):
-            PrecomputedObjectTrace.from_arrays(
-                geometry,
-                np.empty(0, dtype=np.int64),
-                np.array([0], dtype=np.int64),
-                np.array([5], dtype=np.int64),
-            )
-
-    def test_from_arrays_rejects_out_of_range_objects(self, geometry):
-        with pytest.raises(TraceError, match="object ids outside"):
-            PrecomputedObjectTrace.from_arrays(
-                geometry,
-                np.array([geometry.num_objects], dtype=np.int64),
-                np.array([0, 1], dtype=np.int64),
-                np.array([1], dtype=np.int64),
-            )
