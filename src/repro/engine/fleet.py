@@ -33,8 +33,8 @@ backend's under a deterministic schedule (``checkpoint_barrier=True``).
 on one thread (``parallel=False``, the deterministic baseline) or on a
 thread per shard, and reports aggregate ticks/second.  Crash operates
 fleet-wide; :meth:`recover` replays every
-shard either serially or on a recovery thread pool with deterministic,
-index-ordered result assembly.
+shard on a recovery thread pool with deterministic, index-ordered result
+assembly.
 """
 
 from __future__ import annotations
@@ -558,19 +558,17 @@ class ShardFleet:
         directory: Union[str, os.PathLike],
         num_shards: int,
         seed: int = 0,
-        parallel: bool = True,
     ) -> List[ShardRecovery]:
         """Recover every shard of a crashed fleet, results in index order.
 
-        Each shard recovers by the paper's restore-then-replay.  With
-        ``parallel`` (the default) shards recover on one thread each; restore
-        reads and replays of independent shards overlap, which is where
-        recovery time goes at production shard counts.  Without it they
-        recover one after another.
+        Each shard recovers by the paper's restore-then-replay, on one
+        thread each: restore reads and replays of independent shards
+        overlap, which is where recovery time goes at production shard
+        counts.
 
-        Assembly is deterministic either way: the returned list is indexed
-        by shard, and each shard's recovery is a pure function of its own
-        directory, so thread scheduling cannot change any recovered state.
+        Assembly is deterministic: the returned list is indexed by shard,
+        and each shard's recovery is a pure function of its own directory,
+        so thread scheduling cannot change any recovered state.
         """
         if num_shards <= 0:
             raise EngineError(f"num_shards must be positive, got {num_shards}")
@@ -582,8 +580,8 @@ class ShardFleet:
                 seed=seed + index,
             )
 
-        if not parallel or num_shards == 1:
-            return [recover_shard(index) for index in range(num_shards)]
+        if num_shards == 1:
+            return [recover_shard(0)]
         with ThreadPoolExecutor(
             max_workers=num_shards, thread_name_prefix="repro-fleet-recover"
         ) as executor:

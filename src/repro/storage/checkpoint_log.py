@@ -38,7 +38,7 @@ from __future__ import annotations
 import contextlib
 import os
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,6 +56,7 @@ from repro.storage.layout import (
     check_fsync_policy,
     fsync_directory,
     pack_geometry,
+    read_halves,
     restore_destination,
     unpack_geometry,
 )
@@ -63,8 +64,8 @@ from repro.storage.layout import (
 _GEOMETRY_RECORD = 0  # pseudo-epoch used by the leading geometry record
 _GEOMETRY_RECORD_BYTES = RECORD_HEADER_BYTES + GEOMETRY_BYTES
 
-#: Bytes skipped at the front of the record scratch buffer so the payload
-#: (and with it the int64 ids) starts 8-byte aligned behind the 29-byte header.
+#: Bytes skipped in front of each record head a restore reads, so the int64
+#: ids start 8-byte aligned behind the 29-byte header.
 _SCRATCH_PAD = -RECORD_HEADER_BYTES % 8
 
 #: Most objects one OBJECTS record of a gathered checkpoint frames: the
@@ -91,6 +92,19 @@ class _LogCheckpoint:
     #: Indices of the BEGIN and the COMMIT record in the walked record list.
     first_record: int
     last_record: int
+
+
+class _Landing(NamedTuple):
+    """One OBJECTS record a restore lands, as its first pass planned it;
+    ``direct``: one ascending run of ids, read straight into the table."""
+
+    index: int
+    head: memoryview  # the header and ids, read by the first pass
+    ids: np.ndarray  # a view of ``head``
+    low: int
+    high: int
+    ascending: bool
+    direct: bool
 
 
 def _scatter(
@@ -417,15 +431,6 @@ class CheckpointLogStore:
         first = history[0].first_record if history[0].is_full_dump else 0
         return first, history[-1].last_record
 
-    @staticmethod
-    def _scratch_for(records: List[Record], first: int, last: int):
-        """One reusable buffer that fits any record of ``[first, last]``,
-        placed so that a payload read into it starts 8-byte aligned."""
-        longest = max(record.length for record in records[first: last + 1])
-        return memoryview(np.empty(
-            _SCRATCH_PAD + RECORD_HEADER_BYTES + longest, np.uint8
-        ))[_SCRATCH_PAD:]
-
     def latest_committed(self) -> Tuple[int, int]:
         """``(epoch, cut_tick)`` of the newest committed checkpoint.
 
@@ -451,13 +456,14 @@ class CheckpointLogStore:
         target's COMMIT, so a later version of an object overwrites an
         earlier one.  An OBJECTS record whose ids are one ascending
         contiguous run (every record of the writer's full dumps) is read
-        straight into ``out``; any other goes through one scratch buffer.
-        *Verify what you trust*: every record in that range passes its CRC
-        before the pass moves on; one that fails ends the log there, as a
-        torn tail does, and the restore starts over against the shortened
-        log.  Objects no checkpoint wrote (possible only without a full
-        dump) come out zero-filled, as does ``out`` when such a restart
-        ends in :class:`NoConsistentCheckpointError`.
+        straight into ``out``; any other goes through scratch.  Records
+        that touch disjoint rows are read on two threads (see
+        :meth:`_fill`).  *Verify what you trust*: every record in that
+        range passes its CRC before the pass returns; one that fails ends
+        the log there, as a torn tail does, and the restore starts over
+        against the shortened log.  Objects no checkpoint wrote (possible
+        only without a full dump) come out zero-filled, as does ``out``
+        when such a restart ends in :class:`NoConsistentCheckpointError`.
         """
         geometry = self._geometry
         image, view = restore_destination(
@@ -496,65 +502,108 @@ class CheckpointLogStore:
 
         Returns the index of the first record found corrupt (the caller
         shortens the log and retries), else None with ``out_rows`` complete
-        (without ``out_rows``, every record is only verified).  While the
-        applied records land one contiguous prefix ``[0, written)`` (a full
-        dump's all of it) the rest of ``out_rows`` is left as it is; it is
-        zeroed before the first record that lands anywhere else.
+        (without ``out_rows``, every record is only verified).  Pass 1
+        verifies the records that land no rows (BEGIN, COMMIT, aborted
+        checkpoints) and reads the others' header and ids for :meth:`_land`.
         """
-        num_objects = self._geometry.num_objects
         object_bytes = self._geometry.object_bytes
         first, last = self._trusted_range(history)
         applies = set() if out_rows is None else {
             index for checkpoint in history
             for index in checkpoint.object_records
         }
-        scratch = self._scratch_for(records, first, last)
-        body = RECORD_HEADER_BYTES  # ids start here, 8-byte aligned
-        written: Optional[int] = None if out_rows is None else 0
+        framed = {index for index in applies if records[index].length
+                  == records[index].b * (8 + object_bytes)}
+        heads = memoryview(np.empty(sum(
+            _SCRATCH_PAD + RECORD_HEADER_BYTES + 8 * records[index].b
+            for index in framed
+        ), np.uint8))
+        scratch = bytearray(RECORD_HEADER_BYTES + max(
+            records[index].length for index in range(first, last + 1)
+            if index not in framed
+        ))
+        plan: List[_Landing] = []
+        at, stop = _SCRATCH_PAD, None
         for index in range(first, last + 1):
             record = records[index]
-            count = record.b
-            applied = index in applies
-            framed = record.length == count * (8 + object_bytes)
-            if not (applied and framed and count):
-                # A record that fails its CRC ends the log, as a torn
-                # tail does.
-                if self._log.read_verified(index, scratch) is None:
-                    return index
-                if applied and not framed:
-                    raise StorageError(
-                        f"OBJECTS record at offset {record.offset} holds "
-                        f"{record.length} bytes, not {count} objects"
-                    )
-                continue
-            head = scratch[: body + 8 * count]
-            if self._log.read(head, record.offset) != head.nbytes:
-                return index
-            ids = np.frombuffer(scratch, np.int64, count=count, offset=body)
-            low = int(ids[0])
-            ascending = bool((ids[1:] > ids[:-1]).all())
-            direct = (
-                ascending and low >= 0 and ids[-1] == low + count - 1
-                and low + count <= num_objects
-            )
-            if written is not None and not (direct and low == written):
-                out_rows[written:] = 0
-                written = None
-            if direct:
-                rows = out_rows[low: low + count]
-            else:
-                rows = np.frombuffer(
-                    scratch, np.uint8, count=count * object_bytes,
-                    offset=body + 8 * count,
-                ).reshape(count, object_bytes)
-            if self._log.read_verified(index, head, rows) is None:
-                return index
-            if not direct:
-                _scatter(ids, rows, out_rows, ascending)
-            elif written is not None:
-                written += count
-        if written is not None:
-            out_rows[written:] = 0
+            if index in framed and record.b:
+                head = heads[at: at + RECORD_HEADER_BYTES + 8 * record.b]
+                at += _SCRATCH_PAD + head.nbytes
+                if self._log.read(head, record.offset) != head.nbytes:
+                    stop = index
+                    break
+                ids = np.frombuffer(head, np.int64,
+                                    offset=RECORD_HEADER_BYTES)
+                ascending = bool((ids[1:] > ids[:-1]).all())
+                low, high = (int(ids[0]), int(ids[-1])) if ascending else (
+                    int(ids.min()), int(ids.max())
+                )
+                plan.append(_Landing(
+                    index, head, ids, low, high, ascending,
+                    ascending and low >= 0 and high == low + ids.size - 1
+                    and high < self._geometry.num_objects,
+                ))
+            # A record that fails its CRC ends the log, as a torn tail does.
+            elif self._log.read_verified(index, scratch) is None:
+                stop = index
+                break
+            elif index in applies and index not in framed:
+                raise StorageError(
+                    f"OBJECTS record at offset {record.offset} holds "
+                    f"{record.length} bytes, not {record.b} objects"
+                )
+        failed = None if out_rows is None else self._land(plan, out_rows)
+        return stop if failed is None else failed
+
+    def _land(self, plan: List[_Landing],
+              out_rows: np.ndarray) -> Optional[int]:
+        """Land pass 1's ``plan``; the index of the first record found short
+        or corrupt, else None.  Rows past the prefix the leading direct
+        records cover are zeroed first (a full dump's: none).  In a batch,
+        each record's ids ascend past the previous record's, so no two
+        touch one row; batches land in file order (a later version wins),
+        each split by payload bytes over :func:`read_halves`' readers."""
+        prefix = 0
+        for entry in plan:
+            if not (entry.direct and entry.low == prefix):
+                break
+            prefix += entry.ids.size
+        out_rows[prefix:] = 0
+        batches: List[List[_Landing]] = []
+        for entry in plan:
+            if not (batches and entry.ascending
+                    and entry.low > batches[-1][-1].high):
+                batches.append([])
+            batches[-1].append(entry)
+        longest = max((entry.ids.size for entry in plan), default=0)
+        spares = np.empty((2, longest, out_rows.shape[1]), np.uint8)
+        helper = self._log.reader()
+
+        def land(part: List[_Landing], log: RecordFile,
+                 spare: np.ndarray) -> Optional[int]:
+            for entry in part:
+                rows = (out_rows[entry.low: entry.low + entry.ids.size]
+                        if entry.direct else spare[: entry.ids.size])
+                if log.read_verified(entry.index, entry.head, rows) is None:
+                    return entry.index
+                if not entry.direct:
+                    _scatter(entry.ids, rows, out_rows, entry.ascending)
+            return None
+
+        try:
+            for batch in batches:
+                ends = np.cumsum([self._log.records[entry.index].length
+                                  for entry in batch])
+                half = int(np.searchsorted(ends, ends[-1] / 2, side="right"))
+                failed = read_halves(
+                    int(ends[-1]),
+                    lambda: land(batch[:half], self._log, spares[0]),
+                    lambda: land(batch[half:], helper, spares[1]),
+                )
+                if failed != (None, None):
+                    return failed[0] if failed[0] is not None else failed[1]
+        finally:
+            self._log.bytes_read += helper.bytes_read
         return None
 
     def restore_scan_bytes(self) -> int:

@@ -24,6 +24,7 @@ header, which :meth:`latest_consistent` finds on restart.
 
 from __future__ import annotations
 
+import mmap
 import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -42,6 +43,7 @@ from repro.storage.layout import (
     check_fsync_policy,
     pread_into,
     pwritev_all,
+    read_halves,
     restore_destination,
 )
 
@@ -135,20 +137,16 @@ class DoubleBackupStore:
         """Bytes this store object has read from its backup files so far."""
         return self._bytes_read
 
-    def _pread(self, backup_index: int, buffer, offset: int) -> int:
-        """Positioned read of one backup file (:func:`pread_into` on the raw
-        fd, buffered writes flushed first), counted into
-        :attr:`bytes_read`."""
-        handle = self._files[backup_index]
-        handle.flush()
-        read = pread_into(handle.fileno(), buffer, offset)
-        self._bytes_read += read
-        return read
+    def _fd(self, backup_index: int) -> int:
+        """One backup's raw fd for :func:`pread_into`, writes flushed."""
+        self._files[backup_index].flush()
+        return self._files[backup_index].fileno()
 
     def header(self, backup_index: int) -> BackupHeader:
         """Read one backup's header, checking its geometry."""
         raw = bytearray(BACKUP_HEADER_BYTES)
-        read = self._pread(backup_index, raw, 0)
+        read = pread_into(self._fd(backup_index), raw, 0)
+        self._bytes_read += read
         header = BackupHeader.unpack(raw[:read])
         if header.geometry != self._geometry:
             raise StorageError(
@@ -317,18 +315,28 @@ class DoubleBackupStore:
     def read_image(self, backup_index: int, out=None):
         """Read the full data region of one backup (a sequential restore).
 
-        One positioned read straight into ``out``: any writable contiguous
+        Positioned reads straight into ``out``: any writable contiguous
         buffer of exactly ``num_objects * object_bytes`` bytes (recovery
         passes :meth:`GameStateTable.image_buffer`, so the image lands in
-        the table with no staging copy).  Without ``out`` the same read fills
-        a fresh ``bytearray``.  Returns ``out`` or that new buffer.
+        the table with no staging copy), as two halves split at a page
+        boundary of the file (:func:`~repro.storage.layout.read_halves`).
+        Without ``out`` the same reads fill a fresh ``bytearray``.  Returns
+        ``out`` or that new buffer.
         """
         image, view = restore_destination(out, self._data_bytes)
-        read = self._pread(backup_index, view, BACKUP_HEADER_BYTES)
+        fd = self._fd(backup_index)
+        middle = max(0, (BACKUP_HEADER_BYTES + self._data_bytes // 2)
+                     // mmap.PAGESIZE * mmap.PAGESIZE - BACKUP_HEADER_BYTES)
+        read = sum(read_halves(
+            self._data_bytes,
+            lambda: pread_into(fd, view[:middle], BACKUP_HEADER_BYTES),
+            lambda: pread_into(fd, view[middle:],
+                               BACKUP_HEADER_BYTES + middle),
+        ))
+        self._bytes_read += read
         if read != self._data_bytes:
             raise StorageError(
                 f"backup {backup_index} data region truncated "
                 f"({read} of {self._data_bytes} bytes)"
             )
         return image
-

@@ -10,12 +10,15 @@ stays with the logs.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import os
 import struct
+import threading
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -313,6 +316,37 @@ def pread_into(fd: int, buffer, offset: int) -> int:
     return total
 
 
+#: Restore plans reading fewer bytes than this run on the caller alone.
+SPLIT_READ_BYTES = 4 << 20
+
+
+def read_halves(nbytes: int, first: Callable, second: Callable) -> Tuple:
+    """``(first(), second())``, the two halves of a restore's read plan of
+    ``nbytes``: from :data:`SPLIT_READ_BYTES` on, ``second`` runs on a
+    ``repro-restore-reader`` thread meanwhile (``preadv``, :func:`crc32`
+    and numpy's row copies release the GIL).  The helper is joined before
+    this returns; an exception from either half re-raises here."""
+    if nbytes < SPLIT_READ_BYTES:
+        return first(), second()
+    results: List = []
+
+    def run() -> None:
+        try:
+            results.append(second())
+        except BaseException as error:  # re-raised on the caller
+            results.append(error)
+
+    helper = threading.Thread(target=run, name="repro-restore-reader")
+    helper.start()
+    try:
+        head = first()
+    finally:
+        helper.join()
+    if isinstance(results[0], BaseException):
+        raise results[0]
+    return head, results[0]
+
+
 def _skip(views: List[memoryview], written: int) -> List[memoryview]:
     """What is left of ``views`` once the first ``written`` bytes landed:
     fully-written views dropped, the partially-written one trimmed."""
@@ -442,6 +476,13 @@ class RecordFile:
     def size(self) -> int:
         """The file's size on disk, torn tail included."""
         return os.fstat(self.fd).st_size
+
+    def reader(self) -> "RecordFile":
+        """This file and index, counting :attr:`bytes_read` apart from 0:
+        what a restore's helper thread reads through."""
+        reader = copy.copy(self)
+        reader.bytes_read = 0
+        return reader
 
     def read(self, buffer, offset: int) -> int:
         """:func:`pread_into`, counted into :attr:`bytes_read`."""

@@ -58,8 +58,12 @@ def _reduce_trace(
             if int(sizes.sum())
             else np.empty(0, dtype=np.int64)
         )
-        tick_ids = np.repeat(np.arange(len(pending), dtype=np.int64), sizes)
-        keys = tick_ids * num_objects + geometry.object_of_cell(cells)
+        # int32 keys sort in about half the time of int64 ones.
+        key_type = (np.int32 if len(pending) * num_objects < 1 << 31
+                    else np.int64)
+        tick_ids = np.repeat(np.arange(len(pending), dtype=key_type), sizes)
+        keys = tick_ids * num_objects
+        keys += geometry.object_of_cell(cells).astype(key_type)
         unique_keys = unique_ids(keys)
         # Sorted unique keys are tick-major, so each tick's segment is its
         # sorted unique object set; segment boundaries come from searchsorted.
@@ -67,7 +71,7 @@ def _reduce_trace(
             unique_keys // num_objects, np.arange(len(pending) + 1)
         )
         unique_counts.extend(np.diff(bounds).tolist())
-        object_parts.append(unique_keys % num_objects)
+        object_parts.append((unique_keys % num_objects).astype(np.int64))
         pending = []
         pending_elems = 0
 

@@ -8,6 +8,7 @@ import pytest
 from repro.config import StateGeometry
 from repro.engine import fleet as fleet_module
 from repro.engine.fleet import ShardFleet, shard_directory
+from repro.engine.shard import MMOShard
 from repro.errors import EngineError
 
 GEOMETRY = StateGeometry(rows=400, columns=10)
@@ -81,26 +82,31 @@ class TestRecovery:
             recovered.persistence.close()
 
     def test_parallel_and_serial_recovery_agree(self, app_factory, tmp_path):
-        """Recovery thread scheduling must not change any recovered state."""
+        """Recovery thread scheduling must not change any recovered state:
+        the fleet's threaded recovery equals each shard recovered in turn,
+        and both equal the live state."""
         fleet = make_fleet(app_factory, tmp_path, num_shards=4)
         fleet.run_ticks(25, parallel=True)
         live = [shard.game.table.cells.copy() for shard in fleet.shards]
         fleet.crash()
-        states = {}
-        for label, parallel in (("serial", False), ("parallel", True)):
-            reports = ShardFleet.recover(
-                app_factory, tmp_path, 4, seed=5, parallel=parallel
-            )
-            states[label] = [
-                report.game.table.cells.copy() for report in reports
-            ]
+
+        def recovered(reports):
+            cells = [report.game.table.cells.copy() for report in reports]
             for report in reports:
                 report.persistence.close()
-        for serial, parallel_, expected in zip(
-            states["serial"], states["parallel"], live
-        ):
-            assert np.array_equal(serial, parallel_)
-            assert np.array_equal(serial, expected)
+            return cells
+
+        serial = recovered([
+            MMOShard.recover(app_factory(index),
+                             shard_directory(tmp_path, index), seed=5 + index)
+            for index in range(4)
+        ])
+        parallel = recovered(
+            ShardFleet.recover(app_factory, tmp_path, 4, seed=5)
+        )
+        for alone, threaded, expected in zip(serial, parallel, live):
+            assert np.array_equal(alone, threaded)
+            assert np.array_equal(alone, expected)
 
     def test_parallel_recovery_runs_one_thread_per_shard(
         self, app_factory, tmp_path, monkeypatch

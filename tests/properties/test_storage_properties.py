@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.config import StateGeometry
 from repro.errors import CorruptCheckpointError, NoConsistentCheckpointError
+from repro.storage import layout
 from repro.storage.checkpoint_log import CheckpointLogStore
 from repro.storage.double_backup import DoubleBackupStore
 from repro.storage.layout import (
@@ -390,6 +391,19 @@ class TestDirectReadsMatchForwardOracle:
         """Contiguous runs at any offset, in partials and in full dumps
         whose sorted run is not their first, with a flipped byte in a
         record the restore reads straight into a fresh or a dirty image."""
+        self.check(script, damage, tmp_path_factory)
+
+    @given(script=direct_scripts, damage=direct_damages)
+    @settings(max_examples=120, deadline=None)
+    def test_restore_on_two_readers_equals_oracle(
+        self, script, damage, tmp_path_factory
+    ):
+        """The same with every batch of records split over two readers."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(layout, "SPLIT_READ_BYTES", 0)
+            self.check(script, damage, tmp_path_factory)
+
+    def check(self, script, damage, tmp_path_factory):
         directory = tmp_path_factory.mktemp("direct")
         fill = 0
         with CheckpointLogStore(directory, GEOMETRY) as store:

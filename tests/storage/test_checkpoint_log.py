@@ -1,6 +1,10 @@
 """Tests for the append-only checkpoint log."""
 
+import errno
 import os
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -897,6 +901,155 @@ class TestBackwardsRestore:
         image, _, _ = store.restore_image(out=table_like)
         assert image is table_like
         assert table_like.tobytes() == bytes(store.restore_image()[0])
+
+
+class TestTwoReaders:
+    """Records that touch disjoint rows land on two readers; the split
+    size is forced to 0 so the small logs here take that path."""
+
+    HELPER = "repro-restore-reader"
+
+    @pytest.fixture(autouse=True)
+    def two_readers(self, monkeypatch):
+        from repro.storage import layout
+
+        monkeypatch.setattr(layout, "SPLIT_READ_BYTES", 0)
+
+    def write(self, store, geometry, epoch, runs, full=False):
+        """One checkpoint of one OBJECTS record per run, each run's rows
+        filled with a value of its own; returns ``{id: fill}`` in write
+        order."""
+        store.begin_checkpoint(epoch, is_full_dump=full)
+        written = {}
+        for number, ids in enumerate(runs):
+            fill = epoch * 10 + number
+            store.append_objects(np.array(ids, dtype=np.int64),
+                                 payload_for(ids, geometry, fill))
+            written.update((object_id, fill) for object_id in ids)
+        store.commit_checkpoint(tick=epoch * 10)
+        return written
+
+    def reads_by_thread(self, monkeypatch):
+        """``(thread name, offset)`` of every read of the log.  The caller's
+        reads lag, so the helper's half lands first: were two versions of
+        one row in one batch, the older could win."""
+        from repro.storage import layout
+
+        reads = []
+        real = layout.pread_into
+
+        def recording(fd, buffer, offset):
+            reads.append((threading.current_thread().name, offset))
+            if reads[-1][0] != self.HELPER:
+                time.sleep(0.002)
+            return real(fd, buffer, offset)
+
+        monkeypatch.setattr(layout, "pread_into", recording)
+        return reads
+
+    def test_last_write_wins_across_records_and_readers(
+        self, store, geometry, monkeypatch
+    ):
+        """Repeated ids across one checkpoint's records and a record whose
+        ids descend start new batches, so the later version still wins;
+        every byte either reader read is counted once."""
+        pairs = [[0, 1], [2, 3], [4, 5], [6, 7]]
+        model = self.write(store, geometry, 1, pairs, full=True)
+        model.update(self.write(store, geometry, 2,
+                                [[2, 3], [3, 4], [6, 1], [7], [5], [5]]))
+        reads = self.reads_by_thread(monkeypatch)
+        counts = counted_reads(monkeypatch)
+        before, threads = store.bytes_read, threading.enumerate()
+        out = bytearray(b"\xAA" * geometry.checkpoint_bytes)
+        image, epoch, tick = store.restore_image(out=out)
+        assert threading.enumerate() == threads
+        assert (epoch, tick) == (2, 20)
+        for object_id in range(geometry.num_objects):
+            assert image_value(image, geometry, object_id) == (
+                model[object_id] * 1_000 + object_id
+            )
+        assert store.bytes_read - before == counts["bytes"]
+        assert {name for name, _ in reads} == {"MainThread", self.HELPER}
+
+    def test_switching_threads_every_microsecond_loses_no_row_or_byte(
+        self, store, geometry, monkeypatch
+    ):
+        """Both readers write one table and count bytes apart: with the
+        interpreter switching threads as often as it can, every restore
+        still equals the model and counts each byte read once."""
+        pairs = [[0, 1], [2, 3], [4, 5], [6, 7]]
+        model = self.write(store, geometry, 1, pairs, full=True)
+        model.update(self.write(store, geometry, 2, [[1, 2, 3], [5, 6]]))
+        expected = b"".join(
+            payload_for([object_id], geometry, model[object_id])
+            for object_id in range(geometry.num_objects)
+        )
+        counts = counted_reads(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                before, read = store.bytes_read, counts["bytes"]
+                image, _, _ = store.restore_image()
+                assert bytes(image) == expected
+                assert store.bytes_read - before == counts["bytes"] - read
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_flipped_byte_in_the_helpers_half_restores_like_a_cut_log(
+        self, tmp_path, geometry, monkeypatch, crc32_backends
+    ):
+        runs = [[0, 1], [2, 3], [4, 5], [6, 7]]
+        with CheckpointLogStore(tmp_path / "log", geometry) as store:
+            self.write(store, geometry, 1, runs, full=True)
+            self.write(store, geometry, 2, runs)
+            self.write(store, geometry, 3, [[1], [6]])
+            # Epoch 2's last record, [6, 7]: one batch with the three
+            # before it, of which the helper lands the second half.
+            victim = store._log.records[11]
+            path = store.path
+        data = Path(path).read_bytes()
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        (cut / CheckpointLogStore.FILE_NAME).write_bytes(data[: victim.offset])
+        with CheckpointLogStore(cut, geometry) as store:
+            expected = store.restore_image()
+        assert expected[1:] == (1, 10)
+        damaged = bytearray(data)
+        damaged[victim.offset + RECORD_HEADER_BYTES + 2 * 8 + 5] ^= 0x5A
+        reads = self.reads_by_thread(monkeypatch)
+        for backend in crc32_backends():
+            Path(path).write_bytes(damaged)
+            with CheckpointLogStore(tmp_path / "log", geometry) as store:
+                out = bytearray(b"\xAA" * geometry.checkpoint_bytes)
+                restored = store.restore_image(out=out)
+            assert (bytes(restored[0]), *restored[1:]) == (
+                bytes(expected[0]), *expected[1:]
+            ), backend
+            rest = victim.offset + RECORD_HEADER_BYTES + 2 * 8
+            assert (self.HELPER, rest) in reads
+
+    def test_an_oserror_on_the_helper_reaches_the_caller(
+        self, store, geometry, monkeypatch
+    ):
+        from repro.storage import layout
+
+        self.write(store, geometry, 1, [[0, 1, 2, 3], [4, 5, 6, 7]],
+                   full=True)
+        error = OSError(errno.EIO, "injected")
+        real = layout.pread_into
+
+        def failing(fd, buffer, offset):
+            if threading.current_thread().name == self.HELPER:
+                raise error
+            return real(fd, buffer, offset)
+
+        monkeypatch.setattr(layout, "pread_into", failing)
+        threads = threading.enumerate()
+        with pytest.raises(OSError) as raised:
+            store.restore_image()
+        assert raised.value is error
+        assert threading.enumerate() == threads
 
 
 def test_no_second_compaction_path_grows_back():

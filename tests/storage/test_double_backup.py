@@ -1,11 +1,17 @@
 """Tests for the double-backup checkpoint store."""
 
+import errno
+import mmap
+import os
+import threading
+
 import numpy as np
 import pytest
 
 import repro.storage.double_backup as double_backup_module
 from repro.config import StateGeometry
 from repro.errors import NoConsistentCheckpointError, StorageError
+from repro.storage import layout
 from repro.storage.double_backup import DoubleBackupStore
 from repro.storage.layout import (
     BACKUP_HEADER_BYTES,
@@ -481,3 +487,81 @@ class TestReadImageDestination:
         for bad in (bytearray(size - 1), bytearray(size + 1), bytes(size)):
             with pytest.raises(StorageError):
                 store.read_image(0, out=bad)
+
+
+class TestTwoReaders:
+    """``read_image`` splits the data region at a page boundary of the file
+    over two readers; the split size is forced to 0 so a small store
+    takes that path."""
+
+    @pytest.fixture
+    def wide(self, tmp_path, monkeypatch):
+        """A store of 24 KiB data regions with a full checkpoint in backup 0,
+        and every read of it split."""
+        geometry = StateGeometry(rows=48, columns=128, cell_bytes=4,
+                                 object_bytes=64)
+        with DoubleBackupStore(tmp_path, geometry) as opened:
+            ids = np.arange(geometry.num_objects)
+            opened.begin_checkpoint(0, epoch=1)
+            opened.write_objects(ids, payload_for(ids, geometry, 3))
+            opened.commit_checkpoint(tick=9)
+            monkeypatch.setattr(layout, "SPLIT_READ_BYTES", 0)
+            yield opened
+
+    def counted_reads(self, monkeypatch):
+        """``(thread name, offset, bytes)`` of every read of the store."""
+        reads = []
+        real = double_backup_module.pread_into
+
+        def counting(fd, buffer, offset):
+            read = real(fd, buffer, offset)
+            reads.append((threading.current_thread().name, offset, read))
+            return read
+
+        monkeypatch.setattr(double_backup_module, "pread_into", counting)
+        return reads
+
+    def test_split_read_equals_one_read(self, wide, monkeypatch):
+        with open(os.path.join(wide.directory, "backup0.db"), "rb") as handle:
+            handle.seek(BACKUP_HEADER_BYTES)
+            expected = handle.read()
+        reads = self.counted_reads(monkeypatch)
+        before = wide.bytes_read
+        image = wide.read_image(0)
+        assert bytes(image) == expected
+        assert wide.bytes_read - before == sum(read for _, _, read in reads)
+        assert wide.bytes_read - before == len(expected)
+        (caller, _, head), (helper, middle, tail) = sorted(
+            reads, key=lambda read: read[1]
+        )
+        assert (caller, helper) == ("MainThread", "repro-restore-reader")
+        assert middle % mmap.PAGESIZE == 0 and head > 0 and tail > 0
+
+    def test_helper_oserror_reaches_the_caller(self, wide, monkeypatch):
+        error = OSError(errno.EIO, "injected")
+        real = double_backup_module.pread_into
+
+        def failing(fd, buffer, offset):
+            if threading.current_thread().name == "repro-restore-reader":
+                raise error
+            return real(fd, buffer, offset)
+
+        monkeypatch.setattr(double_backup_module, "pread_into", failing)
+        before = threading.enumerate()
+        with pytest.raises(OSError) as raised:
+            wide.read_image(0)
+        assert raised.value is error
+        assert threading.enumerate() == before
+
+    def test_no_thread_outlives_the_restore(self, wide):
+        before = threading.enumerate()
+        wide.read_image(0)
+        assert threading.enumerate() == before
+
+    def test_truncation_is_still_found(self, wide):
+        path = os.path.join(wide.directory, "backup0.db")
+        size = os.path.getsize(path)
+        os.truncate(path, size - 100)
+        read = size - 100 - BACKUP_HEADER_BYTES
+        with pytest.raises(StorageError, match=f"[(]{read} of"):
+            wide.read_image(0)

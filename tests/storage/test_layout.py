@@ -1,5 +1,8 @@
 """Tests for on-disk framing (headers, records, CRCs)."""
 
+import threading
+import time
+
 import pytest
 
 from repro.config import StateGeometry
@@ -112,3 +115,55 @@ class TestGatheredWrites:
             assert layout.pwritev_all(fd, [], 0) == 0
         finally:
             os.close(fd)
+
+
+class TestReadHalves:
+    """``read_halves`` runs a plan's second half on one helper thread from
+    ``SPLIT_READ_BYTES`` on, and never leaves that thread behind."""
+
+    def thread_of(self):
+        return threading.current_thread().name
+
+    def test_small_plans_stay_on_the_caller(self):
+        names = layout.read_halves(layout.SPLIT_READ_BYTES - 1,
+                                   self.thread_of, self.thread_of)
+        assert names == ("MainThread", "MainThread")
+
+    def test_large_plans_take_one_helper(self):
+        before = threading.enumerate()
+        names = layout.read_halves(layout.SPLIT_READ_BYTES,
+                                   self.thread_of, self.thread_of)
+        assert names == ("MainThread", "repro-restore-reader")
+        assert threading.enumerate() == before
+
+    def test_the_helpers_exception_reaches_the_caller(self):
+        error = OSError(5, "injected")
+
+        def second():
+            raise error
+
+        before = threading.enumerate()
+        with pytest.raises(OSError) as raised:
+            layout.read_halves(layout.SPLIT_READ_BYTES, lambda: 1, second)
+        assert raised.value is error
+        assert threading.enumerate() == before
+
+    def test_the_callers_exception_waits_for_the_helper(self):
+        """The caller's half fails while the helper is still reading: the
+        helper is joined first, and the caller's exception is raised."""
+        started, done = threading.Event(), threading.Event()
+
+        def first():
+            started.wait(5)
+            raise ValueError("caller")
+
+        def second():
+            started.set()
+            time.sleep(0.2)
+            done.set()
+
+        before = threading.enumerate()
+        with pytest.raises(ValueError, match="caller"):
+            layout.read_halves(layout.SPLIT_READ_BYTES, first, second)
+        assert done.is_set()
+        assert threading.enumerate() == before

@@ -52,6 +52,36 @@ class TestReduceTrace:
         for a, b in zip(chunked, unchunked):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("rows, key_type", [
+        (400, np.int32),            # 4 ticks x 6,400 objects
+        (1 << 26, np.int64),        # 4 ticks x 2**30 objects: 2**32 keys
+    ])
+    def test_key_width_follows_the_key_space(self, rows, key_type,
+                                             monkeypatch):
+        """Keys are int32 while ``ticks * num_objects`` fits below 2**31 and
+        int64 beyond it; the ids come out int64 and per-tick exact."""
+        geometry = StateGeometry(rows=rows, columns=2048)
+        top = geometry.num_cells - 1
+        trace = MaterializedTrace(geometry, [
+            np.array([top, 0, 5, top, top // 2, 0], dtype=np.int64),
+            np.array([top - 1, top], dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.array([7, 7, top, 3], dtype=np.int64),
+        ])
+        seen = []
+        real = reduced_module.unique_ids
+
+        def recording(keys):
+            seen.append(keys.dtype)
+            return real(keys)
+
+        monkeypatch.setattr(reduced_module, "unique_ids", recording)
+        got = _reduce_trace(trace)
+        assert seen == [key_type]
+        for a, b in zip(got, reference_reduction(trace)):
+            assert np.array_equal(a, b)
+            assert a.dtype == b.dtype == np.int64
+
     def test_empty_trace(self, geometry):
         objects, offsets, counts = _reduce_trace(
             MaterializedTrace(geometry, [])
