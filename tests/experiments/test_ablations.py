@@ -60,12 +60,22 @@ class TestTickRate:
 
 
 class TestObjectSize:
-    def test_smaller_objects_cost_more_overhead(self):
-        result = ablations.run_object_size(SCALE, object_sizes=(128, 2_048))
+    @pytest.fixture(scope="class")
+    def result(self):
+        return ablations.run_object_size(SCALE, object_sizes=(128, 2_048))
+
+    def test_smaller_objects_cost_more_overhead(self, result):
         raw = result.raw
         assert (
             raw["128:copy-on-update"]["avg_overhead_s"]
             > raw["2048:copy-on-update"]["avg_overhead_s"]
+        )
+
+    def test_larger_objects_write_fewer(self, result):
+        raw = result.raw
+        assert (
+            raw["2048:copy-on-update"]["avg_objects_written"]
+            < raw["128:copy-on-update"]["avg_objects_written"]
         )
 
 

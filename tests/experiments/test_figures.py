@@ -127,6 +127,12 @@ class TestFig4:
         skewed_k = fig4_result.raw[0.99]["copy-on-update"]["avg_objects_written"]
         assert skewed_k < uniform_k
 
+    def test_partial_redo_checkpoint_shrinks_with_skew(self, fig4_result):
+        """Fewer dirty objects under skew, so a shorter log write."""
+        uniform = fig4_result.raw[0.0]["partial-redo"]["avg_checkpoint_s"]
+        skewed = fig4_result.raw[0.99]["partial-redo"]["avg_checkpoint_s"]
+        assert skewed < uniform
+
     def test_partial_redo_recovery_shrinks_with_skew(self, fig4_result):
         """Paper: 7.3 s at low skew down to ~6.3 s at 0.99."""
         uniform = fig4_result.raw[0.0]["partial-redo"]["recovery_s"]
@@ -150,6 +156,25 @@ class TestFig5:
         assert result.raw["trace"]["avg_updates_per_tick"] == pytest.approx(
             35_590, rel=0.07
         )
+
+    def test_cou_partial_redo_overhead_above_cou(self, result):
+        """Paper: 1.6 vs 1.2 ms, because it checkpoints more often."""
+        raw = result.raw["results"]
+        assert raw["cou-partial-redo"]["avg_overhead_s"] >= raw[
+            "copy-on-update"
+        ]["avg_overhead_s"]
+
+    def test_atomic_copy_lowest_overhead(self, result):
+        raw = result.raw["results"]
+        others = [v["avg_overhead_s"] for k, v in raw.items()
+                  if k != "atomic-copy"]
+        assert raw["atomic-copy"]["avg_overhead_s"] <= min(others) * 1.05
+
+    def test_log_method_checkpoints_faster_than_its_twin(self, result):
+        raw = result.raw["results"]
+        assert raw["cou-partial-redo"]["avg_checkpoint_s"] < raw[
+            "copy-on-update"
+        ]["avg_checkpoint_s"]
 
     def test_partial_redo_recovery_worst(self, result):
         raw = result.raw["results"]

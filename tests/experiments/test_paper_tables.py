@@ -31,6 +31,9 @@ class TestTable2:
         raw = result.raw
         assert raw["naive-snapshot"]["Copy-To-Memory"] == "All objects"
         assert raw["dribble"]["Handle-Update"] == "First touched, all"
+        assert raw["copy-on-update"]["Handle-Update"] == (
+            "First touched, dirty"
+        )
         assert raw["copy-on-update"]["Write-Objects-To-Stable-Storage"] == (
             "Dirty objects, double backup"
         )
@@ -44,6 +47,7 @@ class TestTable3:
         result = run_table3(QUICK_SCALE)
         text = result.render()
         assert "30 Hz" in text
+        assert "Bdisk" in text
         assert "512 bytes" in text
         assert "2.20 GB/s" in text
         assert "60.00 MB/s" in text
@@ -59,6 +63,7 @@ class TestTable4:
         result = run_table4(QUICK_SCALE)
         text = result.render()
         assert "10,000,000" in text
+        assert "64,000" in text
         assert "256,000" in text
         assert "0.99" in text
 

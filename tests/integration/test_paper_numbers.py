@@ -3,12 +3,17 @@
 These run the simulator with the exact Section 4.3/4.4 setup (Table 3
 constants, 10M cells, Zipf skew 0.8) and assert the quantitative findings the
 paper states in prose.  Tolerances are deliberately loose enough to absorb
-sampling noise but tight enough that a broken cost model fails.
+sampling noise but tight enough that a broken cost model fails.  The last
+class crashes and recovers the real engine under all six algorithms, at a
+small scale.
 """
 
 import pytest
 
 from repro.config import PAPER_CONFIG
+from repro.core.registry import ALGORITHM_KEYS
+from repro.experiments import engine_recovery
+from repro.experiments.common import QUICK_SCALE
 from repro.simulation.simulator import CheckpointSimulator, PrecomputedObjectTrace
 from repro.workloads.zipf import ZipfTrace
 
@@ -104,11 +109,14 @@ class TestSection51CheckpointTimes:
 
 
 class TestSection51RecoveryTimes:
-    def test_full_state_recovery_14(self, at_64k):
+    def test_full_state_recovery_14(self, at_64k, at_256k):
         """"reaching around 1.4 sec for all update rates"."""
         for key in ("naive-snapshot", "dribble", "atomic-copy",
                     "copy-on-update"):
-            assert at_64k[key].recovery_time == pytest.approx(1.4, rel=0.07)
+            for snapshot in (at_64k, at_256k):
+                assert snapshot[key].recovery_time == pytest.approx(
+                    1.4, rel=0.07
+                ), key
 
     def test_partial_redo_72_at_256k(self, at_256k):
         """"At 256,000 updates per tick, these methods spend 7.2 sec to
@@ -163,3 +171,18 @@ class TestSection8Recommendation:
         assert not cou.exceeds_latency_limit()
         assert naive.exceeds_latency_limit()
         assert cou.recovery_time <= naive.recovery_time * 1.02
+
+
+class TestEngineRecovery:
+    def test_every_algorithm_recovers_bit_exactly(self, tmp_path):
+        """Figure 2(c) in miniature on the real engine: every algorithm
+        crashes and recovers the live table (the run raises otherwise)
+        with a measured restore and replay."""
+        result = engine_recovery.run(
+            QUICK_SCALE.with_overrides(game_units=1_024), directory=tmp_path
+        )
+        assert sorted(result.raw) == sorted(ALGORITHM_KEYS)
+        for key, metrics in result.raw.items():
+            assert metrics["exact"], key
+            assert metrics["recovery_s"] > 0, key
+        assert result.raw["copy-on-update"]["restore_s"] > 0

@@ -1,54 +1,92 @@
-"""Guards on the checked-in full-scale report artifacts (docs/)."""
+"""Guards on the committed full-scale exports (docs/exports/).
+
+``python -m repro.experiments all --export-dir docs/exports`` writes them;
+the rendered report is output of ``--out`` and is not committed.
+"""
 
 import json
 import pathlib
 
 import pytest
 
-DOCS = pathlib.Path(__file__).resolve().parents[2] / "docs"
+from repro.experiments.registry import EXPERIMENT_IDS
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+EXPORTS = ROOT / "docs" / "exports"
 
 
-class TestFullReport:
-    @pytest.fixture(scope="class")
-    def report(self):
-        path = DOCS / "full_report.txt"
-        if not path.exists():
-            pytest.skip("full report not generated in this checkout")
-        return path.read_text()
+def load(experiment_id):
+    return json.loads((EXPORTS / f"{experiment_id}.json").read_text())
 
-    def test_every_paper_artifact_present(self, report):
+
+class TestExports:
+    def test_json_per_experiment(self):
+        for experiment_id in EXPERIMENT_IDS:
+            assert load(experiment_id)["experiment_id"] == experiment_id
+
+    def test_every_paper_artifact_present(self):
+        titles = " ".join(
+            table["title"]
+            for experiment_id in EXPERIMENT_IDS
+            for table in load(experiment_id)["tables"]
+        )
         for artifact in ("Table 1", "Table 2", "Table 3", "Table 4",
                          "Table 5", "Figure 2(a)", "Figure 2(b)",
                          "Figure 2(c)", "Figure 3", "Figure 4(a)",
                          "Figure 5", "Figure 6(a)"):
-            assert artifact in report, artifact
+            assert artifact in titles, artifact
 
-    def test_headline_numbers_recorded(self, report):
+    def test_headline_numbers_recorded(self):
         # The calibrated constants the reproduction stands on.
-        assert "684.849 ms" in report or "0.68" in report
-        assert "7.3" in report  # partial-redo recovery at saturation
+        raw = load("fig2")["raw"]
+        for rate, runs in raw.items():
+            assert runs["naive-snapshot"]["avg_checkpoint_s"] == pytest.approx(
+                0.68, rel=0.02
+            ), rate
+        # Partial-redo recovery at saturation.
+        assert raw["256000"]["partial-redo"]["recovery_s"] == pytest.approx(
+            7.3, rel=0.02
+        )
 
-
-class TestExports:
-    @pytest.fixture(scope="class")
-    def exports(self):
-        directory = DOCS / "exports"
-        if not directory.exists():
-            pytest.skip("exports not generated in this checkout")
-        return directory
-
-    def test_json_per_experiment(self, exports):
-        names = {path.stem for path in exports.glob("*.json")}
-        for required in ("fig2", "fig3", "fig4", "fig5", "fig6",
-                         "table5", "alternatives", "engine_recovery"):
-            assert required in names, required
-
-    def test_json_parses_and_carries_raw_metrics(self, exports):
-        document = json.loads((exports / "fig2.json").read_text())
+    def test_json_parses_and_carries_raw_metrics(self):
+        document = load("fig2")
         assert document["experiment_id"] == "fig2"
         assert "64000" in document["raw"]
         cou = document["raw"]["64000"]["copy-on-update"]
         assert 0 < cou["avg_overhead_s"] < 0.01
 
-    def test_csv_tables_exist(self, exports):
-        assert list(exports.glob("fig2_table*.csv"))
+    def test_csv_tables_exist(self):
+        for experiment_id in EXPERIMENT_IDS:
+            for index in range(len(load(experiment_id)["tables"])):
+                path = EXPORTS / f"{experiment_id}_table{index}.csv"
+                assert path.exists(), path
+
+    def test_fig6_within_the_papers_validation_bounds(self):
+        """The recorded Figure 6 run meets the paper's Section 6 claims for
+        its two algorithms: Copy-on-Update's overhead within an order of
+        magnitude of the calibrated model (the paper saw up to 3x), time to
+        checkpoint within 0.05-20x.  Host-measured, so checked on the
+        committed run rather than on a fresh one."""
+        for row in load("fig6")["raw"]["comparisons"]:
+            if row["algorithm"] == "copy-on-update":
+                ratio = row["measured_overhead"] / row["simulated_overhead"]
+                assert 0.1 < ratio < 10.0, row
+            if row["algorithm"] in ("naive-snapshot", "copy-on-update"):
+                ratio = row["measured_checkpoint"] / row["simulated_checkpoint"]
+                assert 0.05 < ratio < 20.0, row
+
+
+def test_no_bench_harness_grows_back():
+    """``python -m repro.experiments`` is the one way to regenerate the
+    paper: no pytest-benchmark harness beside ``benchmarks/e2e``."""
+    entries = {path.name for path in (ROOT / "benchmarks").iterdir()}
+    assert entries - {"__pycache__"} == {"e2e"}
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert "pytest-benchmark" not in pyproject
+    assert "bench_*.py" not in pyproject
+    this_file = pathlib.Path(__file__).resolve()
+    for directory in ("src", "tests"):
+        for path in (ROOT / directory).rglob("*"):
+            if (path.is_file() and "__pycache__" not in path.parts
+                    and path.resolve() != this_file):
+                assert b"REPRO_BENCH_SCALE" not in path.read_bytes(), path

@@ -98,6 +98,25 @@ class TestZipfDistribution:
         for rank in range(1, 8):
             assert dist.probability(rank) == pytest.approx(1.0 / 7.0)
 
+    @pytest.mark.parametrize("n, theta", [
+        (2, 0.8), (10, 0.0), (1_000, 0.99), (100_000, 0.5),
+        (1_000_000, 0.8),
+    ])
+    def test_sample_matches_grays_expression(self, n, theta):
+        """The in-place sampler draws exactly what Gray's inverse transform,
+        written as one expression with ``np.where``, draws."""
+        dist = ZipfDistribution(n, theta)
+        u = np.random.default_rng(11).random(50_000)
+        uz = u * dist._zetan
+        tail = 1.0 + np.floor(n * (dist._eta * u - dist._eta + 1.0)
+                              ** dist._alpha)
+        ranks = np.where(uz < 1.0, 1.0,
+                         np.where(uz < dist._zeta2, 2.0, tail))
+        expected = np.clip(ranks, 1, n).astype(np.int64) - 1
+        drawn = dist.sample(50_000, np.random.default_rng(11))
+        assert drawn.dtype == expected.dtype
+        assert np.array_equal(drawn, expected)
+
 
 class TestZipfTrace:
     def test_tick_count_and_sizes(self, geometry):
