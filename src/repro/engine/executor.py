@@ -54,6 +54,9 @@ from repro.state.dirty import StripeLockSet
 from repro.state.table import GameStateTable
 from repro.storage.double_backup import DoubleBackupStore
 
+#: Lock stripes over the object ids of a table read beside the mutator.
+NUM_STRIPES = 64
+
 
 class RealExecutor(SubroutineExecutor):
     """Executes the framework subroutines against real memory and files."""
@@ -62,9 +65,7 @@ class RealExecutor(SubroutineExecutor):
         self,
         table: GameStateTable,
         store: StoreType,
-        num_stripes: int = 64,
         writer_pool: Optional[CheckpointWriterPool] = None,
-        writer_name: Optional[str] = None,
         writer: Optional[object] = None,
     ) -> None:
         geometry = table.geometry
@@ -79,7 +80,7 @@ class RealExecutor(SubroutineExecutor):
         self._all_ids = np.arange(num_objects, dtype=np.int64)
         writer = writer or (
             InlineWriter(store) if writer_pool is None
-            else writer_pool.register(store, name=writer_name)
+            else writer_pool.register(store)
         )
         self._writer = writer
         # A writer that declares ``concurrent_reader = False`` captures the
@@ -93,7 +94,7 @@ class RealExecutor(SubroutineExecutor):
                 (num_objects, geometry.cells_per_object), dtype=table.dtype
             )
             self._slots = np.full(num_objects, -1, dtype=np.int64)
-            self._locks = StripeLockSet(num_objects, num_stripes)
+            self._locks = StripeLockSet(num_objects, NUM_STRIPES)
         else:
             self._snapshot = self._slots = self._locks = None
         self._saved = 0

@@ -59,7 +59,6 @@ from repro.obs.telemetry import (
     assemble_fleet_telemetry,
 )
 from repro.obs.trace import drain_ring_events, get_tracer
-from repro.state.ring import DEFAULT_RING_BYTES
 
 #: Subdirectory name of shard ``i`` under the fleet root.
 SHARD_DIRECTORY_FORMAT = "shard-{index:02d}"
@@ -135,7 +134,6 @@ class ShardFleet:
         seed: int = 0,
         pool_size: Optional[int] = None,
         backend: str = "thread",
-        command_ring_bytes: int = DEFAULT_RING_BYTES,
         **shard_kwargs,
     ) -> None:
         if num_shards <= 0:
@@ -148,7 +146,6 @@ class ShardFleet:
         self._directory = os.fspath(directory)
         self._num_shards = num_shards
         self._backend = backend
-        self._command_ring_bytes = int(command_ring_bytes)
         if pool_size is None:
             pool_size = handle_type.default_pool_size
         self._pool: Optional[CheckpointWriterPool] = None
@@ -163,12 +160,12 @@ class ShardFleet:
                 seed,
                 shard_kwargs,
                 self._pool,
-                self._command_ring_bytes,
             )
         except BaseException:
             if self._pool is not None:
                 self._pool.kill()
             raise
+        self._command_capacity = self._handles[0].ring.capacity
         self._crashed = False
 
     # ------------------------------------------------------------------
@@ -198,7 +195,7 @@ class ShardFleet:
     @property
     def command_capacity_bytes(self) -> int:
         """Per-shard command-ingress capacity in ring bytes."""
-        return self._command_ring_bytes
+        return self._command_capacity
 
     @property
     def shards(self) -> List[MMOShard]:
@@ -310,14 +307,6 @@ class ShardFleet:
             if handle.trace_ring is not None:
                 events.extend(drain_ring_events(handle.trace_ring))
         return events
-
-    def trace_process_names(self) -> dict:
-        """Pid -> display name for the exported trace's process tracks."""
-        names = {os.getpid(): "fleet parent"}
-        for handle in self._handles:
-            if handle.pid is not None:
-                names[handle.pid] = f"shard-{handle.index:02d} worker"
-        return names
 
     # ------------------------------------------------------------------
     # Command ingestion

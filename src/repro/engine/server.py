@@ -105,9 +105,7 @@ class DurableGameServer:
         full_dump_period: Optional[int] = None,
         fsync_policy: str = "never",
         min_checkpoint_interval_ticks: int = 1,
-        num_stripes: int = 64,
         writer_pool=None,
-        writer_name: Optional[str] = None,
         table: Optional[GameStateTable] = None,
         writer=None,
     ) -> None:
@@ -161,9 +159,7 @@ class DurableGameServer:
         self._executor = RealExecutor(
             self._table,
             self._store,
-            num_stripes=num_stripes,
             writer_pool=writer_pool,
-            writer_name=writer_name,
             writer=writer,
         )
         self._framework = CheckpointFramework(self._policy, self._executor)

@@ -26,9 +26,10 @@ from typing import Callable, List, Optional, Sequence
 from repro.engine.server import ServerStats
 from repro.engine.shard import MMOShard
 from repro.errors import EngineError
-from repro.obs.metrics import MetricsRegistry, RowMetrics
+from repro.obs.metrics import RowMetrics
 from repro.obs.telemetry import SHARD_METRICS_LAYOUT
 from repro.obs.trace import get_tracer
+from repro.state import ring as command_ring
 from repro.state.ring import SharedCommandRing
 
 
@@ -151,12 +152,13 @@ class ShardHandle:
 class ThreadShardHandle(ShardHandle):
     """A shard in this process, over a private command ring."""
 
-    def __init__(self, index: int, shard: MMOShard, ring_bytes: int) -> None:
-        metrics = MetricsRegistry(SHARD_METRICS_LAYOUT, rows=1).row(0)
+    def __init__(self, index: int, shard: MMOShard) -> None:
+        metrics = RowMetrics(SHARD_METRICS_LAYOUT)
         game = shard.game
         super().__init__(
             index, game.table.geometry,
-            SharedCommandRing.private(ring_bytes), metrics,
+            SharedCommandRing.private(command_ring.COMMAND_RING_BYTES),
+            metrics,
         )
         self._shard = shard
         # The game server outlives a crash, so its counters stay readable.
@@ -174,21 +176,16 @@ class ThreadShardHandle(ShardHandle):
         seed: int,
         shard_kwargs: dict,
         pool,
-        ring_bytes: int,
     ) -> List["ThreadShardHandle"]:
         """Open one in-process shard per directory; all or nothing."""
-        shard_kwargs = dict(shard_kwargs)
         handles: List[ThreadShardHandle] = []
         try:
             for index, directory in enumerate(directories):
-                if pool is not None:
-                    shard_kwargs["writer_pool"] = pool
-                    shard_kwargs["writer_name"] = f"shard-{index:02d}"
                 shard = MMOShard(
                     app_factory(index), directory, algorithm=algorithm,
-                    seed=seed + index, **shard_kwargs,
+                    seed=seed + index, writer_pool=pool, **shard_kwargs,
                 )
-                handles.append(cls(index, shard, ring_bytes))
+                handles.append(cls(index, shard))
         except BaseException:
             for handle in handles:
                 handle.close()

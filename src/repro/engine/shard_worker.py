@@ -56,14 +56,11 @@ from repro.engine.shard import GAME_SUBDIRECTORY, MMOShard
 from repro.engine.shard_handle import ShardHandle, TickLoop
 from repro.engine.writer import CheckpointJob, WriterStats
 from repro.errors import CheckpointWriterError, EngineError
-from repro.obs.metrics import MetricsRegistry, RowMetrics
-from repro.obs.telemetry import (
-    SHARD_METRICS_LAYOUT,
-    SHARD_METRICS_SLOT,
-    shard_metrics_slot_spec,
-)
+from repro.obs.metrics import METRICS_SLOT, RowMetrics
+from repro.obs.telemetry import SHARD_METRICS_LAYOUT
 from repro.obs.trace import SharedRingTraceSink, get_tracer
-from repro.state.ring import DEFAULT_RING_BYTES, SharedCommandRing, ring_slots
+from repro.state import ring as command_ring
+from repro.state.ring import SharedCommandRing, ring_slots
 from repro.state.shared import (
     SharedArena,
     SharedGameStateTable,
@@ -120,20 +117,19 @@ TRACE_RING_PREFIX = "trc"
 TRACE_RING_BYTES = 1 << 18
 
 
-def shard_arena_slots(
-    geometry, dtype, ring_bytes: int = DEFAULT_RING_BYTES
-) -> list:
+def shard_arena_slots(geometry, dtype) -> list:
     """Slot layout of one shard's shared segment: table, staging, control,
     commands, metrics, trace.
 
     The staging area is sized for the worst case (a full dump writes every
     object), so any checkpoint's write set fits without reallocation.  The
-    command ring (``ring_bytes``) is the batched ingestion path: the parent
-    pushes client commands, the worker drains one batch per tick.  The
-    metrics row and trace ring are the observability plane: the worker
-    publishes tick timings into the metrics row (the parent scrapes it with
-    zero syscalls) and, when tracing is enabled, serializes span events into
-    the trace ring for the parent to merge.
+    command ring (:data:`~repro.state.ring.COMMAND_RING_BYTES`) is the
+    batched ingestion path: the parent pushes client commands, the worker
+    drains one batch per tick.  The metrics row and trace ring are the
+    observability plane: the worker publishes tick timings into the metrics
+    row (the parent scrapes it with zero syscalls) and, when tracing is
+    enabled, serializes span events into the trace ring for the parent to
+    merge.
     """
     return [
         SharedGameStateTable.slot_spec(geometry, dtype),
@@ -144,8 +140,10 @@ def shard_arena_slots(
             np.dtype(dtype),
         ),
         (CONTROL_SLOT, (NUM_CONTROL_FIELDS,), np.dtype(np.int64)),
-        shard_metrics_slot_spec(),
-        *ring_slots(ring_bytes, prefix=COMMAND_RING_PREFIX),
+        SHARD_METRICS_LAYOUT.slot_spec(),
+        *ring_slots(
+            command_ring.COMMAND_RING_BYTES, prefix=COMMAND_RING_PREFIX
+        ),
         *ring_slots(TRACE_RING_BYTES, prefix=TRACE_RING_PREFIX),
     ]
 
@@ -336,9 +334,9 @@ def shard_worker_main(
         control = arena.array(CONTROL_SLOT)
         # This worker is the single writer of the tick-loop fields of its
         # shared metrics row; the parent scrapes them without a syscall.
-        metrics_row = MetricsRegistry.from_array(
-            SHARD_METRICS_LAYOUT, arena.array(SHARD_METRICS_SLOT)
-        ).row(0)
+        metrics_row = RowMetrics(
+            SHARD_METRICS_LAYOUT, arena.array(METRICS_SLOT)
+        )
         # The tracer singleton was inherited through fork: re-stamp the pid
         # and, when enabled, route spans through the shared trace ring so
         # the parent can merge them onto the fleet timeline.
@@ -503,12 +501,13 @@ class ProcessShardHandle(ShardHandle):
             index,
             geometry,
             SharedCommandRing(arena, prefix=COMMAND_RING_PREFIX),
-            MetricsRegistry.from_array(
-                SHARD_METRICS_LAYOUT, arena.array(SHARD_METRICS_SLOT)
-            ).row(0),
+            RowMetrics(SHARD_METRICS_LAYOUT, arena.array(METRICS_SLOT)),
         )
         self.trace_ring = SharedCommandRing(arena, prefix=TRACE_RING_PREFIX)
         self.process = process
+        # Kept here: release closes the process object of an exited worker.
+        self.pid = process.pid
+        self._process_closed = False
         self.conn = conn
         self.go, self.done = go, done  # parent ends: write go, read done
         self.arena = arena
@@ -539,7 +538,6 @@ class ProcessShardHandle(ShardHandle):
         seed: int,
         shard_kwargs: dict,
         pool,
-        ring_bytes: int,
     ) -> List["ProcessShardHandle"]:
         """Fork one worker per directory, each over a fresh shared arena.
 
@@ -560,9 +558,6 @@ class ProcessShardHandle(ShardHandle):
         # A previous parent that was SIGKILLed may have left segments
         # behind; their owner pid is dead, so this reclaims them.
         reap_stale_segments()
-        shard_kwargs = dict(shard_kwargs)
-        shard_kwargs.pop("writer_pool", None)
-        shard_kwargs.pop("writer_name", None)
         _trim_heap_before_fork()
         handles: List[ProcessShardHandle] = []
         parent_ends: List[int] = []  # no worker may keep one of these
@@ -570,7 +565,7 @@ class ProcessShardHandle(ShardHandle):
             for index, directory in enumerate(directories):
                 app = app_factory(index)
                 arena = SharedArena.create(
-                    shard_arena_slots(app.geometry, app.dtype, ring_bytes)
+                    shard_arena_slots(app.geometry, app.dtype)
                 )
                 fds = ()
                 try:
@@ -635,21 +630,16 @@ class ProcessShardHandle(ShardHandle):
             algorithm_class(algorithm).layout,
             shard_kwargs.get("fsync_policy", "never"),
         )
-        self.pool_handle = pool.register(
-            self.store, name=f"shard-{self.index:02d}", slab=self._staging
-        )
+        self.pool_handle = pool.register(self.store, slab=self._staging)
 
     # ------------------------------------------------------------------
     # The ShardHandle surface
     # ------------------------------------------------------------------
 
     @property
-    def pid(self) -> Optional[int]:
-        return self.process.pid
-
-    @property
     def alive(self) -> bool:
-        return self.failed is None and self.process.is_alive()
+        return (self.failed is None and not self._process_closed
+                and self.process.is_alive())
 
     def check(self) -> None:
         if self.failed is not None:
@@ -751,6 +741,10 @@ class ProcessShardHandle(ShardHandle):
         self.metrics = self._ring_high_water = None
         self.ring = self.trace_ring = self._staged_ids = self._staging = None
         self.arena.destroy()
+        if self.process.exitcode is not None:
+            # Closes the process object's sentinel pipe now, not at gc.
+            self.process.close()
+            self._process_closed = True
 
     # ------------------------------------------------------------------
     # The pipe

@@ -11,8 +11,9 @@ This module holds the pieces of that subroutine every caller shares:
   payloads (for a pool writer, the snapshot for saved objects and the live
   table otherwise, under striped per-object locks; for a writer that reads
   at the cut, the live table alone);
-* :func:`flush_checkpoint_job` stages the job into the writer's slab in
-  bounded chunks and lands it through the store as one list of disk runs
+* :func:`flush_checkpoint_job` stages the job into the writer's slab
+  :data:`CHUNK_OBJECTS` at a time and lands it through the store as one
+  list of disk runs
   (:class:`~repro.storage.double_backup.DoubleBackupStore` one ``pwritev``
   per run, :class:`~repro.storage.checkpoint_log.CheckpointLogStore` one
   gathered append) with the commit riding on the final write;
@@ -41,10 +42,10 @@ from repro.storage.double_backup import DoubleBackupStore
 
 StoreType = Union[DoubleBackupStore, CheckpointLogStore]
 
-#: Default number of objects read per gather round.  Small enough that the
-#: stripe locks are held only briefly, large enough that the store sees
-#: batched I/O (256 KiB at the paper's 512-byte objects).
-DEFAULT_CHUNK_OBJECTS = 512
+#: Objects read per gather round.  Small enough that the stripe locks are
+#: held only briefly, large enough that the store sees batched I/O (256 KiB
+#: at the paper's 512-byte objects).
+CHUNK_OBJECTS = 512
 
 #: Largest slab :func:`flush_checkpoint_job` asks for; a bigger job, such
 #: as a full dump, reaches the disk a slab at a time, so a handle's slab
@@ -59,7 +60,6 @@ DURATION_WINDOW = 4096
 def flush_checkpoint_job(
     store: StoreType,
     job: CheckpointJob,
-    chunk_objects: int,
     should_abandon,
     on_chunk_written,
     slab_for=None,
@@ -70,7 +70,7 @@ def flush_checkpoint_job(
     ``slab_for(rows)`` returns the slab: a 2-D uint8 array, one row per
     object and at least ``rows`` rows long, that the writer owns (without
     it the call allocates one for itself).  The job is staged into it in
-    id order ``chunk_objects`` at a time through
+    id order :data:`CHUNK_OBJECTS` at a time through
     ``job.source.read_payloads_into`` -- so stripe locks are held only
     briefly and ``should_abandon()`` is polled at every chunk boundary --
     and nothing beyond the begin marker touches the disk until the slab is
@@ -93,7 +93,8 @@ def flush_checkpoint_job(
         store.begin_checkpoint(job.epoch, job.is_full_dump)
     ids = job.object_ids
     object_bytes = store.geometry.object_bytes
-    cap = -(-MAX_GATHER_BYTES // (chunk_objects * object_bytes)) * chunk_objects
+    chunk_bytes = CHUNK_OBJECTS * object_bytes
+    cap = -(-MAX_GATHER_BYTES // chunk_bytes) * CHUNK_OBJECTS
     rows_needed = min(ids.size, cap)
     slab = (
         np.empty((rows_needed, object_bytes), dtype=np.uint8)
@@ -103,11 +104,11 @@ def flush_checkpoint_job(
     while True:
         window = ids[base: base + len(slab)]
         rows = slab[: window.size]
-        for start in range(0, window.size, chunk_objects):
+        for start in range(0, window.size, CHUNK_OBJECTS):
             if should_abandon():
                 store.abort_checkpoint()
                 return False
-            stop = start + chunk_objects
+            stop = start + CHUNK_OBJECTS
             job.source.read_payloads_into(window[start:stop], rows[start:stop])
         if should_abandon():
             store.abort_checkpoint()
@@ -248,7 +249,7 @@ class InlineWriter:
         self.check()
         try:
             flush_checkpoint_job(
-                self._store, job, DEFAULT_CHUNK_OBJECTS,
+                self._store, job,
                 should_abandon=lambda: False,
                 on_chunk_written=lambda nbytes: None,
             )

@@ -47,7 +47,6 @@ from typing import Deque, List, Optional, Tuple
 import numpy as np
 
 from repro.engine.writer import (
-    DEFAULT_CHUNK_OBJECTS,
     CheckpointJob,
     StoreType,
     WriterStats,
@@ -55,6 +54,10 @@ from repro.engine.writer import (
 )
 from repro.errors import CheckpointWriterError
 from repro.obs.trace import get_tracer
+
+#: Name prefix of the pool's worker threads (``<prefix>-<worker>``).
+POOL_NAME = "repro-ckpt-pool"
+
 
 @dataclass
 class PoolStats:
@@ -89,14 +92,14 @@ class PoolWriter:
 
     def __init__(
         self, pool: "CheckpointWriterPool", store: StoreType, index: int,
-        name: str, slab: Optional[np.ndarray],
+        slab: Optional[np.ndarray],
     ) -> None:
         self._pool = pool
         # Owned by whichever worker flushes this handle's one job.
         self._slab = slab
         self._store = store
         self._index = index
-        self._name = name
+        self._name = f"shard-{index:02d}"
         self._idle = threading.Event()
         self._idle.set()
         self._abandon = threading.Event()
@@ -121,7 +124,8 @@ class PoolWriter:
 
     @property
     def name(self) -> str:
-        """Display name of the handle (defaults to ``shard-<index>``)."""
+        """Display name of the handle: ``shard-NN``, its registration
+        order."""
         return self._name
 
     @property
@@ -240,24 +244,13 @@ class PoolWriter:
 class CheckpointWriterPool:
     """K shared worker threads flushing checkpoints for many shards."""
 
-    def __init__(
-        self,
-        num_workers: int,
-        chunk_objects: int = DEFAULT_CHUNK_OBJECTS,
-        name: str = "repro-ckpt-pool",
-    ) -> None:
+    def __init__(self, num_workers: int) -> None:
         if num_workers <= 0:
             raise CheckpointWriterError(
                 f"num_workers must be positive, got {num_workers}"
             )
-        if chunk_objects <= 0:
-            raise CheckpointWriterError(
-                f"chunk_objects must be positive, got {chunk_objects}"
-            )
         self._num_workers = num_workers
-        self._chunk = chunk_objects
         self._arrival_counter = 0
-        self._name = name
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         self._ready: Deque[PoolWriter] = deque()
@@ -308,8 +301,7 @@ class CheckpointWriterPool:
     # ------------------------------------------------------------------
 
     def register(
-        self, store: StoreType, name: Optional[str] = None,
-        slab: Optional[np.ndarray] = None,
+        self, store: StoreType, slab: Optional[np.ndarray] = None
     ) -> PoolWriter:
         """Attach a shard's store; returns its submission handle.
 
@@ -321,9 +313,7 @@ class CheckpointWriterPool:
             raise CheckpointWriterError("writer pool is closed")
         with self._lock:
             index = len(self._handles)
-            handle = PoolWriter(
-                self, store, index, name or f"shard-{index:02d}", slab
-            )
+            handle = PoolWriter(self, store, index, slab)
             self._handles.append(handle)
         return handle
 
@@ -336,7 +326,7 @@ class CheckpointWriterPool:
             for worker in range(self._num_workers):
                 thread = threading.Thread(
                     target=self._run,
-                    name=f"{self._name}-{worker}",
+                    name=f"{POOL_NAME}-{worker}",
                     daemon=True,
                 )
                 thread.start()
@@ -446,7 +436,6 @@ class CheckpointWriterPool:
                     completed = flush_checkpoint_job(
                         handle._store,
                         job,
-                        self._chunk,
                         should_abandon=should_abandon,
                         on_chunk_written=on_chunk_written,
                         slab_for=handle._slab_for,

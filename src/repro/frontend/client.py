@@ -106,11 +106,6 @@ class GatewayClient:
         """Wait until every sent command has been applied or rejected."""
         await asyncio.wait_for(self._settled.wait(), timeout=timeout)
 
-    @property
-    def outstanding(self) -> int:
-        """Commands sent but neither applied nor rejected yet."""
-        return len(self._sent_at)
-
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------

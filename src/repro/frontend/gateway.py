@@ -41,12 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.engine.fleet import FleetServeReport, ShardFleet
 from repro.errors import BackpressureError, EngineError, ReproError
 from repro.frontend import protocol
-from repro.obs.metrics import (
-    MetricSpec,
-    MetricsLayout,
-    MetricsRegistry,
-    RowMetrics,
-)
+from repro.obs.metrics import MetricSpec, MetricsLayout, RowMetrics
 from repro.obs.telemetry import FleetTelemetry
 from repro.obs.trace import get_tracer
 from repro.frontend.sessions import (
@@ -259,21 +254,19 @@ GATEWAY_METRICS_LAYOUT = MetricsLayout(GATEWAY_METRIC_SPECS)
 
 
 class GatewayStats:
-    """Aggregate serving counters, backed by a metrics registry row.
+    """Aggregate serving counters, backed by one metrics row.
 
     Reads (``stats.commands_applied``) and in-place writes
     (``stats.commands_applied += 1``) keep the plain-attribute surface the
     rest of the gateway (and its tests) use, but the storage is int64
-    registry slots so :meth:`FrontDoor.telemetry` scrapes the same fields
+    row slots so :meth:`FrontDoor.telemetry` scrapes the same fields
     the mutators write -- one source of truth, no copy drift.
     """
 
     _FIELDS = frozenset(spec.name for spec in GATEWAY_METRIC_SPECS)
 
-    def __init__(self, row: Optional[RowMetrics] = None) -> None:
-        if row is None:
-            row = MetricsRegistry(GATEWAY_METRICS_LAYOUT, rows=1).row(0)
-        object.__setattr__(self, "_row", row)
+    def __init__(self) -> None:
+        object.__setattr__(self, "_row", RowMetrics(GATEWAY_METRICS_LAYOUT))
 
     def __getattr__(self, name: str) -> int:
         if name in self._FIELDS:
@@ -333,7 +326,6 @@ class FrontDoor:
         fleet: ShardFleet,
         commands_per_tick_limit: int = 64,
         max_pending_commands: Optional[int] = 1024,
-        queue_bytes: Optional[int] = None,
     ) -> None:
         self._fleet = fleet
         self._registry = SessionRegistry(
@@ -341,10 +333,9 @@ class FrontDoor:
             max_pending_commands=max_pending_commands,
         )
         self._placement = ShardPlacement(fleet.num_shards)
-        capacity = (queue_bytes if queue_bytes is not None
-                    else fleet.command_capacity_bytes)
         self._queues = [
-            ShardCommandQueue(capacity) for _ in range(fleet.num_shards)
+            ShardCommandQueue(fleet.command_capacity_bytes)
+            for _ in range(fleet.num_shards)
         ]
         self._lock = threading.Lock()
         self._tick = 0

@@ -4,7 +4,7 @@ The paper's claims are about latency impact and recovery time, so the repo
 needs to *see* those quantities end to end.  This package is the substrate:
 
 * :mod:`repro.obs.metrics` -- lock-light ``Counter`` / ``Gauge`` /
-  fixed-bucket ``Histogram`` primitives over an int64 table that can live
+  fixed-bucket ``Histogram`` primitives over an int64 row that can live
   either in process memory or in a :class:`~repro.state.shared.SharedArena`
   slot (single writer per row, the shard-control-row discipline), so forked
   shard workers publish tick timings the parent scrapes with zero syscalls;
@@ -26,7 +26,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricSpec,
     MetricsLayout,
-    MetricsRegistry,
+    RowMetrics,
     global_registry,
 )
 from repro.obs.trace import configure_tracing, get_tracer, tracing_enabled
@@ -39,7 +39,7 @@ __all__ = [
     "Histogram",
     "MetricSpec",
     "MetricsLayout",
-    "MetricsRegistry",
+    "RowMetrics",
     "global_registry",
     "configure_tracing",
     "get_tracer",

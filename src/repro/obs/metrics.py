@@ -1,25 +1,24 @@
-"""A lock-light metrics registry over an int64 table.
+"""Lock-light metrics over one int64 row.
 
-Every metric lives in a fixed slice of one ``int64`` numpy array shaped
-``(rows, fields)``.  A **row** has exactly one writing thread or process
-(the shard-control-row discipline of :mod:`repro.engine.shard_worker`):
-aligned int64 stores are atomic on every platform the fork backend runs
-on, so a writer mutates its row with plain array stores -- no lock, no
-syscall -- while any number of readers snapshot it concurrently.  Readers
-may observe a *torn set* of fields (counter A from tick N, counter B from
-tick N+1) but never a torn value; that per-field monotonic consistency is
-all the fleet dashboard needs and exactly what the control row already
-guarantees.
+Every metric lives in a fixed slice of one ``int64`` numpy row of
+``layout.num_fields`` fields.  A row has exactly one writing thread or
+process (the shard-control-row discipline of
+:mod:`repro.engine.shard_worker`): aligned int64 stores are atomic on every
+platform the fork backend runs on, so a writer mutates its row with plain
+array stores -- no lock, no syscall -- while any number of readers
+snapshot it concurrently.  Readers may observe a *torn set* of fields
+(counter A from tick N, counter B from tick N+1) but never a torn value;
+that per-field monotonic consistency is all the fleet dashboard needs and
+exactly what the control row already guarantees.
 
 Backings:
 
-* in-process -- ``MetricsRegistry(layout, rows)`` allocates a private
-  ``np.zeros`` table (the thread backend, the gateway, recovery);
-* process-shared -- the same layout laid into a
-  :class:`~repro.state.shared.SharedArena` slot
-  (:meth:`MetricsLayout.slot_spec` + :meth:`MetricsRegistry.from_array`),
-  so a forked shard worker publishes and the parent scrapes the identical
-  rows with zero syscalls.
+* in-process -- ``RowMetrics(layout)`` allocates a private ``np.zeros``
+  row (the thread backend, the gateway, the process-global row);
+* process-shared -- ``RowMetrics(layout, arena.array(METRICS_SLOT))`` over
+  the :class:`~repro.state.shared.SharedArena` slot that
+  :meth:`MetricsLayout.slot_spec` lays out, so a forked shard worker
+  publishes and the parent scrapes the identical row with zero syscalls.
 
 Units convention: durations are recorded in **microseconds** (int64 holds
 ~292k years of them), byte counts in bytes, everything else unitless.
@@ -45,6 +44,9 @@ from repro.errors import ReproError
 COUNTER = "counter"
 GAUGE = "gauge"
 HISTOGRAM = "histogram"
+
+#: Arena slot name of a shared metrics row.
+METRICS_SLOT = "obs_metrics"
 
 #: Default histogram bounds for tick/flush durations, in microseconds:
 #: 50us .. 1s, roughly 2-4x steps, plus the implicit overflow bucket.
@@ -93,7 +95,7 @@ class MetricSpec:
 class MetricsLayout:
     """Field offsets of an ordered set of :class:`MetricSpec`.
 
-    The layout is the schema both sides of a shared registry must agree
+    The layout is the schema both sides of a shared row must agree
     on -- the writer (a forked worker) and the scraper (the parent) build
     their views from the same spec list, exactly like an arena slot spec.
     """
@@ -133,9 +135,10 @@ class MetricsLayout:
                 f"no metric {name!r}; have {list(self._offsets)}"
             ) from None
 
-    def slot_spec(self, rows: int, slot: str = "obs_metrics"):
-        """Arena :data:`~repro.state.shared.SlotSpec` for ``rows`` rows."""
-        return (slot, (int(rows), self._num_fields), np.dtype(np.int64))
+    def slot_spec(self):
+        """Arena :data:`~repro.state.shared.SlotSpec` of one row, named
+        :data:`METRICS_SLOT`."""
+        return (METRICS_SLOT, (self._num_fields,), np.dtype(np.int64))
 
 
 class Counter:
@@ -322,15 +325,30 @@ def merge_histograms(
 class RowMetrics:
     """One row's writer/reader handle set.
 
-    The single writer holds the :class:`Counter` / :class:`Gauge` /
+    ``RowMetrics(layout)`` allocates a private zeroed row; ``array`` wraps
+    an existing one -- typically a :class:`~repro.state.shared.SharedArena`
+    slot laid out with :meth:`MetricsLayout.slot_spec`, which is how a
+    forked shard worker and the fleet parent share one row.  The single
+    writer holds the :class:`Counter` / :class:`Gauge` /
     :class:`Histogram` handles and mutates; scrapers call :meth:`snapshot`
     for a detached dict.  Handles are cached so the hot path never
     re-resolves offsets.
     """
 
-    def __init__(self, layout: MetricsLayout, row: np.ndarray) -> None:
+    def __init__(
+        self, layout: MetricsLayout, array: Optional[np.ndarray] = None
+    ) -> None:
+        if array is None:
+            array = np.zeros(layout.num_fields, dtype=np.int64)
+        elif array.shape != (layout.num_fields,):
+            raise MetricsError(
+                f"array shape {array.shape} does not match layout "
+                f"({layout.num_fields},)"
+            )
+        elif array.dtype != np.int64:
+            raise MetricsError(f"metrics arrays are int64, got {array.dtype}")
         self._layout = layout
-        self._row = row
+        self._row = array
         self._handles: Dict[str, object] = {}
 
     def _handle(self, name: str, kind: str):
@@ -386,63 +404,6 @@ class RowMetrics:
         return out
 
 
-class MetricsRegistry:
-    """``rows x fields`` int64 metric table; one writer per row.
-
-    ``MetricsRegistry(layout, rows)`` allocates a private table;
-    :meth:`from_array` wraps an existing int64 array -- typically a
-    :class:`~repro.state.shared.SharedArena` slot laid out with
-    :meth:`MetricsLayout.slot_spec`, which is how the forked shard workers
-    and the fleet parent share one table.
-    """
-
-    def __init__(
-        self,
-        layout: MetricsLayout,
-        rows: int = 1,
-        array: Optional[np.ndarray] = None,
-    ) -> None:
-        if rows < 1:
-            raise MetricsError(f"rows must be positive, got {rows}")
-        self._layout = layout
-        if array is None:
-            array = np.zeros((rows, layout.num_fields), dtype=np.int64)
-        else:
-            if array.shape != (rows, layout.num_fields):
-                raise MetricsError(
-                    f"array shape {array.shape} does not match layout "
-                    f"({rows}, {layout.num_fields})"
-                )
-            if array.dtype != np.int64:
-                raise MetricsError(
-                    f"metrics arrays are int64, got {array.dtype}"
-                )
-        self._array = array
-        self._rows = [RowMetrics(layout, array[i]) for i in range(rows)]
-
-    @classmethod
-    def from_array(
-        cls, layout: MetricsLayout, array: np.ndarray
-    ) -> "MetricsRegistry":
-        """Wrap a shared (or otherwise pre-allocated) metrics table."""
-        return cls(layout, rows=array.shape[0], array=array)
-
-    @property
-    def layout(self) -> MetricsLayout:
-        return self._layout
-
-    @property
-    def num_rows(self) -> int:
-        return len(self._rows)
-
-    def row(self, index: int) -> RowMetrics:
-        return self._rows[index]
-
-    def snapshot(self) -> List[Dict[str, object]]:
-        """Detached snapshots of every row."""
-        return [row.snapshot() for row in self._rows]
-
-
 # ----------------------------------------------------------------------
 # The process-global registry
 # ----------------------------------------------------------------------
@@ -465,12 +426,12 @@ def global_registry() -> RowMetrics:
     """The process-wide metrics row (one home for stray counters).
 
     Forked children inherit a copy-on-write copy -- their increments stay
-    private, exactly like any other in-process registry; cross-process
-    publication goes through shared-arena registries instead.
+    private, exactly like any other in-process row; cross-process
+    publication goes through shared-arena rows instead.
     """
     global _global
     if _global is None:
-        _global = MetricsRegistry(_GLOBAL_LAYOUT, rows=1).row(0)
+        _global = RowMetrics(_GLOBAL_LAYOUT)
     return _global
 
 

@@ -7,7 +7,7 @@ Two halves:
   waits, cut lag).  On the process backend the row is an int64 slot in
   the shard's :class:`~repro.state.shared.SharedArena` written by the
   worker's tick loop and scraped by the parent with zero syscalls; on the
-  thread backend it is an ordinary in-process registry row written by the
+  thread backend it is an ordinary in-process row written by the
   ticking thread.  Same layout either way, so
   :meth:`~repro.engine.fleet.ShardFleet.telemetry` merges them identically.
 
@@ -49,13 +49,6 @@ SHARD_METRIC_SPECS: Tuple[MetricSpec, ...] = (
 #: The one layout both sides of a shared shard-metrics slot agree on.
 SHARD_METRICS_LAYOUT = MetricsLayout(SHARD_METRIC_SPECS)
 
-#: Arena slot name of the per-shard metrics row.
-SHARD_METRICS_SLOT = "obs_metrics"
-
-
-def shard_metrics_slot_spec():
-    """Arena slot spec of one shard's metrics row (1 row per shard arena)."""
-    return SHARD_METRICS_LAYOUT.slot_spec(1, slot=SHARD_METRICS_SLOT)
 
 
 @dataclass(frozen=True)

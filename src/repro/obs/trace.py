@@ -35,7 +35,7 @@ from typing import Dict, List, Optional
 from repro.obs.metrics import global_registry
 
 #: Spans kept in a tracer's in-process buffer before the oldest fall off.
-DEFAULT_BUFFER_EVENTS = 65536
+BUFFER_EVENTS = 65536
 
 #: Environment switch: REPRO_TRACE=1 enables tracing at import time.
 TRACE_ENV = "REPRO_TRACE"
@@ -87,13 +87,9 @@ class _Span:
 class Tracer:
     """A per-process span recorder with an optional cross-process sink."""
 
-    def __init__(
-        self,
-        enabled: bool = False,
-        buffer_events: int = DEFAULT_BUFFER_EVENTS,
-    ) -> None:
+    def __init__(self, enabled: bool = False) -> None:
         self._enabled = bool(enabled)
-        self._events: deque = deque(maxlen=buffer_events)
+        self._events: deque = deque(maxlen=BUFFER_EVENTS)
         self._sink = None
         self.pid = os.getpid()
 

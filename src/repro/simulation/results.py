@@ -114,12 +114,6 @@ class SimulationResult:
         window = self.tick_overhead[self._measured_slice()]
         return float(window.max()) if window.size else 0.0
 
-    @property
-    def max_tick_length(self) -> float:
-        """Longest stretched tick in seconds."""
-        window = self.tick_length[self._measured_slice()]
-        return float(window.max()) if window.size else self.base_tick_length
-
     def overhead_percentile(self, percentile: float) -> float:
         """Per-tick overhead at the given percentile (warmup excluded).
 

@@ -55,8 +55,9 @@ NUM_RING_FIELDS = 4
 RECORD_HEADER_BYTES = 4
 _LENGTH = struct.Struct("<I")
 
-#: Default per-shard ring capacity: comfortably thousands of short commands.
-DEFAULT_RING_BYTES = 1 << 20
+#: Capacity of each shard's command ring: comfortably thousands of short
+#: commands.
+COMMAND_RING_BYTES = 1 << 20
 
 
 def ring_slots(capacity: int, prefix: str = "cmd") -> List[SlotSpec]:

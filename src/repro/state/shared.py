@@ -11,10 +11,13 @@ state a checkpoint reads must live in memory both processes map:
   without it) mapped ``MAP_SHARED``, deliberately *not*
   ``multiprocessing.shared_memory``: owning the file ourselves sidesteps
   the resource-tracker's attach/unlink races and makes the on-disk name --
-  ``<tag>.<owner-pid>.<token>`` -- carry the lifecycle discipline.
+  ``repro-shm.<owner-pid>.<token>`` -- carry the lifecycle discipline.
 * :class:`SharedGameStateTable` -- a :class:`~repro.state.table.GameStateTable`
   whose cell buffer is an arena slot, so a worker's live world is readable
   by the parent (and vice versa) without serialization.
+
+Where and under which name a segment lives is fixed, not chosen per call:
+:func:`segment_directory`, and the :data:`SEGMENT_TAG` prefix.
 
 Lifecycle discipline ("tmp-name + owner-pid"): the *parent* creates every
 segment before forking workers and is the only process that ever unlinks
@@ -42,8 +45,8 @@ from repro.config import StateGeometry
 from repro.errors import StateError
 from repro.state.table import GameStateTable
 
-#: Default segment-name prefix; the leak check and the reaper key off it.
-DEFAULT_TAG = "repro-shm"
+#: Segment-name prefix; the leak check and the reaper key off it.
+SEGMENT_TAG = "repro-shm"
 
 #: Slot alignment, matching a cache line so adjacent slots never false-share.
 SLOT_ALIGN = 64
@@ -66,9 +69,10 @@ def segment_directory() -> str:
     return tempfile.gettempdir()
 
 
-def _segment_name(tag: str) -> str:
-    """``<tag>.<pid>.<token>``: the pid is the owner the reaper checks."""
-    return f"{tag}.{os.getpid()}.{secrets.token_hex(4)}"
+def _segment_name() -> str:
+    """``<SEGMENT_TAG>.<pid>.<token>``: the pid is the owner the reaper
+    checks."""
+    return f"{SEGMENT_TAG}.{os.getpid()}.{secrets.token_hex(4)}"
 
 
 def _pid_alive(pid: int) -> bool:
@@ -81,18 +85,16 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def reap_stale_segments(
-    tag: str = DEFAULT_TAG, directory: Optional[str] = None
-) -> List[str]:
+def reap_stale_segments() -> List[str]:
     """Unlink segments whose owner process is dead; returns removed paths.
 
     The safety net for a SIGKILLed *parent* (workers can never leak: they do
     not own segments).  Safe to run concurrently with live fleets -- only
     segments naming a dead owner pid are touched.
     """
-    directory = directory or segment_directory()
+    directory = segment_directory()
     removed = []
-    prefix = tag + "."
+    prefix = SEGMENT_TAG + "."
     try:
         names = os.listdir(directory)
     except OSError:
@@ -131,7 +133,6 @@ class SharedArena:
         path: str,
         slots: Sequence[SlotSpec],
         create: bool,
-        tag: str = DEFAULT_TAG,
     ) -> None:
         offsets: Dict[str, Tuple[int, Tuple[int, ...], np.dtype]] = {}
         offset = 0
@@ -147,7 +148,6 @@ class SharedArena:
         self._slots = offsets
         self._size = max(offset, mmap.PAGESIZE)
         self._path = path
-        self._tag = tag
         self._owner_pid = os.getpid() if create else None
         self._closed = False
         if create:
@@ -187,29 +187,22 @@ class SharedArena:
     # ------------------------------------------------------------------
 
     @classmethod
-    def create(
-        cls,
-        slots: Sequence[SlotSpec],
-        tag: str = DEFAULT_TAG,
-        directory: Optional[str] = None,
-    ) -> "SharedArena":
+    def create(cls, slots: Sequence[SlotSpec]) -> "SharedArena":
         """Allocate a fresh zero-filled segment owned by this process."""
-        directory = directory or segment_directory()
+        directory = segment_directory()
         for _ in range(8):
-            path = os.path.join(directory, _segment_name(tag))
+            path = os.path.join(directory, _segment_name())
             try:
-                return cls(path, slots, create=True, tag=tag)
+                return cls(path, slots, create=True)
             except OSError as error:
                 if error.errno != errno.EEXIST:
                     raise
         raise StateError(f"could not allocate a unique segment under {directory}")
 
     @classmethod
-    def attach(
-        cls, path: str, slots: Sequence[SlotSpec], tag: str = DEFAULT_TAG
-    ) -> "SharedArena":
+    def attach(cls, path: str, slots: Sequence[SlotSpec]) -> "SharedArena":
         """Map an existing segment (non-owning: never unlinks it)."""
-        return cls(path, slots, create=False, tag=tag)
+        return cls(path, slots, create=False)
 
     # ------------------------------------------------------------------
     # Introspection and access
@@ -333,9 +326,8 @@ class SharedGameStateTable(GameStateTable):
         geometry: StateGeometry,
         arena: SharedArena,
         dtype=np.uint32,
-        slot: str = SLOT,
     ) -> None:
-        super().__init__(geometry, dtype=dtype, buffer=arena.array(slot))
+        super().__init__(geometry, dtype=dtype, buffer=arena.array(self.SLOT))
         self._arena = arena
 
     @property
@@ -343,8 +335,8 @@ class SharedGameStateTable(GameStateTable):
         """The arena holding the cell buffer."""
         return self._arena
 
-    @staticmethod
-    def slot_spec(geometry: StateGeometry, dtype, slot: str = SLOT) -> SlotSpec:
+    @classmethod
+    def slot_spec(cls, geometry: StateGeometry, dtype) -> SlotSpec:
         """Arena slot spec for a table of this geometry and dtype."""
         padded = geometry.num_objects * geometry.cells_per_object
-        return (slot, (padded,), np.dtype(dtype))
+        return (cls.SLOT, (padded,), np.dtype(dtype))

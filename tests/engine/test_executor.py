@@ -15,6 +15,7 @@ import pytest
 import repro
 from repro.config import StateGeometry
 from repro.core.plan import CheckpointPlan, DiskLayout, UpdateEffects, empty_ids
+from repro.engine import writer as writer_module
 from repro.engine.executor import RealExecutor
 from repro.engine.server import DurableGameServer
 from repro.engine.writer import MAX_GATHER_BYTES, flush_checkpoint_job
@@ -264,9 +265,10 @@ class TestPackedSnapshot:
     @pytest.mark.parametrize("algorithm",
                              ["copy-on-update", "cou-partial-redo"])
     def test_saves_on_both_sides_of_the_staged_boundary(
-        self, tmp_path, algorithm
+        self, tmp_path, algorithm, monkeypatch
     ):
-        with CheckpointWriterPool(1, chunk_objects=4) as pool:
+        monkeypatch.setattr(writer_module, "CHUNK_OBJECTS", 4)
+        with CheckpointWriterPool(1) as pool:
             server, cuts, staged, gate = self.served(tmp_path, algorithm, pool)
             with server:
                 server.run_ticks(3)
@@ -301,7 +303,8 @@ class TestPackedSnapshot:
             save(self, ids)
 
         monkeypatch.setattr(RealExecutor, "_save", recorded)
-        with CheckpointWriterPool(1, chunk_objects=4) as pool:
+        monkeypatch.setattr(writer_module, "CHUNK_OBJECTS", 4)
+        with CheckpointWriterPool(1) as pool:
             server, cuts, staged, gate = self.served(tmp_path, algorithm, pool)
             with server:
                 for _ in range(6):              # a barrier run

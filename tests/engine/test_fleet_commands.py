@@ -19,6 +19,7 @@ import pytest
 
 import repro.engine.fleet as fleet_module
 import repro.engine.shard_worker as shard_worker
+import repro.state.ring as ring_module
 from repro.engine.fleet import ShardFleet
 from repro.engine.server import DurableGameServer
 from repro.errors import BackpressureError, EngineError
@@ -93,9 +94,10 @@ class TestThreadBackend:
         fleet.close()
 
     def test_backpressure_and_pending_introspection(
-        self, app_factory, tmp_path
+        self, app_factory, tmp_path, monkeypatch
     ):
-        fleet = make_fleet(app_factory, tmp_path, command_ring_bytes=64)
+        monkeypatch.setattr(ring_module, "COMMAND_RING_BYTES", 64)
+        fleet = make_fleet(app_factory, tmp_path)
         assert fleet.command_capacity_bytes == 64
         assert fleet.submit_commands(0, [b"x" * 20] * 4) == 2
         assert fleet.pending_commands(0) == 2

@@ -21,7 +21,7 @@ from repro.engine.server import DurableGameServer
 from repro.engine.shard import GAME_SUBDIRECTORY
 from repro.engine.shard_worker import CRASH_EXIT_CODE
 from repro.errors import EngineError
-from repro.state.shared import DEFAULT_TAG, segment_directory
+from repro.state.shared import SEGMENT_TAG, segment_directory
 
 GEOMETRY = StateGeometry(rows=400, columns=10)
 
@@ -48,7 +48,7 @@ def make_fleet(app_factory, directory, num_shards=2, **kwargs):
 
 def our_segments():
     """Shared segments owned by this process, for leak assertions."""
-    prefix = f"{DEFAULT_TAG}.{os.getpid()}."
+    prefix = f"{SEGMENT_TAG}.{os.getpid()}."
     return {
         name
         for name in os.listdir(segment_directory())
@@ -190,7 +190,7 @@ def mapped_segment_fds():
             target = os.readlink(f"/proc/self/fd/{fd}")
         except OSError:
             continue  # the listing's own descriptor
-        if f"/{DEFAULT_TAG}." in target:
+        if f"/{SEGMENT_TAG}." in target:
             held.append(target)
     return sorted(held)
 
@@ -211,6 +211,39 @@ def test_teardown_unmaps_every_segment_without_gc(app_factory, tmp_path, end):
             fleet.crash()
         fleet.close()
         assert mapped_segment_fds() == before
+    finally:
+        gc.enable()
+
+
+def open_descriptors():
+    """Targets of every descriptor this process holds."""
+    held = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            held.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:
+            continue  # the listing's own descriptor
+    return sorted(held)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_dead_worker_leaves_no_descriptor_without_gc(app_factory, tmp_path):
+    """A killed worker's process object is closed at release, so its
+    sentinel pipe goes with the fleet rather than at the next collection,
+    and the handle still reports the pid and a dead worker afterwards."""
+    gc.collect()
+    before = open_descriptors()
+    gc.disable()
+    try:
+        fleet = make_fleet(app_factory, tmp_path)
+        fleet.run_ticks(4)
+        pids = fleet.worker_pids
+        fleet.crash_worker(1, when="kill")
+        assert fleet.try_run_ticks(2).failed_shards == [1]
+        fleet.crash()
+        assert open_descriptors() == before
+        assert fleet.worker_pids == pids
+        assert fleet.alive_workers == [False, False]
     finally:
         gc.enable()
 

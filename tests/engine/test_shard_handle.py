@@ -15,6 +15,7 @@ import pytest
 
 import repro.engine.fleet as fleet_module
 import repro.engine.shard_worker as shard_worker
+import repro.state.ring as ring_module
 from repro.config import StateGeometry
 from repro.engine.fleet import ShardFleet
 from repro.engine.shard_handle import ThreadShardHandle
@@ -53,9 +54,11 @@ def walk_fleet(directory, backend, num_shards=1, **kwargs):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_ingress_is_the_same_ring_on_both_backends(backend, tmp_path):
+def test_ingress_is_the_same_ring_on_both_backends(backend, tmp_path,
+                                                  monkeypatch):
     """Same capacity accounting, same shedding, same pending count."""
-    with walk_fleet(tmp_path, backend, command_ring_bytes=64) as fleet:
+    monkeypatch.setattr(ring_module, "COMMAND_RING_BYTES", 64)
+    with walk_fleet(tmp_path, backend) as fleet:
         assert fleet.submit_commands(0, [b"x" * 20] * 4) == 2
         assert fleet.pending_commands(0) == 2
         assert fleet.telemetry().shards[0].ring_pending_bytes == 48

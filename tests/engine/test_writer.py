@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import StateGeometry
 from repro.core.registry import ALGORITHM_KEYS
+from repro.engine import executor, writer
 from repro.engine.recovery import RecoveryManager
 from repro.engine.server import DurableGameServer
 from repro.engine.writer_pool import CheckpointWriterPool
@@ -20,9 +21,10 @@ def app_class(random_walk_app):
 
 
 @pytest.fixture
-def pool():
+def pool(monkeypatch):
     """One worker gathering 4 objects a round: many stripe-lock handoffs."""
-    pool = CheckpointWriterPool(1, chunk_objects=4)
+    monkeypatch.setattr(writer, "CHUNK_OBJECTS", 4)
+    pool = CheckpointWriterPool(1)
     yield pool
     pool.kill()
 
@@ -44,16 +46,19 @@ class TestAsyncServerMode:
 
     @pytest.mark.parametrize("algorithm", ["naive-snapshot", "copy-on-update"])
     def test_coarse_stripes_small_chunks(
-        self, algorithm, app_class, tmp_path
+        self, algorithm, app_class, tmp_path, monkeypatch
     ):
         """The only flush with 16-object gather rounds against 4 stripes:
         many lock handoffs, each contended by 3,000 updates a tick."""
         geometry = StateGeometry(rows=4_096, columns=8)
-        with CheckpointWriterPool(1, chunk_objects=16) as pool:
+        monkeypatch.setattr(writer, "CHUNK_OBJECTS", 16)
+        monkeypatch.setattr(executor, "NUM_STRIPES", 4)
+        with CheckpointWriterPool(1) as pool:
             server = DurableGameServer(
                 app_class(geometry, updates_per_tick=3_000), tmp_path / "async",
-                algorithm=algorithm, seed=5, num_stripes=4, writer_pool=pool,
+                algorithm=algorithm, seed=5, writer_pool=pool,
             )
+            assert server._executor._locks.num_stripes == 4
             server.run_ticks(40)
             server.wait_checkpoint_idle()
             server.crash()
@@ -151,9 +156,10 @@ class TestAsyncServerMode:
             server.run_ticks(500)
         server.crash()
 
-    def test_overlap_ratio_tracked(self, app_class, tmp_path):
+    def test_overlap_ratio_tracked(self, app_class, tmp_path, monkeypatch):
         app = app_class(GEOMETRY)
-        pool = CheckpointWriterPool(1, chunk_objects=1)
+        monkeypatch.setattr(writer, "CHUNK_OBJECTS", 1)
+        pool = CheckpointWriterPool(1)
         server = DurableGameServer(
             app, tmp_path, algorithm="naive-snapshot", seed=2,
             writer_pool=pool,

@@ -8,6 +8,7 @@ import pytest
 
 from repro.config import StateGeometry
 from repro.engine import writer as writer_module
+from repro.engine import writer_pool as writer_pool_module
 from repro.engine.fleet import ShardFleet
 from repro.engine.server import DurableGameServer
 from repro.engine.writer import CheckpointJob
@@ -95,9 +96,9 @@ class TestConstruction:
         "kwargs",
         [
             {"num_workers": 0},
-            {"num_workers": 2, "chunk_objects": 0},
+            {"num_workers": -2},
             {"num_workers": -1},
-            {"num_workers": 2, "chunk_objects": -1},
+            {"num_workers": -64},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -137,18 +138,17 @@ class TestOneCheckpointWriter:
         from repro.engine import writer_pool
 
         parameters = inspect.signature(CheckpointWriterPool.__init__).parameters
-        assert list(parameters) == [
-            "self", "num_workers", "chunk_objects", "name",
-        ]
+        assert list(parameters) == ["self", "num_workers"]
         source = inspect.getsource(writer_pool)
         assert "batch" not in source.lower()
         assert "_space" not in source
 
 
 class TestRoundTrip:
-    def test_many_shards_few_workers(self, tmp_path):
+    def test_many_shards_few_workers(self, tmp_path, monkeypatch):
         """5 stores of both types flushed correctly by 2 worker threads."""
-        with CheckpointWriterPool(2, chunk_objects=8) as pool:
+        monkeypatch.setattr(writer_module, "CHUNK_OBJECTS", 8)
+        with CheckpointWriterPool(2) as pool:
             stores, handles, arrays = [], [], []
             for index in range(5):
                 if index % 2 == 0:
@@ -177,9 +177,10 @@ class TestRoundTrip:
             for store in stores:
                 store.close()
 
-    def test_chunking_covers_every_object(self, tmp_path):
+    def test_chunking_covers_every_object(self, tmp_path, monkeypatch):
         objects = make_objects(3)
-        with CheckpointWriterPool(1, chunk_objects=5) as pool:  # 32 % 5 != 0
+        monkeypatch.setattr(writer_module, "CHUNK_OBJECTS", 5)  # 32 % 5 != 0
+        with CheckpointWriterPool(1) as pool:
             store = DoubleBackupStore(tmp_path, GEOMETRY)
             handle = pool.register(store)
             handle.submit(full_job(ArraySource(objects)))
@@ -187,9 +188,12 @@ class TestRoundTrip:
             assert store.read_image(0) == objects.tobytes()
             store.close()
 
-    def test_thread_count_is_pool_sized(self, tmp_path):
+    def test_thread_count_is_pool_sized(self, tmp_path, monkeypatch):
         """10 registered shards never spawn more than num_workers threads."""
-        pool = CheckpointWriterPool(2, name="repro-pool-count")
+        monkeypatch.setattr(
+            writer_pool_module, "POOL_NAME", "repro-pool-count"
+        )
+        pool = CheckpointWriterPool(2)
         handles = []
         stores = []
         for index in range(10):
@@ -213,8 +217,8 @@ class TestRoundTrip:
         with CheckpointWriterPool(1) as pool:
             store_a = DoubleBackupStore(tmp_path / "a", GEOMETRY)
             store_b = DoubleBackupStore(tmp_path / "b", GEOMETRY)
-            handle_a = pool.register(store_a, name="a")
-            handle_b = pool.register(store_b, name="b")
+            handle_a = pool.register(store_a)
+            handle_b = pool.register(store_b)
             handle_a.submit(full_job(ArraySource(make_objects(1))))
             assert handle_a.wait_idle(timeout=10.0)
             handle_a.submit(full_job(
@@ -233,9 +237,11 @@ class TestRoundTrip:
 
 
 class TestFailureIsolation:
-    def test_one_shards_fault_does_not_wedge_others(self, tmp_path):
+    def test_one_shards_fault_does_not_wedge_others(self, tmp_path,
+                                                    monkeypatch):
         """A store raising mid-flush poisons only its own handle."""
-        with CheckpointWriterPool(1, chunk_objects=8) as pool:
+        monkeypatch.setattr(writer_module, "CHUNK_OBJECTS", 8)
+        with CheckpointWriterPool(1) as pool:
             bad_store = DoubleBackupStore(tmp_path / "bad", GEOMETRY)
             good_store = DoubleBackupStore(tmp_path / "good", GEOMETRY)
 
@@ -243,8 +249,8 @@ class TestFailureIsolation:
                 raise StorageError("injected mid-flush fault")
 
             bad_store.write_fault_hook = explode
-            bad = pool.register(bad_store, name="bad")
-            good = pool.register(good_store, name="good")
+            bad = pool.register(bad_store)
+            good = pool.register(good_store)
             objects = make_objects(7)
             bad.submit(full_job(ArraySource(make_objects(3))))
             good.submit(full_job(ArraySource(objects)))
@@ -400,9 +406,11 @@ class TestShutdown:
         store_a.close()
         store_b.close()
 
-    def test_kill_abandons_in_flight_job_at_the_next_chunk(self, tmp_path):
+    def test_kill_abandons_in_flight_job_at_the_next_chunk(self, tmp_path,
+                                                           monkeypatch):
         """Killed mid-gather: nothing but the begin marker reached the disk."""
-        pool = CheckpointWriterPool(1, chunk_objects=8)
+        monkeypatch.setattr(writer_module, "CHUNK_OBJECTS", 8)
+        pool = CheckpointWriterPool(1)
         store = DoubleBackupStore(tmp_path, GEOMETRY)
         handle = pool.register(store)
         source = BlockingSource(make_objects())
@@ -472,7 +480,7 @@ class TestEngineIntegration:
                 DurableGameServer(
                     app_class(GEOMETRY), tmp_path / str(index),
                     algorithm="copy-on-update", seed=index,
-                    writer_pool=pool, writer_name=f"server-{index}",
+                    writer_pool=pool,
                 )
                 for index in range(2)
             ]
@@ -632,15 +640,14 @@ class TestGatherCap:
     def test_oversize_job_matches_the_job_under_the_cap(
         self, tmp_path, monkeypatch, store_class
     ):
+        monkeypatch.setattr(writer_module, "CHUNK_OBJECTS", self.CHUNK_OBJECTS)
         objects = make_objects(4)
         results = {}
         for label, cap in (("under", None), ("over", self.CAP)):
             if cap is not None:
                 monkeypatch.setattr(writer_module, "MAX_GATHER_BYTES", cap)
                 assert GEOMETRY.checkpoint_bytes >= 3 * cap
-            with CheckpointWriterPool(
-                1, chunk_objects=self.CHUNK_OBJECTS
-            ) as pool:
+            with CheckpointWriterPool(1) as pool:
                 store = store_class(tmp_path / label, GEOMETRY)
                 handle = pool.register(store)
                 handle.submit(store_job(store, ArraySource(objects), 1, 7))
@@ -657,8 +664,9 @@ class TestGatherCap:
         self, tmp_path, monkeypatch, store_class
     ):
         monkeypatch.setattr(writer_module, "MAX_GATHER_BYTES", self.CAP)
+        monkeypatch.setattr(writer_module, "CHUNK_OBJECTS", self.CHUNK_OBJECTS)
         first, second = make_objects(5), make_objects(6)
-        with CheckpointWriterPool(1, chunk_objects=self.CHUNK_OBJECTS) as pool:
+        with CheckpointWriterPool(1) as pool:
             store = store_class(tmp_path, GEOMETRY)
             handle = pool.register(store)
             handle.submit(store_job(store, ArraySource(first), 1, 7))
@@ -689,18 +697,21 @@ class TestGatherCap:
 
 
 class TestCoalescedCrashSemantics:
-    def test_fault_mid_batch_leaves_every_handle_recoverable(self, tmp_path):
+    def test_fault_mid_batch_leaves_every_handle_recoverable(
+        self, tmp_path, monkeypatch
+    ):
         """A crash-mid-gathered-write fault on one of three queued jobs must
         not tear any other handle's commit marker."""
-        with CheckpointWriterPool(1, chunk_objects=8) as pool:
+        monkeypatch.setattr(writer_module, "CHUNK_OBJECTS", 8)
+        with CheckpointWriterPool(1) as pool:
             blocker_store = CheckpointLogStore(tmp_path / "blocker", GEOMETRY)
             stores = [
                 CheckpointLogStore(tmp_path / str(index), GEOMETRY)
                 for index in range(3)
             ]
-            blocker_handle = pool.register(blocker_store, name="blocker")
+            blocker_handle = pool.register(blocker_store)
             handles = [
-                pool.register(store, name=f"shard-{index}")
+                pool.register(store)
                 for index, store in enumerate(stores)
             ]
             arrays = [make_objects(index) for index in range(3)]

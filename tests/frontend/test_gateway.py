@@ -13,6 +13,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+import repro.state.ring as ring_module
 from repro.config import StateGeometry
 from repro.engine.fleet import ShardFleet
 from repro.errors import BackpressureError
@@ -166,8 +167,10 @@ class TestFrontDoor:
         assert fd.stats.rejected_rate_limit == 1
         fd.fleet.close()
 
-    def test_queue_backpressure_is_typed(self, app_factory, tmp_path):
-        fd = make_frontdoor(app_factory, tmp_path, queue_bytes=32)
+    def test_queue_backpressure_is_typed(self, app_factory, tmp_path,
+                                         monkeypatch):
+        monkeypatch.setattr(ring_module, "COMMAND_RING_BYTES", 32)
+        fd = make_frontdoor(app_factory, tmp_path)
         session = fd.connect("big").session_id
         fd.submit(session, 1, b"x" * 20)
         with pytest.raises(BackpressureError) as excinfo:

@@ -20,6 +20,7 @@ import tracemalloc
 
 import pytest
 
+import repro.state.ring as ring_module
 from repro.config import StateGeometry
 from repro.engine.fleet import ShardFleet
 from repro.frontend import FrontDoor, GatewayServer
@@ -41,9 +42,10 @@ class GatedGateway:
     """A one-shard gateway whose driver waits for :attr:`release`."""
 
     def __init__(self, app_factory, directory) -> None:
-        fleet = ShardFleet(app_factory, directory, 1, seed=3)
-        self.door = FrontDoor(fleet, commands_per_tick_limit=LIMIT,
-                              queue_bytes=QUEUE_BYTES)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ring_module, "COMMAND_RING_BYTES", QUEUE_BYTES)
+            fleet = ShardFleet(app_factory, directory, 1, seed=3)
+        self.door = FrontDoor(fleet, commands_per_tick_limit=LIMIT)
         self.release = threading.Event()
         drive_tick = self.door.drive_tick
 

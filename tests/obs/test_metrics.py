@@ -1,4 +1,4 @@
-"""Unit tests for the lock-light metrics registry."""
+"""Unit tests for the lock-light metrics rows."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from repro.obs.metrics import (
     MetricSpec,
     MetricsError,
     MetricsLayout,
-    MetricsRegistry,
+    RowMetrics,
     global_registry,
     merge_histograms,
     reset_global_registry,
@@ -54,15 +54,15 @@ class TestLayout:
             MetricSpec("x", "summary")
 
     def test_slot_spec_shape(self):
-        name, shape, dtype = LAYOUT.slot_spec(4, slot="m")
-        assert name == "m"
-        assert shape == (4, LAYOUT.num_fields)
+        name, shape, dtype = LAYOUT.slot_spec()
+        assert name == "obs_metrics"
+        assert shape == (LAYOUT.num_fields,)
         assert dtype == np.dtype(np.int64)
 
 
 class TestScalars:
     def test_counter_inc_and_value(self):
-        row = MetricsRegistry(LAYOUT).row(0)
+        row = RowMetrics(LAYOUT)
         counter = row.counter("ticks")
         counter.inc()
         counter.inc(5)
@@ -70,7 +70,7 @@ class TestScalars:
         assert row.value("ticks") == 6
 
     def test_gauge_set_and_max(self):
-        gauge = MetricsRegistry(LAYOUT).row(0).gauge("lag")
+        gauge = RowMetrics(LAYOUT).gauge("lag")
         gauge.set(7)
         gauge.max(3)  # lower: ignored
         assert gauge.value == 7
@@ -78,7 +78,7 @@ class TestScalars:
         assert gauge.value == 11
 
     def test_kind_mismatch_rejected(self):
-        row = MetricsRegistry(LAYOUT).row(0)
+        row = RowMetrics(LAYOUT)
         with pytest.raises(MetricsError, match="is a gauge"):
             row.counter("lag")
         with pytest.raises(MetricsError, match="use histogram"):
@@ -87,7 +87,7 @@ class TestScalars:
 
 class TestHistogram:
     def test_bucketing_and_overflow(self):
-        hist = MetricsRegistry(LAYOUT).row(0).histogram("tick_us")
+        hist = RowMetrics(LAYOUT).histogram("tick_us")
         for value in (50, 150, 300, 9999):
             hist.observe(value)
         assert hist.counts == [1, 1, 1, 1]
@@ -96,29 +96,29 @@ class TestHistogram:
         assert hist.mean == pytest.approx(hist.sum / 4)
 
     def test_percentile_interpolates_within_bucket(self):
-        hist = MetricsRegistry(LAYOUT).row(0).histogram("tick_us")
+        hist = RowMetrics(LAYOUT).histogram("tick_us")
         for _ in range(100):
             hist.observe(150)  # all in the (100, 200] bucket
         p50 = hist.percentile(0.50)
         assert 100 <= p50 <= 200
 
     def test_percentile_overflow_saturates_at_last_bound(self):
-        hist = MetricsRegistry(LAYOUT).row(0).histogram("tick_us")
+        hist = RowMetrics(LAYOUT).histogram("tick_us")
         for _ in range(10):
             hist.observe(10_000)
         assert hist.percentile(0.99) == 400.0
 
     def test_percentile_empty_is_zero(self):
-        hist = MetricsRegistry(LAYOUT).row(0).histogram("tick_us")
+        hist = RowMetrics(LAYOUT).histogram("tick_us")
         assert hist.percentile(0.99) == 0.0
 
     def test_percentile_fraction_bounds(self):
-        hist = MetricsRegistry(LAYOUT).row(0).histogram("tick_us")
+        hist = RowMetrics(LAYOUT).histogram("tick_us")
         with pytest.raises(MetricsError, match="fraction"):
             hist.percentile(99)
 
     def test_snapshot_detaches(self):
-        hist = MetricsRegistry(LAYOUT).row(0).histogram("tick_us")
+        hist = RowMetrics(LAYOUT).histogram("tick_us")
         hist.observe(150)
         snap = hist.snapshot()
         hist.observe(150)
@@ -127,12 +127,12 @@ class TestHistogram:
         assert snap.percentile(0.5) == hist.percentile(0.5)
 
     def test_merge(self):
-        rows = MetricsRegistry(LAYOUT, rows=2)
-        rows.row(0).histogram("tick_us").observe(150)
-        rows.row(1).histogram("tick_us").observe(300)
+        rows = [RowMetrics(LAYOUT), RowMetrics(LAYOUT)]
+        rows[0].histogram("tick_us").observe(150)
+        rows[1].histogram("tick_us").observe(300)
         merged = merge_histograms([
-            rows.row(0).histogram("tick_us").snapshot(),
-            rows.row(1).histogram("tick_us").snapshot(),
+            rows[0].histogram("tick_us").snapshot(),
+            rows[1].histogram("tick_us").snapshot(),
         ])
         assert merged.count == 2
         assert merged.sum == 450
@@ -149,31 +149,28 @@ class TestHistogram:
 
 class TestRegistry:
     def test_rows_are_independent(self):
-        registry = MetricsRegistry(LAYOUT, rows=3)
-        registry.row(1).counter("ticks").inc(9)
-        assert registry.row(0).value("ticks") == 0
-        assert registry.row(1).value("ticks") == 9
-        assert registry.num_rows == 3
+        table = np.zeros((3, LAYOUT.num_fields), dtype=np.int64)
+        rows = [RowMetrics(LAYOUT, table[index]) for index in range(3)]
+        rows[1].counter("ticks").inc(9)
+        assert rows[0].value("ticks") == 0
+        assert rows[1].value("ticks") == 9
+        assert RowMetrics(LAYOUT).value("ticks") == 0
 
     def test_from_array_shares_storage(self):
-        array = np.zeros((2, LAYOUT.num_fields), dtype=np.int64)
-        writer = MetricsRegistry.from_array(LAYOUT, array)
-        scraper = MetricsRegistry.from_array(LAYOUT, array)
-        writer.row(0).counter("ticks").inc(4)
-        assert scraper.row(0).value("ticks") == 4
+        array = np.zeros(LAYOUT.num_fields, dtype=np.int64)
+        writer = RowMetrics(LAYOUT, array)
+        scraper = RowMetrics(LAYOUT, array)
+        writer.counter("ticks").inc(4)
+        assert scraper.value("ticks") == 4
 
     def test_from_array_shape_and_dtype_checked(self):
         with pytest.raises(MetricsError, match="shape"):
-            MetricsRegistry.from_array(
-                LAYOUT, np.zeros((2, 3), dtype=np.int64)
-            )
+            RowMetrics(LAYOUT, np.zeros((1, LAYOUT.num_fields), np.int64))
         with pytest.raises(MetricsError, match="int64"):
-            MetricsRegistry.from_array(
-                LAYOUT, np.zeros((1, LAYOUT.num_fields), dtype=np.float64)
-            )
+            RowMetrics(LAYOUT, np.zeros(LAYOUT.num_fields, np.float64))
 
     def test_row_snapshot_types(self):
-        row = MetricsRegistry(LAYOUT).row(0)
+        row = RowMetrics(LAYOUT)
         row.counter("ticks").inc()
         row.histogram("tick_us").observe(150)
         snap = row.snapshot()

@@ -1,20 +1,19 @@
 """Tests for the telemetry snapshot dataclasses and assembly."""
 
 from repro.engine.writer_pool import PoolStats
+from repro.obs import metrics
 from repro.obs.metrics import (
-    MetricsRegistry,
+    RowMetrics,
     global_registry,
     reset_global_registry,
 )
 from repro.obs.telemetry import (
     SHARD_METRICS_LAYOUT,
-    SHARD_METRICS_SLOT,
     FleetTelemetry,
     PoolTelemetry,
     ShardTelemetry,
     assemble_fleet_telemetry,
     recovery_counters,
-    shard_metrics_slot_spec,
 )
 
 
@@ -31,10 +30,12 @@ def make_shard(index, **overrides):
 
 
 class TestShardSchema:
-    def test_slot_spec_is_one_row(self):
-        name, shape, _ = shard_metrics_slot_spec()
-        assert name == SHARD_METRICS_SLOT
-        assert shape == (1, SHARD_METRICS_LAYOUT.num_fields)
+    def test_slot_spec_is_one_row(self, monkeypatch):
+        name, shape, _ = SHARD_METRICS_LAYOUT.slot_spec()
+        assert name == "obs_metrics"
+        assert shape == (SHARD_METRICS_LAYOUT.num_fields,)
+        monkeypatch.setattr(metrics, "METRICS_SLOT", "m")
+        assert SHARD_METRICS_LAYOUT.slot_spec()[0] == "m"
 
     def test_layout_has_the_published_fields(self):
         names = [spec.name for spec in SHARD_METRICS_LAYOUT.specs]
@@ -63,17 +64,16 @@ class TestPoolTelemetry:
 class TestAssembly:
     def test_merges_histograms_and_maxes(self):
         reset_global_registry()
-        registry = MetricsRegistry(SHARD_METRICS_LAYOUT, rows=2)
-        registry.row(0).histogram("tick_us").observe(100)
-        registry.row(1).histogram("tick_us").observe(10_000)
+        rows = [RowMetrics(SHARD_METRICS_LAYOUT) for _ in range(2)]
+        rows[0].histogram("tick_us").observe(100)
+        rows[1].histogram("tick_us").observe(10_000)
         shards = [
             make_shard(0, checkpoint_age_ticks=2, ring_high_water_bytes=10),
             make_shard(1, checkpoint_age_ticks=7, ring_high_water_bytes=99),
         ]
         snapshot = assemble_fleet_telemetry(
             "thread", shards,
-            [registry.row(i).histogram("tick_us").snapshot()
-             for i in range(2)],
+            [row.histogram("tick_us").snapshot() for row in rows],
         )
         assert snapshot.num_shards == 2
         assert snapshot.max_checkpoint_age_ticks == 7

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs import trace
 from repro.obs.metrics import global_registry, reset_global_registry
 from repro.obs.trace import (
     SharedRingTraceSink,
@@ -77,8 +78,9 @@ class TestEnabledRecording:
         assert len(tracer.peek()) == 1
         assert len(tracer.peek()) == 1
 
-    def test_buffer_is_bounded(self):
-        tracer = Tracer(enabled=True, buffer_events=4)
+    def test_buffer_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(trace, "BUFFER_EVENTS", 4)
+        tracer = Tracer(enabled=True)
         for index in range(10):
             tracer.instant(f"e{index}")
         names = [e["name"] for e in tracer.drain()]

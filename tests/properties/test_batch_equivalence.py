@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.state.ring as ring_module
 from repro.config import StateGeometry
 from repro.engine.fleet import ShardFleet
 from repro.errors import BackpressureError, ReproError, StateError
@@ -53,11 +54,12 @@ steps = st.lists(
 
 
 def make_door(directory):
-    fleet = ShardFleet(lambda index: RandomWalkApp(GEOMETRY, 4), directory,
-                       2, seed=5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ring_module, "COMMAND_RING_BYTES", QUEUE_BYTES)
+        fleet = ShardFleet(lambda index: RandomWalkApp(GEOMETRY, 4),
+                           directory, 2, seed=5)
     return FrontDoor(fleet, commands_per_tick_limit=LIMIT,
-                     max_pending_commands=MAX_PENDING,
-                     queue_bytes=QUEUE_BYTES)
+                     max_pending_commands=MAX_PENDING)
 
 
 def one_at_a_time(door, session_id, batch):

@@ -72,7 +72,7 @@ def test_flooded_pool_drains_oldest_cut_first(cuts):
         try:
             blocker_store = CheckpointLogStore(f"{root}/blocker", GEOMETRY)
             stores.append(blocker_store)
-            blocker_handle = pool.register(blocker_store, name="blocker")
+            blocker_handle = pool.register(blocker_store)
             blocker = _Blocker()
             blocker_handle.submit(_full_job(blocker, cut_tick=0))
             assert blocker.entered.wait(timeout=10.0)
@@ -83,7 +83,7 @@ def test_flooded_pool_drains_oldest_cut_first(cuts):
             for index, cut in enumerate(cuts):
                 store = CheckpointLogStore(f"{root}/{index}", GEOMETRY)
                 stores.append(store)
-                handle = pool.register(store, name=f"shard-{index}")
+                handle = pool.register(store)
                 handle.submit(_full_job(RecordingSource(index), cut))
                 handles.append(handle)
 
@@ -128,7 +128,7 @@ def test_straggler_bounded_by_one_service_under_staleness(cuts, lag):
         try:
             blocker_store = CheckpointLogStore(f"{root}/blocker", GEOMETRY)
             stores.append(blocker_store)
-            blocker_handle = pool.register(blocker_store, name="blocker")
+            blocker_handle = pool.register(blocker_store)
             blocker = _Blocker()
             blocker_handle.submit(_full_job(blocker, cut_tick=0))
             assert blocker.entered.wait(timeout=10.0)
@@ -147,7 +147,7 @@ def test_straggler_bounded_by_one_service_under_staleness(cuts, lag):
             for index, cut in enumerate(cuts):
                 store = CheckpointLogStore(f"{root}/{index}", GEOMETRY)
                 stores.append(store)
-                handle = pool.register(store, name=f"fresh-{index}")
+                handle = pool.register(store)
                 handle.submit(_full_job(Probe("fresh"), cut))
                 handles.append(handle)
             # Adversarial arrival: the stalest shard submits last.
@@ -155,7 +155,7 @@ def test_straggler_bounded_by_one_service_under_staleness(cuts, lag):
                 f"{root}/straggler", GEOMETRY
             )
             stores.append(straggler_store)
-            straggler = pool.register(straggler_store, name="straggler")
+            straggler = pool.register(straggler_store)
             straggler.submit(_full_job(Probe("straggler"), straggler_cut))
             handles.append(straggler)
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import BackpressureError, StateError
 from repro.state.ring import (
-    DEFAULT_RING_BYTES,
+    COMMAND_RING_BYTES,
     RECORD_HEADER_BYTES,
     SharedCommandRing,
     ring_slots,
@@ -41,7 +41,7 @@ class TestBasics:
             ring_slots(RECORD_HEADER_BYTES)
 
     def test_default_capacity(self):
-        assert DEFAULT_RING_BYTES == 1 << 20
+        assert COMMAND_RING_BYTES == 1 << 20
 
     def test_push_drain_fifo(self, ring):
         payloads = [b"alpha", b"", b"x" * 40]

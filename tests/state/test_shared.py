@@ -9,7 +9,7 @@ import pytest
 from repro.config import StateGeometry
 from repro.errors import GeometryError, StateError
 from repro.state.shared import (
-    DEFAULT_TAG,
+    SEGMENT_TAG,
     SharedArena,
     SharedGameStateTable,
     reap_stale_segments,
@@ -65,7 +65,7 @@ class TestArenaLifecycle:
     def test_name_carries_tag_and_owner_pid(self):
         with SharedArena.create(SLOTS) as arena:
             name = os.path.basename(arena.path)
-            assert name.startswith(f"{DEFAULT_TAG}.{os.getpid()}.")
+            assert name.startswith(f"{SEGMENT_TAG}.{os.getpid()}.")
 
 
 class TestAttach:
@@ -99,7 +99,9 @@ class TestReaper:
         live = SharedArena.create(SLOTS)
         # Forge a segment naming a pid that cannot be alive.
         directory = segment_directory()
-        dead_path = os.path.join(directory, f"{DEFAULT_TAG}.999999999.deadbeef")
+        dead_path = os.path.join(
+            directory, f"{SEGMENT_TAG}.999999999.deadbeef"
+        )
         with open(dead_path, "wb") as handle:
             handle.write(b"\0" * 64)
         removed = reap_stale_segments()
@@ -110,7 +112,7 @@ class TestReaper:
 
     def test_ignores_unparseable_names(self):
         directory = segment_directory()
-        weird = os.path.join(directory, f"{DEFAULT_TAG}.not-a-pid.x")
+        weird = os.path.join(directory, f"{SEGMENT_TAG}.not-a-pid.x")
         with open(weird, "wb") as handle:
             handle.write(b"\0")
         try:

@@ -459,6 +459,7 @@ class TestRotation:
     def flush_full_dump(self, store, geometry, monkeypatch, path, abandon=None):
         from repro.engine import writer
 
+        monkeypatch.setattr(writer, "CHUNK_OBJECTS", 2)
         if path == "slabs":
             # Two objects a slab: all but the last slab land uncommitted
             # before the gathered commit write.
@@ -471,7 +472,7 @@ class TestRotation:
             is_full_dump=True,
         )
         return writer.flush_checkpoint_job(
-            store, job, 2, abandon or (lambda: False), lambda nbytes: None
+            store, job, abandon or (lambda: False), lambda nbytes: None
         )
 
     def fault_on_call(self, store, call):

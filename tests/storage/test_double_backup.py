@@ -377,20 +377,19 @@ class TestVectoredRunPlan:
             backup_index=0 if is_double_backup else None,
         )
         assert writer.flush_checkpoint_job(
-            store, job, writer.DEFAULT_CHUNK_OBJECTS,
-            lambda: False, lambda nbytes: None,
+            store, job, lambda: False, lambda nbytes: None,
         )
 
     def chunked(self, store, ids, objects, is_double_backup):
-        from repro.engine.writer import DEFAULT_CHUNK_OBJECTS
+        from repro.engine.writer import CHUNK_OBJECTS
 
         if is_double_backup:
             store.begin_checkpoint(0, epoch=1)
         else:
             store.begin_checkpoint(1, is_full_dump=False)
         land = store.write_objects if is_double_backup else store.append_objects
-        for first in range(0, ids.size, DEFAULT_CHUNK_OBJECTS):
-            chunk = ids[first: first + DEFAULT_CHUNK_OBJECTS]
+        for first in range(0, ids.size, CHUNK_OBJECTS):
+            chunk = ids[first: first + CHUNK_OBJECTS]
             land(chunk, objects[chunk].tobytes())
         store.commit_checkpoint(tick=5)
 
@@ -411,7 +410,7 @@ class TestVectoredRunPlan:
         slab_rows = ids.size
         if seed % 2:
             # A slab of two 512-object chunks: the job lands in slabs.
-            slab_rows = 2 * writer.DEFAULT_CHUNK_OBJECTS
+            slab_rows = 2 * writer.CHUNK_OBJECTS
             monkeypatch.setattr(
                 writer, "MAX_GATHER_BYTES", slab_rows * object_bytes
             )
