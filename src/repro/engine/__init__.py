@@ -22,7 +22,6 @@ from repro.engine.fleet import (
     FleetRunReport,
     ShardFleet,
 )
-from repro.engine.shard_worker import WorkerCheckpointProxy
 from repro.engine.recovery import (
     RecoveryManager,
     RecoveryReport,
@@ -48,6 +47,5 @@ __all__ = [
     "ShardRecovery",
     "TickApplication",
     "TickUpdatesPlan",
-    "WorkerCheckpointProxy",
     "WriterStats",
 ]

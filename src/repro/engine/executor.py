@@ -12,9 +12,8 @@ attribute declares:
 
 * A writer that captures the payloads inside ``submit`` --
   :class:`~repro.engine.writer.InlineWriter`, which flushes on the game
-  thread at the cut, and the process backend's checkpoint proxy, which
-  stages into shared memory there -- reads the table before the next tick
-  touches it, so the live table *is* the cut.  Its gather is the
+  thread at the cut -- reads the table before the next tick touches it,
+  so the live table *is* the cut.  Its gather is the
   checkpoint's only copy: ``Copy-To-Memory`` and ``Handle-Update``'s saves
   are no-ops and there is no snapshot buffer.
 * A :class:`~repro.engine.writer_pool.CheckpointWriterPool` handle

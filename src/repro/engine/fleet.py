@@ -17,10 +17,9 @@ throughput at roughly one core (the GIL serializes the tick loops however
 many shards run).  ``backend="process"`` breaks that ceiling: each shard's
 mutator loop runs in a **worker process** whose
 :class:`~repro.state.table.GameStateTable` lives in a shared-memory
-:class:`~repro.state.shared.SharedArena`, while the parent keeps the shared
-writer pool and lands every checkpoint zero-copy from the worker's staged
-shared-memory bytes (see :mod:`repro.engine.shard_worker` for the cut
-protocol).  The fleet drives every shard through one
+:class:`~repro.state.shared.SharedArena`; a worker is a pool-less durable
+server that flushes each checkpoint itself at the cut (see
+:mod:`repro.engine.shard_worker`).  The fleet drives every shard through one
 :class:`~repro.engine.shard_handle.ShardHandle` and never asks which backend
 it runs: both handle types tick through the same loop body and take
 commands through the same ring type, so ``run_ticks`` / ``checkpoint_ages``
@@ -122,7 +121,11 @@ class ShardFleet:
     """Runs N shards of the same game concurrently under one root.
 
     Every shard sits behind one :class:`~repro.engine.shard_handle.ShardHandle`;
-    ``backend`` only picks which handle type opens them.
+    ``backend`` only picks which handle type opens them.  ``pool_size``
+    gives a thread fleet its shared writer pool; a process fleet has none,
+    since each worker flushes its own checkpoints, and accepts the argument
+    only so that callers written for either backend (the end-to-end
+    benchmark's process workloads among them) run unchanged.
     """
 
     def __init__(
@@ -146,10 +149,8 @@ class ShardFleet:
         self._directory = os.fspath(directory)
         self._num_shards = num_shards
         self._backend = backend
-        if pool_size is None:
-            pool_size = handle_type.default_pool_size
         self._pool: Optional[CheckpointWriterPool] = None
-        if pool_size is not None:
+        if pool_size is not None and handle_type.uses_writer_pool:
             self._pool = CheckpointWriterPool(pool_size)
         try:
             self._handles: List[ShardHandle] = handle_type.open_all(
@@ -167,6 +168,7 @@ class ShardFleet:
             raise
         self._command_capacity = self._handles[0].ring.capacity
         self._crashed = False
+        self._closed = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -280,7 +282,6 @@ class ShardFleet:
                 tick_p99_us=hist.percentile(0.99),
                 tick_mean_us=hist.mean,
                 commands_drained=row.value("commands_drained"),
-                staging_us=row.value("staging_us"),
                 log_wait_us=row.value("log_wait_us"),
                 cut_lag_ticks=row.value("cut_lag_ticks"),
                 checkpoint_age_ticks=handle.checkpoint_age(),
@@ -485,9 +486,9 @@ class ShardFleet:
           the process backend this is a crash mid-tick);
         * ``"now"`` -- a worker ``os._exit``\\ s at its next command poll
           (between ticks); an in-process shard fail-stops at once;
-        * ``"at_checkpoint"`` -- the worker dies immediately after handing
-          its next checkpoint to the parent, so the death is detected while
-          the parent's flush is in flight (process backend only);
+        * ``"at_checkpoint"`` -- the worker exits at the first write of its
+          next checkpoint, so it dies with its own flush in flight and the
+          checkpoint uncommitted (process backend only);
         * ``"mid_drain"`` -- the shard dies right after its next nonempty
           command-ring drain, *before* the tick that would durably log the
           batch (the torn-batch case the recovery tests exercise).
@@ -509,6 +510,8 @@ class ShardFleet:
         """
         if self._crashed:
             raise EngineError("fleet has crashed; recover it instead")
+        if self._closed:
+            raise EngineError("fleet is closed")
         self._crashed = True
         for handle in self._handles:
             handle.crash()
@@ -523,10 +526,11 @@ class ShardFleet:
         Each live worker is asked to close its shard's files and exit; dead
         workers are reaped.  All shared-memory segments are unlinked either
         way -- the leak checks in the tests and CI diff ``/dev/shm`` across
-        this call.
+        this call.  A close after a close or a crash does nothing.
         """
-        if self._crashed:
+        if self._crashed or self._closed:
             return
+        self._closed = True
         for handle in self._handles:
             handle.close()
         if self._pool is not None:

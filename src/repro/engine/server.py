@@ -71,26 +71,6 @@ class ServerStats:
     log_wait_seconds: float = 0.0
 
 
-def open_checkpoint_store(
-    directory: str,
-    geometry,
-    layout: DiskLayout,
-    fsync_policy: str = "never",
-):
-    """The checkpoint store of disk organization ``layout`` in ``directory``.
-
-    Both store types open existing files as well as new ones (the log store
-    verifies the geometry record, the double backup attaches read-write),
-    so a process backend's parent can open the files its worker created.
-    """
-    store_type = (
-        DoubleBackupStore
-        if layout is DiskLayout.DOUBLE_BACKUP
-        else CheckpointLogStore
-    )
-    return store_type(directory, geometry, fsync_policy=fsync_policy)
-
-
 class DurableGameServer:
     """Runs a deterministic tick application with durable checkpointing."""
 
@@ -153,8 +133,13 @@ class DurableGameServer:
                 f"{self._directory} already contains a server's logs; "
                 "recover it instead of starting fresh"
             )
-        self._store = open_checkpoint_store(
-            self._directory, geometry, self._policy.layout, fsync_policy
+        store_type = (
+            DoubleBackupStore
+            if self._policy.layout is DiskLayout.DOUBLE_BACKUP
+            else CheckpointLogStore
+        )
+        self._store = store_type(
+            self._directory, geometry, fsync_policy=fsync_policy
         )
         self._executor = RealExecutor(
             self._table,
@@ -183,6 +168,11 @@ class DurableGameServer:
     def directory(self) -> str:
         """Directory holding the checkpoint store and logical log."""
         return self._directory
+
+    @property
+    def store(self):
+        """The checkpoint store the server's checkpoints land in."""
+        return self._store
 
     @property
     def algorithm_name(self) -> str:

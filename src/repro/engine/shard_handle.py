@@ -108,9 +108,9 @@ class ShardHandle:
       then the fleet retires the writer pool, then ``release()``.
     """
 
-    #: Writer-pool size the fleet uses when the caller names none (None:
-    #: each shard flushes its checkpoints on its own game thread at the cut).
-    default_pool_size: Optional[int] = None
+    #: Whether the shards flush through the fleet's writer pool when the
+    #: caller sizes one (else each flushes on its own game thread).
+    uses_writer_pool = True
     #: Pid of the worker process, or None when the shard is in this one.
     pid: Optional[int] = None
     #: The ring the shard's spans come back through, if it has one.
@@ -252,8 +252,8 @@ class ThreadShardHandle(ShardHandle):
     def inject_crash(self, when: str) -> None:
         """``"kill"`` and ``"now"`` fail-stop the shard at once;
         ``"mid_drain"`` fail-stops it after its next nonempty drain, before
-        the tick that would log the batch.  ``"at_checkpoint"`` names a
-        worker's checkpoint handoff, which only the process backend has."""
+        the tick that would log the batch.  ``"at_checkpoint"`` exits a
+        worker process mid-flush, which only the process backend has."""
         if when in ("kill", "now"):
             self.crash()
         elif when == "mid_drain":

@@ -24,9 +24,9 @@ This module holds the pieces of that subroutine every caller shares:
 The threads that run the routine live in
 :mod:`repro.engine.writer_pool`: a :class:`~repro.engine.writer_pool.CheckpointWriterPool`
 worker is the only asynchronous checkpoint writer, for the engine
-(:class:`~repro.engine.executor.RealExecutor`, all six algorithms), the
-process backend and the Section 6 validation harness
-(:mod:`repro.validation.harness`, which drives the engine) alike.
+(:class:`~repro.engine.executor.RealExecutor`, all six algorithms) and the
+Section 6 validation harness (:mod:`repro.validation.harness`, which drives
+the engine) alike.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from typing import List, Optional, Protocol, Tuple, Union
 import numpy as np
 
 from repro.errors import CheckpointWriterError
+from repro.obs.trace import get_tracer
 from repro.storage.checkpoint_log import CheckpointLogStore
 from repro.storage.double_backup import DoubleBackupStore
 
@@ -85,41 +86,45 @@ def flush_checkpoint_job(
     An abandon request aborts the checkpoint (crash semantics -- the store
     keeps an uncommitted checkpoint) and the function returns False; a
     store fault propagates.  ``on_chunk_written(nbytes)`` is called as each
-    slab lands, for cross-thread accounting.
+    slab lands, for cross-thread accounting.  Every flush, whichever writer
+    runs it, is one ``ckpt_flush`` span.
     """
-    if isinstance(store, DoubleBackupStore):
-        store.begin_checkpoint(job.backup_index, job.epoch)
-    else:
-        store.begin_checkpoint(job.epoch, job.is_full_dump)
-    ids = job.object_ids
-    object_bytes = store.geometry.object_bytes
-    chunk_bytes = CHUNK_OBJECTS * object_bytes
-    cap = -(-MAX_GATHER_BYTES // chunk_bytes) * CHUNK_OBJECTS
-    rows_needed = min(ids.size, cap)
-    slab = (
-        np.empty((rows_needed, object_bytes), dtype=np.uint8)
-        if slab_for is None else slab_for(rows_needed)
-    )
-    base = 0
-    while True:
-        window = ids[base: base + len(slab)]
-        rows = slab[: window.size]
-        for start in range(0, window.size, CHUNK_OBJECTS):
+    with get_tracer().span("ckpt_flush", epoch=job.epoch, cut=job.cut_tick):
+        if isinstance(store, DoubleBackupStore):
+            store.begin_checkpoint(job.backup_index, job.epoch)
+        else:
+            store.begin_checkpoint(job.epoch, job.is_full_dump)
+        ids = job.object_ids
+        object_bytes = store.geometry.object_bytes
+        chunk_bytes = CHUNK_OBJECTS * object_bytes
+        cap = -(-MAX_GATHER_BYTES // chunk_bytes) * CHUNK_OBJECTS
+        rows_needed = min(ids.size, cap)
+        slab = (
+            np.empty((rows_needed, object_bytes), dtype=np.uint8)
+            if slab_for is None else slab_for(rows_needed)
+        )
+        base = 0
+        while True:
+            window = ids[base: base + len(slab)]
+            rows = slab[: window.size]
+            for start in range(0, window.size, CHUNK_OBJECTS):
+                if should_abandon():
+                    store.abort_checkpoint()
+                    return False
+                stop = start + CHUNK_OBJECTS
+                job.source.read_payloads_into(
+                    window[start:stop], rows[start:stop]
+                )
             if should_abandon():
                 store.abort_checkpoint()
                 return False
-            stop = start + CHUNK_OBJECTS
-            job.source.read_payloads_into(window[start:stop], rows[start:stop])
-        if should_abandon():
-            store.abort_checkpoint()
-            return False
-        base += window.size
-        last = base >= ids.size
-        on_chunk_written(store.write_checkpoint_vectored(
-            window, rows, job.cut_tick if last else None
-        ))
-        if last:
-            return True
+            base += window.size
+            last = base >= ids.size
+            on_chunk_written(store.write_checkpoint_vectored(
+                window, rows, job.cut_tick if last else None
+            ))
+            if last:
+                return True
 
 
 class PayloadSource(Protocol):

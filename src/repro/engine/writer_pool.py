@@ -91,12 +91,11 @@ class PoolWriter:
     """
 
     def __init__(
-        self, pool: "CheckpointWriterPool", store: StoreType, index: int,
-        slab: Optional[np.ndarray],
+        self, pool: "CheckpointWriterPool", store: StoreType, index: int
     ) -> None:
         self._pool = pool
         # Owned by whichever worker flushes this handle's one job.
-        self._slab = slab
+        self._slab: Optional[np.ndarray] = None
         self._store = store
         self._index = index
         self._name = f"shard-{index:02d}"
@@ -300,20 +299,14 @@ class CheckpointWriterPool:
     # Registration and submission
     # ------------------------------------------------------------------
 
-    def register(
-        self, store: StoreType, slab: Optional[np.ndarray] = None
-    ) -> PoolWriter:
-        """Attach a shard's store; returns its submission handle.
-
-        ``slab`` is memory the shard's jobs are already staged in (the
-        process backend's shared staging slot, one uint8 row per object);
-        without it the handle allocates its own slab on its first job.
-        """
+    def register(self, store: StoreType) -> PoolWriter:
+        """Attach a shard's store; returns its submission handle, which
+        allocates its slab on its first job."""
         if self._closed:
             raise CheckpointWriterError("writer pool is closed")
         with self._lock:
             index = len(self._handles)
-            handle = PoolWriter(self, store, index, slab)
+            handle = PoolWriter(self, store, index)
             self._handles.append(handle)
         return handle
 
@@ -427,19 +420,13 @@ class CheckpointWriterPool:
                 # Killed between queue pop and flush: leave the store alone.
                 completed = False
             else:
-                with get_tracer().span(
-                    "pool_flush",
-                    shard=handle.name,
-                    epoch=job.epoch,
-                    cut=job.cut_tick,
-                ):
-                    completed = flush_checkpoint_job(
-                        handle._store,
-                        job,
-                        should_abandon=should_abandon,
-                        on_chunk_written=on_chunk_written,
-                        slab_for=handle._slab_for,
-                    )
+                completed = flush_checkpoint_job(
+                    handle._store,
+                    job,
+                    should_abandon=should_abandon,
+                    on_chunk_written=on_chunk_written,
+                    slab_for=handle._slab_for,
+                )
             elapsed = time.perf_counter() - started
             with self._lock:
                 if completed:

@@ -12,7 +12,9 @@ needs to *see* those quantities end to end.  This package is the substrate:
   path when disabled, bridged across the process boundary by a shared-memory
   ring per shard;
 * :mod:`repro.obs.export` -- Chrome ``trace_event`` JSON export
-  (``chrome://tracing`` / Perfetto-loadable) plus a schema validator;
+  (``chrome://tracing`` / Perfetto-loadable) plus a schema validator, also
+  ``python -m repro.obs.export trace.json --validate`` (not imported here,
+  so running it as a script finds no copy already in ``sys.modules``);
 * :mod:`repro.obs.telemetry` -- the merged :class:`FleetTelemetry` snapshot
   :meth:`~repro.engine.fleet.ShardFleet.telemetry` returns and the gateway
   serves through its ``STATS`` frame;
@@ -30,7 +32,6 @@ from repro.obs.metrics import (
     global_registry,
 )
 from repro.obs.trace import configure_tracing, get_tracer, tracing_enabled
-from repro.obs.export import chrome_trace, validate_chrome_trace, write_chrome_trace
 from repro.obs.telemetry import FleetTelemetry, PoolTelemetry, ShardTelemetry
 
 __all__ = [
@@ -44,9 +45,6 @@ __all__ = [
     "configure_tracing",
     "get_tracer",
     "tracing_enabled",
-    "chrome_trace",
-    "validate_chrome_trace",
-    "write_chrome_trace",
     "FleetTelemetry",
     "PoolTelemetry",
     "ShardTelemetry",

@@ -3,8 +3,8 @@
 Two halves:
 
 * :data:`SHARD_METRIC_SPECS` -- the per-shard metrics row every backend
-  publishes (tick-duration histogram, commands drained, staging and log
-  waits, cut lag).  On the process backend the row is an int64 slot in
+  publishes (tick-duration histogram, commands drained, log waits, cut
+  lag).  On the process backend the row is an int64 slot in
   the shard's :class:`~repro.state.shared.SharedArena` written by the
   worker's tick loop and scraped by the parent with zero syscalls; on the
   thread backend it is an ordinary in-process row written by the
@@ -35,12 +35,11 @@ from repro.obs.metrics import (
 #: The per-shard metrics row.  Single writer *per field*, exactly like the
 #: control row: the shard's tick loop (the worker process, or the driver
 #: thread on the thread backend) owns ``tick_us`` / ``commands_drained`` /
-#: ``staging_us`` / ``log_wait_us`` / ``cut_lag_ticks``; the fleet parent,
+#: ``log_wait_us`` / ``cut_lag_ticks``; the fleet parent,
 #: which is the ring producer, owns ``ring_high_water_bytes``.
 SHARD_METRIC_SPECS: Tuple[MetricSpec, ...] = (
     MetricSpec("tick_us", "histogram", DURATION_BUCKETS_US),
     MetricSpec("commands_drained", "counter"),
-    MetricSpec("staging_us", "counter"),
     MetricSpec("log_wait_us", "counter"),
     MetricSpec("cut_lag_ticks", "gauge"),
     MetricSpec("ring_high_water_bytes", "gauge"),
@@ -62,8 +61,6 @@ class ShardTelemetry:
     tick_p99_us: float
     tick_mean_us: float
     commands_drained: int
-    #: Microseconds the worker spent gathering cut-consistent payloads.
-    staging_us: int
     #: Microseconds ticks waited for their log record's fsync.
     log_wait_us: int
     #: Ticks run since the newest cut handed to the checkpoint path.

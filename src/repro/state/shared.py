@@ -1,9 +1,8 @@
 """Shared-memory segments backing game state across process boundaries.
 
 The process-backed fleet (``ShardFleet(backend="process")``) runs each
-shard's mutator loop in a worker process while the parent's checkpoint
-writer pool lands the bytes on disk.  For that split to be zero-copy, the
-state a checkpoint reads must live in memory both processes map:
+shard's mutator loop in a worker process; the parent pushes commands to it
+and reads its counters and spans through memory both processes map:
 
 * :class:`SharedArena` -- one shared-memory segment subdivided into named,
   64-byte-aligned numpy arrays ("slots").  The arena is a plain file in

@@ -1,8 +1,8 @@
 """Tests for the process-backed shard fleet.
 
 Everything here runs on one core (correctness, not speed): workers over
-shared-memory tables, the eager-staging cut protocol, injected worker
-crashes mid-tick and mid-checkpoint-flush, segment leak discipline, and
+shared-memory tables, workers that flush their own checkpoints, injected
+worker crashes mid-tick and mid-checkpoint-flush, segment leak discipline, and
 recovery of a dead shard from its last durable checkpoint.
 """
 
@@ -65,7 +65,7 @@ class TestNormalOperation:
         report = fleet.run_ticks(20, checkpoint_barrier=True)
         assert report.num_shards == 3
         assert all(stats.ticks_run == 20 for stats in report.shard_stats)
-        # The parent actually landed checkpoint bytes for every shard.
+        # Every worker actually landed checkpoint bytes.
         assert all(stats.bytes_written > 0 for stats in report.shard_stats)
         assert all(
             stats.checkpoints_completed > 0 for stats in report.shard_stats
@@ -96,8 +96,12 @@ class TestNormalOperation:
             assert all(fleet.alive_workers)
 
     def test_writer_threads_is_pool_sized(self, app_factory, tmp_path):
+        """Each worker flushes its own checkpoints, so a process fleet
+        builds no pool whatever ``pool_size`` asks for."""
         with make_fleet(app_factory, tmp_path, pool_size=3) as fleet:
-            assert fleet.writer_threads == 3
+            assert fleet.writer_threads == 0
+            assert fleet.writer_pool is None
+            assert fleet.telemetry().pool is None
 
 
 class TestWorkerCrash:
@@ -130,7 +134,7 @@ class TestWorkerCrash:
         fleet.crash_worker(0, when="at_checkpoint")
         with pytest.raises(EngineError, match="exit code 42"):
             # Enough ticks that shard 0 reaches its next checkpoint cut and
-            # dies right after handing it to the parent's flush path.
+            # dies in that checkpoint's flush.
             fleet.run_ticks(30)
         fleet.close()
         assert our_segments() == before

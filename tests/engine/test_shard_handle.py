@@ -191,6 +191,35 @@ def test_cut_lag_agrees_across_backends(tmp_path):
     assert lags["thread"] == lags["process"]
 
 
+@pytest.mark.parametrize("end", ["close", "crash"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_close_after_close_or_crash_is_a_no_op(backend, end, tmp_path,
+                                               monkeypatch):
+    """A second ``close`` (a ``with`` block whose body already closed the
+    fleet, say) and a ``close`` after a ``crash`` touch no shard handle;
+    a ``crash`` after either raises."""
+    calls = []
+
+    def counted(method, original):
+        def call(self):
+            calls.append(method)
+            original(self)
+        return call
+
+    for handle_type in (ThreadShardHandle, shard_worker.ProcessShardHandle):
+        for method in ("close", "crash", "release"):
+            monkeypatch.setattr(handle_type, method,
+                                counted(method, getattr(handle_type, method)))
+    with walk_fleet(tmp_path, backend, pool_size=1) as fleet:
+        fleet.run_ticks(4)
+        getattr(fleet, end)()
+        teardown = list(calls)
+        fleet.close()
+    with pytest.raises(EngineError):
+        fleet.crash()
+    assert calls == teardown == [end, "release"]
+
+
 def test_at_checkpoint_crash_needs_a_worker(tmp_path):
     with walk_fleet(tmp_path, "thread") as fleet:
         with pytest.raises(EngineError, match="backend='process'"):

@@ -1,15 +1,20 @@
 """Tests for the one staging path: each pool handle stages its checkpoints
-into one slab it owns, and the slab lives exactly as long as the handle."""
+into one slab it owns, the slab lives exactly as long as the handle, and a
+process shard stages nothing for another process."""
 
+import inspect
 import re
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
+import repro.engine.shard_worker as shard_worker
 from repro.config import StateGeometry
 from repro.engine.fleet import ShardFleet
+from repro.engine.writer_pool import CheckpointWriterPool
 from tests.conftest import RandomWalkApp
 
 GEOMETRY = StateGeometry(rows=400, columns=10)
@@ -51,3 +56,17 @@ def test_slab_dies_with_its_handle(tmp_path, end):
     )
     getattr(fleet, end)()
     assert [slab() for slab in slabs] == [None, None]
+
+
+def test_no_cross_process_flush_grows_back():
+    """A worker flushes its own checkpoints: no proxy stages a copy for the
+    parent, the shard's segment has no staging slot, and no pool handle
+    borrows a slab it does not own."""
+    source = inspect.getsource(shard_worker)
+    for gone in ("WorkerCheckpointProxy", "_StagedSource", "F_JOB_STATE",
+                 "STAGING_SLOT"):
+        assert gone not in source
+    slots = shard_worker.shard_arena_slots(GEOMETRY, np.int32)
+    assert not [name for name, *_ in slots if "stag" in name]
+    assert list(inspect.signature(CheckpointWriterPool.register).parameters) \
+        == ["self", "store"]

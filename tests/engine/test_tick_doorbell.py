@@ -3,10 +3,10 @@
 A run is two one-byte doorbells (``go`` down, ``done`` up) plus the
 shard's shared control row: the parent stores the run's arguments there,
 the worker stores the ``ServerStats`` back, and the pipe carries only the
-rare messages (ready, quiesce, crash, close, checkpoint handoffs,
-failures).  These tests pin that contract, that worker death never hangs a
-waiter on either doorbell or on a checkpoint landing, and that neither side
-keeps a doorbell end it must not hold.
+rare messages (ready, quiesce, crash, close, failures).  These tests pin
+that contract, that worker death never hangs a waiter on either doorbell
+or on the worker's own checkpoint flush, and that neither side keeps a
+doorbell end it must not hold.
 """
 
 import dataclasses
@@ -27,8 +27,7 @@ from repro.config import StateGeometry
 from repro.engine.fleet import ShardFleet
 from repro.engine.server import ServerStats
 from repro.engine.shard_worker import (
-    F_JOBS_COMPLETED,
-    F_JOBS_SUBMITTED,
+    F_PARENT_SENT,
     F_STATS,
     F_WORKER_SENT,
     NUM_CONTROL_FIELDS,
@@ -120,9 +119,8 @@ class TestRowLayout:
 @needs_fork
 class TestTickContract:
     def test_no_pickled_tick_ack_grows_back(self, tmp_path, monkeypatch):
-        """A run sends nothing over either end of the pipe but its
-        checkpoint handoffs, and acks the same stats the thread backend
-        reports."""
+        """A run sends no pipe message in either direction, and acks the
+        same stats the thread backend reports."""
         source = inspect.getsource(shard_worker)
         for gone in ('"done"', '"run"', "conn.poll", "pickle"):
             assert gone not in source
@@ -140,16 +138,14 @@ class TestTickContract:
                 if backend == "process":
                     rows = [fleet._handle(index).control for index in (0, 1)]
                     before = [(int(row[F_WORKER_SENT]),
-                               int(row[F_JOBS_SUBMITTED])) for row in rows]
+                               int(row[F_PARENT_SENT])) for row in rows]
                 reports[backend] = fleet.run_ticks(
                     25, checkpoint_barrier=True
                 )
                 if backend == "process":
                     assert sent == []
-                    for row, (messages, jobs) in zip(rows, before):
-                        handoffs = int(row[F_JOBS_SUBMITTED]) - jobs
-                        assert handoffs > 0
-                        assert int(row[F_WORKER_SENT]) - messages == handoffs
+                    assert [(int(row[F_WORKER_SENT]), int(row[F_PARENT_SENT]))
+                            for row in rows] == before
         for thread_stats, process_stats in zip(
             reports["thread"].shard_stats, reports["process"].shard_stats
         ):
@@ -158,16 +154,15 @@ class TestTickContract:
             assert process_stats.checkpoints_completed > 0
 
     def test_a_run_returns_after_its_handoffs_land(self, tmp_path):
-        """Without the barrier the flushes overlap the ticks, but a run
-        still returns only once the parent has landed every checkpoint
-        the run handed off."""
+        """Without the barrier a run still returns with every checkpoint it
+        cut durable: each shard's committed cut is its newest cut."""
         with walk_fleet(tmp_path, min_checkpoint_interval_ticks=1) as fleet:
             for _ in range(3):
                 fleet.run_ticks(7)
-                for index in (0, 1):
-                    row = fleet._handle(index).control
-                    assert (row[F_JOBS_COMPLETED] == row[F_JOBS_SUBMITTED]
-                            > 0)
+                for shard in fleet.telemetry().shards:
+                    handle = fleet._handle(shard.index)
+                    newest_cut = handle.ticks_run - 1 - shard.cut_lag_ticks
+                    assert handle.committed_cut == newest_cut >= 0
 
     def test_failed_run_reports_its_traceback(self, tmp_path):
         class Exploding(RandomWalkApp):
@@ -193,8 +188,8 @@ class TestWorkerDeath:
             fleet.run_ticks(3)
             victim = fleet.worker_pids[1]
             if how == "at_checkpoint":
-                # The parent is waiting out this shard's run and the
-                # landing of a handoff whose worker is gone.
+                # The parent is waiting out the run of a shard whose worker
+                # dies in its own checkpoint flush.
                 fleet.crash_worker(1, when="at_checkpoint")
             else:
                 def kill_mid_run():

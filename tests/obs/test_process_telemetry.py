@@ -140,6 +140,31 @@ class TestCrossProcessTracing:
         )
         assert validate_chrome_trace(path) == len(events) + len(worker_pids)
 
+    @pytest.mark.parametrize("backend, pool_size", [
+        ("thread", None), ("thread", 1), ("process", 2),
+    ])
+    def test_every_flush_is_one_ckpt_flush_span(self, app_factory, tmp_path,
+                                                backend, pool_size):
+        """Inline, pool and worker flushes each record one ``ckpt_flush``
+        span per checkpoint, in the process that ran the flush."""
+        configure_tracing(True)
+        try:
+            with ShardFleet(app_factory, tmp_path, 2, backend=backend,
+                            seed=5, pool_size=pool_size,
+                            min_checkpoint_interval_ticks=3) as fleet:
+                report = fleet.run_ticks(9, checkpoint_barrier=True)
+                flushers = (set(fleet.worker_pids) if backend == "process"
+                            else {os.getpid()})
+                events = fleet.trace_events()
+        finally:
+            configure_tracing(False).drain()
+        flushes = [e for e in events if e["name"] == "ckpt_flush"]
+        assert {e["pid"] for e in flushes} == flushers
+        assert len(flushes) == sum(
+            stats.checkpoints_started for stats in report.shard_stats
+        )
+        assert all(set(e["args"]) == {"epoch", "cut"} for e in flushes)
+
     def test_tracing_disabled_fleet_emits_nothing(self, app_factory,
                                                   tmp_path):
         fleet = make_fleet(app_factory, tmp_path)

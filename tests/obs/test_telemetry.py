@@ -21,7 +21,7 @@ def make_shard(index, **overrides):
     base = dict(
         index=index, alive=True, ticks_run=10, tick_p50_us=100.0,
         tick_p99_us=400.0, tick_mean_us=150.0, commands_drained=5,
-        staging_us=30, log_wait_us=4, cut_lag_ticks=1, checkpoint_age_ticks=2,
+        log_wait_us=4, cut_lag_ticks=1, checkpoint_age_ticks=2,
         bytes_written=4096, ring_pending_bytes=0,
         ring_capacity_bytes=65536, ring_high_water_bytes=80,
     )
@@ -39,7 +39,7 @@ class TestShardSchema:
 
     def test_layout_has_the_published_fields(self):
         names = [spec.name for spec in SHARD_METRICS_LAYOUT.specs]
-        assert names == ["tick_us", "commands_drained", "staging_us",
+        assert names == ["tick_us", "commands_drained",
                          "log_wait_us", "cut_lag_ticks",
                          "ring_high_water_bytes"]
 

@@ -82,7 +82,7 @@ def test_no_single_valued_parameter_grows_back():
         RealExecutor.__init__: ["self", "table", "store", "writer_pool",
                                 "writer"],
         CheckpointWriterPool.__init__: ["self", "num_workers"],
-        CheckpointWriterPool.register: ["self", "store", "slab"],
+        CheckpointWriterPool.register: ["self", "store"],
         flush_checkpoint_job: ["store", "job", "should_abandon",
                                "on_chunk_written", "slab_for"],
         FrontDoor.__init__: ["self", "fleet", "commands_per_tick_limit",
